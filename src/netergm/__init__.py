@@ -70,7 +70,6 @@ from .terms import (
     ModelSpec,
     TermSpec,
     change_stat_matrices,
-    change_stats,
     global_stats,
     parse_term,
     parse_terms,
@@ -112,7 +111,6 @@ __all__ = [
     "build_graph",
     "centralization",
     "change_stat_matrices",
-    "change_stats",
     "density",
     "describe",
     "edgewise_reciprocity",

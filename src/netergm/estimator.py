@@ -165,19 +165,20 @@ def _newton(x, y, tolerance, max_iterations):
     eta = x @ theta
     ll = _log_likelihood(eta, y)
     ll_path = [ll]
-    info = np.eye(p)
     converged = False
     iterations = 0
-    for it in range(1, max_iterations + 1):
-        iterations = it
+    # one pass past the cap, so that info is taken at the returned theta
+    for it in range(1, max_iterations + 2):
         mu = expit(eta)
         score = x.T @ (y - mu)
         w = mu * (1.0 - mu)
         info = (x * w[:, None]).T @ x
+        if it > max_iterations:
+            break
         if np.max(np.abs(score)) < tolerance:
             converged = True
-            iterations = it - 1
             break
+        iterations = it
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -238,16 +239,6 @@ def fit_logistic(
     x = x_full[:, keep]
     kept_names = [n for n, k in zip(names, keep) if k]
     p = x.shape[1]
-
-    constant_cols = [
-        n for n, col in zip(kept_names, x.T) if np.ptp(col) == 0.0 and n != "edges"
-    ]
-    if constant_cols and "edges" in kept_names:
-        warnings.warn(
-            "constant column(s) are collinear with edges: "
-            + ", ".join(constant_cols),
-            stacklevel=2,
-        )
 
     _, r, _ = qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))

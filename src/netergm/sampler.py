@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
 from .graph import DirectedGraph
-from .terms import ModelSpec, _decay_tables, _match_matrix
+from .terms import ModelSpec, _rule
 
 __all__ = ["SamplerControl", "sample_ergm"]
 
@@ -30,14 +30,8 @@ class SamplerControl:
     thin: int | None = None
     sample_count: int = 100
     seed: int = 0
-    proposal: str = "uniform-dyad"
 
     def __post_init__(self):
-        if self.proposal != "uniform-dyad":
-            raise ConfigError(
-                f"unknown proposal kernel {self.proposal!r}; "
-                "only 'uniform-dyad' is implemented"
-            )
         if self.burn_in is not None and self.burn_in < 0:
             raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin is not None and self.thin < 1:
@@ -53,59 +47,24 @@ class SamplerControl:
 
 
 class _Chain:
-    """Mutable chain state with per-term change statistics."""
+    """Mutable chain state with one bound change-statistic closure per term."""
 
     def __init__(self, n, attrs, spec, theta):
-        self.n = n
         self.a = np.zeros((n, n), dtype=np.uint8)
         self.indeg = np.zeros(n, dtype=np.int64)
         self.outdeg = np.zeros(n, dtype=np.int64)
-        self.theta = [float(t) for t in theta]
-        self.terms = spec.terms
-        self.needs_paths = any(t.kind in ("gwesp", "gwdsp") for t in spec.terms)
-        self.paths = np.zeros((n, n), dtype=np.int64) if self.needs_paths else None
-        self.tables = {}
-        self.match = {}
-        for t in spec.terms:
-            if t.kind in ("gwesp", "gwdsp"):
-                self.tables[t.decay] = _decay_tables(t.decay, n)
-            elif t.kind == "nodematch":
-                self.match[t.name] = _match_matrix(attrs, t, n).astype(np.uint8)
-
-    def delta(self, term, i, j, aij):
-        a = self.a
-        if term.kind == "edges":
-            return 1.0
-        if term.kind == "mutual":
-            return float(a[j, i])
-        if term.kind == "isolates":
-            di = self.indeg[i] + self.outdeg[i] - aij
-            dj = self.indeg[j] + self.outdeg[j] - aij
-            # int() first: numpy bools saturate instead of adding to 2
-            return -float(int(di == 0) + int(dj == 0))
-        if term.kind == "odegpop":
-            return float(self.indeg[i] + self.outdeg[j])
-        if term.kind == "nodematch":
-            return float(self.match[term.name][i, j])
-        rtab, wtab = self.tables[term.decay]
-        p = self.paths
-        if term.kind == "gwesp":
-            row = rtab[np.maximum(p[i] - aij, 0)]
-            col = rtab[np.maximum(p[:, j] - aij, 0)]
-            s1 = float(row[(a[i] & a[j]).astype(bool)].sum())
-            s2 = float(col[(a[:, j] & a[:, i]).astype(bool)].sum())
-            return float(wtab[p[i, j]]) + s1 + s2
-        row = rtab[np.maximum(p[i] - aij, 0)] * a[j]
-        col = rtab[np.maximum(p[:, j] - aij, 0)] * a[:, i]
-        return float(row.sum() - row[i] + col.sum() - col[j])
+        uses_paths = any(_rule(t).paths for t in spec.terms)
+        self.paths = np.zeros((n, n), dtype=np.int64) if uses_paths else None
+        live = (attrs, self.a, self.indeg, self.outdeg, self.paths)
+        bound = [_rule(t).delta(t, *live) for t in spec.terms]
+        # zero coefficients never move the ratio, but a missing attribute raises
+        self.deltas = [(float(th), d) for th, d in zip(theta, bound) if th != 0.0]
 
     def log_ratio(self, i, j):
         aij = int(self.a[i, j])
         total = 0.0
-        for th, term in zip(self.theta, self.terms):
-            if th == 0.0:
-                continue
-            total += th * self.delta(term, i, j, aij)
+        for th, delta in self.deltas:
+            total += th * delta(i, j, aij)
         if not math.isfinite(total):
             raise NumericalError(
                 f"non-finite acceptance ratio at dyad ({i}, {j})"
@@ -114,7 +73,7 @@ class _Chain:
 
     def toggle(self, i, j):
         sign = -1 if self.a[i, j] else 1
-        if self.needs_paths:
+        if self.paths is not None:
             # int64 cast: a negative sign would overflow the uint8 rows
             self.paths[i, :] += sign * self.a[j, :].astype(np.int64)
             self.paths[:, j] += sign * self.a[:, i].astype(np.int64)

@@ -25,6 +25,7 @@ from .errors import (
     DimensionError,
     EmptyDesignError,
     InsufficientPeriodsError,
+    NetworkModelError,
     NumericalError,
 )
 from .estimator import DyadDesign, FitResult, bayes_criterion, fit_logistic
@@ -173,7 +174,7 @@ def fit_btergm(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fit = fit_logistic(design, **options)
-        except Exception:
+        except (NetworkModelError, np.linalg.LinAlgError):
             dropped += 1
             continue
         if not fit.converged or fit.dropped_terms:

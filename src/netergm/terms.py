@@ -23,27 +23,23 @@ attributes) to one sufficient statistic. Supported terms:
 ``nodematch(attr, level)``
     Ties whose endpoints both hold the given level (differential homophily).
 
-Change statistics are the difference in each statistic between the graph
-with a dyad present and with it absent. ``change_stats`` computes them for
-one dyad by literal toggle-recompute; ``change_stat_matrices`` computes all
-dyads at once in closed form. The two routes must agree and are tested
-against each other.
+Each term is one entry of the table ``_TERMS``: its argument grammar and
+three forms of its statistic. The global form is the statistic of one graph
+(``global_stats``); the all-dyad form is every dyad's change statistic, the
+statistic with the dyad present minus with it absent, in closed form
+(``change_stat_matrices``); the incremental form is one dyad's change,
+bound once to the sampler's live arrays. Tests check the forms agree.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvalidDyadError,
-    UnknownAttributeError,
-)
+from .errors import ConfigError, DimensionError, UnknownAttributeError
 from .graph import DirectedGraph
 
 __all__ = [
@@ -53,12 +49,15 @@ __all__ = [
     "parse_terms",
     "split_term_list",
     "global_stats",
-    "change_stats",
     "change_stat_matrices",
 ]
 
-_BARE_KINDS = ("edges", "mutual", "isolates", "odegpop")
-_DECAY_KINDS = ("gwesp", "gwdsp")
+# argument grammars: the fields a term's arguments fill, how many of them are
+# required, and how an error says so
+_FIELDS = ("decay", "attribute", "level")
+_NO_ARGS = ((), 0, "takes no arguments")
+_DECAY = (("decay",), 1, "takes exactly one decay")
+_ATTRIBUTE = (("attribute", "level"), 1, "takes 1 or 2 arguments")
 
 
 @dataclass(frozen=True)
@@ -73,34 +72,22 @@ class TermSpec:
 
     def __post_init__(self):
         k = self.kind
-        if k in _BARE_KINDS:
-            if self.decay is not None or self.attribute or self.level:
-                raise ConfigError(f"term {k!r} takes no arguments")
-        elif k in _DECAY_KINDS:
-            if self.decay is None:
-                raise ConfigError(f"term {k!r} requires a decay argument")
-            if not (self.decay >= 0 and math.isfinite(self.decay)):
-                raise ConfigError(f"term {k!r} decay must be finite and >= 0")
-            if self.attribute or self.level:
-                raise ConfigError(f"term {k!r} takes only a decay")
-        elif k == "nodematch":
-            if not self.attribute:
-                raise ConfigError("nodematch requires an attribute name")
-            if self.decay is not None:
-                raise ConfigError("nodematch takes no decay")
-        else:
+        if k not in _TERMS:
             raise ConfigError(f"unknown term kind {k!r}")
+        fields, least, takes = _rule(self).grammar
+        given = {f for f in _FIELDS if getattr(self, f) not in (None, "")}
+        if not set(fields[:least]) <= given <= set(fields):
+            raise ConfigError(f"term {k!r} {takes}")
+        if "decay" in given and not (self.decay >= 0 and math.isfinite(self.decay)):
+            raise ConfigError(f"term {k!r} decay must be finite and >= 0")
 
     @property
     def name(self) -> str:
         """Canonical display name, also used for duplicate detection."""
-        if self.kind in _BARE_KINDS:
-            return self.kind
-        if self.kind in _DECAY_KINDS:
-            return f"{self.kind}({self.decay:g})"
-        if self.level is not None:
-            return f"nodematch({self.attribute}, {self.level})"
-        return f"nodematch({self.attribute})"
+        fields, _, _ = _rule(self).grammar
+        args = [f"{self.decay:g}" if f == "decay" else getattr(self, f) for f in fields]
+        args = ", ".join(a for a in args if a is not None)
+        return f"{self.kind}({args})" if args else self.kind
 
 
 @dataclass(frozen=True)
@@ -155,27 +142,20 @@ def parse_term(text: str) -> TermSpec:
     kind = head.strip().lower()
     if not kind:
         raise ConfigError(f"term {text!r}: missing keyword at position 0")
-    if kind in _BARE_KINDS:
-        if args:
-            raise ConfigError(f"term {text!r}: {kind} takes no arguments")
-        return TermSpec(kind)
-    if kind in _DECAY_KINDS:
-        if len(args) != 1:
-            raise ConfigError(f"term {text!r}: {kind} takes exactly one decay")
+    if kind not in _TERMS:
+        raise ConfigError(f"term {text!r}: unknown keyword {kind!r} at position 0")
+    fields, least, takes = _TERMS[kind].grammar
+    if not least <= len(args) <= len(fields):
+        raise ConfigError(f"term {text!r}: {kind} {takes}")
+    values = dict(zip(fields, args))
+    if "decay" in values:
         try:
-            decay = float(args[0])
+            values["decay"] = float(args[0])
         except ValueError:
             raise ConfigError(
                 f"term {text!r}: decay {args[0]!r} is not a number"
             ) from None
-        return TermSpec(kind, decay=decay)
-    if kind == "nodematch":
-        if len(args) == 1:
-            return TermSpec(kind, attribute=args[0])
-        if len(args) == 2:
-            return TermSpec(kind, attribute=args[0], level=args[1])
-        raise ConfigError(f"term {text!r}: nodematch takes 1 or 2 arguments")
-    raise ConfigError(f"term {text!r}: unknown keyword {kind!r} at position 0")
+    return TermSpec(kind, **values)
 
 
 def split_term_list(text: str) -> list:
@@ -231,118 +211,163 @@ def _match_matrix(attrs, term, n: int) -> np.ndarray:
     return both[:, None] & both[None, :]
 
 
+class _Shared:
+    """One graph's arrays that several terms reuse, built once per call."""
+
+    def __init__(self, g: DirectedGraph, attrs, spec: ModelSpec):
+        self.g, self.attrs, self.n, self.A = g, attrs, g.node_count, g.adjacency
+        self.Af = self.A.astype(np.float64)
+        # two-path counts: P[i, j] is the number of m with i -> m -> j
+        paths = any(_rule(t).paths for t in spec.terms)
+        self.P = np.linalg.matrix_power(self.A.astype(np.int64), 2) if paths else None
+        self._powers = {}
+
+    def powers(self, decay: float):
+        """Decay tables, ``r**P`` and ``r**max(P - 1, 0)`` for one decay."""
+        if decay not in self._powers:
+            rtab, wtab = _decay_tables(decay, self.n)
+            rp, rpm = rtab[self.P], rtab[np.maximum(self.P - 1, 0)]
+            self._powers[decay] = rtab, wtab, rp, rpm
+        return self._powers[decay]
+
+
 def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
     """Vector of sufficient statistics for ``spec`` on graph ``g``."""
-    n = g.node_count
-    A = g.adjacency
-    P = None
-    out = np.empty(len(spec.terms), dtype=np.float64)
-    for k, term in enumerate(spec.terms):
-        if term.kind == "edges":
-            out[k] = g.edge_count
-        elif term.kind == "mutual":
-            out[k] = (A & A.T).sum() // 2
-        elif term.kind == "isolates":
-            out[k] = (g.total_degrees == 0).sum() if n else 0
-        elif term.kind == "odegpop":
-            out[k] = (g.in_degrees * g.out_degrees).sum() if n else 0
-        elif term.kind in _DECAY_KINDS:
-            if P is None:
-                ai = A.astype(np.int64)
-                P = ai @ ai
-            _, wtab = _decay_tables(term.decay, n)
-            if term.kind == "gwesp":
-                out[k] = wtab[P[A]].sum() if n else 0.0
-            else:
-                out[k] = wtab[P].sum() - wtab[P.diagonal()].sum() if n else 0.0
-        else:
-            m = _match_matrix(attrs, term, n)
-            out[k] = (A & m).sum()
-    return out
-
-
-def change_stats(g: DirectedGraph, attrs, dyad, spec: ModelSpec) -> np.ndarray:
-    """Change statistics for one dyad, by toggle and full recomputation.
-
-    This is the reference route: statistic on the graph with the dyad
-    present minus the statistic with it absent. The current state of the
-    dyad in ``g`` does not matter.
-    """
-    i, j = dyad
-    if i == j:
-        raise InvalidDyadError(f"dyad ({i}, {j}) is a loop")
-    plus = g.with_dyad(i, j, True)
-    minus = g.with_dyad(i, j, False)
-    return global_stats(plus, attrs, spec) - global_stats(minus, attrs, spec)
+    s = _Shared(g, attrs, spec)
+    return np.array([_rule(t).stat(t, s) for t in spec.terms], dtype=np.float64)
 
 
 def change_stat_matrices(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
     """All change statistics at once, shape ``(n_terms, n, n)``.
 
-    Entry ``[t, i, j]`` equals ``change_stats(g, attrs, (i, j), spec)[t]``;
-    the diagonal is zero. Closed forms throughout, so building a full dyadic
-    design costs a handful of matrix products instead of n*(n-1) toggles.
+    Entry ``[t, i, j]`` is term t's statistic with the tie i -> j present
+    minus the statistic with it absent; the diagonal is zero. Closed forms
+    throughout, so building a full dyadic design costs a handful of matrix
+    products instead of n*(n-1) toggles.
     """
     n = g.node_count
-    A = g.adjacency
-    Af = A.astype(np.float64)
-    P = None
-    rp = rpm = None  # r**P and r**max(P-1, 0) for the active decay
-    cached_decay = None
     out = np.zeros((len(spec.terms), n, n), dtype=np.float64)
     if n < 2:
         return out
-
-    def gw_tables(decay):
-        nonlocal P, rp, rpm, cached_decay
-        if P is None:
-            ai = A.astype(np.int64)
-            P = ai @ ai
-        rtab, wtab = _decay_tables(decay, n)
-        if cached_decay != decay:
-            rp = rtab[P]
-            rpm = rtab[np.maximum(P - 1, 0)]
-            cached_decay = decay
-        return rtab, wtab
-
+    s = _Shared(g, attrs, spec)
     for k, term in enumerate(spec.terms):
-        if term.kind == "edges":
-            m = np.ones((n, n), dtype=np.float64)
-        elif term.kind == "mutual":
-            m = Af.T.copy()
-        elif term.kind == "isolates":
-            deg = g.total_degrees
-            gone_i = (deg[:, None] - A) == 0
-            gone_j = (deg[None, :] - A) == 0
-            m = -(gone_i.astype(np.float64) + gone_j.astype(np.float64))
-        elif term.kind == "odegpop":
-            m = g.in_degrees[:, None] + g.out_degrees[None, :]
-            m = m.astype(np.float64)
-        elif term.kind == "gwesp":
-            _, wtab = gw_tables(term.decay)
-            # closing the focal tie: weight of its own partner count, plus
-            # the focal tie promoting each two-path it completes
-            m1 = (Af * rp) @ Af.T
-            m1m = (Af * rpm) @ Af.T
-            m2 = Af.T @ (Af * rp)
-            m2m = Af.T @ (Af * rpm)
-            m = wtab[P] + np.where(A, m1m + m2m, m1 + m2)
-        elif term.kind == "gwdsp":
-            rtab, _ = gw_tables(term.decay)
-            t1 = rp @ Af.T
-            t1m = rpm @ Af.T
-            t2 = Af.T @ rp
-            t2m = Af.T @ rpm
-            base = np.where(A, t1m + t2m, t1 + t2)
-            # remove the y == i and x == j contributions, whose two-path
-            # counts are the diagonal cycle counts corrected for mutuality
-            mut = A & A.T
-            cyc = P.diagonal()
-            e1 = np.maximum(cyc[:, None] - mut, 0)
-            e2 = np.maximum(cyc[None, :] - mut, 0)
-            m = base - Af.T * (rtab[e1] + rtab[e2])
-        else:
-            m = _match_matrix(attrs, term, n).astype(np.float64)
-        np.fill_diagonal(m, 0.0)
-        out[k] = m
+        out[k] = _rule(term).matrix(term, s)
+        np.fill_diagonal(out[k], 0.0)
     return out
+
+
+def _gwdsp_stat(t, s):
+    _, wtab = _decay_tables(t.decay, s.n)
+    return wtab[s.P].sum() - wtab[s.P.diagonal()].sum()
+
+
+def _gwesp_matrix(t, s):
+    _, wtab, rp, rpm = s.powers(t.decay)
+    Af = s.Af
+    # closing the focal tie: weight of its own partner count, plus the focal
+    # tie promoting each two-path it completes
+    closed = (Af * rpm) @ Af.T + Af.T @ (Af * rpm)
+    return wtab[s.P] + np.where(s.A, closed, (Af * rp) @ Af.T + Af.T @ (Af * rp))
+
+
+def _gwdsp_matrix(t, s):
+    rtab, _, rp, rpm = s.powers(t.decay)
+    Af = s.Af
+    base = np.where(s.A, rpm @ Af.T + Af.T @ rpm, rp @ Af.T + Af.T @ rp)
+    # remove the y == i and x == j contributions, whose two-path counts are
+    # the diagonal cycle counts corrected for mutuality
+    mut = s.A & s.A.T
+    cyc = s.P.diagonal()
+    e1 = np.maximum(cyc[:, None] - mut, 0)
+    e2 = np.maximum(cyc[None, :] - mut, 0)
+    return base - Af.T * (rtab[e1] + rtab[e2])
+
+
+def _gwesp_delta(t, attrs, a, indeg, outdeg, paths):
+    rtab, wtab = _decay_tables(t.decay, len(a))
+
+    def delta(i, j, aij):
+        row = rtab[np.maximum(paths[i] - aij, 0)]
+        col = rtab[np.maximum(paths[:, j] - aij, 0)]
+        s1 = float(row[(a[i] & a[j]).astype(bool)].sum())
+        s2 = float(col[(a[:, j] & a[:, i]).astype(bool)].sum())
+        return float(wtab[paths[i, j]]) + s1 + s2
+    return delta
+
+
+def _gwdsp_delta(t, attrs, a, indeg, outdeg, paths):
+    rtab, _ = _decay_tables(t.decay, len(a))
+
+    def delta(i, j, aij):
+        row = rtab[np.maximum(paths[i] - aij, 0)] * a[j]
+        col = rtab[np.maximum(paths[:, j] - aij, 0)] * a[:, i]
+        return float(row.sum() - row[i] + col.sum() - col[j])
+    return delta
+
+
+def _nodematch_delta(t, attrs, a, *_):
+    m = _match_matrix(attrs, t, len(a)).astype(np.uint8)
+    return lambda i, j, aij: float(m[i, j])
+
+
+# stat(term, shared) and matrix(term, shared) read a _Shared; a matrix is
+# anything that broadcasts to n x n. delta(term, attrs, a, indeg, outdeg, paths)
+# binds to a chain's live arrays and returns f(i, j, a[i, j]). paths marks the
+# terms that read two-path counts.
+_Term = namedtuple("_Term", "grammar stat matrix delta paths", defaults=(False,))
+
+
+_TERMS = {
+    "edges": _Term(
+        _NO_ARGS,
+        lambda t, s: s.g.edge_count,
+        lambda t, s: 1.0,
+        lambda t, *_: lambda i, j, aij: 1.0,
+    ),
+    "mutual": _Term(
+        _NO_ARGS,
+        lambda t, s: (s.A & s.A.T).sum() // 2,
+        lambda t, s: s.Af.T,
+        lambda t, attrs, a, *_: lambda i, j, aij: float(a[j, i]),
+    ),
+    "isolates": _Term(
+        _NO_ARGS,
+        lambda t, s: (s.g.total_degrees == 0).sum(),
+        # an endpoint is left isolated when the focal tie is its only tie
+        lambda t, s: -(
+            (s.g.total_degrees[:, None] == s.A).astype(np.float64)
+            + (s.g.total_degrees[None, :] == s.A).astype(np.float64)
+        ),
+        # int() first: numpy bools saturate instead of adding to 2
+        lambda t, attrs, a, indeg, outdeg, paths: lambda i, j, aij: -float(
+            int(indeg[i] + outdeg[i] == aij) + int(indeg[j] + outdeg[j] == aij)
+        ),
+    ),
+    "odegpop": _Term(
+        _NO_ARGS,
+        lambda t, s: (s.g.in_degrees * s.g.out_degrees).sum(),
+        lambda t, s: s.g.in_degrees[:, None] + s.g.out_degrees[None, :],
+        lambda t, attrs, a, indeg, outdeg, paths: (
+            lambda i, j, aij: float(indeg[i] + outdeg[j])
+        ),
+    ),
+    "gwesp": _Term(
+        _DECAY,
+        lambda t, s: _decay_tables(t.decay, s.n)[1][s.P[s.A]].sum(),
+        _gwesp_matrix,
+        _gwesp_delta,
+        paths=True,
+    ),
+    "gwdsp": _Term(_DECAY, _gwdsp_stat, _gwdsp_matrix, _gwdsp_delta, paths=True),
+    "nodematch": _Term(
+        _ATTRIBUTE,
+        lambda t, s: (s.A & _match_matrix(s.attrs, t, s.n)).sum(),
+        lambda t, s: _match_matrix(s.attrs, t, s.n),
+        _nodematch_delta,
+    ),
+}
+
+
+def _rule(term: TermSpec) -> _Term:
+    """The table entry of ``term``."""
+    return _TERMS[term.kind]

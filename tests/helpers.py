@@ -1,5 +1,6 @@
-"""Shared test utilities: random fixtures and slow, loop-based reference
-implementations of the sufficient statistics.
+"""Shared test utilities: random fixtures, slow, loop-based reference
+implementations of the sufficient statistics, and the toggle-and-recompute
+change-statistic oracle.
 
 The reference code here deliberately avoids the library's vectorized paths
 (and numpy where practical) so it can serve as an independent oracle.
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from netergm import DirectedGraph, NodeTable
+from netergm import DirectedGraph, InvalidDyadError, NodeTable, global_stats
 from netergm.ingest import DEFAULT_LEVELS
 
 
@@ -104,6 +105,21 @@ def naive_stats(n, edges, attrs, spec):
         else:
             raise AssertionError(f"oracle does not know term {t.kind}")
     return np.array(out)
+
+
+def change_stats(g, attrs, dyad, spec):
+    """Change statistics for one dyad, by toggle and full recomputation.
+
+    This is the reference route: statistic on the graph with the dyad
+    present minus the statistic with it absent. The current state of the
+    dyad in ``g`` does not matter.
+    """
+    i, j = dyad
+    if i == j:
+        raise InvalidDyadError(f"dyad ({i}, {j}) is a loop")
+    plus = g.with_dyad(i, j, True)
+    minus = g.with_dyad(i, j, False)
+    return global_stats(plus, attrs, spec) - global_stats(minus, attrs, spec)
 
 
 def naive_global_stats(g, attrs, spec):

@@ -39,9 +39,14 @@ from netergm.estimator import (
 )
 from netergm.report import fit_table, format_number, render_text
 from netergm.sampler import SamplerControl
-from netergm.terms import change_stats
 
-from helpers import naive_change_stat, random_graph, random_table, simple_table
+from helpers import (
+    change_stats,
+    naive_change_stat,
+    random_graph,
+    random_table,
+    simple_table,
+)
 from irls_reference import irls_fit
 
 

@@ -14,7 +14,6 @@ from netergm import (
     RankDeficiencyError,
     build_design,
     build_graph,
-    change_stats,
     fit_logistic,
     fit_mple,
     parse_terms,
@@ -24,7 +23,7 @@ from netergm.estimator import (
     bayes_criterion,
     null_pseudo_deviance,
 )
-from helpers import random_graph, simple_table
+from helpers import change_stats, random_graph, simple_table
 from irls_reference import irls_fit, logistic_log_likelihood
 
 
@@ -205,6 +204,13 @@ class TestFitDiagnostics:
         with pytest.raises(RankDeficiencyError, match="b_copy"):
             fit_logistic(design)
 
+    def test_constant_column_beside_edges_raises_with_name(self):
+        g = build_graph(4, [(0, 1), (1, 2)])
+        table = simple_table(tuple("abcd"), team=("blue",) * 4)
+        # everyone shares a team, so nodematch(team) is the edges column again
+        with pytest.raises(RankDeficiencyError, match=r"nodematch\(team\)"):
+            fit_mple(g, table, parse_terms(("edges", "nodematch(team)")))
+
     def test_constant_response_is_boundary_not_crash(self):
         g = DirectedGraph(5, frozenset())
         # boundary fits warn twice: constant response, then separation
@@ -234,6 +240,17 @@ class TestFitDiagnostics:
         fit = fit_logistic(design, max_iterations=1)
         assert not fit.converged
         assert fit.iterations <= 1
+
+    def test_capped_fit_reports_information_at_returned_theta(self):
+        rng = np.random.default_rng(48)
+        design = synthetic_design(rng, 200, [0.5, -1.0, 0.8])
+        assert fit_logistic(design).iterations > 2
+        fit = fit_logistic(design, max_iterations=2)
+        assert not fit.converged and fit.iterations == 2
+        x = design.matrix
+        mu = expit(x @ fit.coefficients)
+        info = (x * (mu * (1 - mu))[:, None]).T @ x
+        np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-10)
 
     def test_fit_mple_equals_fit_logistic_on_same_design(self):
         rng = np.random.default_rng(49)

@@ -54,8 +54,6 @@ class TestControlValidation:
             SamplerControl(thin=0)
         with pytest.raises(ConfigError):
             SamplerControl(sample_count=0)
-        with pytest.raises(ConfigError):
-            SamplerControl(proposal="swap")
 
     def test_rejects_bad_model_inputs(self):
         spec = parse_terms("edges")

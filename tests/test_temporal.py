@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netergm.temporal
 from netergm import (
     ConfigError,
     DimensionError,
@@ -11,7 +12,6 @@ from netergm import (
     NumericalError,
     build_design,
     build_graph,
-    change_stats,
     fit_btergm,
     fit_formation,
     fit_mple,
@@ -20,7 +20,7 @@ from netergm import (
     pooled_design,
 )
 from netergm.temporal import LAGGED_TIE_NAME, formation_bic_all_dyads
-from helpers import random_graph, simple_table
+from helpers import change_stats, random_graph, simple_table
 
 
 SPEC = parse_terms(("edges", "mutual"))
@@ -137,6 +137,22 @@ class TestFitBtergm:
         )
         assert boot.mode == "node"
         assert boot.replicate_coefficients.shape[1] == 2
+
+    def test_unexpected_replicate_error_propagates(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
+        real_fit = netergm.temporal.fit_logistic
+        calls = []
+
+        def flaky_fit(design, **options):
+            calls.append(design)
+            if len(calls) == 3:  # the second bootstrap replicate
+                raise TypeError("a bug, not a failed fit")
+            return real_fit(design, **options)
+
+        monkeypatch.setattr(netergm.temporal, "fit_logistic", flaky_fit)
+        with pytest.raises(TypeError, match="a bug"):
+            fit_btergm(series, None, SPEC, replications=4, seed=3)
 
     def test_too_few_replications(self):
         rng = np.random.default_rng(57)

@@ -2,23 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netergm import (
     ConfigError,
     DimensionError,
     DirectedGraph,
     InvalidDyadError,
+    ModelSpec,
     TermSpec,
     UnknownAttributeError,
     build_graph,
     change_stat_matrices,
-    change_stats,
     global_stats,
     parse_term,
     parse_terms,
 )
-from netergm.terms import split_term_list
-from helpers import naive_change_stat, naive_global_stats, random_graph, simple_table
+from netergm.sampler import _Chain
+from netergm.terms import _TERMS, split_term_list
+from helpers import (
+    change_stats,
+    naive_change_stat,
+    naive_global_stats,
+    random_graph,
+    simple_table,
+)
 
 
 ALL_KINDS = (
@@ -243,3 +252,82 @@ class TestChangeStats:
         spec = parse_terms("edges")
         np.testing.assert_allclose(change_stats(g, None, (0, 1), spec), [1])
         np.testing.assert_allclose(change_stats(g, None, (1, 2), spec), [1])
+
+
+# One instance per argument form of every kind in the term table.
+TABLE_EXAMPLES = (
+    "edges",
+    "mutual",
+    "isolates",
+    "odegpop",
+    "gwesp(0)",
+    "gwesp(1.25)",
+    "gwdsp(0)",
+    "gwdsp(0.001)",
+    "nodematch(team)",
+    "nodematch(team, red)",
+)
+
+
+class TestTermTable:
+    def test_examples_cover_every_kind(self):
+        assert {parse_term(t).kind for t in TABLE_EXAMPLES} == set(_TERMS)
+
+    def test_canonical_name_parses_back(self):
+        for text in TABLE_EXAMPLES:
+            term = parse_term(text)
+            assert parse_term(term.name) == term
+            assert parse_term(term.name).name == term.name
+
+
+class TestIncrementalRoute:
+    """The sampler's bound deltas against the all-dyad matrices, state by
+    state along random toggle sequences."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        decays=st.tuples(
+            st.sampled_from((0.0, 0.3, 1.0)), st.floats(0.0, 3.0, allow_nan=False)
+        ),
+    )
+    def test_bound_deltas_match_matrices(self, n, seed, decays):
+        rng = np.random.default_rng(seed)
+        base = parse_terms(
+            ("edges", "mutual", "isolates", "odegpop", "nodematch(team)",
+             "nodematch(team, red)")
+        )
+        gw = {t.name: t for d in decays for t in
+              (TermSpec("gwesp", decay=d), TermSpec("gwdsp", decay=d))}
+        spec = ModelSpec(base.terms + tuple(gw.values()))
+        assert {t.kind for t in spec.terms} == set(_TERMS)
+        table = team_table(n, rng)
+        chain = _Chain(n, table, spec, np.ones(len(spec.terms)))
+        assert len(chain.deltas) == len(spec.terms)
+        # a small dyad pool makes the walk remove ties as well as add them
+        pool = [(i, j) for i in range(n) for j in range(n) if i != j]
+        pool = [pool[k] for k in rng.choice(len(pool), size=min(len(pool), 2 * n))]
+        for _ in range(2 * n):
+            i, j = pool[rng.integers(len(pool))]
+            chain.toggle(i, j)
+            g = chain.snapshot()
+            a = g.adjacency.astype(np.int64)
+            np.testing.assert_array_equal(chain.paths, a @ a)
+            np.testing.assert_array_equal(chain.outdeg, g.out_degrees)
+            np.testing.assert_array_equal(chain.indeg, g.in_degrees)
+            mats = change_stat_matrices(g, table, spec)
+            for k, (_, delta) in enumerate(chain.deltas):
+                got = [
+                    [delta(u, v, int(chain.a[u, v])) if u != v else 0.0
+                     for v in range(n)]
+                    for u in range(n)
+                ]
+                np.testing.assert_allclose(got, mats[k], rtol=0, atol=1e-12)
+
+    def test_zero_coefficients_are_dropped_at_bind_time(self):
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)"))
+        chain = _Chain(4, None, spec, [0.0, 1.5, 0.0])
+        assert [th for th, _ in chain.deltas] == [1.5]
+        with pytest.raises(UnknownAttributeError):
+            _Chain(4, None, parse_terms(("edges", "nodematch(team)")), [1.0, 0.0])
