@@ -199,7 +199,7 @@ def describe(g: DirectedGraph) -> DescriptiveRow:
     def guarded(fn, *args):
         try:
             return fn(*args)
-        except UndefinedMetricError:
+        except (UndefinedMetricError, NumericalError):
             return None
 
     mean_in = g.edge_count / n if n else None

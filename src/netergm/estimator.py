@@ -15,13 +15,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import erfc, expit
 
 from .errors import (
     DimensionError,
     EmptyDesignError,
     InvalidDyadError,
+    NumericalError,
     RankDeficiencyError,
 )
 from .graph import DirectedGraph
@@ -152,6 +151,38 @@ def build_design(
     )
 
 
+def _sigmoid(eta):
+    """Logistic function 1 / (1 + exp(-eta)), overflow-free at any eta."""
+    # exp of -|eta| never overflows; below about -745 it underflows to 0,
+    # which is the right limit, so that flag is not an error here
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _two_sided_p(theta, se):
+    """Two-sided normal p-values of theta / se: 0 at |z| = inf, NaN for NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(theta / se)
+    return np.array([math.erfc(v / math.sqrt(2.0)) for v in z])
+
+
+def _rank(x):
+    """Numerical rank of ``x`` by numpy's ``matrix_rank`` rule.
+
+    Singular values come from the R factor of a QR decomposition: they equal
+    those of ``x``, R has at most p x p entries, and Q is never formed.
+    Tolerance is ``max(d, p) * eps * s_max``.
+    """
+    d, p = x.shape
+    r = np.linalg.qr(x, mode="r")
+    if not np.isfinite(r).all():
+        raise NumericalError("design matrix has non-finite entries")
+    s = np.linalg.svd(r, compute_uv=False)
+    tol = max(d, p) * np.finfo(np.float64).eps * s[0]
+    return int((s > tol).sum())
+
+
 def _log_likelihood(eta, y):
     # sum of y*eta - log(1 + exp(eta)), stable at large |eta|
     return float(np.sum(y * eta) - np.sum(np.logaddexp(0.0, eta)))
@@ -169,7 +200,7 @@ def _newton(x, y, tolerance, max_iterations):
     iterations = 0
     # one pass past the cap, so that info is taken at the returned theta
     for it in range(1, max_iterations + 2):
-        mu = expit(eta)
+        mu = _sigmoid(eta)
         score = x.T @ (y - mu)
         w = mu * (1.0 - mu)
         info = (x * w[:, None]).T @ x
@@ -240,18 +271,14 @@ def fit_logistic(
     kept_names = [n for n, k in zip(names, keep) if k]
     p = x.shape[1]
 
-    _, r, _ = qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank_tol = max(d, p) * np.finfo(np.float64).eps * (diag[0] if diag.size else 0.0)
-    rank = int((diag > rank_tol).sum())
+    rank = _rank(x)
     if rank < p:
         # identify a maximal independent prefix; the rest are dependent
         culprits = []
-        basis = np.empty((d, 0))
+        basis = []
         for k in range(p):
-            cand = np.column_stack([basis, x[:, k]])
-            if np.linalg.matrix_rank(cand) > basis.shape[1]:
-                basis = cand
+            if _rank(x[:, basis + [k]]) > len(basis):
+                basis.append(k)
             else:
                 culprits.append(kept_names[k])
         raise RankDeficiencyError(
@@ -293,9 +320,7 @@ def fit_logistic(
     coef_out[kept_idx] = theta
     se_out[kept_idx] = se
     cov_out[np.ix_(kept_idx, kept_idx)] = cov
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(theta / se)
-    p_out[kept_idx] = erfc(z / math.sqrt(2.0))
+    p_out[kept_idx] = _two_sided_p(theta, se)
     flags[kept_idx] = (np.abs(theta) > separation_threshold) | (se > se_threshold)
     if flags.any():
         hit = [n for n, f in zip(names, flags) if f]

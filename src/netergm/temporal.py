@@ -47,7 +47,13 @@ LAGGED_TIE_NAME = "lagged_tie"
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Replicate coefficients and percentile intervals for a pooled fit."""
+    """Replicate coefficients and percentile intervals for a pooled fit.
+
+    ``drop_reasons`` counts the dropped replicates by cause:
+    ``"not_converged"``, ``"dropped_term"`` (a column was all zero), or the
+    class name of the error the refit raised. Its counts sum to
+    ``dropped_replicates``.
+    """
 
     term_names: tuple
     point_estimates: np.ndarray
@@ -58,6 +64,7 @@ class BootstrapResult:
     significant: np.ndarray
     replications: int
     dropped_replicates: int
+    drop_reasons: dict
     seed: int
     mode: str
 
@@ -131,7 +138,7 @@ def fit_btergm(
     ``mode`` picks the resampling unit: ``"temporal"`` redraws modeled
     periods with replacement, ``"node"`` redraws sender nodes. Replicates
     that fail to converge (or lose a column entirely) are dropped and
-    counted. Intervals are percentile 2.5/97.5 over replicate coefficients.
+    counted by reason in ``BootstrapResult.drop_reasons``. Intervals are percentile 2.5/97.5 over replicate coefficients.
 
     Returns
     -------
@@ -153,7 +160,7 @@ def fit_btergm(
         ]
 
     reps = []
-    dropped = 0
+    drop_reasons = {}
     m = len(blocks)
     for rep in range(replications):
         rng = np.random.default_rng([seed, rep])
@@ -174,13 +181,17 @@ def fit_btergm(
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fit = fit_logistic(design, **options)
-        except (NetworkModelError, np.linalg.LinAlgError):
-            dropped += 1
-            continue
-        if not fit.converged or fit.dropped_terms:
-            dropped += 1
-            continue
-        reps.append(fit.coefficients)
+        except (NetworkModelError, np.linalg.LinAlgError) as exc:
+            reason = type(exc).__name__
+        else:
+            if not fit.converged:
+                reason = "not_converged"
+            elif fit.dropped_terms:
+                reason = "dropped_term"
+            else:
+                reps.append(fit.coefficients)
+                continue
+        drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
     if not reps:
         raise NumericalError("no bootstrap replicate converged")
     rep_matrix = np.array(reps)
@@ -194,7 +205,8 @@ def fit_btergm(
         ci_upper=hi,
         significant=(lo > 0) | (hi < 0),
         replications=replications,
-        dropped_replicates=dropped,
+        dropped_replicates=sum(drop_reasons.values()),
+        drop_reasons=drop_reasons,
         seed=seed,
         mode=mode,
     )

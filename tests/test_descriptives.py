@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import netergm.descriptives
 from netergm import (
     DirectedGraph,
+    NumericalError,
     UndefinedMetricError,
     build_graph,
     centralization,
@@ -257,6 +259,18 @@ class TestDescribe:
         assert row.transitivity is None
         assert row.eigenvector_centralization is None
         assert row.mean_total_degree == pytest.approx(0.0)
+
+    def test_numerical_failure_blanks_only_that_metric(self, monkeypatch):
+        def diverge(g):
+            raise NumericalError("eigenvector iteration did not converge")
+
+        monkeypatch.setattr(netergm.descriptives, "eigenvector_scores", diverge)
+        row = describe(random_graph(np.random.default_rng(26), 10, 0.4))
+        assert row.eigenvector_centralization is None
+        others = {k: v for k, v in row.as_dict().items()
+                  if k != "eigenvector_centralization"}
+        assert len(others) == 12
+        assert all(v is not None for v in others.values())
 
     def test_consistency_with_metric_functions(self):
         rng = np.random.default_rng(25)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from netergm import (
     DyadDesign,
     EmptyDesignError,
     InvalidDyadError,
+    NumericalError,
     RankDeficiencyError,
     build_design,
     build_graph,
@@ -19,6 +21,9 @@ from netergm import (
     parse_terms,
 )
 from netergm.estimator import (
+    _rank,
+    _sigmoid,
+    _two_sided_p,
     akaike_criterion,
     bayes_criterion,
     null_pseudo_deviance,
@@ -260,3 +265,72 @@ class TestFitDiagnostics:
         b = fit_logistic(build_design(g, None, spec))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-14)
         assert a.residual_deviance == pytest.approx(b.residual_deviance)
+
+
+def planted_design(rng, rows, p):
+    """Integer design whose column k is exactly 2*x[:, a] - x[:, b], a, b < k."""
+    x = rng.integers(-3, 4, size=(rows, p)).astype(float)
+    x[:, 0] = 1.0
+    k = int(rng.integers(2, p))
+    a, b = rng.choice(k, size=2, replace=False)
+    x[:, k] = 2.0 * x[:, a] - x[:, b]
+    return x, k
+
+
+class TestNumpyKernelsAgainstScipy:
+    """The numpy sigmoid, p-values and rank rule against scipy and numpy."""
+
+    def test_sigmoid_matches_expit(self):
+        eta = np.concatenate([
+            np.linspace(-800.0, 800.0, 4001),
+            [-np.inf, -745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0, np.inf],
+        ])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            mu = _sigmoid(eta)
+        # scipy's 1 / (1 + exp(-eta)) flushes to 0 below eta of about -744,
+        # where the true value is subnormal; everywhere else compare relative
+        np.testing.assert_allclose(
+            mu, expit(eta), rtol=1e-15, atol=np.finfo(np.float64).tiny
+        )
+        assert mu[0] == 0.0 and mu[-1] == 1.0
+
+    def test_p_values_at_infinite_z_and_nan_se(self):
+        theta = np.array([1.5, -2.0, 0.5, 0.0, 3.0, -0.4])
+        se = np.array([0.0, 0.0, np.nan, 1.0, 2.0, 0.3])
+        p = _two_sided_p(theta, se)
+        np.testing.assert_array_equal(p[:2], 0.0)
+        assert np.isnan(p[2])
+        np.testing.assert_allclose(
+            p[3:], 2 * norm.sf(np.abs(theta[3:] / se[3:])), rtol=1e-14
+        )
+
+    def test_planted_dependency_is_named(self):
+        rng = np.random.default_rng(61)
+        for _ in range(25):
+            rows, p = int(rng.integers(30, 200)), int(rng.integers(3, 9))
+            x, k = planted_design(rng, rows, p)
+            y = (rng.random(rows) < 0.4).astype(float)
+            dyads = np.zeros((rows, 2), dtype=np.int64)
+            names = tuple(f"c{j}" for j in range(p))
+            design = DyadDesign(dyads, y, x, names)
+            with pytest.raises(RankDeficiencyError) as err:
+                fit_logistic(design)
+            # the planted column is the last of its dependent set
+            assert str(err.value).endswith(f"dependent columns: c{k}")
+
+    def test_rank_agrees_with_matrix_rank(self):
+        rng = np.random.default_rng(62)
+        for _ in range(25):
+            rows, p = int(rng.integers(30, 200)), int(rng.integers(3, 9))
+            full = rng.normal(size=(rows, p))
+            planted, _ = planted_design(rng, rows, p)
+            assert _rank(full) == np.linalg.matrix_rank(full) == p
+            assert _rank(planted) == np.linalg.matrix_rank(planted) == p - 1
+
+    def test_non_finite_design_raises(self):
+        x = np.column_stack([np.ones(5), [0.0, 1.0, np.nan, 1.0, 0.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        design = DyadDesign(np.zeros((5, 2), dtype=np.int64), y, x, ("a", "b"))
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_logistic(design)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from netergm import (
     InsufficientPeriodsError,
     NetworkSeries,
     NumericalError,
+    RankDeficiencyError,
     build_design,
     build_graph,
     fit_btergm,
@@ -153,6 +156,34 @@ class TestFitBtergm:
         monkeypatch.setattr(netergm.temporal, "fit_logistic", flaky_fit)
         with pytest.raises(TypeError, match="a bug"):
             fit_btergm(series, None, SPEC, replications=4, seed=3)
+
+    def test_drop_reasons_are_counted(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
+        real_fit = netergm.temporal.fit_logistic
+        calls = []
+
+        def failing_fit(design, **options):
+            calls.append(design)
+            # call 1 is the point fit; calls 2-4 are the first replicates
+            if len(calls) == 2:
+                raise RankDeficiencyError("design is rank deficient")
+            fit = real_fit(design, **options)
+            if len(calls) == 3:
+                return dataclasses.replace(fit, converged=False)
+            if len(calls) == 4:
+                return dataclasses.replace(fit, dropped_terms=("mutual",))
+            return fit
+
+        monkeypatch.setattr(netergm.temporal, "fit_logistic", failing_fit)
+        _, boot = fit_btergm(series, None, SPEC, replications=6, seed=3)
+        assert boot.drop_reasons == {
+            "RankDeficiencyError": 1,
+            "not_converged": 1,
+            "dropped_term": 1,
+        }
+        assert boot.dropped_replicates == 3
+        assert boot.n_valid == 3
 
     def test_too_few_replications(self):
         rng = np.random.default_rng(57)
