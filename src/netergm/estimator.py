@@ -22,9 +22,10 @@ from .errors import (
     InvalidDyadError,
     NumericalError,
     RankDeficiencyError,
+    ValidationError,
 )
 from .graph import DirectedGraph
-from .terms import ModelSpec, change_stat_matrices
+from .terms import ModelSpec, _change_stat_columns
 
 __all__ = [
     "DyadDesign",
@@ -140,13 +141,16 @@ def build_design(
         jj = np.array([p[1] for p in pairs], dtype=np.int64)
     if len(ii) == 0:
         raise EmptyDesignError("design has no rows")
-    mats = change_stat_matrices(g, attrs, spec)
-    x = mats[:, ii, jj].T.copy()
-    y = g.adjacency[ii, jj].astype(np.int8)
+    return _design(g, g, attrs, spec, ii, jj)
+
+
+def _design(stats_graph, response_graph, attrs, spec, ii, jj) -> DyadDesign:
+    """Design over the dyads ``(ii[r], jj[r])``: change statistics read on
+    ``stats_graph``, tie indicators on ``response_graph``."""
     return DyadDesign(
         dyads=np.column_stack([ii, jj]).astype(np.int64),
-        response=y,
-        matrix=x,
+        response=response_graph.adjacency[ii, jj].astype(np.int8),
+        matrix=_change_stat_columns(stats_graph, attrs, spec, ii, jj),
         term_names=spec.names,
     )
 
@@ -183,27 +187,27 @@ def _rank(x):
     return int((s > tol).sum())
 
 
-def _log_likelihood(eta, y):
-    # sum of y*eta - log(1 + exp(eta)), stable at large |eta|
-    return float(np.sum(y * eta) - np.sum(np.logaddexp(0.0, eta)))
+def _log_likelihood(eta, y, w):
+    # weighted sum of y*eta - log(1 + exp(eta)), stable at large |eta|
+    return float(np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta)))
 
 
-def _newton(x, y, tolerance, max_iterations):
+def _newton(x, y, w, tolerance, max_iterations):
     """Newton ascent with step halving. Returns (theta, info, ll_path,
     converged, iterations)."""
     d, p = x.shape
     theta = np.zeros(p)
     eta = x @ theta
-    ll = _log_likelihood(eta, y)
+    ll = _log_likelihood(eta, y, w)
     ll_path = [ll]
     converged = False
     iterations = 0
     # one pass past the cap, so that info is taken at the returned theta
     for it in range(1, max_iterations + 2):
         mu = _sigmoid(eta)
-        score = x.T @ (y - mu)
-        w = mu * (1.0 - mu)
-        info = (x * w[:, None]).T @ x
+        score = x.T @ (w * (y - mu))
+        v = w * mu * (1.0 - mu)
+        info = (x * v[:, None]).T @ x
         if it > max_iterations:
             break
         if np.max(np.abs(score)) < tolerance:
@@ -221,7 +225,7 @@ def _newton(x, y, tolerance, max_iterations):
         for _ in range(30):
             cand = theta + lam * step
             eta_cand = x @ cand
-            ll_cand = _log_likelihood(eta_cand, y)
+            ll_cand = _log_likelihood(eta_cand, y, w)
             if ll_cand >= ll - 1e-10:
                 theta, eta, ll = cand, eta_cand, ll_cand
                 improved = True
@@ -236,6 +240,7 @@ def _newton(x, y, tolerance, max_iterations):
 def fit_logistic(
     design: DyadDesign,
     *,
+    weights=None,
     tolerance: float = 1e-8,
     max_iterations: int = 50,
     separation_threshold: float = 15.0,
@@ -250,15 +255,31 @@ def fit_logistic(
     the fit stops at ``max_iterations``, and rows with ``|coef| >
     separation_threshold`` or standard error above ``se_threshold`` carry a
     separation flag.
+
+    ``weights`` gives each row a non-negative multiplicity, 1 when None; an
+    integer weight k fits exactly as k copies of the row. ``n_dyads``, the
+    null deviance and the BIC use the total weight, and zero-weight rows
+    take no part in the column, rank and boundary checks.
     """
-    x_full = np.asarray(design.matrix, dtype=np.float64)
+    # column-major like the builders' output, so results do not depend on layout
+    x_all = np.asfortranarray(design.matrix, dtype=np.float64)
     y = np.asarray(design.response, dtype=np.float64)
-    d, p_all = x_full.shape
-    if d == 0:
-        raise EmptyDesignError("cannot fit an empty design")
+    d, p_all = x_all.shape
+    w = np.ones(d) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (d,):
+        raise DimensionError(f"weights have shape {w.shape}, design has {d} rows")
+    if not (np.isfinite(w) & (w >= 0.0)).all():
+        raise ValidationError("weights must be finite and non-negative")
+    on = w > 0.0
+    if not on.any():
+        raise EmptyDesignError("no rows of positive weight to fit")
+    # the design is copied only when some rows drop out
+    if not on.all():
+        x_all, y, w = x_all[on], y[on], w[on]
+    n_obs = float(w.sum())
     names = design.term_names
 
-    zero_cols = np.array([(x_full[:, k] == 0.0).all() for k in range(p_all)])
+    zero_cols = np.array([(x_all[:, k] == 0.0).all() for k in range(p_all)])
     if zero_cols.all():
         raise RankDeficiencyError("every design column is identically zero")
     dropped = tuple(n for n, z in zip(names, zero_cols) if z)
@@ -267,7 +288,7 @@ def fit_logistic(
             f"dropping all-zero column(s): {', '.join(dropped)}", stacklevel=2
         )
     keep = ~zero_cols
-    x = x_full[:, keep]
+    x = x_all if keep.all() else x_all[:, keep]
     kept_names = [n for n, k in zip(names, keep) if k]
     p = x.shape[1]
 
@@ -295,7 +316,7 @@ def fit_logistic(
         )
 
     theta, info, ll_path, converged, iterations = _newton(
-        x, y, tolerance, max_iterations
+        x, y, w, tolerance, max_iterations
     )
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the
@@ -336,11 +357,11 @@ def fit_logistic(
         standard_errors=se_out,
         covariance=cov_out,
         p_values=p_out,
-        null_deviance=null_pseudo_deviance(d),
+        null_deviance=null_pseudo_deviance(n_obs),
         residual_deviance=res_dev,
         aic=akaike_criterion(res_dev, p),
-        bic=bayes_criterion(res_dev, p, d),
-        n_dyads=d,
+        bic=bayes_criterion(res_dev, p, n_obs),
+        n_dyads=int(n_obs) if n_obs.is_integer() else n_obs,
         n_params=p,
         converged=converged,
         iterations=iterations,

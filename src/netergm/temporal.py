@@ -6,7 +6,8 @@ period (every period except the first, which only serves as history).
 Uncertainty comes from resampling whole modeled periods with replacement
 and refitting; percentile intervals over the replicate coefficients are the
 reported confidence bounds. A node-block variant resamples sender nodes
-instead, for designs where period resampling is too coarse.
+instead, for designs where period resampling is too coarse. A replicate
+reweights the pooled design's rows by their unit's draw count.
 
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
@@ -28,10 +29,10 @@ from .errors import (
     NetworkModelError,
     NumericalError,
 )
-from .estimator import DyadDesign, FitResult, bayes_criterion, fit_logistic
+from .estimator import DyadDesign, FitResult, _design, bayes_criterion, fit_logistic
 from .graph import DirectedGraph
 from .ingest import NetworkSeries
-from .terms import ModelSpec, change_stat_matrices
+from .terms import ModelSpec
 
 __all__ = [
     "BootstrapResult",
@@ -73,40 +74,6 @@ class BootstrapResult:
         return self.replicate_coefficients.shape[0]
 
 
-def _period_blocks(series: NetworkSeries, attrs, spec, include_lagged_tie):
-    """One (dyads, x, y, label) block per modeled period."""
-    if len(series) < 2:
-        raise InsufficientPeriodsError(
-            f"need at least two panels, have {len(series)}"
-        )
-    n = series.node_count
-    off = ~np.eye(n, dtype=bool)
-    ii, jj = np.nonzero(off)
-    if len(ii) == 0:
-        raise EmptyDesignError("panels have no dyads")
-    blocks = []
-    for t in range(1, len(series)):
-        g = series.graphs[t]
-        mats = change_stat_matrices(g, attrs, spec)
-        x = mats[:, ii, jj].T.copy()
-        if include_lagged_tie:
-            lag = series.graphs[t - 1].adjacency[ii, jj].astype(np.float64)
-            x = np.column_stack([x, lag])
-        y = g.adjacency[ii, jj].astype(np.int8)
-        blocks.append((np.column_stack([ii, jj]), x, y, series.labels[t]))
-    return blocks
-
-
-def _stack_blocks(blocks, names):
-    dyads = np.concatenate([b[0] for b in blocks])
-    x = np.concatenate([b[1] for b in blocks])
-    y = np.concatenate([b[2] for b in blocks])
-    labels = np.concatenate([np.full(len(b[2]), b[3], dtype=object) for b in blocks])
-    return DyadDesign(
-        dyads=dyads, response=y, matrix=x, term_names=names, periods=labels
-    )
-
-
 def pooled_design(
     series: NetworkSeries,
     attrs,
@@ -118,9 +85,26 @@ def pooled_design(
     With ``include_lagged_tie`` a final column indicates whether the dyad
     was tied in the previous panel.
     """
-    names = spec.names + ((LAGGED_TIE_NAME,) if include_lagged_tie else ())
-    blocks = _period_blocks(series, attrs, spec, include_lagged_tie)
-    return _stack_blocks(blocks, names)
+    if len(series) < 2:
+        raise InsufficientPeriodsError(
+            f"need at least two panels, have {len(series)}"
+        )
+    ii, jj = np.nonzero(~np.eye(series.node_count, dtype=bool))
+    if len(ii) == 0:
+        raise EmptyDesignError("panels have no dyads")
+    blocks = [_design(g, g, attrs, spec, ii, jj) for g in series.graphs[1:]]
+    x = np.concatenate([b.matrix for b in blocks])
+    names = spec.names
+    if include_lagged_tie:
+        lag = np.concatenate([g.adjacency[ii, jj] for g in series.graphs[:-1]])
+        x, names = np.column_stack([x, lag]), names + (LAGGED_TIE_NAME,)
+    return DyadDesign(
+        dyads=np.concatenate([b.dyads for b in blocks]),
+        response=np.concatenate([b.response for b in blocks]),
+        matrix=x,
+        term_names=names,
+        periods=np.repeat(np.array(series.labels[1:], dtype=object), len(ii)),
+    )
 
 
 def fit_btergm(
@@ -136,9 +120,11 @@ def fit_btergm(
     """Pooled panel fit plus a bootstrap over its replication units.
 
     ``mode`` picks the resampling unit: ``"temporal"`` redraws modeled
-    periods with replacement, ``"node"`` redraws sender nodes. Replicates
-    that fail to converge (or lose a column entirely) are dropped and
-    counted by reason in ``BootstrapResult.drop_reasons``. Intervals are percentile 2.5/97.5 over replicate coefficients.
+    periods with replacement, ``"node"`` redraws sender nodes; a replicate
+    refits the pooled design with each row weighted by its unit's draw
+    count. Replicates that fail to converge (or lose a column entirely) are
+    dropped and counted by reason in ``BootstrapResult.drop_reasons``.
+    Intervals are percentile 2.5/97.5 over replicate coefficients.
 
     Returns
     -------
@@ -148,39 +134,25 @@ def fit_btergm(
         raise ConfigError(f"replications must be >= 2, got {replications}")
     if mode not in ("temporal", "node"):
         raise ConfigError(f"mode must be 'temporal' or 'node', got {mode!r}")
-    names = spec.names + ((LAGGED_TIE_NAME,) if include_lagged_tie else ())
-    blocks = _period_blocks(series, attrs, spec, include_lagged_tie)
-    pooled = _stack_blocks(blocks, names)
+    pooled = pooled_design(series, attrs, spec, include_lagged_tie)
     point = fit_logistic(pooled, **options)
 
-    if mode == "node":
-        senders = pooled.dyads[:, 0]
-        rows_by_sender = [
-            np.nonzero(senders == s)[0] for s in range(series.node_count)
-        ]
+    if mode == "temporal":
+        units = len(series) - 1
+        unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
+    else:
+        units = series.node_count
+        unit_of_row = pooled.dyads[:, 0]
 
     reps = []
     drop_reasons = {}
-    m = len(blocks)
     for rep in range(replications):
-        rng = np.random.default_rng([seed, rep])
-        if mode == "temporal":
-            pick = rng.integers(0, m, size=m)
-            design = _stack_blocks([blocks[k] for k in pick], names)
-        else:
-            pick = rng.integers(0, series.node_count, size=series.node_count)
-            rows = np.concatenate([rows_by_sender[s] for s in pick])
-            design = DyadDesign(
-                dyads=pooled.dyads[rows],
-                response=pooled.response[rows],
-                matrix=pooled.matrix[rows],
-                term_names=names,
-                periods=None if pooled.periods is None else pooled.periods[rows],
-            )
+        pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
+        weights = np.bincount(pick, minlength=units)[unit_of_row]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = fit_logistic(design, **options)
+                fit = fit_logistic(pooled, weights=weights, **options)
         except (NetworkModelError, np.linalg.LinAlgError) as exc:
             reason = type(exc).__name__
         else:
@@ -197,7 +169,7 @@ def fit_btergm(
     rep_matrix = np.array(reps)
     lo, hi = np.percentile(rep_matrix, [2.5, 97.5], axis=0)
     boot = BootstrapResult(
-        term_names=names,
+        term_names=pooled.term_names,
         point_estimates=point.coefficients,
         replicate_coefficients=rep_matrix,
         standard_errors=rep_matrix.std(axis=0, ddof=1),
@@ -234,15 +206,7 @@ def formation_design(
     ii, jj = np.nonzero(free)
     if len(ii) == 0:
         raise EmptyDesignError("no free dyads: the previous panel is complete")
-    mats = change_stat_matrices(union, attrs, spec)
-    x = mats[:, ii, jj].T.copy()
-    y = curr.adjacency[ii, jj].astype(np.int8)
-    return DyadDesign(
-        dyads=np.column_stack([ii, jj]).astype(np.int64),
-        response=y,
-        matrix=x,
-        term_names=spec.names,
-    )
+    return _design(union, curr, attrs, spec, ii, jj)
 
 
 def fit_formation(

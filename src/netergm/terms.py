@@ -237,6 +237,20 @@ def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
     return np.array([_rule(t).stat(t, s) for t in spec.terms], dtype=np.float64)
 
 
+def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, ii, jj):
+    """Change statistics at the dyads ``(ii[r], jj[r])``, shape ``(rows, n_terms)``.
+
+    Each term's all-dyad form is read at the dyads straight into its column
+    of a column-major matrix, so no ``(n_terms, n, n)`` cube is held.
+    """
+    out = np.empty((len(spec.terms), len(ii))).T
+    s = _Shared(g, attrs, spec)
+    shape = (s.n, s.n)
+    for k, term in enumerate(spec.terms):
+        out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[ii, jj]
+    return out
+
+
 def change_stat_matrices(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
     """All change statistics at once, shape ``(n_terms, n, n)``.
 
@@ -246,13 +260,11 @@ def change_stat_matrices(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray
     products instead of n*(n-1) toggles.
     """
     n = g.node_count
-    out = np.zeros((len(spec.terms), n, n), dtype=np.float64)
     if n < 2:
-        return out
-    s = _Shared(g, attrs, spec)
-    for k, term in enumerate(spec.terms):
-        out[k] = _rule(term).matrix(term, s)
-        np.fill_diagonal(out[k], 0.0)
+        return np.zeros((len(spec.terms), n, n), dtype=np.float64)
+    ii, jj = np.divmod(np.arange(n * n), n)
+    out = _change_stat_columns(g, attrs, spec, ii, jj).T.reshape(-1, n, n)
+    out[:, np.arange(n), np.arange(n)] = 0.0
     return out
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from netergm import DirectedGraph, InvalidDyadError, NodeTable, global_stats
+from netergm import DirectedGraph, DyadDesign, InvalidDyadError, NodeTable, global_stats
 from netergm.ingest import DEFAULT_LEVELS
 
 
@@ -120,6 +120,21 @@ def change_stats(g, attrs, dyad, spec):
     plus = g.with_dyad(i, j, True)
     minus = g.with_dyad(i, j, False)
     return global_stats(plus, attrs, spec) - global_stats(minus, attrs, spec)
+
+
+def replicate_rows(design, counts):
+    """``design`` with row r repeated ``counts[r]`` times, in row order.
+
+    A fit with integer weights must equal the fit of this design.
+    """
+    rows = [r for r, c in enumerate(counts) for _ in range(int(c))]
+    return DyadDesign(
+        dyads=design.dyads[rows],
+        response=design.response[rows],
+        matrix=design.matrix[rows],
+        term_names=design.term_names,
+        periods=None if design.periods is None else design.periods[rows],
+    )
 
 
 def naive_global_stats(g, attrs, spec):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from netergm import (
     InvalidDyadError,
     NumericalError,
     RankDeficiencyError,
+    ValidationError,
     build_design,
     build_graph,
     fit_logistic,
@@ -28,7 +31,7 @@ from netergm.estimator import (
     bayes_criterion,
     null_pseudo_deviance,
 )
-from helpers import change_stats, random_graph, simple_table
+from helpers import change_stats, random_graph, replicate_rows, simple_table
 from irls_reference import irls_fit, logistic_log_likelihood
 
 
@@ -275,6 +278,133 @@ def planted_design(rng, rows, p):
     a, b = rng.choice(k, size=2, replace=False)
     x[:, k] = 2.0 * x[:, a] - x[:, b]
     return x, k
+
+
+class TestWeights:
+    """Integer weights fit exactly as replicated rows would."""
+
+    @staticmethod
+    def assert_same_fit(weighted, replicated):
+        for field in ("coefficients", "standard_errors", "p_values"):
+            np.testing.assert_allclose(
+                getattr(weighted, field), getattr(replicated, field),
+                rtol=1e-8, atol=1e-12, err_msg=field,
+            )
+        for field in ("null_deviance", "residual_deviance", "aic", "bic"):
+            assert getattr(weighted, field) == pytest.approx(
+                getattr(replicated, field), rel=1e-8
+            ), field
+        assert weighted.n_dyads == replicated.n_dyads
+        assert weighted.n_params == replicated.n_params
+        assert weighted.converged == replicated.converged
+        assert weighted.dropped_terms == replicated.dropped_terms
+        np.testing.assert_array_equal(
+            weighted.separation_flags, replicated.separation_flags
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integer_weights_match_replicated_rows(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        design = synthetic_design(rng, 150, [0.3, -0.8, 0.5, 0.2])
+        counts = rng.integers(0, 4, size=150)
+        assert (counts == 0).any()
+        self.assert_same_fit(
+            fit_logistic(design, weights=counts),
+            fit_logistic(replicate_rows(design, counts)),
+        )
+
+    def test_unit_weights_are_the_unweighted_fit(self):
+        design = synthetic_design(np.random.default_rng(205), 120, [0.4, -0.6])
+        a = fit_logistic(design)
+        b = fit_logistic(design, weights=np.ones(120))
+        for field in ("coefficients", "standard_errors", "p_values", "covariance"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert (a.residual_deviance, a.null_deviance, a.bic) == (
+            b.residual_deviance, b.null_deviance, b.bic
+        )
+        assert a.n_dyads == b.n_dyads == 120 and isinstance(b.n_dyads, int)
+
+    def test_zero_weights_that_empty_a_column_drop_it(self):
+        rng = np.random.default_rng(206)
+        design = synthetic_design(rng, 100, [0.2, -0.5])
+        x = np.column_stack([design.matrix, np.r_[np.ones(6), np.zeros(94)]])
+        design = dataclasses.replace(design, matrix=x, term_names=("a", "b", "rare"))
+        counts = rng.integers(1, 3, size=100)
+        counts[:6] = 0
+        with pytest.warns(UserWarning, match="all-zero"):
+            weighted = fit_logistic(design, weights=counts)
+        with pytest.warns(UserWarning, match="all-zero"):
+            replicated = fit_logistic(replicate_rows(design, counts))
+        assert weighted.dropped_terms == ("rare",)
+        self.assert_same_fit(weighted, replicated)
+
+    def test_zero_weights_that_make_a_column_collinear_raise(self):
+        rng = np.random.default_rng(207)
+        design = synthetic_design(rng, 100, [0.2, -0.5])
+        twin = design.matrix[:, 1].copy()
+        twin[:4] += 1.0
+        x = np.column_stack([design.matrix, twin])
+        design = dataclasses.replace(design, matrix=x, term_names=("a", "b", "twin"))
+        assert _rank(design.matrix) == 3  # full rank while the first rows count
+        counts = rng.integers(1, 3, size=100)
+        counts[:4] = 0
+        with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
+            fit_logistic(design, weights=counts)
+        with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
+            fit_logistic(replicate_rows(design, counts))
+
+    def test_constant_response_on_weighted_rows_is_boundary(self):
+        rng = np.random.default_rng(208)
+        design = synthetic_design(rng, 80, [0.0, 0.7])
+        counts = np.where(design.response == 1.0, 0, 2)
+        fits = []
+        for args in ((design, counts), (replicate_rows(design, counts), None)):
+            with pytest.warns(UserWarning) as rec:
+                fits.append(fit_logistic(args[0], weights=args[1]))
+            assert any("response is constant" in str(w.message) for w in rec)
+        assert not fits[0].converged
+        self.assert_same_fit(*fits)
+
+    def test_wrong_length_raises(self):
+        design = synthetic_design(np.random.default_rng(209), 30, [0.1, 0.2])
+        with pytest.raises(DimensionError, match="weights"):
+            fit_logistic(design, weights=np.ones(29))
+
+    @pytest.mark.parametrize(
+        "bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"]
+    )
+    def test_bad_entry_raises(self, bad):
+        design = synthetic_design(np.random.default_rng(210), 30, [0.1, 0.2])
+        weights = np.ones(30)
+        weights[7] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            fit_logistic(design, weights=weights)
+
+    def test_nothing_to_fit_raises(self):
+        design = synthetic_design(np.random.default_rng(211), 30, [0.1, 0.2])
+        with pytest.raises(EmptyDesignError, match="no rows of positive weight"):
+            fit_logistic(design, weights=np.zeros(30))
+        empty = DyadDesign(
+            np.zeros((0, 2), dtype=np.int64), np.zeros(0), np.zeros((0, 2)), ("a", "b")
+        )
+        with pytest.raises(EmptyDesignError, match="no rows of positive weight"):
+            fit_logistic(empty)
+
+
+def test_fit_holds_less_than_two_copies_of_the_design():
+    rng = np.random.default_rng(212)
+    # column-major, as the design builders write it
+    x = rng.standard_normal((8, 40000)).T
+    y = (rng.random(40000) < expit(x @ np.linspace(-0.5, 0.5, 8))).astype(float)
+    dyads = np.zeros((40000, 2), dtype=np.int64)
+    design = DyadDesign(dyads, y, x, tuple(f"t{k}" for k in range(8)))
+    tracemalloc.start()
+    try:
+        fit_logistic(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * design.matrix.nbytes
 
 
 class TestNumpyKernelsAgainstScipy:

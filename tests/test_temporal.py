@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from netergm import (
     ConfigError,
     DimensionError,
     DirectedGraph,
+    DyadDesign,
     EmptyDesignError,
     InsufficientPeriodsError,
+    NetworkModelError,
     NetworkSeries,
     NumericalError,
     RankDeficiencyError,
@@ -17,6 +20,7 @@ from netergm import (
     build_graph,
     fit_btergm,
     fit_formation,
+    fit_logistic,
     fit_mple,
     formation_design,
     parse_terms,
@@ -196,6 +200,71 @@ class TestFitBtergm:
         series = series_of([random_graph(rng, 5, 0.4) for _ in range(3)])
         with pytest.raises(ConfigError):
             fit_btergm(series, None, SPEC, replications=3, mode="edge")
+
+
+def restacked_replicates(pooled, units, mode, replications, seed):
+    """The bootstrap as row copies: each replicate stacks the rows of the
+    drawn periods (or senders) in draw order and fits that design."""
+    if mode == "temporal":
+        size = pooled.n_rows // units
+        rows_of = [np.arange(k * size, (k + 1) * size) for k in range(units)]
+    else:
+        rows_of = [np.nonzero(pooled.dyads[:, 0] == s)[0] for s in range(units)]
+    coefs, reasons = [], {}
+    for rep in range(replications):
+        pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
+        rows = np.concatenate([rows_of[k] for k in pick])
+        design = DyadDesign(
+            pooled.dyads[rows], pooled.response[rows], pooled.matrix[rows],
+            pooled.term_names, pooled.periods[rows],
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fit = fit_logistic(design)
+        except (NetworkModelError, np.linalg.LinAlgError) as exc:
+            reason = type(exc).__name__
+        else:
+            if not fit.converged:
+                reason = "not_converged"
+            elif fit.dropped_terms:
+                reason = "dropped_term"
+            else:
+                coefs.append(fit.coefficients)
+                continue
+        reasons[reason] = reasons.get(reason, 0) + 1
+    return np.array(coefs), reasons
+
+
+class TestBootstrapReweighting:
+    @pytest.mark.filterwarnings("ignore:possible separation")
+    @pytest.mark.parametrize("lag", [False, True], ids=["no_lag", "lag"])
+    @pytest.mark.parametrize("mode", ["temporal", "node"])
+    def test_replicates_match_restacked_rows(self, mode, lag):
+        rng = np.random.default_rng(60)
+        n = 9
+        graphs = [random_graph(rng, n, 0.25) for _ in range(4)]
+        # an empty panel and a rare level make some replicates fail
+        graphs[1] = DirectedGraph(n, frozenset())
+        table = simple_table(
+            tuple(f"n{k}" for k in range(n)),
+            levels={"team": ("b", "r")},
+            team=tuple("r" if k < 2 else "b" for k in range(n)),
+        )
+        spec = parse_terms(("edges", "mutual", "nodematch(team, r)"))
+        series = series_of(graphs)
+        _, boot = fit_btergm(
+            series, table, spec, replications=40, seed=60, mode=mode,
+            include_lagged_tie=lag,
+        )
+        pooled = pooled_design(series, table, spec, include_lagged_tie=lag)
+        units = len(graphs) - 1 if mode == "temporal" else n
+        coefs, reasons = restacked_replicates(pooled, units, mode, 40, 60)
+        assert boot.drop_reasons == reasons
+        assert sum(reasons.values()) > 0
+        np.testing.assert_allclose(
+            boot.replicate_coefficients, coefs, rtol=1e-8, atol=1e-8
+        )
 
 
 class TestFormation:
