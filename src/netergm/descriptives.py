@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalError, UndefinedMetricError
-from .graph import DirectedGraph, largest_component
+from .graph import DirectedGraph, largest_component, two_path_counts
 
 __all__ = [
     "DescriptiveRow",
@@ -86,48 +86,76 @@ def edgewise_reciprocity(g: DirectedGraph) -> float:
 
 def transitivity(g: DirectedGraph) -> float:
     """Fraction of directed two-paths i -> m -> j (i != j) closed by i -> j."""
-    a = g.adjacency.astype(np.int64)
-    p = a @ a
+    p = two_path_counts(g)
     two_paths = int(p.sum() - np.trace(p))
     if two_paths == 0:
         raise UndefinedMetricError("transitivity undefined with no two-paths")
-    closed = int((p * a).sum())
+    closed = int(p[g.adjacency].sum())
     return closed / two_paths
 
 
+# Sources per block of the betweenness search; the path counts, distances and
+# dependencies of a block are flat arrays of 256 * n entries.
+_SOURCE_BLOCK = 256
+
+
 def betweenness_scores(g: DirectedGraph) -> np.ndarray:
-    """Directed shortest-path betweenness, accumulated pair by pair."""
+    """Directed shortest-path betweenness (Brandes 2001), unnormalised.
+
+    Brandes' two passes run level-synchronously for a block of sources at
+    once. A frontier is the flat list of ``source * n + node`` pairs at one
+    breadth-first level, and each level expands it through the out-edge
+    list. The forward pass sums the shortest-path counts (sigma) of each
+    pair's predecessors with ``np.bincount``; the level is the distance.
+    The backward pass sweeps the levels deepest first, passing the
+    dependencies ``sigma[v] / sigma[w] * (1 + delta[w])`` back to the
+    predecessors. Every (source, node) pair expands its out-edges once per
+    pass, so the work is O(n * m) whatever the diameter of the graph.
+    """
     n = g.node_count
-    out = [[] for _ in range(n)]
-    for i, j in g.edges:
-        out[i].append(j)
+    heads, tails = np.nonzero(g.adjacency)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
+
+    def out_edges(f):
+        # For pairs f = s * n + v: the index into f and the pair s * n + w
+        # of every out-edge v -> w.
+        v = f % n
+        deg = starts[v + 1] - starts[v]
+        origin = np.repeat(np.arange(len(f)), deg)
+        pos = np.arange(len(origin)) + np.repeat(starts[v] - np.cumsum(deg) + deg, deg)
+        return origin, (f - v)[origin] + tails[pos]
+
     c = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        sigma = [0.0] * n
-        dist = [-1] * n
-        preds = [[] for _ in range(n)]
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue = [s]
-        order = []
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in out[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                c[w] += delta[w]
+    for lo in range(0, n, _SOURCE_BLOCK):
+        src = np.arange(lo, min(lo + _SOURCE_BLOCK, n))
+        own = np.arange(len(src)) * n + src
+        sigma = np.zeros(len(src) * n)
+        sigma[own] = 1.0
+        dist = np.full(len(src) * n, -1, dtype=np.int64)
+        dist[own] = 0
+        levels = [own]
+        while True:
+            f = levels[-1]
+            origin, w = out_edges(f)
+            depth = len(levels)
+            dist[w[dist[w] < 0]] = depth
+            keep = dist[w] == depth
+            if not keep.any():
+                break
+            reached, inv = np.unique(w[keep], return_inverse=True)
+            sigma[reached] = np.bincount(inv, weights=sigma[f][origin[keep]])
+            levels.append(reached)
+        delta = np.zeros_like(sigma)
+        for k in range(len(levels) - 1, 0, -1):
+            f = levels[k - 1]
+            origin, w = out_edges(f)
+            keep = dist[w] == k
+            origin, w = origin[keep], w[keep]
+            share = sigma[f][origin] / sigma[w] * (1.0 + delta[w])
+            delta[f] += np.bincount(origin, weights=share, minlength=len(f))
+        delta[own] = 0.0
+        c += delta.reshape(len(src), n).sum(axis=0)
     return c
 
 

@@ -171,43 +171,74 @@ def _two_sided_p(theta, se):
     return np.array([math.erfc(v / math.sqrt(2.0)) for v in z])
 
 
-def _rank(x):
-    """Numerical rank of ``x`` by numpy's ``matrix_rank`` rule.
+# Rows per block of the rank check and of each Newton pass: a block
+# of a 22-term design is about 1.4 MiB, so no step copies the whole design.
+_BLOCK_ROWS = 8192
 
-    Singular values come from the R factor of a QR decomposition: they equal
-    those of ``x``, R has at most p x p entries, and Q is never formed.
-    Tolerance is ``max(d, p) * eps * s_max``.
+
+def _row_blocks(d):
+    """Slices that cover rows ``0..d-1`` in blocks of ``_BLOCK_ROWS``."""
+    return [slice(lo, min(lo + _BLOCK_ROWS, d)) for lo in range(0, d, _BLOCK_ROWS)]
+
+
+def _rank(x, cols=slice(None)):
+    """Numerical rank of the columns ``cols`` of ``x``, by numpy's
+    ``matrix_rank`` rule.
+
+    The R factor is built block by block (a row-blocked "TSQR"): each block
+    of rows is stacked under the running R and factorised again, so R has
+    the singular values of ``x[:, cols]`` while no copy of the design is
+    made and Q is never formed. A design of one block gives the R of a
+    single QR. Tolerance is ``max(d, p) * eps * s_max``.
     """
-    d, p = x.shape
-    r = np.linalg.qr(x, mode="r")
-    if not np.isfinite(r).all():
-        raise NumericalError("design matrix has non-finite entries")
+    d = x.shape[0]
+    r = x[:0, cols]  # no rows yet, as many columns as the selection
+    for rows in _row_blocks(d):
+        r = np.linalg.qr(np.vstack([r, x[rows, cols]]), mode="r")
+        if not np.isfinite(r).all():
+            raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
-    tol = max(d, p) * np.finfo(np.float64).eps * s[0]
+    tol = max(d, r.shape[1]) * np.finfo(np.float64).eps * s[0]
     return int((s > tol).sum())
 
 
-def _log_likelihood(eta, y, w):
-    # weighted sum of y*eta - log(1 + exp(eta)), stable at large |eta|
-    return float(np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta)))
+def _log_likelihood(x, y, w, theta):
+    """Weighted sum of ``y*eta - log(1 + exp(eta))`` at ``eta = x @ theta``,
+    stable at large |eta|, summed over row blocks."""
+    ll = 0.0
+    for rows in _row_blocks(len(y)):
+        eta = x[rows] @ theta
+        wb = w[rows]
+        ll += float(np.sum(wb * y[rows] * eta) - np.sum(wb * np.logaddexp(0.0, eta)))
+    return ll
+
+
+def _score_information(x, y, w, theta):
+    """Score ``x.T @ (w * (y - mu))`` and information ``(x * v[:, None]).T @ x``
+    with ``v = w * mu * (1 - mu)`` at ``theta``, summed over row blocks, so
+    that no temporary as large as the design is made."""
+    p = x.shape[1]
+    score, info = np.zeros(p), np.zeros((p, p))
+    for rows in _row_blocks(len(y)):
+        xb, wb = x[rows], w[rows]
+        mu = _sigmoid(xb @ theta)
+        score += xb.T @ (wb * (y[rows] - mu))
+        v = wb * mu * (1.0 - mu)
+        info += (xb * v[:, None]).T @ xb
+    return score, info
 
 
 def _newton(x, y, w, tolerance, max_iterations):
     """Newton ascent with step halving. Returns (theta, info, ll_path,
     converged, iterations)."""
-    d, p = x.shape
-    theta = np.zeros(p)
-    eta = x @ theta
-    ll = _log_likelihood(eta, y, w)
+    theta = np.zeros(x.shape[1])
+    ll = _log_likelihood(x, y, w, theta)
     ll_path = [ll]
     converged = False
     iterations = 0
     # one pass past the cap, so that info is taken at the returned theta
     for it in range(1, max_iterations + 2):
-        mu = _sigmoid(eta)
-        score = x.T @ (w * (y - mu))
-        v = w * mu * (1.0 - mu)
-        info = (x * v[:, None]).T @ x
+        score, info = _score_information(x, y, w, theta)
         if it > max_iterations:
             break
         if np.max(np.abs(score)) < tolerance:
@@ -224,10 +255,9 @@ def _newton(x, y, w, tolerance, max_iterations):
         improved = False
         for _ in range(30):
             cand = theta + lam * step
-            eta_cand = x @ cand
-            ll_cand = _log_likelihood(eta_cand, y, w)
+            ll_cand = _log_likelihood(x, y, w, cand)
             if ll_cand >= ll - 1e-10:
-                theta, eta, ll = cand, eta_cand, ll_cand
+                theta, ll = cand, ll_cand
                 improved = True
                 break
             lam *= 0.5
@@ -265,7 +295,11 @@ def fit_logistic(
     x_all = np.asfortranarray(design.matrix, dtype=np.float64)
     y = np.asarray(design.response, dtype=np.float64)
     d, p_all = x_all.shape
-    w = np.ones(d) if weights is None else np.asarray(weights, dtype=np.float64)
+    if weights is None:
+        # a read-only broadcast of 1.0 holds no d-vector of ones
+        w = np.broadcast_to(1.0, (d,))
+    else:
+        w = np.asarray(weights, dtype=np.float64)
     if w.shape != (d,):
         raise DimensionError(f"weights have shape {w.shape}, design has {d} rows")
     if not (np.isfinite(w) & (w >= 0.0)).all():
@@ -298,7 +332,7 @@ def fit_logistic(
         culprits = []
         basis = []
         for k in range(p):
-            if _rank(x[:, basis + [k]]) > len(basis):
+            if _rank(x, basis + [k]) > len(basis):
                 basis.append(k)
             else:
                 culprits.append(kept_names[k])

@@ -25,6 +25,7 @@ __all__ = [
     "largest_component",
     "activity_subset",
     "induced_subgraph",
+    "two_path_counts",
 ]
 
 
@@ -136,6 +137,19 @@ class NodeSubset:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def two_path_counts(g: DirectedGraph) -> np.ndarray:
+    """Two-path counts as an int64 matrix: entry ``[i, j]`` is the number of
+    nodes m with i -> m -> j, and the diagonal counts two-cycles.
+
+    The product is taken in float64 so that it runs in BLAS; numpy's integer
+    matmul does not. It is exact, since every count and partial sum is an
+    integer of at most n < 2**53. Nothing is cached on the graph: each call
+    pays for one product.
+    """
+    a = g.adjacency.astype(np.float64)
+    return (a @ a).astype(np.int64)
 
 
 def build_graph(node_count: int, pairs: Iterable) -> DirectedGraph:

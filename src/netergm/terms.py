@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UnknownAttributeError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, two_path_counts
 
 __all__ = [
     "TermSpec",
@@ -219,7 +219,7 @@ class _Shared:
         self.Af = self.A.astype(np.float64)
         # two-path counts: P[i, j] is the number of m with i -> m -> j
         paths = any(_rule(t).paths for t in spec.terms)
-        self.P = np.linalg.matrix_power(self.A.astype(np.int64), 2) if paths else None
+        self.P = two_path_counts(g) if paths else None
         self._powers = {}
 
     def powers(self, decay: float):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -133,6 +134,95 @@ class TestBetweenness:
             np.testing.assert_allclose(
                 betweenness_scores(g), reference_betweenness(g), atol=1e-9
             )
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_long_directed_path_and_cycle(self, n):
+        # diameters of n - 1, over several source blocks
+        path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        i = np.arange(n)
+        np.testing.assert_array_equal(betweenness_scores(path), i * (n - 1 - i))
+        cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        np.testing.assert_array_equal(
+            betweenness_scores(cycle), np.full(n, (n - 1) * (n - 2) / 2)
+        )
+
+
+def networkx_digraph(nx, g):
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def networkx_transitivity(nx, h):
+    """Closed two-path fraction from networkx's triad census: every two-path
+    i -> m -> j with i != j lies in exactly one triad, so each census count
+    is weighted by the two-paths of its triad type, counted on the type's
+    own three-node graph."""
+    paths = closed = 0
+    for name, count in nx.triadic_census(h).items():
+        t = nx.triad_graph(name)
+        for i, m, j in itertools.permutations(t, 3):
+            if t.has_edge(i, m) and t.has_edge(m, j):
+                paths += count
+                closed += count * t.has_edge(i, j)
+    return closed / paths
+
+
+def graph_with_isolates(rng, n, p, isolated):
+    """Random directed graph with ``isolated`` nodes stripped of every tie
+    and as many more stripped of their in-ties, which no node can reach."""
+    a = rng.random((n, n)) < p
+    np.fill_diagonal(a, False)
+    gone, unreached = np.split(rng.choice(n, 2 * isolated, replace=False), 2)
+    a[gone] = False
+    a[:, gone] = False
+    a[:, unreached] = False
+    return DirectedGraph.from_adjacency(a)
+
+
+class TestAgainstNetworkx:
+    """networkx as a second, independent oracle for the descriptives."""
+
+    # n above 256 spans several source blocks of the betweenness search;
+    # sparse draws leave many ordered pairs unreachable
+    CASES = [(12, 0.3, 2), (60, 0.05, 5), (300, 0.006, 20), (300, 0.03, 7), (530, 0.004, 30)]
+
+    @pytest.mark.parametrize("n,p,isolated", CASES)
+    def test_betweenness(self, n, p, isolated):
+        nx = pytest.importorskip("networkx")
+        g = graph_with_isolates(np.random.default_rng(n + isolated), n, p, isolated)
+        assert (g.total_degrees == 0).sum() >= isolated
+        assert ((g.in_degrees == 0) & (g.out_degrees > 0)).any()
+        ref = nx.betweenness_centrality(networkx_digraph(nx, g), normalized=False)
+        ours = betweenness_scores(g)
+        expect = np.array([ref[v] for v in range(n)])
+        np.testing.assert_allclose(ours, expect, rtol=1e-12, atol=1e-12 * expect.max())
+        assert (ours[g.total_degrees == 0] == 0.0).all()
+
+    def test_betweenness_on_a_chain_of_diamonds(self):
+        nx = pytest.importorskip("networkx")
+        # 150 diamonds in a row: diameter 300, and 2**150 shortest paths
+        # from end to end
+        edges = []
+        for s in range(0, 450, 3):
+            edges += [(s, s + 1), (s, s + 2), (s + 1, s + 3), (s + 2, s + 3)]
+        g = build_graph(451, edges)
+        ref = nx.betweenness_centrality(networkx_digraph(nx, g), normalized=False)
+        expect = np.array([ref[v] for v in range(451)])
+        np.testing.assert_allclose(betweenness_scores(g), expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,p,isolated", CASES)
+    def test_transitivity(self, n, p, isolated):
+        nx = pytest.importorskip("networkx")
+        g = graph_with_isolates(np.random.default_rng(n + isolated), n, p, isolated)
+        assert transitivity(g) == networkx_transitivity(nx, networkx_digraph(nx, g))
+
+    def test_triad_weights_on_known_graph(self):
+        nx = pytest.importorskip("networkx")
+        # one transitive triple and one open two-path: 1 closed out of 3
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert networkx_transitivity(nx, networkx_digraph(nx, g)) == 1 / 3 == transitivity(g)
 
 
 class TestEigenvector:

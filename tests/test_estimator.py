@@ -23,8 +23,11 @@ from netergm import (
     fit_mple,
     parse_terms,
 )
+from netergm import estimator
 from netergm.estimator import (
+    _BLOCK_ROWS,
     _rank,
+    _score_information,
     _sigmoid,
     _two_sided_p,
     akaike_criterion,
@@ -407,6 +410,146 @@ def test_fit_holds_less_than_two_copies_of_the_design():
     assert peak < 2 * design.matrix.nbytes
 
 
+def test_fit_holds_less_than_half_a_design():
+    design = synthetic_design(np.random.default_rng(213), 40000, np.linspace(-1.0, 0.5, 8))
+    # column-major, as the design builders write it
+    design = dataclasses.replace(design, matrix=np.asfortranarray(design.matrix))
+    tracemalloc.start()
+    try:
+        fit_logistic(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * design.matrix.nbytes
+
+
+def test_culprit_search_holds_less_than_half_a_design():
+    rng = np.random.default_rng(214)
+    x, k = planted_design(rng, 40000, 8)
+    x = np.asfortranarray(x)
+    y = (rng.random(40000) < 0.4).astype(float)
+    dyads = np.zeros((40000, 2), dtype=np.int64)
+    design = DyadDesign(dyads, y, x, tuple(f"t{j}" for j in range(8)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RankDeficiencyError, match=f"dependent columns: t{k}"):
+            fit_logistic(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * design.matrix.nbytes
+
+
+def several_blocks(rng):
+    """Two to three row blocks, the last of them ragged."""
+    return int(rng.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
+
+
+def unblocked_rank(x, cols=slice(None)):
+    # one QR of the whole selection: the reference for the row-blocked R
+    x = x[:, cols]
+    r = np.linalg.qr(x, mode="r")
+    if not np.isfinite(r).all():
+        raise NumericalError("design matrix has non-finite entries")
+    s = np.linalg.svd(r, compute_uv=False)
+    return int((s > max(x.shape) * np.finfo(np.float64).eps * s[0]).sum())
+
+
+def unblocked_log_likelihood(x, y, w, theta):
+    eta = x @ theta
+    return float(np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta)))
+
+
+def unblocked_score_information(x, y, w, theta):
+    mu = _sigmoid(x @ theta)
+    v = w * mu * (1.0 - mu)
+    return x.T @ (w * (y - mu)), (x * v[:, None]).T @ x
+
+
+def fit_unblocked(monkeypatch, design, **options):
+    """Fit with whole-design kernels in place of the row-blocked ones."""
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_rank", unblocked_rank)
+        m.setattr(estimator, "_log_likelihood", unblocked_log_likelihood)
+        m.setattr(estimator, "_score_information", unblocked_score_information)
+        return fit_logistic(design, **options)
+
+
+class TestRowBlocks:
+    """The rank check and the Newton passes read the design by row blocks."""
+
+    def test_every_block_counts(self):
+        rng = np.random.default_rng(71)
+        rows, p = 2 * _BLOCK_ROWS + 300, 5
+        x, k = planted_design(rng, rows, p)
+        # the dependency is broken in one block only, so the rank is full
+        for rows_of_block in (slice(0, _BLOCK_ROWS), slice(_BLOCK_ROWS, 2 * _BLOCK_ROWS),
+                              slice(2 * _BLOCK_ROWS, rows)):
+            broken = x.copy()
+            broken[rows_of_block, k] = rng.normal(size=broken[rows_of_block].shape[0])
+            assert _rank(broken) == p
+            # and a column that is zero outside one block is not zero
+            sparse = rng.normal(size=(rows, p))
+            sparse[:, 1] = 0.0
+            sparse[rows_of_block, 1] = 1.0
+            assert _rank(sparse) == p
+
+    def test_rank_of_selected_columns(self):
+        rng = np.random.default_rng(65)
+        x, k = planted_design(rng, several_blocks(rng), 6)
+        assert _rank(x, list(range(k))) == k
+        assert _rank(x, list(range(k + 1))) == k
+        assert _rank(x, [k]) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 17, -1])
+    def test_non_finite_entry_past_the_first_block_raises(self, bad, row):
+        rows = 2 * _BLOCK_ROWS + 100
+        design = synthetic_design(np.random.default_rng(67), rows, [-1.0, 0.5, 0.2, 0.1])
+        design.matrix[row, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_logistic(design)
+
+    def test_blocked_score_and_information_match_full_products(self):
+        rng = np.random.default_rng(68)
+        rows, p = several_blocks(rng), 7
+        x = np.asfortranarray(rng.normal(size=(rows, p)))
+        y = (rng.random(rows) < 0.3).astype(float)
+        w = rng.integers(0, 4, rows).astype(float)
+        theta = rng.normal(size=p) * 0.3
+        score, info = _score_information(x, y, w, theta)
+        mu = expit(x @ theta)
+        v = w * mu * (1.0 - mu)
+        np.testing.assert_allclose(info, (x * v[:, None]).T @ x, rtol=1e-12)
+        np.testing.assert_allclose(score, x.T @ (w * (y - mu)), rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [40, _BLOCK_ROWS - 1, _BLOCK_ROWS])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_block_fits_bit_identically_to_unblocked(self, monkeypatch, rows, weighted):
+        rng = np.random.default_rng(69 + rows)
+        design = synthetic_design(rng, rows, [-1.0, 0.8, -0.4, 0.3, 0.1])
+        w = rng.integers(0, 3, rows) if weighted else None
+        blocked = fit_logistic(design, weights=w)
+        whole = fit_unblocked(monkeypatch, design, weights=w)
+        for f in dataclasses.fields(blocked):
+            a, b = getattr(blocked, f.name), getattr(whole, f.name)
+            if isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b, f.name
+
+    def test_several_block_fits_agree_with_unblocked(self, monkeypatch):
+        rows = 2 * _BLOCK_ROWS + 333
+        beta = [-1.0, 0.8, -0.4, 0.3, 0.1, 0.05]
+        design = synthetic_design(np.random.default_rng(70), rows, beta)
+        blocked = fit_logistic(design)
+        whole = fit_unblocked(monkeypatch, design)
+        np.testing.assert_allclose(blocked.coefficients, whole.coefficients, rtol=1e-10)
+        np.testing.assert_allclose(blocked.standard_errors, whole.standard_errors, rtol=1e-10)
+        assert blocked.residual_deviance == pytest.approx(whole.residual_deviance, rel=1e-10)
+        assert blocked.iterations == whole.iterations
+
+
 class TestNumpyKernelsAgainstScipy:
     """The numpy sigmoid, p-values and rank rule against scipy and numpy."""
 
@@ -437,8 +580,10 @@ class TestNumpyKernelsAgainstScipy:
 
     def test_planted_dependency_is_named(self):
         rng = np.random.default_rng(61)
-        for _ in range(25):
-            rows, p = int(rng.integers(30, 200)), int(rng.integers(3, 9))
+        # 25 designs inside one row block, then 4 of two to three blocks
+        for draw in range(29):
+            rows = int(rng.integers(30, 200)) if draw < 25 else several_blocks(rng)
+            p = int(rng.integers(3, 9))
             x, k = planted_design(rng, rows, p)
             y = (rng.random(rows) < 0.4).astype(float)
             dyads = np.zeros((rows, 2), dtype=np.int64)
@@ -451,8 +596,10 @@ class TestNumpyKernelsAgainstScipy:
 
     def test_rank_agrees_with_matrix_rank(self):
         rng = np.random.default_rng(62)
-        for _ in range(25):
-            rows, p = int(rng.integers(30, 200)), int(rng.integers(3, 9))
+        # 25 designs inside one row block, then 4 of two to three blocks
+        for draw in range(29):
+            rows = int(rng.integers(30, 200)) if draw < 25 else several_blocks(rng)
+            p = int(rng.integers(3, 9))
             full = rng.normal(size=(rows, p))
             planted, _ = planted_design(rng, rows, p)
             assert _rank(full) == np.linalg.matrix_rank(full) == p

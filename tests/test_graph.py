@@ -14,6 +14,7 @@ from netergm import (
     induced_subgraph,
     largest_component,
 )
+from netergm.graph import _strong_components, _weak_components, two_path_counts
 from helpers import random_graph
 
 
@@ -142,10 +143,62 @@ class TestLargestComponent:
                 expect = tuple(np.nonzero(labels == best)[0].tolist())
                 assert largest_component(g, mode=mode).members == expect
 
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    def test_components_match_networkx(self, mode):
+        nx = pytest.importorskip("networkx")
+        ours = {"weak": _weak_components, "strong": _strong_components}[mode]
+        theirs = {
+            "weak": nx.weakly_connected_components,
+            "strong": nx.strongly_connected_components,
+        }[mode]
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            g = random_graph(rng, n, rng.random() * 0.08)
+            h = nx.DiGraph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            expect = {frozenset(c) for c in theirs(h)}
+            assert {frozenset(c) for c in ours(g)} == expect
+            best = max(expect, key=lambda c: (len(c), -min(c)))
+            assert largest_component(g, mode=mode).members == tuple(sorted(best))
+
     def test_bad_mode(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             largest_component(g, mode="loose")
+
+
+class TestTwoPathCounts:
+    @staticmethod
+    def integer_square(g):
+        a = g.adjacency.astype(np.int64)
+        return a @ a
+
+    def test_random_graphs_match_integer_product(self):
+        rng = np.random.default_rng(14)
+        for n in (2, 3, 17, 64, 130, 301):
+            for p in (0.02, 0.2, 0.7):
+                g = random_graph(rng, n, p)
+                got = two_path_counts(g)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, self.integer_square(g))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_empty_graph(self, n):
+        got = two_path_counts(DirectedGraph(n, frozenset()))
+        assert got.dtype == np.int64 and got.shape == (n, n)
+        assert not got.any()
+
+    def test_complete_graph(self):
+        n = 40
+        a = ~np.eye(n, dtype=bool)
+        got = two_path_counts(DirectedGraph.from_adjacency(a))
+        # every ordered pair has the n - 2 other nodes as middles, and each
+        # node has n - 1 two-cycles through it
+        expect = np.where(np.eye(n, dtype=bool), n - 1, n - 2)
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(got, self.integer_square(DirectedGraph.from_adjacency(a)))
 
 
 class TestActivitySubset:
