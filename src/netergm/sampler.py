@@ -1,14 +1,16 @@
 """Metropolis sampling from the model's network distribution.
 
 Proposals toggle one uniformly chosen ordered dyad. The chain starts from
-the empty graph and keeps the adjacency matrix, degree vectors, and the
-two-path count matrix up to date incrementally, so each step touches at
-most two rows and columns regardless of graph size.
+the empty graph and keeps each node's out- and in-neighbour sets, degrees
+and two-path counts up to date incrementally. A toggle and every change
+statistic walk only the endpoints' neighbour sets, so each step costs
+O(degree) whatever the graph size.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +21,15 @@ from .graph import DirectedGraph
 from .terms import ModelSpec, _rule
 
 __all__ = ["SamplerControl", "sample_ergm"]
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -32,12 +43,11 @@ class SamplerControl:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin is not None and self.thin < 1:
-            raise ConfigError(f"thin must be >= 1, got {self.thin}")
-        if self.sample_count < 1:
-            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name, least in (("burn_in", 0), ("thin", 1), ("sample_count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # None leaves burn_in and thin to scale with the graph
+            if value is not None or name in ("sample_count", "seed"):
+                object.__setattr__(self, name, _integer(name, value, least))
 
     def resolved(self, node_count: int) -> tuple:
         dyads = node_count * (node_count - 1)
@@ -47,42 +57,53 @@ class SamplerControl:
 
 
 class _Chain:
-    """Mutable chain state with one bound change-statistic closure per term."""
+    """Mutable chain state: neighbour sets ``out[i]`` and ``inn[j]``, degree
+    lists, and two-path counts ``P[i][m]`` when a term reads them."""
 
     def __init__(self, n, attrs, spec, theta):
-        self.a = np.zeros((n, n), dtype=np.uint8)
-        self.indeg = np.zeros(n, dtype=np.int64)
-        self.outdeg = np.zeros(n, dtype=np.int64)
+        self.n = n
+        self.out = out = [set() for _ in range(n)]
+        self.inn = [set() for _ in range(n)]
+        self.outdeg = [0] * n
+        self.indeg = [0] * n
         uses_paths = any(_rule(t).paths for t in spec.terms)
-        self.paths = np.zeros((n, n), dtype=np.int64) if uses_paths else None
-        live = (attrs, self.a, self.indeg, self.outdeg, self.paths)
-        bound = [_rule(t).delta(t, *live) for t in spec.terms]
+        self.P = [[0] * n for _ in range(n)] if uses_paths else None
+        bound = [_rule(t).delta(t, attrs, self) for t in spec.terms]
         # zero coefficients never move the ratio, but a missing attribute raises
-        self.deltas = [(float(th), d) for th, d in zip(theta, bound) if th != 0.0]
+        self.deltas = deltas = tuple(
+            (float(th), d) for th, d in zip(theta, bound) if th != 0.0
+        )
 
-    def log_ratio(self, i, j):
-        aij = int(self.a[i, j])
-        total = 0.0
-        for th, delta in self.deltas:
-            total += th * delta(i, j, aij)
-        if not math.isfinite(total):
-            raise NumericalError(
-                f"non-finite acceptance ratio at dyad ({i}, {j})"
-            )
-        return -total if aij else total
+        # the log acceptance ratio of toggling i -> j, as one closure; a plain
+        # loop, not sum(), which from Python 3.12 compensates float rounding
+        # and would change chains on those versions only
+        def log_ratio(i, j):
+            aij = j in out[i]
+            total = 0.0
+            for th, delta in deltas:
+                total += th * delta(i, j, aij)
+            if not math.isfinite(total):
+                raise NumericalError(f"non-finite acceptance ratio at dyad ({i}, {j})")
+            return -total if aij else total
+        self.log_ratio = log_ratio
 
     def toggle(self, i, j):
-        sign = -1 if self.a[i, j] else 1
-        if self.paths is not None:
-            # int64 cast: a negative sign would overflow the uint8 rows
-            self.paths[i, :] += sign * self.a[j, :].astype(np.int64)
-            self.paths[:, j] += sign * self.a[:, i].astype(np.int64)
-        self.a[i, j] ^= 1
+        sign = -1 if j in self.out[i] else 1
+        self.out[i] ^= {j}
+        self.inn[j] ^= {i}
         self.outdeg[i] += sign
         self.indeg[j] += sign
+        if self.P is not None:
+            # i -> j opens or closes the two-paths i -> j -> m and m -> i -> j
+            P_i = self.P[i]
+            for m in self.out[j]:
+                P_i[m] += sign
+            for m in self.inn[i]:
+                self.P[m][j] += sign
 
     def snapshot(self) -> DirectedGraph:
-        return DirectedGraph.from_adjacency(self.a.astype(bool))
+        edges = frozenset((i, j) for i, out_i in enumerate(self.out) for j in out_i)
+        return DirectedGraph(self.n, edges)
 
 
 def sample_ergm(
@@ -115,8 +136,7 @@ def sample_ergm(
         near-empty or near-complete on average (mean density outside
         [0.001, 0.999]), the classic degeneracy symptom.
     """
-    if node_count < 2:
-        raise ConfigError(f"need at least 2 nodes to sample, got {node_count}")
+    node_count = _integer("node_count", node_count, 2)
     theta = list(theta)
     if len(theta) != len(spec.terms):
         raise DimensionError(
@@ -126,31 +146,30 @@ def sample_ergm(
         raise NumericalError("theta contains non-finite entries")
     burn, thin = control.resolved(node_count)
     chain = _Chain(node_count, attrs, spec, theta)
+    log_ratio, toggle = chain.log_ratio, chain.toggle
     rng = np.random.default_rng(control.seed)
     total = burn + thin * control.sample_count
 
-    chunk = 16384
-    buf_i = buf_j = buf_logu = None
-    pos = chunk  # force first refill
-
     kept = []
     next_keep = burn + thin
-    for step in range(1, total + 1):
-        if pos >= chunk:
-            buf_i = rng.integers(0, node_count, size=chunk)
-            buf_j = rng.integers(0, node_count - 1, size=chunk)
-            buf_j = buf_j + (buf_j >= buf_i)
-            buf_logu = np.log(rng.random(size=chunk))
-            pos = 0
-        i = int(buf_i[pos])
-        j = int(buf_j[pos])
-        logu = float(buf_logu[pos])
-        pos += 1
-        if logu < chain.log_ratio(i, j):
-            chain.toggle(i, j)
-        if step == next_keep:
-            kept.append(chain.snapshot())
-            next_keep += thin
+    chunk = 16384
+    step = 0
+    while step < total:
+        buf_i = rng.integers(0, node_count, size=chunk)
+        buf_j = rng.integers(0, node_count - 1, size=chunk)
+        buf_j = buf_j + (buf_j >= buf_i)
+        buf_logu = np.log(rng.random(size=chunk))
+        used = min(chunk, total - step)
+        # memoryviews hand out Python ints and floats one at a time, where
+        # tolist() would hold a chunk of float objects at once
+        draws = (memoryview(b[:used]) for b in (buf_i, buf_j, buf_logu))
+        for i, j, logu in zip(*draws):
+            if logu < log_ratio(i, j):
+                toggle(i, j)
+            step += 1
+            if step == next_keep:
+                kept.append(chain.snapshot())
+                next_keep += thin
     densities = [
         g.edge_count / (node_count * (node_count - 1)) for g in kept
     ]

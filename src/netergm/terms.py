@@ -28,7 +28,8 @@ three forms of its statistic. The global form is the statistic of one graph
 (``global_stats``); the all-dyad form is every dyad's change statistic, the
 statistic with the dyad present minus with it absent, in closed form
 (``change_stat_matrices``); the incremental form is one dyad's change,
-bound once to the sampler's live arrays. Tests check the forms agree.
+bound once to the sampler chain's neighbour sets and counts and walking
+only the endpoints' neighbours. Tests check the forms agree.
 """
 
 from __future__ import annotations
@@ -295,37 +296,50 @@ def _gwdsp_matrix(t, s):
     return base - Af.T * (rtab[e1] + rtab[e2])
 
 
-def _gwesp_delta(t, attrs, a, indeg, outdeg, paths):
-    rtab, wtab = _decay_tables(t.decay, len(a))
+def _gwesp_delta(t, attrs, c):
+    rtab, wtab = (x.tolist() for x in _decay_tables(t.decay, c.n))
+    out, inn, P = c.out, c.inn, c.P
 
     def delta(i, j, aij):
-        row = rtab[np.maximum(paths[i] - aij, 0)]
-        col = rtab[np.maximum(paths[:, j] - aij, 0)]
-        s1 = float(row[(a[i] & a[j]).astype(bool)].sum())
-        s2 = float(col[(a[:, j] & a[:, i]).astype(bool)].sum())
-        return float(wtab[paths[i, j]]) + s1 + s2
+        # with i -> j present every count below includes it, so none drops under 0
+        P_i = P[i]
+        s1 = 0.0
+        for m in sorted(out[i] & out[j]):
+            s1 += rtab[P_i[m] - aij]
+        s2 = 0.0
+        for m in sorted(inn[j] & inn[i]):
+            s2 += rtab[P[m][j] - aij]
+        return wtab[P_i[j]] + s1 + s2
     return delta
 
 
-def _gwdsp_delta(t, attrs, a, indeg, outdeg, paths):
-    rtab, _ = _decay_tables(t.decay, len(a))
+def _gwdsp_delta(t, attrs, c):
+    rtab = _decay_tables(t.decay, c.n)[0].tolist()
+    out, inn, P = c.out, c.inn, c.P
 
     def delta(i, j, aij):
-        row = rtab[np.maximum(paths[i] - aij, 0)] * a[j]
-        col = rtab[np.maximum(paths[:, j] - aij, 0)] * a[:, i]
-        return float(row.sum() - row[i] + col.sum() - col[j])
+        P_i = P[i]
+        total = 0.0
+        for m in out[j]:
+            if m != i:
+                total += rtab[P_i[m] - aij]
+        for m in inn[i]:
+            if m != j:
+                total += rtab[P[m][j] - aij]
+        return total
     return delta
 
 
-def _nodematch_delta(t, attrs, a, *_):
-    m = _match_matrix(attrs, t, len(a)).astype(np.uint8)
-    return lambda i, j, aij: float(m[i, j])
+def _nodematch_delta(t, attrs, c):
+    match = _match_matrix(attrs, t, c.n).astype(np.float64).tolist()
+    return lambda i, j, aij: match[i][j]
 
 
 # stat(term, shared) and matrix(term, shared) read a _Shared; a matrix is
-# anything that broadcasts to n x n. delta(term, attrs, a, indeg, outdeg, paths)
-# binds to a chain's live arrays and returns f(i, j, a[i, j]). paths marks the
-# terms that read two-path counts.
+# anything that broadcasts to n x n. delta(term, attrs, chain) binds to a
+# sampler chain's live neighbour sets out/inn, degree lists outdeg/indeg and
+# two-path lists P, and returns f(i, j, aij), aij true when i -> j is present.
+# paths marks the terms that read two-path counts.
 _Term = namedtuple("_Term", "grammar stat matrix delta paths", defaults=(False,))
 
 
@@ -340,7 +354,7 @@ _TERMS = {
         _NO_ARGS,
         lambda t, s: (s.A & s.A.T).sum() // 2,
         lambda t, s: s.Af.T,
-        lambda t, attrs, a, *_: lambda i, j, aij: float(a[j, i]),
+        lambda t, attrs, c: lambda i, j, aij, out=c.out: i in out[j],
     ),
     "isolates": _Term(
         _NO_ARGS,
@@ -350,17 +364,17 @@ _TERMS = {
             (s.g.total_degrees[:, None] == s.A).astype(np.float64)
             + (s.g.total_degrees[None, :] == s.A).astype(np.float64)
         ),
-        # int() first: numpy bools saturate instead of adding to 2
-        lambda t, attrs, a, indeg, outdeg, paths: lambda i, j, aij: -float(
-            int(indeg[i] + outdeg[i] == aij) + int(indeg[j] + outdeg[j] == aij)
+        # the degrees are Python ints, so two left-isolated endpoints add to 2
+        lambda t, attrs, c: lambda i, j, aij, indeg=c.indeg, outdeg=c.outdeg: -(
+            (indeg[i] + outdeg[i] == aij) + (indeg[j] + outdeg[j] == aij)
         ),
     ),
     "odegpop": _Term(
         _NO_ARGS,
         lambda t, s: (s.g.in_degrees * s.g.out_degrees).sum(),
         lambda t, s: s.g.in_degrees[:, None] + s.g.out_degrees[None, :],
-        lambda t, attrs, a, indeg, outdeg, paths: (
-            lambda i, j, aij: float(indeg[i] + outdeg[j])
+        lambda t, attrs, c: lambda i, j, aij, indeg=c.indeg, outdeg=c.outdeg: (
+            indeg[i] + outdeg[j]
         ),
     ),
     "gwesp": _Term(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -54,6 +55,36 @@ class TestControlValidation:
             SamplerControl(thin=0)
         with pytest.raises(ConfigError):
             SamplerControl(sample_count=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("thin", 1.5),
+            ("burn_in", 2.5),
+            ("sample_count", 2.0),
+            ("sample_count", True),
+            ("thin", "10"),
+            ("seed", -1),
+        ],
+    )
+    def test_rejects_non_integer_schedule(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SamplerControl(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        c = SamplerControl(
+            burn_in=np.int64(5), thin=np.int32(2), sample_count=np.int64(3),
+            seed=np.uint8(4),
+        )
+        assert (c.burn_in, c.thin, c.sample_count, c.seed) == (5, 2, 3, 4)
+        assert all(type(v) is int for v in (c.burn_in, c.thin, c.sample_count, c.seed))
+        graphs = sample_ergm(np.int64(4), None, parse_terms("edges"), [0.0], c)
+        assert len(graphs) == 3
+
+    @pytest.mark.parametrize("node_count", [4.0, "4", True])
+    def test_rejects_non_integer_node_count(self, node_count):
+        with pytest.raises(ConfigError, match="node_count"):
+            sample_ergm(node_count, None, parse_terms("edges"), [0.0])
 
     def test_rejects_bad_model_inputs(self):
         spec = parse_terms("edges")
@@ -176,3 +207,47 @@ class TestDeterminismAndDiagnostics:
         longer = SamplerControl(burn_in=3000, thin=40, sample_count=5, seed=14)
         with pytest.warns(UserWarning, match="degenerate"):
             sample_ergm(15, None, parse_terms("edges"), [9.0], longer)
+
+
+def chain_digest(graphs):
+    """SHA-256 over the sorted edge list of every retained graph, in order."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(repr(sorted(g.edges)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+class TestPinnedChains:
+    """Retained graphs of fixed chains, recorded once. Any change to the
+    proposals, the random draws, the change statistics or the acceptance
+    rule shows here as a different digest."""
+
+    GWESP_DIGESTS = {
+        0: "48214b15f49d2e95c3bd9e9e39d906d0b38b8898747c32b51dd218c32bf17ad0",
+        1: "b50efd4639c902aadf9e61ef20a8400f187e1a75a15e711af01330c44382c512",
+    }
+    ALL_KINDS_DIGEST = "7693b98e0196a9294d4f724dc79196077aedb490f496be3739d344160cd003a6"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gwesp_chain_at_n40(self, seed):
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "odegpop"))
+        control = SamplerControl(burn_in=5000, thin=1000, sample_count=5, seed=seed)
+        graphs = sample_ergm(40, None, spec, [-3.0, 1.5, 0.3, 0.02], control)
+        assert chain_digest(graphs) == self.GWESP_DIGESTS[seed]
+
+    def test_every_term_kind_at_n14(self):
+        n = 14
+        table = simple_table(
+            tuple(f"n{k}" for k in range(n)),
+            levels={"team": ("blue", "green", "red")},
+            team=tuple(("red", "blue", "green")[k % 3] for k in range(n)),
+        )
+        spec = parse_terms(
+            ("edges", "mutual", "isolates", "odegpop", "gwesp(0.5)", "gwdsp(0.7)",
+             "nodematch(team)", "nodematch(team, red)")
+        )
+        theta = [-2.0, 1.2, 0.4, 0.05, 0.3, -0.1, 0.6, 0.4]
+        control = SamplerControl(burn_in=3000, thin=500, sample_count=5, seed=3)
+        graphs = sample_ergm(n, table, spec, theta, control)
+        assert chain_digest(graphs) == self.ALL_KINDS_DIGEST

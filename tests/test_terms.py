@@ -284,6 +284,39 @@ class TestIncrementalRoute:
     """The sampler's bound deltas against the all-dyad matrices, state by
     state along random toggle sequences."""
 
+    @staticmethod
+    def full_spec(decays):
+        base = parse_terms(
+            ("edges", "mutual", "isolates", "odegpop", "nodematch(team)",
+             "nodematch(team, red)")
+        )
+        gw = {t.name: t for d in decays for t in
+              (TermSpec("gwesp", decay=d), TermSpec("gwdsp", decay=d))}
+        spec = ModelSpec(base.terms + tuple(gw.values()))
+        assert {t.kind for t in spec.terms} == set(_TERMS)
+        return spec
+
+    @staticmethod
+    def assert_chain_state(chain, edges, table, spec):
+        """Neighbour sets, degrees and two-path lists against the graph the
+        chain should hold, then every bound delta against the matrices."""
+        n = chain.n
+        g = chain.snapshot()
+        assert g.edges == edges
+        a = g.adjacency.astype(np.int64)
+        assert chain.out == [set(np.flatnonzero(row).tolist()) for row in a]
+        assert chain.inn == [set(np.flatnonzero(col).tolist()) for col in a.T]
+        assert chain.P == (a @ a).tolist()
+        assert chain.outdeg == g.out_degrees.tolist()
+        assert chain.indeg == g.in_degrees.tolist()
+        mats = change_stat_matrices(g, table, spec)
+        for k, (_, delta) in enumerate(chain.deltas):
+            got = [
+                [delta(u, v, (u, v) in edges) if u != v else 0.0 for v in range(n)]
+                for u in range(n)
+            ]
+            np.testing.assert_allclose(got, mats[k], rtol=0, atol=1e-12)
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         n=st.integers(3, 8),
@@ -294,36 +327,45 @@ class TestIncrementalRoute:
     )
     def test_bound_deltas_match_matrices(self, n, seed, decays):
         rng = np.random.default_rng(seed)
-        base = parse_terms(
-            ("edges", "mutual", "isolates", "odegpop", "nodematch(team)",
-             "nodematch(team, red)")
-        )
-        gw = {t.name: t for d in decays for t in
-              (TermSpec("gwesp", decay=d), TermSpec("gwdsp", decay=d))}
-        spec = ModelSpec(base.terms + tuple(gw.values()))
-        assert {t.kind for t in spec.terms} == set(_TERMS)
+        spec = self.full_spec(decays)
         table = team_table(n, rng)
         chain = _Chain(n, table, spec, np.ones(len(spec.terms)))
         assert len(chain.deltas) == len(spec.terms)
         # a small dyad pool makes the walk remove ties as well as add them
         pool = [(i, j) for i in range(n) for j in range(n) if i != j]
         pool = [pool[k] for k in rng.choice(len(pool), size=min(len(pool), 2 * n))]
+        edges = set()
         for _ in range(2 * n):
             i, j = pool[rng.integers(len(pool))]
             chain.toggle(i, j)
-            g = chain.snapshot()
-            a = g.adjacency.astype(np.int64)
-            np.testing.assert_array_equal(chain.paths, a @ a)
-            np.testing.assert_array_equal(chain.outdeg, g.out_degrees)
-            np.testing.assert_array_equal(chain.indeg, g.in_degrees)
-            mats = change_stat_matrices(g, table, spec)
-            for k, (_, delta) in enumerate(chain.deltas):
-                got = [
-                    [delta(u, v, int(chain.a[u, v])) if u != v else 0.0
-                     for v in range(n)]
-                    for u in range(n)
-                ]
-                np.testing.assert_allclose(got, mats[k], rtol=0, atol=1e-12)
+            edges ^= {(i, j)}
+            self.assert_chain_state(chain, edges, table, spec)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        n=st.integers(9, 20),
+        density=st.floats(0.4, 0.7),
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.floats(0.0, 3.0, allow_nan=False),
+    )
+    def test_dense_states_match_matrices(self, n, density, seed, decay):
+        # numpy sums rows of 8 or more entries pairwise, while the deltas add
+        # neighbour by neighbour; dense states give shared-partner sets that
+        # long
+        rng = np.random.default_rng(seed)
+        spec = self.full_spec((decay,))
+        table = team_table(n, rng)
+        chain = _Chain(n, table, spec, np.ones(len(spec.terms)))
+        edges = set()
+        for i, j in sorted(random_graph(rng, n, density).edges):
+            chain.toggle(i, j)
+            edges.add((i, j))
+        self.assert_chain_state(chain, edges, table, spec)
+        for _ in range(3):
+            i, j = sorted(edges)[rng.integers(len(edges))]
+            chain.toggle(i, j)
+            edges.remove((i, j))
+            self.assert_chain_state(chain, edges, table, spec)
 
     def test_zero_coefficients_are_dropped_at_bind_time(self):
         spec = parse_terms(("edges", "mutual", "gwesp(0.5)"))
