@@ -69,7 +69,6 @@ from .temporal import (
 from .terms import (
     ModelSpec,
     TermSpec,
-    change_stat_matrices,
     global_stats,
     parse_term,
     parse_terms,
@@ -110,7 +109,6 @@ __all__ = [
     "build_design",
     "build_graph",
     "centralization",
-    "change_stat_matrices",
     "density",
     "describe",
     "edgewise_reciprocity",

@@ -155,6 +155,40 @@ def _design(stats_graph, response_graph, attrs, spec, ii, jj) -> DyadDesign:
     )
 
 
+def _unique_rows(x, y):
+    """Distinct rows of the design ``(x, y)``.
+
+    Returns ``(first, group)``: ``first`` holds one representative row index
+    per distinct (x, y) row, the row's first appearance, in row order, and
+    row r equals row ``first[group[r]]``. Rows are sorted by a fixed-seed
+    random projection, summed column by column with elementwise ufuncs so
+    that equal rows hash bit-identically. A group starts wherever any column
+    or the response differs from the previous sorted row, so groups are
+    exact: distinct rows whose hashes collide can split a group but never
+    share one.
+    """
+    d, p = x.shape
+    coef = np.random.default_rng(0x5EED).uniform(0.5, 1.5, size=p + 1)
+    h = np.multiply(y, coef[p], dtype=np.float64)
+    for k in range(p):
+        h += x[:, k] * coef[k]
+    # stable, so each group's first sorted row is its first appearance
+    order = np.argsort(h, kind="stable")
+    new = np.ones(d, dtype=bool)
+    ys = y[order]
+    new[1:] = ys[1:] != ys[:-1]
+    for k in range(p):
+        col = x[:, k][order]
+        new[1:] |= col[1:] != col[:-1]
+    first = order[new]
+    by_row = np.argsort(first)
+    label = np.empty_like(by_row)
+    label[by_row] = np.arange(len(by_row))
+    group = np.empty(d, dtype=np.intp)
+    group[order] = label[np.cumsum(new) - 1]
+    return first[by_row], group
+
+
 def _sigmoid(eta):
     """Logistic function 1 / (1 + exp(-eta)), overflow-free at any eta."""
     # exp of -|eta| never overflows; below about -745 it underflows to 0,
@@ -181,7 +215,7 @@ def _row_blocks(d):
     return [slice(lo, min(lo + _BLOCK_ROWS, d)) for lo in range(0, d, _BLOCK_ROWS)]
 
 
-def _rank(x, cols=slice(None)):
+def _rank(x, cols=slice(None), n_rows=None):
     """Numerical rank of the columns ``cols`` of ``x``, by numpy's
     ``matrix_rank`` rule.
 
@@ -189,11 +223,13 @@ def _rank(x, cols=slice(None)):
     of rows is stacked under the running R and factorised again, so R has
     the singular values of ``x[:, cols]`` while no copy of the design is
     made and Q is never formed. A design of one block gives the R of a
-    single QR. Tolerance is ``max(d, p) * eps * s_max``.
+    single QR. Tolerance is ``max(d, p) * eps * s_max``, where d is
+    ``n_rows`` when given (the row count of the design that ``x`` collapses),
+    else the rows of ``x``.
     """
-    d = x.shape[0]
+    d = x.shape[0] if n_rows is None else n_rows
     r = x[:0, cols]  # no rows yet, as many columns as the selection
-    for rows in _row_blocks(d):
+    for rows in _row_blocks(x.shape[0]):
         r = np.linalg.qr(np.vstack([r, x[rows, cols]]), mode="r")
         if not np.isfinite(r).all():
             raise NumericalError("design matrix has non-finite entries")
@@ -228,10 +264,9 @@ def _score_information(x, y, w, theta):
     return score, info
 
 
-def _newton(x, y, w, tolerance, max_iterations):
-    """Newton ascent with step halving. Returns (theta, info, ll_path,
-    converged, iterations)."""
-    theta = np.zeros(x.shape[1])
+def _newton(x, y, w, theta, tolerance, max_iterations):
+    """Newton ascent with step halving from ``theta``. Returns (theta, info,
+    ll_path, converged, iterations)."""
     ll = _log_likelihood(x, y, w, theta)
     ll_path = [ll]
     converged = False
@@ -275,6 +310,8 @@ def fit_logistic(
     max_iterations: int = 50,
     separation_threshold: float = 15.0,
     se_threshold: float = 100.0,
+    _start=None,
+    _rank_rows=None,
 ) -> FitResult:
     """Fit the logistic pseudolikelihood for a dyadic design.
 
@@ -290,6 +327,10 @@ def fit_logistic(
     integer weight k fits exactly as k copies of the row. ``n_dyads``, the
     null deviance and the BIC use the total weight, and zero-weight rows
     take no part in the column, rank and boundary checks.
+
+    Private: ``_start`` (aligned with ``term_names``) is where Newton starts
+    instead of zero, and ``_rank_rows`` is the row count of the rank
+    tolerance when the design stands for a larger one.
     """
     # column-major like the builders' output, so results do not depend on layout
     x_all = np.asfortranarray(design.matrix, dtype=np.float64)
@@ -326,13 +367,13 @@ def fit_logistic(
     kept_names = [n for n, k in zip(names, keep) if k]
     p = x.shape[1]
 
-    rank = _rank(x)
+    rank = _rank(x, n_rows=_rank_rows)
     if rank < p:
         # identify a maximal independent prefix; the rest are dependent
         culprits = []
         basis = []
         for k in range(p):
-            if _rank(x, basis + [k]) > len(basis):
+            if _rank(x, basis + [k], _rank_rows) > len(basis):
                 basis.append(k)
             else:
                 culprits.append(kept_names[k])
@@ -349,8 +390,9 @@ def fit_logistic(
             stacklevel=2,
         )
 
+    start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
     theta, info, ll_path, converged, iterations = _newton(
-        x, y, w, tolerance, max_iterations
+        x, y, w, start, tolerance, max_iterations
     )
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the

@@ -6,8 +6,10 @@ period (every period except the first, which only serves as history).
 Uncertainty comes from resampling whole modeled periods with replacement
 and refitting; percentile intervals over the replicate coefficients are the
 reported confidence bounds. A node-block variant resamples sender nodes
-instead, for designs where period resampling is too coarse. A replicate
-reweights the pooled design's rows by their unit's draw count.
+instead, for designs where period resampling is too coarse. The pooled
+design is collapsed once to its distinct rows, each weighted by how many
+pooled rows it stands for; a replicate reweights them by their rows' unit
+draw counts and starts Newton at the point estimate.
 
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
@@ -29,7 +31,14 @@ from .errors import (
     NetworkModelError,
     NumericalError,
 )
-from .estimator import DyadDesign, FitResult, _design, bayes_criterion, fit_logistic
+from .estimator import (
+    DyadDesign,
+    FitResult,
+    _design,
+    _unique_rows,
+    bayes_criterion,
+    fit_logistic,
+)
 from .graph import DirectedGraph
 from .ingest import NetworkSeries
 from .terms import ModelSpec
@@ -53,7 +62,9 @@ class BootstrapResult:
     ``drop_reasons`` counts the dropped replicates by cause:
     ``"not_converged"``, ``"dropped_term"`` (a column was all zero), or the
     class name of the error the refit raised. Its counts sum to
-    ``dropped_replicates``.
+    ``dropped_replicates``. ``replicate_iterations`` holds each attempted
+    replicate's Newton iteration count in draw order, None where the refit
+    raised.
     """
 
     term_names: tuple
@@ -68,6 +79,7 @@ class BootstrapResult:
     drop_reasons: dict
     seed: int
     mode: str
+    replicate_iterations: tuple
 
     @property
     def n_valid(self) -> int:
@@ -122,8 +134,12 @@ def fit_btergm(
     ``mode`` picks the resampling unit: ``"temporal"`` redraws modeled
     periods with replacement, ``"node"`` redraws sender nodes; a replicate
     refits the pooled design with each row weighted by its unit's draw
-    count. Replicates that fail to converge (or lose a column entirely) are
-    dropped and counted by reason in ``BootstrapResult.drop_reasons``.
+    count. Every fit runs on the design's distinct rows, weighted by their
+    multiplicity, and a replicate starts at the point estimate unless the
+    point fit is flagged for separation or did not converge; replicates
+    then agree with cold starts to the fit tolerance. Replicates that fail
+    to converge (or lose a column entirely) are dropped and counted by
+    reason in ``BootstrapResult.drop_reasons``.
     Intervals are percentile 2.5/97.5 over replicate coefficients.
 
     Returns
@@ -135,27 +151,53 @@ def fit_btergm(
     if mode not in ("temporal", "node"):
         raise ConfigError(f"mode must be 'temporal' or 'node', got {mode!r}")
     pooled = pooled_design(series, attrs, spec, include_lagged_tie)
-    point = fit_logistic(pooled, **options)
-
     if mode == "temporal":
         units = len(series) - 1
         unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
     else:
         units = series.node_count
-        unit_of_row = pooled.dyads[:, 0]
+        unit_of_row = pooled.dyads[:, 0].copy()
+
+    # every fit runs on the distinct rows, column-major like the builders'
+    # output; the pooled rows are let go before the first fit
+    first, group = _unique_rows(pooled.matrix, pooled.response)
+    x = np.empty((pooled.matrix.shape[1], len(first))).T
+    for k in range(x.shape[1]):
+        np.take(pooled.matrix[:, k], first, out=x[:, k])
+    distinct = DyadDesign(
+        pooled.dyads[first], pooled.response[first], x, pooled.term_names
+    )
+    n_rows = pooled.n_rows
+    del pooled
+    point = fit_logistic(
+        distinct, weights=np.bincount(group), _rank_rows=n_rows, **options
+    )
+    # a drifting or unconverged point estimate is no start for a replicate
+    warm = point.converged and not point.separation_flags.any()
+    start = point.coefficients if warm else None
 
     reps = []
     drop_reasons = {}
+    iterations = []
     for rep in range(replications):
         pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
-        weights = np.bincount(pick, minlength=units)[unit_of_row]
+        row_weights = np.bincount(pick, minlength=units)[unit_of_row]
+        weights = np.bincount(group, weights=row_weights, minlength=len(first))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fit = fit_logistic(pooled, weights=weights, **options)
+                fit = fit_logistic(
+                    distinct,
+                    weights=weights,
+                    _start=start,
+                    _rank_rows=int(np.count_nonzero(row_weights)),
+                    **options,
+                )
         except (NetworkModelError, np.linalg.LinAlgError) as exc:
             reason = type(exc).__name__
+            iterations.append(None)
         else:
+            iterations.append(fit.iterations)
             if not fit.converged:
                 reason = "not_converged"
             elif fit.dropped_terms:
@@ -169,7 +211,7 @@ def fit_btergm(
     rep_matrix = np.array(reps)
     lo, hi = np.percentile(rep_matrix, [2.5, 97.5], axis=0)
     boot = BootstrapResult(
-        term_names=pooled.term_names,
+        term_names=distinct.term_names,
         point_estimates=point.coefficients,
         replicate_coefficients=rep_matrix,
         standard_errors=rep_matrix.std(axis=0, ddof=1),
@@ -181,6 +223,7 @@ def fit_btergm(
         drop_reasons=drop_reasons,
         seed=seed,
         mode=mode,
+        replicate_iterations=tuple(iterations),
     )
     return point, boot
 

@@ -26,10 +26,10 @@ attributes) to one sufficient statistic. Supported terms:
 Each term is one entry of the table ``_TERMS``: its argument grammar and
 three forms of its statistic. The global form is the statistic of one graph
 (``global_stats``); the all-dyad form is every dyad's change statistic, the
-statistic with the dyad present minus with it absent, in closed form
-(``change_stat_matrices``); the incremental form is one dyad's change,
-bound once to the sampler chain's neighbour sets and counts and walking
-only the endpoints' neighbours. Tests check the forms agree.
+statistic with the dyad present minus with it absent, in closed form, read
+at a design's dyads by ``_change_stat_columns``; the incremental form is one
+dyad's change, bound once to the sampler chain's neighbour sets and counts
+and walking only the endpoints' neighbours. Tests check the forms agree.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "parse_terms",
     "split_term_list",
     "global_stats",
-    "change_stat_matrices",
 ]
 
 # argument grammars: the fields a term's arguments fill, how many of them are
@@ -249,23 +248,6 @@ def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, ii, jj):
     shape = (s.n, s.n)
     for k, term in enumerate(spec.terms):
         out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[ii, jj]
-    return out
-
-
-def change_stat_matrices(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
-    """All change statistics at once, shape ``(n_terms, n, n)``.
-
-    Entry ``[t, i, j]`` is term t's statistic with the tie i -> j present
-    minus the statistic with it absent; the diagonal is zero. Closed forms
-    throughout, so building a full dyadic design costs a handful of matrix
-    products instead of n*(n-1) toggles.
-    """
-    n = g.node_count
-    if n < 2:
-        return np.zeros((len(spec.terms), n, n), dtype=np.float64)
-    ii, jj = np.divmod(np.arange(n * n), n)
-    out = _change_stat_columns(g, attrs, spec, ii, jj).T.reshape(-1, n, n)
-    out[:, np.arange(n), np.arange(n)] = 0.0
     return out
 
 

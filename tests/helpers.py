@@ -3,7 +3,11 @@ implementations of the sufficient statistics, and the toggle-and-recompute
 change-statistic oracle.
 
 The reference code here deliberately avoids the library's vectorized paths
-(and numpy where practical) so it can serve as an independent oracle.
+(and numpy where practical) so it can serve as an independent oracle. The
+one exception is ``change_stat_matrices``, which lays the library's
+closed-form change statistics out as ``(n_terms, n, n)`` matrices so that
+the toggle route and the sampler's incremental deltas can be checked
+against them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from netergm import DirectedGraph, DyadDesign, InvalidDyadError, NodeTable, global_stats
 from netergm.ingest import DEFAULT_LEVELS
+from netergm.terms import _change_stat_columns
 
 
 def random_graph(rng, n, p):
@@ -120,6 +125,23 @@ def change_stats(g, attrs, dyad, spec):
     plus = g.with_dyad(i, j, True)
     minus = g.with_dyad(i, j, False)
     return global_stats(plus, attrs, spec) - global_stats(minus, attrs, spec)
+
+
+def change_stat_matrices(g, attrs, spec):
+    """All-dyad change statistics, shape ``(n_terms, n, n)``, read from the
+    library's closed forms at every ordered pair; the diagonal is zero.
+
+    Entry ``[t, i, j]`` is term t's statistic with the tie i -> j present
+    minus the statistic with it absent, the form the sampler's incremental
+    deltas and the toggle route are checked against.
+    """
+    n = g.node_count
+    if n < 2:
+        return np.zeros((len(spec.terms), n, n), dtype=np.float64)
+    ii, jj = np.divmod(np.arange(n * n), n)
+    out = _change_stat_columns(g, attrs, spec, ii, jj).T.reshape(-1, n, n)
+    out[:, np.arange(n), np.arange(n)] = 0.0
+    return out
 
 
 def replicate_rows(design, counts):

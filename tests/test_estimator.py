@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import norm
 
@@ -30,6 +32,7 @@ from netergm.estimator import (
     _score_information,
     _sigmoid,
     _two_sided_p,
+    _unique_rows,
     akaike_criterion,
     bayes_criterion,
     null_pseudo_deviance,
@@ -394,6 +397,124 @@ class TestWeights:
             fit_logistic(empty)
 
 
+@st.composite
+def designs_with_duplicates(draw):
+    """A small-integer design whose rows are drawn, with repeats, from a few
+    base rows."""
+    p = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(st.integers(-2, 2), min_size=p, max_size=p), st.integers(0, 1)
+    )
+    base = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
+    x = np.asfortranarray([base[k][0] for k in picks], dtype=np.float64)
+    y = np.array([base[k][1] for k in picks], dtype=np.int8)
+    return x, y
+
+
+def duplicated_design(rng, rows):
+    """Columns a (ones), b (0..3), c (0/1), rare (nonzero on rows 0-5 only)
+    and twin (b, except on rows 6-9): few distinct rows, many copies."""
+    b = rng.integers(0, 4, size=rows).astype(np.float64)
+    c = rng.integers(0, 2, size=rows).astype(np.float64)
+    rare = np.zeros(rows)
+    rare[:6] = 1.0
+    twin = b.copy()
+    twin[6:10] += 1.0
+    x = np.column_stack([np.ones(rows), b, c, rare, twin])
+    y = (rng.random(rows) < expit(-1.0 + 0.4 * b - 0.7 * c)).astype(np.int8)
+    # both responses on the rare and twin rows, so neither column separates
+    y[:10] = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
+    dyads = np.zeros((rows, 2), dtype=np.int64)
+    return DyadDesign(dyads, y, x, ("a", "b", "c", "rare", "twin"))
+
+
+def collapsed_fit(design, weights):
+    """Fit ``design`` on its distinct rows, each weighted by the total
+    weight of the rows it stands for."""
+    first, group = _unique_rows(design.matrix, design.response)
+    distinct = DyadDesign(
+        design.dyads[first], design.response[first], design.matrix[first],
+        design.term_names,
+    )
+    return fit_logistic(
+        distinct,
+        weights=np.bincount(group, weights=weights, minlength=len(first)),
+        _rank_rows=int(np.count_nonzero(weights)),
+    )
+
+
+class TestUniqueRows:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(designs_with_duplicates())
+    def test_groups_are_the_distinct_rows(self, xy):
+        x, y = xy
+        first, group = _unique_rows(x, y)
+        np.testing.assert_array_equal(x, x[first[group]])
+        np.testing.assert_array_equal(y, y[first[group]])
+        assert len(first) == len(np.unique(np.column_stack([x, y]), axis=0))
+        # each representative is its group's first row, in row order
+        labels, firsts = np.unique(group, return_index=True)
+        np.testing.assert_array_equal(labels, np.arange(len(first)))
+        np.testing.assert_array_equal(firsts, first)
+
+    def test_hash_collisions_split_but_never_merge(self):
+        # 1 is below the spacing of floats near 1e20, so both rows hash alike
+        a, b = [1e20, 0.0], [1e20, 1.0]
+        x = np.asfortranarray([a, b, a, b, a])
+        y = np.zeros(5, dtype=np.int8)
+        first, group = _unique_rows(x, y)
+        np.testing.assert_array_equal(x, x[first[group]])
+        assert len(first) >= 2
+
+    def test_signed_zeros_and_responses(self):
+        x = np.asfortranarray([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+        y = np.array([1, 1, 0, 1], dtype=np.int8)
+        first, group = _unique_rows(x, y)
+        np.testing.assert_array_equal(first, [0, 2, 3])
+        np.testing.assert_array_equal(group, [0, 0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "seed, case",
+        [(0, "plain"), (1, "plain"), (2, "plain"), (3, "empty"), (4, "collinear")],
+    )
+    def test_collapsed_fit_matches_weighted_fit(self, seed, case):
+        rng = np.random.default_rng(230 + seed)
+        design = duplicated_design(rng, 400)
+        assert len(_unique_rows(design.matrix, design.response)[0]) < 100
+        w = rng.integers(0, 3, size=400).astype(np.float64)
+        w[:10] = 1.0
+        if case == "empty":
+            w[:6] = 0.0  # rare is zero on every weighted row
+        if case == "collinear":
+            w[6:10] = 0.0  # twin equals b on every weighted row
+            with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
+                fit_logistic(design, weights=w)
+            with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
+                collapsed_fit(design, w)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = fit_logistic(design, weights=w)
+            short = collapsed_fit(design, w)
+        assert full.dropped_terms == short.dropped_terms == (
+            ("rare",) if case == "empty" else ()
+        )
+        for field in ("coefficients", "standard_errors", "p_values", "covariance"):
+            np.testing.assert_allclose(
+                getattr(short, field), getattr(full, field),
+                rtol=1e-10, atol=1e-10, err_msg=field,
+            )
+        for field in ("null_deviance", "residual_deviance", "aic", "bic"):
+            assert getattr(short, field) == pytest.approx(
+                getattr(full, field), rel=1e-10
+            ), field
+        assert short.n_dyads == full.n_dyads and isinstance(short.n_dyads, int)
+        assert short.n_params == full.n_params
+        assert short.converged and full.converged
+        np.testing.assert_array_equal(short.separation_flags, full.separation_flags)
+
+
 def test_fit_holds_less_than_two_copies_of_the_design():
     rng = np.random.default_rng(212)
     # column-major, as the design builders write it
@@ -445,14 +566,15 @@ def several_blocks(rng):
     return int(rng.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
 
 
-def unblocked_rank(x, cols=slice(None)):
+def unblocked_rank(x, cols=slice(None), n_rows=None):
     # one QR of the whole selection: the reference for the row-blocked R
+    d = x.shape[0] if n_rows is None else n_rows
     x = x[:, cols]
     r = np.linalg.qr(x, mode="r")
     if not np.isfinite(r).all():
         raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
-    return int((s > max(x.shape) * np.finfo(np.float64).eps * s[0]).sum())
+    return int((s > max(d, x.shape[1]) * np.finfo(np.float64).eps * s[0]).sum())
 
 
 def unblocked_log_likelihood(x, y, w, theta):
@@ -493,6 +615,29 @@ class TestRowBlocks:
             sparse[:, 1] = 0.0
             sparse[rows_of_block, 1] = 1.0
             assert _rank(sparse) == p
+
+    @pytest.mark.parametrize("rank_of", [_rank, unblocked_rank])
+    def test_rank_tolerance_counts_the_given_rows(self, rank_of):
+        # a singular value at 1e-13 of the largest is noise for a design of
+        # a million rows but not for one of ten
+        x = np.zeros((10, 2))
+        x[:, 0] = 1.0
+        x[0, 1] = 1e-13 * np.sqrt(10.0)
+        assert rank_of(x) == 2
+        assert rank_of(x, n_rows=10**6) == 1
+
+    def test_fit_checks_rank_at_the_given_row_count(self):
+        x = np.zeros((10, 2))
+        x[:, 0] = 1.0
+        x[0, 1] = 1e-13 * np.sqrt(10.0)
+        design = DyadDesign(
+            np.zeros((10, 2), dtype=np.int64), np.arange(10) % 2, x, ("a", "b")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert fit_logistic(design).n_params == 2
+        with pytest.raises(RankDeficiencyError, match="dependent columns: b$"):
+            fit_logistic(design, _rank_rows=10**6)
 
     def test_rank_of_selected_columns(self):
         rng = np.random.default_rng(65)

@@ -267,6 +267,139 @@ class TestBootstrapReweighting:
         )
 
 
+def spy_on_fits(monkeypatch, tamper=None):
+    """Record the design and options of every ``fit_logistic`` call made by
+    ``fit_btergm``; ``tamper`` edits the result of the first (point) fit."""
+    real_fit = netergm.temporal.fit_logistic
+    calls = []
+
+    def spy(design, **options):
+        calls.append((design, options))
+        fit = real_fit(design, **options)
+        return tamper(fit) if tamper is not None and len(calls) == 1 else fit
+
+    monkeypatch.setattr(netergm.temporal, "fit_logistic", spy)
+    return calls
+
+
+def separated(fit):
+    flags = np.zeros_like(fit.separation_flags)
+    flags[-1] = True
+    return dataclasses.replace(fit, separation_flags=flags)
+
+
+def unconverged(fit):
+    return dataclasses.replace(fit, converged=False)
+
+
+class TestDistinctRowsAndWarmStarts:
+    SPEC3 = parse_terms(("edges", "mutual", "gwesp(0.5)"))
+
+    @staticmethod
+    def series(seed, n=10, periods=4):
+        rng = np.random.default_rng(seed)
+        return series_of([random_graph(rng, n, 0.3) for _ in range(periods)])
+
+    def test_point_fit_matches_the_pooled_design_fit(self):
+        series = self.series(70)
+        point, _ = fit_btergm(
+            series, None, self.SPEC3, replications=2, seed=0, include_lagged_tie=True
+        )
+        full = fit_logistic(
+            pooled_design(series, None, self.SPEC3, include_lagged_tie=True)
+        )
+        for field in ("coefficients", "standard_errors", "p_values", "covariance"):
+            np.testing.assert_allclose(
+                getattr(point, field), getattr(full, field),
+                rtol=1e-10, atol=1e-10, err_msg=field,
+            )
+        for field in ("null_deviance", "residual_deviance", "aic", "bic"):
+            assert getattr(point, field) == pytest.approx(
+                getattr(full, field), rel=1e-12
+            ), field
+        assert point.n_dyads == full.n_dyads == 3 * 10 * 9
+        assert isinstance(point.n_dyads, int)
+
+    def test_every_fit_runs_on_the_distinct_rows(self, monkeypatch):
+        series = self.series(71)
+        pooled = pooled_design(series, None, self.SPEC3)
+        distinct = np.unique(
+            np.column_stack([pooled.matrix, pooled.response]), axis=0
+        )
+        assert len(distinct) < pooled.n_rows
+        calls = spy_on_fits(monkeypatch)
+        point, _ = fit_btergm(series, None, self.SPEC3, replications=5, seed=4)
+        assert len(calls) == 6
+        design = calls[0][0]
+        assert all(d is design for d, _ in calls)
+        assert design.n_rows == len(distinct)
+        # the point fit starts at zero, every replicate at the point estimate
+        assert calls[0][1].get("_start") is None
+        for _, options in calls[1:]:
+            np.testing.assert_array_equal(options["_start"], point.coefficients)
+        # the rank tolerance counts the pooled rows of the drawn periods
+        assert calls[0][1]["_rank_rows"] == pooled.n_rows
+        for rep, (_, options) in enumerate(calls[1:]):
+            pick = np.random.default_rng([4, rep]).integers(0, 3, size=3)
+            assert options["_rank_rows"] == len(set(pick.tolist())) * 10 * 9
+
+    @pytest.mark.parametrize(
+        "tamper", [separated, unconverged], ids=["separated", "not_converged"]
+    )
+    def test_cold_starts_after_a_flagged_point_fit(self, monkeypatch, tamper):
+        calls = spy_on_fits(monkeypatch, tamper)
+        fit_btergm(self.series(72), None, self.SPEC3, replications=5, seed=4)
+        assert len(calls) == 6
+        assert all(options.get("_start") is None for _, options in calls)
+
+    @pytest.mark.parametrize("mode", ["temporal", "node"])
+    def test_warm_starts_save_iterations_and_agree_with_cold_starts(
+        self, monkeypatch, mode
+    ):
+        series = self.series(73)
+        run = dict(replications=12, seed=73, mode=mode)
+        _, warm = fit_btergm(series, None, self.SPEC3, **run)
+        real_fit = netergm.temporal.fit_logistic
+        monkeypatch.setattr(
+            netergm.temporal,
+            "fit_logistic",
+            lambda design, **options: real_fit(design, **{**options, "_start": None}),
+        )
+        _, cold = fit_btergm(series, None, self.SPEC3, **run)
+        assert warm.drop_reasons == cold.drop_reasons
+        np.testing.assert_allclose(
+            warm.replicate_coefficients, cold.replicate_coefficients,
+            rtol=0, atol=1e-8,
+        )
+        assert [k is None for k in warm.replicate_iterations] == [
+            k is None for k in cold.replicate_iterations
+        ]
+        used = [
+            sum(k for k in boot.replicate_iterations if k is not None)
+            for boot in (warm, cold)
+        ]
+        assert used[0] < used[1]
+
+    def test_replicate_iterations_in_draw_order(self, monkeypatch):
+        real_fit = netergm.temporal.fit_logistic
+        fits = []
+
+        def fit_or_raise(design, **options):
+            if len(fits) == 2:  # the second replicate
+                fits.append(None)
+                raise RankDeficiencyError("design is rank deficient")
+            fits.append(real_fit(design, **options))
+            return fits[-1]
+
+        monkeypatch.setattr(netergm.temporal, "fit_logistic", fit_or_raise)
+        _, boot = fit_btergm(self.series(74), None, SPEC, replications=4, seed=5)
+        assert boot.replicate_iterations == tuple(
+            None if f is None else f.iterations for f in fits[1:]
+        )
+        assert boot.replicate_iterations[1] is None
+        assert all(isinstance(k, int) for k in boot.replicate_iterations[::2])
+
+
 class TestFormation:
     def test_free_set_and_union_stats(self):
         prev = build_graph(4, [(0, 1), (2, 3)])

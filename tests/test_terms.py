@@ -14,7 +14,6 @@ from netergm import (
     TermSpec,
     UnknownAttributeError,
     build_graph,
-    change_stat_matrices,
     global_stats,
     parse_term,
     parse_terms,
@@ -22,6 +21,7 @@ from netergm import (
 from netergm.sampler import _Chain
 from netergm.terms import _TERMS, split_term_list
 from helpers import (
+    change_stat_matrices,
     change_stats,
     naive_change_stat,
     naive_global_stats,
