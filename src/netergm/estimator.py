@@ -6,13 +6,25 @@ with that dyad's change statistics. Estimation is therefore logistic
 regression on the dyadic design; this module owns that regression so its
 conventions (no implicit intercept, observed-information standard errors,
 deviance bookkeeping) stay pinned down in one place.
+
+Most rows of a cross-sectional dyadic design repeat. ``build_design`` groups
+identical rows right after the columns are written (``_unique_rows``) and
+records the grouping on the design when it at least halves the rows, which
+also makes the design's arrays read-only; ``fit_logistic`` then fits the
+distinct rows, each weighted by the rows it stands for, as ergm's
+``ergmMPLE`` does. The rows a fit reads (views of the design, or the
+distinct or positive-weight rows gathered into column-major copies) are one
+list of ``_BLOCK_ROWS``-row blocks, and the rank check, the log-likelihood
+and every score and information pass walk that list, so there is one
+Newton path for grouped and plain designs and no step copies a whole design.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +72,17 @@ class DyadDesign:
     (tie indicators) and ``matrix`` (change statistics, one column per
     term). ``periods`` tags each row with its panel label for pooled
     temporal designs, or is None for cross-sectional ones.
+
+    ``row_groups`` records which rows are identical, as the pair
+    ``(first, group)`` that ``_unique_rows`` returns: row r equals row
+    ``first[group[r]]``. Only ``build_design`` sets it, right after the
+    columns are written, and only when the distinct (x, y) rows are at most
+    half of the rows; ``fit_logistic`` then fits the distinct rows, each
+    weighted by the rows it stands for. It is no ``__init__`` argument, so a
+    design made or changed by hand (``dataclasses.replace`` included) has
+    none and cannot carry the grouping of other rows, and a design that has
+    one holds ``matrix`` and ``response`` read-only, so that no edit in
+    place can leave the grouping stale.
     """
 
     dyads: np.ndarray
@@ -67,6 +90,9 @@ class DyadDesign:
     matrix: np.ndarray
     term_names: tuple
     periods: np.ndarray | None = None
+    row_groups: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         d = len(self.response)
@@ -141,18 +167,30 @@ def build_design(
         jj = np.array([p[1] for p in pairs], dtype=np.int64)
     if len(ii) == 0:
         raise EmptyDesignError("design has no rows")
-    return _design(g, g, attrs, spec, ii, jj)
+    return _record_row_groups(_design(g, g, attrs, spec, ii, jj))
 
 
 def _design(stats_graph, response_graph, attrs, spec, ii, jj) -> DyadDesign:
     """Design over the dyads ``(ii[r], jj[r])``: change statistics read on
     ``stats_graph``, tie indicators on ``response_graph``."""
     return DyadDesign(
-        dyads=np.column_stack([ii, jj]).astype(np.int64),
+        dyads=np.column_stack([ii, jj]).astype(np.int64, copy=False),
         response=response_graph.adjacency[ii, jj].astype(np.int8),
         matrix=_change_stat_columns(stats_graph, attrs, spec, ii, jj),
         term_names=spec.names,
     )
+
+
+def _record_row_groups(design: DyadDesign) -> DyadDesign:
+    """Record on a freshly built ``design`` which of its rows are identical,
+    when that at least halves the rows, and then freeze its ``matrix`` and
+    ``response``; returns ``design``."""
+    first, group = _unique_rows(design.matrix, design.response)
+    if 2 * len(first) <= design.n_rows:
+        design.matrix.setflags(write=False)
+        design.response.setflags(write=False)
+        object.__setattr__(design, "row_groups", (first, group))
+    return design
 
 
 def _unique_rows(x, y):
@@ -165,28 +203,42 @@ def _unique_rows(x, y):
     that equal rows hash bit-identically. A group starts wherever any column
     or the response differs from the previous sorted row, so groups are
     exact: distinct rows whose hashes collide can split a group but never
-    share one.
+    share one. One row-length buffer takes every column's hash term and then
+    every sorted column, so the scratch space does not grow with the columns.
     """
     d, p = x.shape
-    coef = np.random.default_rng(0x5EED).uniform(0.5, 1.5, size=p + 1)
+    # Python's generator: numpy.random loads lazily, and loading it would
+    # add about 6 MiB to the resident size of a process that never samples
+    rng = random.Random(0x5EED)
+    coef = [rng.uniform(0.5, 1.5) for _ in range(p + 1)]
+    buf = np.empty(d)
     h = np.multiply(y, coef[p], dtype=np.float64)
     for k in range(p):
-        h += x[:, k] * coef[k]
+        h += np.multiply(x[:, k], coef[k], out=buf)
     # stable, so each group's first sorted row is its first appearance
     order = np.argsort(h, kind="stable")
+    del h
     new = np.ones(d, dtype=bool)
     ys = y[order]
-    new[1:] = ys[1:] != ys[:-1]
+    np.not_equal(ys[1:], ys[:-1], out=new[1:])
+    del ys
+    step = np.empty(d - 1 if d else 0, dtype=bool)
     for k in range(p):
-        col = x[:, k][order]
-        new[1:] |= col[1:] != col[:-1]
+        np.take(x[:, k], order, out=buf)
+        new[1:] |= np.not_equal(buf[1:], buf[:-1], out=step)
+    del buf, step
     first = order[new]
     by_row = np.argsort(first)
     label = np.empty_like(by_row)
     label[by_row] = np.arange(len(by_row))
+    first = first[by_row]
+    del by_row
+    sorted_label = np.cumsum(new)
+    del new
+    sorted_label -= 1
     group = np.empty(d, dtype=np.intp)
-    group[order] = label[np.cumsum(new) - 1]
-    return first[by_row], group
+    group[order] = label[sorted_label]
+    return first, group
 
 
 def _sigmoid(eta):
@@ -215,9 +267,41 @@ def _row_blocks(d):
     return [slice(lo, min(lo + _BLOCK_ROWS, d)) for lo in range(0, d, _BLOCK_ROWS)]
 
 
-def _rank(x, cols=slice(None), n_rows=None):
-    """Numerical rank of the columns ``cols`` of ``x``, by numpy's
-    ``matrix_rank`` rule.
+def _blocks(a):
+    """``a`` cut into a list of views of ``_BLOCK_ROWS`` rows."""
+    return [a[rows] for rows in _row_blocks(len(a))]
+
+
+def _fit_blocks(x, y, w, rows):
+    """Row blocks ``(xs, ys, ws)`` of the rows of the design ``(x, y)`` that
+    a fit reads, as float64.
+
+    With ``rows`` None these are views of ``x`` (column-major like the
+    builders' output, so results do not depend on layout), ``y`` and ``w``.
+    Otherwise they hold the rows ``rows``, gathered one column at a time
+    into column-major blocks of ``_BLOCK_ROWS`` rows, and ``w`` is aligned
+    with ``rows``; no copy larger than a block is made.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if rows is None:
+        y = y.astype(np.float64, copy=False)
+        return _blocks(np.asfortranarray(x)), _blocks(y), _blocks(w)
+    xs, ys, ws = [], [], []
+    for block in _row_blocks(len(rows)):
+        at = rows[block]
+        xb = np.empty((x.shape[1], len(at))).T
+        for k in range(x.shape[1]):
+            np.take(x[:, k], at, out=xb[:, k])
+        xs.append(xb)
+        ys.append(y[at].astype(np.float64))
+        ws.append(w[block])
+    return xs, ys, ws
+
+
+def _rank(xs, cols=slice(None), n_rows=None):
+    """Numerical rank of the columns ``cols`` of the matrix whose row blocks
+    are the list ``xs``, by numpy's ``matrix_rank`` rule.
 
     The R factor is built block by block (a row-blocked "TSQR"): each block
     of rows is stacked under the running R and factorised again, so R has
@@ -227,10 +311,10 @@ def _rank(x, cols=slice(None), n_rows=None):
     ``n_rows`` when given (the row count of the design that ``x`` collapses),
     else the rows of ``x``.
     """
-    d = x.shape[0] if n_rows is None else n_rows
-    r = x[:0, cols]  # no rows yet, as many columns as the selection
-    for rows in _row_blocks(x.shape[0]):
-        r = np.linalg.qr(np.vstack([r, x[rows, cols]]), mode="r")
+    d = sum(len(xb) for xb in xs) if n_rows is None else n_rows
+    r = xs[0][:0, cols]  # no rows yet, as many columns as the selection
+    for xb in xs:
+        r = np.linalg.qr(np.vstack([r, xb[:, cols]]), mode="r")
         if not np.isfinite(r).all():
             raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
@@ -238,42 +322,43 @@ def _rank(x, cols=slice(None), n_rows=None):
     return int((s > tol).sum())
 
 
-def _log_likelihood(x, y, w, theta):
+def _log_likelihood(xs, ys, ws, theta):
     """Weighted sum of ``y*eta - log(1 + exp(eta))`` at ``eta = x @ theta``,
-    stable at large |eta|, summed over row blocks."""
+    stable at large |eta|, summed over the matching lists of row blocks
+    ``xs``, ``ys`` and ``ws``."""
     ll = 0.0
-    for rows in _row_blocks(len(y)):
-        eta = x[rows] @ theta
-        wb = w[rows]
-        ll += float(np.sum(wb * y[rows] * eta) - np.sum(wb * np.logaddexp(0.0, eta)))
+    for xb, yb, wb in zip(xs, ys, ws):
+        eta = xb @ theta
+        ll += float(np.sum(wb * yb * eta) - np.sum(wb * np.logaddexp(0.0, eta)))
     return ll
 
 
-def _score_information(x, y, w, theta):
+def _score_information(xs, ys, ws, theta):
     """Score ``x.T @ (w * (y - mu))`` and information ``(x * v[:, None]).T @ x``
-    with ``v = w * mu * (1 - mu)`` at ``theta``, summed over row blocks, so
-    that no temporary as large as the design is made."""
-    p = x.shape[1]
+    with ``v = w * mu * (1 - mu)`` at ``theta``, summed over row blocks (as in
+    ``_log_likelihood``), so that no temporary as large as the design is
+    made."""
+    p = xs[0].shape[1]
     score, info = np.zeros(p), np.zeros((p, p))
-    for rows in _row_blocks(len(y)):
-        xb, wb = x[rows], w[rows]
+    for xb, yb, wb in zip(xs, ys, ws):
         mu = _sigmoid(xb @ theta)
-        score += xb.T @ (wb * (y[rows] - mu))
+        score += xb.T @ (wb * (yb - mu))
         v = wb * mu * (1.0 - mu)
         info += (xb * v[:, None]).T @ xb
     return score, info
 
 
-def _newton(x, y, w, theta, tolerance, max_iterations):
-    """Newton ascent with step halving from ``theta``. Returns (theta, info,
-    ll_path, converged, iterations)."""
-    ll = _log_likelihood(x, y, w, theta)
+def _newton(xs, ys, ws, theta, tolerance, max_iterations):
+    """Newton ascent with step halving from ``theta`` over the row blocks
+    ``xs``, ``ys`` and ``ws``. Returns (theta, info, ll_path, converged,
+    iterations)."""
+    ll = _log_likelihood(xs, ys, ws, theta)
     ll_path = [ll]
     converged = False
     iterations = 0
     # one pass past the cap, so that info is taken at the returned theta
     for it in range(1, max_iterations + 2):
-        score, info = _score_information(x, y, w, theta)
+        score, info = _score_information(xs, ys, ws, theta)
         if it > max_iterations:
             break
         if np.max(np.abs(score)) < tolerance:
@@ -290,7 +375,7 @@ def _newton(x, y, w, theta, tolerance, max_iterations):
         improved = False
         for _ in range(30):
             cand = theta + lam * step
-            ll_cand = _log_likelihood(x, y, w, cand)
+            ll_cand = _log_likelihood(xs, ys, ws, cand)
             if ll_cand >= ll - 1e-10:
                 theta, ll = cand, ll_cand
                 improved = True
@@ -328,14 +413,20 @@ def fit_logistic(
     null deviance and the BIC use the total weight, and zero-weight rows
     take no part in the column, rank and boundary checks.
 
+    A design on which ``build_design`` recorded ``row_groups`` is fitted on
+    its distinct rows, each weighted by the total weight of the rows it
+    stands for, with the rank tolerance still counting the positive-weight
+    rows of the whole design; the estimates agree with the row-by-row fit
+    to rounding. The rows that the fit reads (all of them, the
+    positive-weight ones, or the distinct ones) are one list of row blocks,
+    views of the design or gathered copies, which the rank check and every
+    Newton pass walk.
+
     Private: ``_start`` (aligned with ``term_names``) is where Newton starts
     instead of zero, and ``_rank_rows`` is the row count of the rank
     tolerance when the design stands for a larger one.
     """
-    # column-major like the builders' output, so results do not depend on layout
-    x_all = np.asfortranarray(design.matrix, dtype=np.float64)
-    y = np.asarray(design.response, dtype=np.float64)
-    d, p_all = x_all.shape
+    d, p_all = design.matrix.shape
     if weights is None:
         # a read-only broadcast of 1.0 holds no d-vector of ones
         w = np.broadcast_to(1.0, (d,))
@@ -348,13 +439,23 @@ def fit_logistic(
     on = w > 0.0
     if not on.any():
         raise EmptyDesignError("no rows of positive weight to fit")
-    # the design is copied only when some rows drop out
-    if not on.all():
-        x_all, y, w = x_all[on], y[on], w[on]
     n_obs = float(w.sum())
+    rank_rows = int(np.count_nonzero(on)) if _rank_rows is None else _rank_rows
+    # the design is read in place unless it is grouped or some rows drop out
+    rows = None
+    if design.row_groups is not None:
+        first, group = design.row_groups
+        # unweighted counts need no row-length copy of the broadcast weights
+        w = np.bincount(group, None if weights is None else w, len(first))
+        w = w.astype(np.float64, copy=False)
+        rows, on = first, w > 0.0
+    if not on.all():
+        rows = np.flatnonzero(on) if rows is None else rows[on]
+        w = w[on]
+    xs, ys, ws = _fit_blocks(design.matrix, design.response, w, rows)
     names = design.term_names
 
-    zero_cols = np.array([(x_all[:, k] == 0.0).all() for k in range(p_all)])
+    zero_cols = ~np.logical_or.reduce([(xb != 0.0).any(axis=0) for xb in xs])
     if zero_cols.all():
         raise RankDeficiencyError("every design column is identically zero")
     dropped = tuple(n for n, z in zip(names, zero_cols) if z)
@@ -363,17 +464,18 @@ def fit_logistic(
             f"dropping all-zero column(s): {', '.join(dropped)}", stacklevel=2
         )
     keep = ~zero_cols
-    x = x_all if keep.all() else x_all[:, keep]
+    if not keep.all():
+        xs = [xb[:, keep] for xb in xs]
     kept_names = [n for n, k in zip(names, keep) if k]
-    p = x.shape[1]
+    p = int(keep.sum())
 
-    rank = _rank(x, n_rows=_rank_rows)
+    rank = _rank(xs, n_rows=rank_rows)
     if rank < p:
         # identify a maximal independent prefix; the rest are dependent
         culprits = []
         basis = []
         for k in range(p):
-            if _rank(x, basis + [k], _rank_rows) > len(basis):
+            if _rank(xs, basis + [k], rank_rows) > len(basis):
                 basis.append(k)
             else:
                 culprits.append(kept_names[k])
@@ -382,7 +484,7 @@ def fit_logistic(
             + ", ".join(culprits)
         )
 
-    boundary = np.ptp(y) == 0.0
+    boundary = min(yb.min() for yb in ys) == max(yb.max() for yb in ys)
     if boundary:
         warnings.warn(
             "response is constant; the pseudolikelihood maximum lies on the "
@@ -392,7 +494,7 @@ def fit_logistic(
 
     start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
     theta, info, ll_path, converged, iterations = _newton(
-        x, y, w, start, tolerance, max_iterations
+        xs, ys, ws, start, tolerance, max_iterations
     )
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the

@@ -19,7 +19,7 @@ two panels so that dissolving ties still shape the local configurations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,7 +137,10 @@ def fit_btergm(
     count. Every fit runs on the design's distinct rows, weighted by their
     multiplicity, and a replicate starts at the point estimate unless the
     point fit is flagged for separation or did not converge; replicates
-    then agree with cold starts to the fit tolerance. Replicates that fail
+    then agree with cold starts to the fit tolerance. A draw of every unit
+    exactly once has the point fit's weights and takes the point fit as its
+    replicate, with the iteration count its refit would report (0 from a
+    warm start). Replicates that fail
     to converge (or lose a column entirely) are dropped and counted by
     reason in ``BootstrapResult.drop_reasons``.
     Intervals are percentile 2.5/97.5 over replicate coefficients.
@@ -181,18 +184,24 @@ def fit_btergm(
     iterations = []
     for rep in range(replications):
         pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
-        row_weights = np.bincount(pick, minlength=units)[unit_of_row]
-        weights = np.bincount(group, weights=row_weights, minlength=len(first))
+        draws = np.bincount(pick, minlength=units)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fit = fit_logistic(
-                    distinct,
-                    weights=weights,
-                    _start=start,
-                    _rank_rows=int(np.count_nonzero(row_weights)),
-                    **options,
-                )
+            if (draws == 1).all():
+                # every unit drawn once: the point fit's own weights, so the
+                # refit would return the point fit, at once when it starts there
+                fit = replace(point, iterations=0) if warm else point
+            else:
+                row_weights = draws[unit_of_row]
+                weights = np.bincount(group, weights=row_weights, minlength=len(first))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fit = fit_logistic(
+                        distinct,
+                        weights=weights,
+                        _start=start,
+                        _rank_rows=int(np.count_nonzero(row_weights)),
+                        **options,
+                    )
         except (NetworkModelError, np.linalg.LinAlgError) as exc:
             reason = type(exc).__name__
             iterations.append(None)

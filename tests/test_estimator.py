@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from netergm import (
 from netergm import estimator
 from netergm.estimator import (
     _BLOCK_ROWS,
+    _blocks,
     _rank,
+    _record_row_groups,
     _score_information,
     _sigmoid,
     _two_sided_p,
@@ -351,7 +354,7 @@ class TestWeights:
         twin[:4] += 1.0
         x = np.column_stack([design.matrix, twin])
         design = dataclasses.replace(design, matrix=x, term_names=("a", "b", "twin"))
-        assert _rank(design.matrix) == 3  # full rank while the first rows count
+        assert _rank(_blocks(design.matrix)) == 3  # full rank while the first rows count
         counts = rng.integers(1, 3, size=100)
         counts[:4] = 0
         with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
@@ -515,6 +518,206 @@ class TestUniqueRows:
         np.testing.assert_array_equal(short.separation_flags, full.separation_flags)
 
 
+@pytest.mark.parametrize("p", [8, 22])
+def test_unique_rows_scratch_does_not_grow_with_the_columns(p):
+    rows = 20000
+    rng = np.random.default_rng(216)
+    x = np.asfortranarray(rng.integers(0, 3, size=(rows, p)).astype(np.float64))
+    x[:, 0] = np.arange(rows)  # every row distinct: the most groups
+    y = rng.integers(0, 2, size=rows).astype(np.int8)
+    tracemalloc.start()
+    try:
+        first, _ = _unique_rows(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == rows
+    # the same number of row-length float vectors at every column count
+    assert peak < 6.5 * rows * 8
+
+
+def fit_or_culprits(design, weights=None):
+    """The fit of ``design``, or the message of its RankDeficiencyError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fit_logistic(design, weights=weights)
+        except RankDeficiencyError as exc:
+            return str(exc)
+
+
+def assert_fits_agree(grouped, plain):
+    if isinstance(plain, str):
+        assert grouped == plain
+        return
+    assert not isinstance(grouped, str), grouped
+    for field in ("coefficients", "standard_errors"):
+        np.testing.assert_allclose(
+            getattr(grouped, field), getattr(plain, field),
+            rtol=1e-10, atol=1e-10, err_msg=field,
+        )
+    assert grouped.residual_deviance == pytest.approx(plain.residual_deviance, rel=1e-10, abs=1e-10)
+    assert grouped.bic == pytest.approx(plain.bic, rel=1e-10, abs=1e-10)
+    assert grouped.null_deviance == plain.null_deviance
+    assert grouped.n_dyads == plain.n_dyads
+    assert type(grouped.n_dyads) is type(plain.n_dyads)
+    assert grouped.n_params == plain.n_params
+    assert grouped.dropped_terms == plain.dropped_terms
+    np.testing.assert_array_equal(grouped.separation_flags, plain.separation_flags)
+
+
+@st.composite
+def repeated_grid_designs(draw, kind):
+    """Columns a (ones), b and c (a grid), rare (one at the cell b = c = 1)
+    and twin (b, plus one where c = 0), with both responses at every cell:
+    2 * nb * nc distinct rows (40 to 98, never a multiple of 16), each
+    repeated two to four times in a drawn order. By ``kind``, the weights
+    are None, integers with some zeros, zero where rare is not (emptying
+    it), or zero where c = 0 (making twin equal b)."""
+    nb, nc = draw(st.integers(4, 7)), draw(st.sampled_from([5, 7]))
+    b, c, y = (g.ravel() for g in np.meshgrid(range(nb), range(nc), [0, 1]))
+    copies = draw(st.lists(st.integers(2, 4), min_size=len(b), max_size=len(b)))
+    rows = np.repeat(np.arange(len(b)), copies)
+    rows = rows[draw(st.permutations(range(len(rows))))]
+    b, c, y = b[rows].astype(np.float64), c[rows].astype(np.float64), y[rows]
+    rare = ((b == 1) & (c == 1)).astype(np.float64)
+    x = np.asfortranarray(np.column_stack([np.ones(len(rows)), b, c, rare, b + (c == 0)]))
+    weights = None
+    if kind == "integer":
+        weights = np.array(
+            draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows))),
+            dtype=np.float64,
+        )
+        zeros = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows) // 4))
+        weights[zeros] = 0.0
+    elif kind == "empty":
+        weights = (rare == 0).astype(np.float64)
+    elif kind == "collinear":
+        weights = (c != 0).astype(np.float64)
+    dyads = np.zeros((len(rows), 2), dtype=np.int64)
+    return DyadDesign(dyads, y.astype(np.int8), x, ("a", "b", "c", "rare", "twin")), weights
+
+
+class TestRecordedRowGroups:
+    """Builders record a design's row grouping; fits read its distinct rows."""
+
+    SPEC = parse_terms(("edges", "mutual", "gwesp(0.5)"))
+
+    def test_build_design_records_the_grouping_only_when_it_halves_the_rows(self):
+        g = build_graph(3, [(0, 1)])
+        spec = parse_terms(("edges", "mutual"))
+        # six rows, three distinct: (1, 0, tie), (1, 1, no tie), (1, 0, no tie)
+        design = build_design(g, None, spec)
+        first, group = design.row_groups
+        expect = _unique_rows(design.matrix, design.response)
+        np.testing.assert_array_equal(first, expect[0])
+        np.testing.assert_array_equal(group, expect[1])
+        assert len(first) == 3
+        # three rows, all distinct
+        plain = build_design(g, None, spec, free_dyads=[(0, 1), (1, 0), (2, 0)])
+        assert plain.row_groups is None
+        assert plain.matrix.flags.writeable and plain.response.flags.writeable
+
+    def test_a_grouped_design_cannot_be_edited_in_place(self):
+        design = build_design(random_graph(np.random.default_rng(220), 30, 0.1), None, self.SPEC)
+        assert design.row_groups is not None
+        with pytest.raises(ValueError, match="read-only"):
+            design.matrix[:, 1] *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            design.response[0] = 1 - design.response[0]
+        # an edited copy is a design of its own, fitted row by row
+        edited = design.matrix.copy()
+        edited[:, 1] *= 2
+        doubled = fit_logistic(dataclasses.replace(design, matrix=edited))
+        np.testing.assert_allclose(
+            doubled.coefficients[1], fit_logistic(design).coefficients[1] / 2, rtol=1e-8
+        )
+
+    def test_a_replaced_design_is_plain(self):
+        rng = np.random.default_rng(217)
+        design = build_design(random_graph(rng, 30, 0.1), None, self.SPEC)
+        assert design.row_groups is not None
+        other = np.asfortranarray(design.matrix + rng.normal(size=design.matrix.shape))
+        replaced = dataclasses.replace(design, matrix=other)
+        assert replaced.row_groups is None
+        assert dataclasses.replace(design).row_groups is None
+        by_hand = DyadDesign(design.dyads, design.response, other, design.term_names)
+        a, b = fit_logistic(replaced), fit_logistic(by_hand)
+        for f in dataclasses.fields(a):
+            if isinstance(getattr(a, f.name), np.ndarray):
+                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+            else:
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+        # only a builder sets it, and it takes no part in repr or equality
+        with pytest.raises(TypeError):
+            DyadDesign(design.dyads, design.response, other, design.term_names,
+                       row_groups=design.row_groups)
+        assert "row_groups" not in repr(design)
+
+    @pytest.mark.parametrize("kind", ["none", "integer", "empty", "collinear"])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_grouped_fit_matches_the_row_by_row_fit(self, kind, data):
+        design, weights = data.draw(repeated_grid_designs(kind))
+        grouped = _record_row_groups(dataclasses.replace(design))
+        assert len(grouped.row_groups[0]) > 2 * 16 and len(grouped.row_groups[0]) % 16
+        # blocks of 16 rows: three to seven blocks of distinct rows, the last ragged
+        with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
+            fit = fit_or_culprits(grouped, weights)
+            assert_fits_agree(fit, fit_or_culprits(design, weights))
+        if kind in ("none", "empty"):
+            assert fit.dropped_terms == (("rare",) if kind == "empty" else ())
+        if kind == "collinear":
+            assert fit.endswith("dependent columns: twin")
+
+    def test_built_design_fits_like_its_rows(self):
+        g = random_graph(np.random.default_rng(218), 200, 0.03)
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "gwdsp(0.5)", "odegpop"))
+        design = build_design(g, None, spec)
+        assert design.n_rows > 3 * _BLOCK_ROWS
+        assert 2 * len(design.row_groups[0]) <= design.n_rows
+        ranks = []
+
+        def spy_rank(x, cols=slice(None), n_rows=None):
+            ranks.append((sum(len(xb) for xb in x), n_rows))
+            return _rank(x, cols, n_rows)
+
+        with mock.patch.object(estimator, "_rank", spy_rank):
+            grouped = fit_logistic(design)
+        # the distinct rows are read, at the tolerance of the whole design
+        assert ranks == [(len(design.row_groups[0]), design.n_rows)]
+        plain = fit_logistic(dataclasses.replace(design))
+        assert_fits_agree(grouped, plain)
+        assert grouped.iterations == plain.iterations and grouped.converged
+
+    def test_rank_tolerance_counts_the_rows_of_the_design(self):
+        # 200,000 rows, three of them distinct: a singular value at about
+        # 1e-12 of the largest is noise for the 200,000 rows but not for three
+        base = np.column_stack([np.ones(20), np.zeros(20)])
+        base[0, 1] = 1e-12 * np.sqrt(20.0)
+        x = np.asfortranarray(np.tile(base, (10**4, 1)))
+        y = np.tile(np.arange(20) % 2, 10**4).astype(np.int8)
+        design = DyadDesign(np.zeros((len(y), 2), dtype=np.int64), y, x, ("a", "b"))
+        grouped = _record_row_groups(dataclasses.replace(design))
+        assert len(grouped.row_groups[0]) == 3
+        for d in (design, grouped):
+            with pytest.raises(RankDeficiencyError, match="dependent columns: b$"):
+                fit_logistic(d)
+
+    def test_grouped_fit_holds_less_than_half_a_design(self):
+        g = random_graph(np.random.default_rng(219), 200, 0.03)
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "gwdsp(0.5)", "odegpop"))
+        design = build_design(g, None, spec)
+        assert design.n_rows > 3 * _BLOCK_ROWS and design.row_groups is not None
+        tracemalloc.start()
+        try:
+            fit_logistic(design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * design.matrix.nbytes
+
+
 def test_fit_holds_less_than_two_copies_of_the_design():
     rng = np.random.default_rng(212)
     # column-major, as the design builders write it
@@ -566,8 +769,14 @@ def several_blocks(rng):
     return int(rng.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
 
 
+def whole(blocks):
+    """The one array that a list of row blocks cuts up."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def unblocked_rank(x, cols=slice(None), n_rows=None):
     # one QR of the whole selection: the reference for the row-blocked R
+    x = whole(x)
     d = x.shape[0] if n_rows is None else n_rows
     x = x[:, cols]
     r = np.linalg.qr(x, mode="r")
@@ -578,11 +787,13 @@ def unblocked_rank(x, cols=slice(None), n_rows=None):
 
 
 def unblocked_log_likelihood(x, y, w, theta):
+    x, y, w = whole(x), whole(y), whole(w)
     eta = x @ theta
     return float(np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta)))
 
 
 def unblocked_score_information(x, y, w, theta):
+    x, y, w = whole(x), whole(y), whole(w)
     mu = _sigmoid(x @ theta)
     v = w * mu * (1.0 - mu)
     return x.T @ (w * (y - mu)), (x * v[:, None]).T @ x
@@ -609,12 +820,12 @@ class TestRowBlocks:
                               slice(2 * _BLOCK_ROWS, rows)):
             broken = x.copy()
             broken[rows_of_block, k] = rng.normal(size=broken[rows_of_block].shape[0])
-            assert _rank(broken) == p
+            assert _rank(_blocks(broken)) == p
             # and a column that is zero outside one block is not zero
             sparse = rng.normal(size=(rows, p))
             sparse[:, 1] = 0.0
             sparse[rows_of_block, 1] = 1.0
-            assert _rank(sparse) == p
+            assert _rank(_blocks(sparse)) == p
 
     @pytest.mark.parametrize("rank_of", [_rank, unblocked_rank])
     def test_rank_tolerance_counts_the_given_rows(self, rank_of):
@@ -623,8 +834,8 @@ class TestRowBlocks:
         x = np.zeros((10, 2))
         x[:, 0] = 1.0
         x[0, 1] = 1e-13 * np.sqrt(10.0)
-        assert rank_of(x) == 2
-        assert rank_of(x, n_rows=10**6) == 1
+        assert rank_of(_blocks(x)) == 2
+        assert rank_of(_blocks(x), n_rows=10**6) == 1
 
     def test_fit_checks_rank_at_the_given_row_count(self):
         x = np.zeros((10, 2))
@@ -642,9 +853,9 @@ class TestRowBlocks:
     def test_rank_of_selected_columns(self):
         rng = np.random.default_rng(65)
         x, k = planted_design(rng, several_blocks(rng), 6)
-        assert _rank(x, list(range(k))) == k
-        assert _rank(x, list(range(k + 1))) == k
-        assert _rank(x, [k]) == 1
+        assert _rank(_blocks(x), list(range(k))) == k
+        assert _rank(_blocks(x), list(range(k + 1))) == k
+        assert _rank(_blocks(x), [k]) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 17, -1])
@@ -662,7 +873,7 @@ class TestRowBlocks:
         y = (rng.random(rows) < 0.3).astype(float)
         w = rng.integers(0, 4, rows).astype(float)
         theta = rng.normal(size=p) * 0.3
-        score, info = _score_information(x, y, w, theta)
+        score, info = _score_information(_blocks(x), _blocks(y), _blocks(w), theta)
         mu = expit(x @ theta)
         v = w * mu * (1.0 - mu)
         np.testing.assert_allclose(info, (x * v[:, None]).T @ x, rtol=1e-12)
@@ -747,8 +958,8 @@ class TestNumpyKernelsAgainstScipy:
             p = int(rng.integers(3, 9))
             full = rng.normal(size=(rows, p))
             planted, _ = planted_design(rng, rows, p)
-            assert _rank(full) == np.linalg.matrix_rank(full) == p
-            assert _rank(planted) == np.linalg.matrix_rank(planted) == p - 1
+            assert _rank(_blocks(full)) == np.linalg.matrix_rank(full) == p
+            assert _rank(_blocks(planted)) == np.linalg.matrix_rank(planted) == p - 1
 
     def test_non_finite_design_raises(self):
         x = np.column_stack([np.ones(5), [0.0, 1.0, np.nan, 1.0, 0.0]])

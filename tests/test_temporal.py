@@ -26,6 +26,7 @@ from netergm import (
     parse_terms,
     pooled_design,
 )
+from netergm.estimator import _unique_rows
 from netergm.temporal import LAGGED_TIE_NAME, formation_bic_all_dyads
 from helpers import change_stats, random_graph, simple_table
 
@@ -145,49 +146,57 @@ class TestFitBtergm:
         assert boot.mode == "node"
         assert boot.replicate_coefficients.shape[1] == 2
 
+    # units drawn per replicate: modeled periods, or sender nodes
+    UNITS = {"temporal": 2, "node": 8}
+
     def test_unexpected_replicate_error_propagates(self, monkeypatch):
         rng = np.random.default_rng(56)
         series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
         real_fit = netergm.temporal.fit_logistic
-        calls = []
+        for mode, units in self.UNITS.items():
+            # call 1 is the point fit, then one call per refitted replicate
+            assert len(refit_draws(seed=3, replications=6, units=units)) >= 2
+            calls = []
 
-        def flaky_fit(design, **options):
-            calls.append(design)
-            if len(calls) == 3:  # the second bootstrap replicate
-                raise TypeError("a bug, not a failed fit")
-            return real_fit(design, **options)
+            def flaky_fit(design, **options):
+                calls.append(design)
+                if len(calls) == 3:  # the second refitted replicate
+                    raise TypeError("a bug, not a failed fit")
+                return real_fit(design, **options)
 
-        monkeypatch.setattr(netergm.temporal, "fit_logistic", flaky_fit)
-        with pytest.raises(TypeError, match="a bug"):
-            fit_btergm(series, None, SPEC, replications=4, seed=3)
+            monkeypatch.setattr(netergm.temporal, "fit_logistic", flaky_fit)
+            with pytest.raises(TypeError, match="a bug"):
+                fit_btergm(series, None, SPEC, replications=6, seed=3, mode=mode)
 
     def test_drop_reasons_are_counted(self, monkeypatch):
         rng = np.random.default_rng(56)
         series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
         real_fit = netergm.temporal.fit_logistic
-        calls = []
+        for mode, units in self.UNITS.items():
+            # calls 2-4 are the first three refitted replicates
+            assert len(refit_draws(seed=3, replications=9, units=units)) >= 3
+            calls = []
 
-        def failing_fit(design, **options):
-            calls.append(design)
-            # call 1 is the point fit; calls 2-4 are the first replicates
-            if len(calls) == 2:
-                raise RankDeficiencyError("design is rank deficient")
-            fit = real_fit(design, **options)
-            if len(calls) == 3:
-                return dataclasses.replace(fit, converged=False)
-            if len(calls) == 4:
-                return dataclasses.replace(fit, dropped_terms=("mutual",))
-            return fit
+            def failing_fit(design, **options):
+                calls.append(design)
+                if len(calls) == 2:
+                    raise RankDeficiencyError("design is rank deficient")
+                fit = real_fit(design, **options)
+                if len(calls) == 3:
+                    return dataclasses.replace(fit, converged=False)
+                if len(calls) == 4:
+                    return dataclasses.replace(fit, dropped_terms=("mutual",))
+                return fit
 
-        monkeypatch.setattr(netergm.temporal, "fit_logistic", failing_fit)
-        _, boot = fit_btergm(series, None, SPEC, replications=6, seed=3)
-        assert boot.drop_reasons == {
-            "RankDeficiencyError": 1,
-            "not_converged": 1,
-            "dropped_term": 1,
-        }
-        assert boot.dropped_replicates == 3
-        assert boot.n_valid == 3
+            monkeypatch.setattr(netergm.temporal, "fit_logistic", failing_fit)
+            _, boot = fit_btergm(series, None, SPEC, replications=9, seed=3, mode=mode)
+            assert boot.drop_reasons == {
+                "RankDeficiencyError": 1,
+                "not_converged": 1,
+                "dropped_term": 1,
+            }, mode
+            assert boot.dropped_replicates == 3
+            assert boot.n_valid == 6
 
     def test_too_few_replications(self):
         rng = np.random.default_rng(57)
@@ -282,6 +291,16 @@ def spy_on_fits(monkeypatch, tamper=None):
     return calls
 
 
+def refit_draws(seed, replications, units):
+    """Replicate index -> unit draw of the replicates that ``fit_btergm``
+    refits: those that do not draw every unit exactly once."""
+    draws = {
+        rep: np.random.default_rng([seed, rep]).integers(0, units, size=units)
+        for rep in range(replications)
+    }
+    return {rep: pick for rep, pick in draws.items() if len(set(pick.tolist())) < units}
+
+
 def separated(fit):
     flags = np.zeros_like(fit.separation_flags)
     flags[-1] = True
@@ -329,7 +348,8 @@ class TestDistinctRowsAndWarmStarts:
         assert len(distinct) < pooled.n_rows
         calls = spy_on_fits(monkeypatch)
         point, _ = fit_btergm(series, None, self.SPEC3, replications=5, seed=4)
-        assert len(calls) == 6
+        refit = refit_draws(seed=4, replications=5, units=3)
+        assert len(calls) == 1 + len(refit)
         design = calls[0][0]
         assert all(d is design for d, _ in calls)
         assert design.n_rows == len(distinct)
@@ -339,8 +359,7 @@ class TestDistinctRowsAndWarmStarts:
             np.testing.assert_array_equal(options["_start"], point.coefficients)
         # the rank tolerance counts the pooled rows of the drawn periods
         assert calls[0][1]["_rank_rows"] == pooled.n_rows
-        for rep, (_, options) in enumerate(calls[1:]):
-            pick = np.random.default_rng([4, rep]).integers(0, 3, size=3)
+        for pick, (_, options) in zip(refit.values(), calls[1:]):
             assert options["_rank_rows"] == len(set(pick.tolist())) * 10 * 9
 
     @pytest.mark.parametrize(
@@ -349,7 +368,7 @@ class TestDistinctRowsAndWarmStarts:
     def test_cold_starts_after_a_flagged_point_fit(self, monkeypatch, tamper):
         calls = spy_on_fits(monkeypatch, tamper)
         fit_btergm(self.series(72), None, self.SPEC3, replications=5, seed=4)
-        assert len(calls) == 6
+        assert len(calls) == 1 + len(refit_draws(seed=4, replications=5, units=3))
         assert all(options.get("_start") is None for _, options in calls)
 
     @pytest.mark.parametrize("mode", ["temporal", "node"])
@@ -379,6 +398,43 @@ class TestDistinctRowsAndWarmStarts:
             for boot in (warm, cold)
         ]
         assert used[0] < used[1]
+
+    def test_draws_of_every_period_once_reuse_the_point_fit(self, monkeypatch):
+        series = self.series(73)
+        real_fit = netergm.temporal.fit_logistic
+        calls = spy_on_fits(monkeypatch)
+        point, boot = fit_btergm(series, None, self.SPEC3, replications=12, seed=73)
+        refit = refit_draws(seed=73, replications=12, units=3)
+        assert len(refit) < 12
+        assert len(calls) == 1 + len(refit)
+        assert point.converged and not point.separation_flags.any()
+        # the bootstrap with every replicate refit from the point estimate
+        distinct = calls[0][0]
+        pooled = pooled_design(series, None, self.SPEC3)
+        first, group = _unique_rows(pooled.matrix, pooled.response)
+        unit_of_row = np.repeat(np.arange(3), 10 * 9)
+        coefs, reasons, iterations = [], {}, []
+        for rep in range(12):
+            pick = np.random.default_rng([73, rep]).integers(0, 3, size=3)
+            row_weights = np.bincount(pick, minlength=3)[unit_of_row]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fit = real_fit(
+                    distinct,
+                    weights=np.bincount(group, weights=row_weights, minlength=len(first)),
+                    _start=point.coefficients,
+                    _rank_rows=int(np.count_nonzero(row_weights)),
+                )
+            iterations.append(fit.iterations)
+            if fit.converged and not fit.dropped_terms:
+                coefs.append(fit.coefficients)
+            else:
+                reason = "not_converged" if not fit.converged else "dropped_term"
+                reasons[reason] = reasons.get(reason, 0) + 1
+        np.testing.assert_array_equal(boot.replicate_coefficients, np.array(coefs))
+        assert boot.drop_reasons == reasons
+        assert boot.replicate_iterations == tuple(iterations)
+        assert [iterations[rep] for rep in range(12) if rep not in refit] == [0, 0, 0]
 
     def test_replicate_iterations_in_draw_order(self, monkeypatch):
         real_fit = netergm.temporal.fit_logistic
