@@ -42,7 +42,7 @@ __all__ = [
     "main",
     "run_describe",
     "run_fit",
-    "run_temporal",
+    "run_tergm",
     "run_formation",
     "run_simulate",
     "run_export",
@@ -107,18 +107,9 @@ def run_fit(cfg: RunConfig) -> list:
     return emit(table_out, cfg.out_dir, "ergm", cfg.format)
 
 
-def run_temporal(cfg: RunConfig, mode: str = "pooled") -> list:
-    """Temporal models over the period panels. ``pooled`` stacks every
-    transition into one bootstrap fit; ``formation`` fits each consecutive
-    transition separately."""
-    if mode == "pooled":
-        return _run_pooled(cfg)
-    if mode == "formation":
-        return run_formation(cfg)
-    raise ConfigError(f"mode must be 'pooled' or 'formation', got {mode!r}")
-
-
-def _run_pooled(cfg: RunConfig) -> list:
+def run_tergm(cfg: RunConfig) -> list:
+    """Pooled temporal model: every period transition stacked into one fit,
+    with bootstrap intervals and the replicate coefficients."""
     events, graph, table = _load_network(cfg)
     series = slice_periods(events, table, cfg.breakpoints, cfg.horizon)
     spec = parse_terms(cfg.terms or TEMPORAL_TERMS)
@@ -229,8 +220,8 @@ def run_export(cfg: RunConfig) -> list:
 _COMMANDS = {
     "describe": run_describe,
     "fit": run_fit,
-    "tergm": lambda cfg: run_temporal(cfg, "pooled"),
-    "formation": lambda cfg: run_temporal(cfg, "formation"),
+    "tergm": run_tergm,
+    "formation": run_formation,
     "simulate": run_simulate,
     "export": run_export,
 }

@@ -12,7 +12,9 @@ identical rows right after the columns are written (``_unique_rows``) and
 records the grouping on the design when it at least halves the rows, which
 also makes the design's arrays read-only; ``fit_logistic`` then fits the
 distinct rows, each weighted by the rows it stands for, as ergm's
-``ergmMPLE`` does. The rows a fit reads (views of the design, or the
+``ergmMPLE`` does. Weights count as rows in every check, the rank check
+included, so a design of distinct rows fits and ranks exactly as the rows
+it stands for. The rows a fit reads (views of the design, or the
 distinct or positive-weight rows gathered into column-major copies) are one
 list of ``_BLOCK_ROWS``-row blocks, and the rank check, the log-likelihood
 and every score and information pass walk that list, so there is one
@@ -78,11 +80,12 @@ class DyadDesign:
     ``first[group[r]]``. Only ``build_design`` sets it, right after the
     columns are written, and only when the distinct (x, y) rows are at most
     half of the rows; ``fit_logistic`` then fits the distinct rows, each
-    weighted by the rows it stands for. It is no ``__init__`` argument, so a
-    design made or changed by hand (``dataclasses.replace`` included) has
-    none and cannot carry the grouping of other rows, and a design that has
-    one holds ``matrix`` and ``response`` read-only, so that no edit in
-    place can leave the grouping stale.
+    weighted by the rows it stands for, a weight counting as that many rows
+    in every check. It is no ``__init__`` argument, so a design made or
+    changed by hand (``dataclasses.replace`` included) has none and cannot
+    carry the grouping of other rows, and a design that has one holds
+    ``matrix`` and ``response`` read-only, so that no edit in place can
+    leave the grouping stale.
     """
 
     dyads: np.ndarray
@@ -299,25 +302,29 @@ def _fit_blocks(x, y, w, rows):
     return xs, ys, ws
 
 
-def _rank(xs, cols=slice(None), n_rows=None):
+def _rank(xs, ws, cols=slice(None)):
     """Numerical rank of the columns ``cols`` of the matrix whose row blocks
-    are the list ``xs``, by numpy's ``matrix_rank`` rule.
+    are the list ``xs``, by numpy's ``matrix_rank`` rule, where a row of
+    weight k (from the matching list ``ws``) counts as k copies of the row:
+    the rows are scaled by the square roots of their weights and the
+    tolerance is ``max(sum(w), p) * eps * s_max``.
 
     The R factor is built block by block (a row-blocked "TSQR"): each block
-    of rows is stacked under the running R and factorised again, so R has
-    the singular values of ``x[:, cols]`` while no copy of the design is
-    made and Q is never formed. A design of one block gives the R of a
-    single QR. Tolerance is ``max(d, p) * eps * s_max``, where d is
-    ``n_rows`` when given (the row count of the design that ``x`` collapses),
-    else the rows of ``x``.
+    of scaled rows is stacked under the running R and factorised again, so
+    R has the singular values of the scaled ``x[:, cols]`` while no copy of
+    the design is made and Q is never formed. A design of one block gives
+    the R of a single QR.
     """
-    d = sum(len(xb) for xb in xs) if n_rows is None else n_rows
     r = xs[0][:0, cols]  # no rows yet, as many columns as the selection
-    for xb in xs:
-        r = np.linalg.qr(np.vstack([r, xb[:, cols]]), mode="r")
+    for xb, wb in zip(xs, ws):
+        stacked = np.vstack([r, xb[:, cols]])
+        stacked[len(r):] *= np.sqrt(wb)[:, None]
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked  # so that it is gone before the next block is stacked
         if not np.isfinite(r).all():
             raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
+    d = sum(float(wb.sum()) for wb in ws)
     tol = max(d, r.shape[1]) * np.finfo(np.float64).eps * s[0]
     return int((s > tol).sum())
 
@@ -387,16 +394,19 @@ def _newton(xs, ys, ws, theta, tolerance, max_iterations):
     return theta, info, ll_path, converged, iterations
 
 
+# A kept coefficient is flagged for separation when its magnitude or its
+# standard error passes these bounds.
+SEPARATION_THRESHOLD = 15.0
+SE_THRESHOLD = 100.0
+
+
 def fit_logistic(
     design: DyadDesign,
     *,
     weights=None,
     tolerance: float = 1e-8,
     max_iterations: int = 50,
-    separation_threshold: float = 15.0,
-    se_threshold: float = 100.0,
     _start=None,
-    _rank_rows=None,
 ) -> FitResult:
     """Fit the logistic pseudolikelihood for a dyadic design.
 
@@ -404,27 +414,26 @@ def fit_logistic(
     All-zero columns are dropped with a warning and reported as NaN. Exact
     collinearity raises :class:`RankDeficiencyError` naming the dependent
     columns. Separation does not raise: affected coefficients keep drifting,
-    the fit stops at ``max_iterations``, and rows with ``|coef| >
-    separation_threshold`` or standard error above ``se_threshold`` carry a
+    the fit stops at ``max_iterations``, and terms with ``|coef| >
+    SEPARATION_THRESHOLD`` or standard error above ``SE_THRESHOLD`` carry a
     separation flag.
 
     ``weights`` gives each row a non-negative multiplicity, 1 when None; an
-    integer weight k fits exactly as k copies of the row. ``n_dyads``, the
-    null deviance and the BIC use the total weight, and zero-weight rows
-    take no part in the column, rank and boundary checks.
+    integer weight k fits exactly as k copies of the row, in every check as
+    well as in the estimates: the rank check counts it as k rows, and
+    ``n_dyads``, the null deviance and the BIC use the total weight.
+    Zero-weight rows take no part in the column, rank and boundary checks.
 
     A design on which ``build_design`` recorded ``row_groups`` is fitted on
     its distinct rows, each weighted by the total weight of the rows it
-    stands for, with the rank tolerance still counting the positive-weight
-    rows of the whole design; the estimates agree with the row-by-row fit
-    to rounding. The rows that the fit reads (all of them, the
-    positive-weight ones, or the distinct ones) are one list of row blocks,
-    views of the design or gathered copies, which the rank check and every
-    Newton pass walk.
+    stands for, so it fits and ranks as its rows do; the estimates agree
+    with the row-by-row fit to rounding. The rows that the fit reads (all
+    of them, the positive-weight ones, or the distinct ones) are one list
+    of row blocks, views of the design or gathered copies, which the rank
+    check and every Newton pass walk.
 
     Private: ``_start`` (aligned with ``term_names``) is where Newton starts
-    instead of zero, and ``_rank_rows`` is the row count of the rank
-    tolerance when the design stands for a larger one.
+    instead of zero.
     """
     d, p_all = design.matrix.shape
     if weights is None:
@@ -440,7 +449,6 @@ def fit_logistic(
     if not on.any():
         raise EmptyDesignError("no rows of positive weight to fit")
     n_obs = float(w.sum())
-    rank_rows = int(np.count_nonzero(on)) if _rank_rows is None else _rank_rows
     # the design is read in place unless it is grouped or some rows drop out
     rows = None
     if design.row_groups is not None:
@@ -469,13 +477,13 @@ def fit_logistic(
     kept_names = [n for n, k in zip(names, keep) if k]
     p = int(keep.sum())
 
-    rank = _rank(xs, n_rows=rank_rows)
+    rank = _rank(xs, ws)
     if rank < p:
         # identify a maximal independent prefix; the rest are dependent
         culprits = []
         basis = []
         for k in range(p):
-            if _rank(xs, basis + [k], rank_rows) > len(basis):
+            if _rank(xs, ws, basis + [k]) > len(basis):
                 basis.append(k)
             else:
                 culprits.append(kept_names[k])
@@ -520,7 +528,7 @@ def fit_logistic(
     se_out[kept_idx] = se
     cov_out[np.ix_(kept_idx, kept_idx)] = cov
     p_out[kept_idx] = _two_sided_p(theta, se)
-    flags[kept_idx] = (np.abs(theta) > separation_threshold) | (se > se_threshold)
+    flags[kept_idx] = (np.abs(theta) > SEPARATION_THRESHOLD) | (se > SE_THRESHOLD)
     if flags.any():
         hit = [n for n, f in zip(names, flags) if f]
         warnings.warn(

@@ -170,11 +170,8 @@ def fit_btergm(
     distinct = DyadDesign(
         pooled.dyads[first], pooled.response[first], x, pooled.term_names
     )
-    n_rows = pooled.n_rows
     del pooled
-    point = fit_logistic(
-        distinct, weights=np.bincount(group), _rank_rows=n_rows, **options
-    )
+    point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()
     start = point.coefficients if warm else None
@@ -191,16 +188,13 @@ def fit_btergm(
                 # refit would return the point fit, at once when it starts there
                 fit = replace(point, iterations=0) if warm else point
             else:
-                row_weights = draws[unit_of_row]
-                weights = np.bincount(group, weights=row_weights, minlength=len(first))
+                weights = np.bincount(
+                    group, weights=draws[unit_of_row], minlength=len(first)
+                )
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     fit = fit_logistic(
-                        distinct,
-                        weights=weights,
-                        _start=start,
-                        _rank_rows=int(np.count_nonzero(row_weights)),
-                        **options,
+                        distinct, weights=weights, _start=start, **options
                     )
         except (NetworkModelError, np.linalg.LinAlgError) as exc:
             reason = type(exc).__name__

@@ -311,9 +311,25 @@ class TestWeights:
             weighted.separation_flags, replicated.separation_flags
         )
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_integer_weights_match_replicated_rows(self, seed):
-        rng = np.random.default_rng(200 + seed)
+    @pytest.mark.parametrize("case", [*range(5), "tiny_column"])
+    def test_integer_weights_match_replicated_rows(self, case):
+        if case == "tiny_column":
+            # 20 rows, one of them with a b entry at 1e-12 of the largest
+            # singular value: noise for the 200,000 copies, so for the weights
+            x = np.column_stack([np.ones(20), np.zeros(20)])
+            x[0, 1] = 1e-12 * np.sqrt(20.0)
+            design = DyadDesign(
+                np.zeros((20, 2), dtype=np.int64), np.arange(20) % 2, x, ("a", "b")
+            )
+            counts = np.full(20, 10**4)
+            messages = []
+            for args in ((design, counts), (replicate_rows(design, counts), None)):
+                with pytest.raises(RankDeficiencyError, match="dependent columns: b$") as exc:
+                    fit_logistic(args[0], weights=args[1])
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+            return
+        rng = np.random.default_rng(200 + case)
         design = synthetic_design(rng, 150, [0.3, -0.8, 0.5, 0.2])
         counts = rng.integers(0, 4, size=150)
         assert (counts == 0).any()
@@ -354,7 +370,7 @@ class TestWeights:
         twin[:4] += 1.0
         x = np.column_stack([design.matrix, twin])
         design = dataclasses.replace(design, matrix=x, term_names=("a", "b", "twin"))
-        assert _rank(_blocks(design.matrix)) == 3  # full rank while the first rows count
+        assert rank(design.matrix) == 3  # full rank while the first rows count
         counts = rng.integers(1, 3, size=100)
         counts[:4] = 0
         with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
@@ -441,9 +457,7 @@ def collapsed_fit(design, weights):
         design.term_names,
     )
     return fit_logistic(
-        distinct,
-        weights=np.bincount(group, weights=weights, minlength=len(first)),
-        _rank_rows=int(np.count_nonzero(weights)),
+        distinct, weights=np.bincount(group, weights=weights, minlength=len(first))
     )
 
 
@@ -678,13 +692,13 @@ class TestRecordedRowGroups:
         assert 2 * len(design.row_groups[0]) <= design.n_rows
         ranks = []
 
-        def spy_rank(x, cols=slice(None), n_rows=None):
-            ranks.append((sum(len(xb) for xb in x), n_rows))
-            return _rank(x, cols, n_rows)
+        def spy_rank(xs, ws, cols=slice(None)):
+            ranks.append((sum(len(xb) for xb in xs), sum(wb.sum() for wb in ws)))
+            return _rank(xs, ws, cols)
 
         with mock.patch.object(estimator, "_rank", spy_rank):
             grouped = fit_logistic(design)
-        # the distinct rows are read, at the tolerance of the whole design
+        # the distinct rows are read, weighted up to the rows of the whole design
         assert ranks == [(len(design.row_groups[0]), design.n_rows)]
         plain = fit_logistic(dataclasses.replace(design))
         assert_fits_agree(grouped, plain)
@@ -774,16 +788,20 @@ def whole(blocks):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def unblocked_rank(x, cols=slice(None), n_rows=None):
-    # one QR of the whole selection: the reference for the row-blocked R
-    x = whole(x)
-    d = x.shape[0] if n_rows is None else n_rows
-    x = x[:, cols]
+def rank(x, cols=slice(None)):
+    """``_rank`` of the array ``x``, every row of weight 1."""
+    return _rank(_blocks(x), _blocks(np.ones(len(x))), cols)
+
+
+def unblocked_rank(x, w, cols=slice(None)):
+    # one QR of the whole weighted selection: the reference for the row-blocked R
+    x, w = whole(x), whole(w)
+    x = np.sqrt(w)[:, None] * x[:, cols]
     r = np.linalg.qr(x, mode="r")
     if not np.isfinite(r).all():
         raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
-    return int((s > max(d, x.shape[1]) * np.finfo(np.float64).eps * s[0]).sum())
+    return int((s > max(w.sum(), x.shape[1]) * np.finfo(np.float64).eps * s[0]).sum())
 
 
 def unblocked_log_likelihood(x, y, w, theta):
@@ -820,12 +838,12 @@ class TestRowBlocks:
                               slice(2 * _BLOCK_ROWS, rows)):
             broken = x.copy()
             broken[rows_of_block, k] = rng.normal(size=broken[rows_of_block].shape[0])
-            assert _rank(_blocks(broken)) == p
+            assert rank(broken) == p
             # and a column that is zero outside one block is not zero
             sparse = rng.normal(size=(rows, p))
             sparse[:, 1] = 0.0
             sparse[rows_of_block, 1] = 1.0
-            assert _rank(_blocks(sparse)) == p
+            assert rank(sparse) == p
 
     @pytest.mark.parametrize("rank_of", [_rank, unblocked_rank])
     def test_rank_tolerance_counts_the_given_rows(self, rank_of):
@@ -834,8 +852,8 @@ class TestRowBlocks:
         x = np.zeros((10, 2))
         x[:, 0] = 1.0
         x[0, 1] = 1e-13 * np.sqrt(10.0)
-        assert rank_of(_blocks(x)) == 2
-        assert rank_of(_blocks(x), n_rows=10**6) == 1
+        assert rank_of(_blocks(x), _blocks(np.ones(10))) == 2
+        assert rank_of(_blocks(x), _blocks(np.full(10, 10**5))) == 1
 
     def test_fit_checks_rank_at_the_given_row_count(self):
         x = np.zeros((10, 2))
@@ -848,14 +866,14 @@ class TestRowBlocks:
             warnings.simplefilter("ignore")
             assert fit_logistic(design).n_params == 2
         with pytest.raises(RankDeficiencyError, match="dependent columns: b$"):
-            fit_logistic(design, _rank_rows=10**6)
+            fit_logistic(design, weights=np.full(10, 10**5))
 
     def test_rank_of_selected_columns(self):
         rng = np.random.default_rng(65)
         x, k = planted_design(rng, several_blocks(rng), 6)
-        assert _rank(_blocks(x), list(range(k))) == k
-        assert _rank(_blocks(x), list(range(k + 1))) == k
-        assert _rank(_blocks(x), [k]) == 1
+        assert rank(x, list(range(k))) == k
+        assert rank(x, list(range(k + 1))) == k
+        assert rank(x, [k]) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [_BLOCK_ROWS, _BLOCK_ROWS + 17, -1])
@@ -958,8 +976,8 @@ class TestNumpyKernelsAgainstScipy:
             p = int(rng.integers(3, 9))
             full = rng.normal(size=(rows, p))
             planted, _ = planted_design(rng, rows, p)
-            assert _rank(_blocks(full)) == np.linalg.matrix_rank(full) == p
-            assert _rank(_blocks(planted)) == np.linalg.matrix_rank(planted) == p - 1
+            assert rank(full) == np.linalg.matrix_rank(full) == p
+            assert rank(planted) == np.linalg.matrix_rank(planted) == p - 1
 
     def test_non_finite_design_raises(self):
         x = np.column_stack([np.ones(5), [0.0, 1.0, np.nan, 1.0, 0.0]])

@@ -357,10 +357,8 @@ class TestDistinctRowsAndWarmStarts:
         assert calls[0][1].get("_start") is None
         for _, options in calls[1:]:
             np.testing.assert_array_equal(options["_start"], point.coefficients)
-        # the rank tolerance counts the pooled rows of the drawn periods
-        assert calls[0][1]["_rank_rows"] == pooled.n_rows
-        for pick, (_, options) in zip(refit.values(), calls[1:]):
-            assert options["_rank_rows"] == len(set(pick.tolist())) * 10 * 9
+        # the weights sum to the pooled rows of the drawn periods, restacked
+        assert all(options["weights"].sum() == pooled.n_rows for _, options in calls)
 
     @pytest.mark.parametrize(
         "tamper", [separated, unconverged], ids=["separated", "not_converged"]
@@ -423,7 +421,6 @@ class TestDistinctRowsAndWarmStarts:
                     distinct,
                     weights=np.bincount(group, weights=row_weights, minlength=len(first)),
                     _start=point.coefficients,
-                    _rank_rows=int(np.count_nonzero(row_weights)),
                 )
             iterations.append(fit.iterations)
             if fit.converged and not fit.dropped_terms:
