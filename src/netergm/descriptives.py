@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalError, UndefinedMetricError
-from .graph import DirectedGraph, largest_component, two_path_counts
+from .graph import DirectedGraph, _expand, largest_component, two_path_counts
 
 __all__ = [
     "DescriptiveRow",
@@ -113,18 +113,14 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
     pass, so the work is O(n * m) whatever the diameter of the graph.
     """
     n = g.node_count
-    heads, tails = np.nonzero(g.adjacency)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=starts[1:])
+    out = g._out_lists
 
     def out_edges(f):
         # For pairs f = s * n + v: the index into f and the pair s * n + w
         # of every out-edge v -> w.
         v = f % n
-        deg = starts[v + 1] - starts[v]
-        origin = np.repeat(np.arange(len(f)), deg)
-        pos = np.arange(len(origin)) + np.repeat(starts[v] - np.cumsum(deg) + deg, deg)
-        return origin, (f - v)[origin] + tails[pos]
+        origin, pos = _expand(out.starts, v)
+        return origin, (f - v)[origin] + out.cols[pos]
 
     c = np.zeros(n, dtype=np.float64)
     for lo in range(0, n, _SOURCE_BLOCK):

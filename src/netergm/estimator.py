@@ -157,8 +157,7 @@ def build_design(
     """
     n = g.node_count
     if free_dyads is None:
-        off = ~np.eye(n, dtype=bool)
-        ii, jj = np.nonzero(off)
+        dyads, rows = ~np.eye(n, dtype=bool), n * (n - 1)
     else:
         pairs = list(free_dyads)
         for i, j in pairs:
@@ -166,20 +165,26 @@ def build_design(
                 raise InvalidDyadError(f"free dyad ({i}, {j}) is a loop")
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidDyadError(f"free dyad ({i}, {j}) outside node range")
-        ii = np.array([p[0] for p in pairs], dtype=np.int64)
-        jj = np.array([p[1] for p in pairs], dtype=np.int64)
-    if len(ii) == 0:
+        dyads = (
+            np.array([p[0] for p in pairs], dtype=np.int64),
+            np.array([p[1] for p in pairs], dtype=np.int64),
+        )
+        rows = len(pairs)
+    if rows == 0:
         raise EmptyDesignError("design has no rows")
-    return _record_row_groups(_design(g, g, attrs, spec, ii, jj))
+    return _record_row_groups(_design(g, g, attrs, spec, dyads))
 
 
-def _design(stats_graph, response_graph, attrs, spec, ii, jj) -> DyadDesign:
-    """Design over the dyads ``(ii[r], jj[r])``: change statistics read on
-    ``stats_graph``, tie indicators on ``response_graph``."""
+def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
+    """Design over ``dyads``: change statistics read on ``stats_graph``, tie
+    indicators on ``response_graph``. ``dyads`` selects the rows from an
+    ``(n, n)`` array: a boolean mask, whose dyads come in row-major order,
+    or a pair ``(ii, jj)`` of index arrays."""
+    ii, jj = np.nonzero(dyads) if isinstance(dyads, np.ndarray) else dyads
     return DyadDesign(
         dyads=np.column_stack([ii, jj]).astype(np.int64, copy=False),
-        response=response_graph.adjacency[ii, jj].astype(np.int8),
-        matrix=_change_stat_columns(stats_graph, attrs, spec, ii, jj),
+        response=response_graph.adjacency[dyads].astype(np.int8),
+        matrix=_change_stat_columns(stats_graph, attrs, spec, dyads),
         term_names=spec.names,
     )
 
@@ -205,9 +210,13 @@ def _unique_rows(x, y):
     random projection, summed column by column with elementwise ufuncs so
     that equal rows hash bit-identically. A group starts wherever any column
     or the response differs from the previous sorted row, so groups are
-    exact: distinct rows whose hashes collide can split a group but never
-    share one. One row-length buffer takes every column's hash term and then
-    every sorted column, so the scratch space does not grow with the columns.
+    exact: distinct rows never share one. Distinct rows whose hashes collide
+    can interleave within their run of equal hashes; each such run is then
+    sorted by its columns, so every distinct row is one group. The sort
+    need not be stable: a group's first appearance is the least row index
+    in it. One row-length buffer takes every column's hash term and then
+    every sorted column, so the scratch space does not grow with the
+    columns.
     """
     d, p = x.shape
     # Python's generator: numpy.random loads lazily, and loading it would
@@ -218,19 +227,43 @@ def _unique_rows(x, y):
     h = np.multiply(y, coef[p], dtype=np.float64)
     for k in range(p):
         h += np.multiply(x[:, k], coef[k], out=buf)
-    # stable, so each group's first sorted row is its first appearance
-    order = np.argsort(h, kind="stable")
+    order = np.argsort(h)
+    # run[r]: sorted row r starts a run of equal hashes
+    run = np.ones(d, dtype=bool)
+    np.take(h, order, out=buf)
     del h
-    new = np.ones(d, dtype=bool)
+    np.not_equal(buf[1:], buf[:-1], out=run[1:])
+    new = run.copy()
     ys = y[order]
-    np.not_equal(ys[1:], ys[:-1], out=new[1:])
+    new[1:] |= ys[1:] != ys[:-1]
     del ys
-    step = np.empty(d - 1 if d else 0, dtype=bool)
+    step = np.empty(max(d - 1, 0), dtype=bool)
     for k in range(p):
         np.take(x[:, k], order, out=buf)
         new[1:] |= np.not_equal(buf[1:], buf[:-1], out=step)
     del buf, step
-    first = order[new]
+    split = new & ~run
+    if split.any():
+        # runs holding more than one distinct row: sort their rows by the
+        # columns and the response, runs kept in place, and flag them again
+        run_id = np.cumsum(run) - 1
+        bad = np.zeros(run_id[-1] + 1, dtype=bool)
+        bad[run_id[split]] = True
+        at = np.flatnonzero(bad[run_id])
+        rows = order[at]
+        keys = [x[rows, k] for k in reversed(range(p))] + [y[rows], run_id[at]]
+        order[at] = rows = rows[np.lexsort(keys)]
+        # a run's first row has its run flag set, whatever row precedes it
+        prev = order[at - 1]
+        flags = run[at] | (y[rows] != y[prev])
+        for k in range(p):
+            flags |= x[rows, k] != x[prev, k]
+        new[at] = flags
+        del run_id
+    del run, split
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts) if d else order
+    del starts
     by_row = np.argsort(first)
     label = np.empty_like(by_row)
     label[by_row] = np.arange(len(by_row))

@@ -1,7 +1,8 @@
 """Immutable directed graphs and node-subset selection.
 
 The graph type is deliberately small: a node count plus a frozen edge set,
-with a cached dense boolean adjacency matrix for the numerical layers.
+with a cached dense boolean adjacency matrix and cached neighbour lists for
+the numerical layers.
 Graphs here are simple (no loops, no parallel edges) and node identity is a
 plain integer index; mapping external ids to indices is the ingest layer's
 job.
@@ -13,6 +14,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +87,16 @@ class DirectedGraph:
         return (i, j) in self.edges
 
     @cached_property
+    def _out_lists(self) -> "_Lists":
+        """Out-lists of the ties, read-only: row i lists each m with i -> m."""
+        return _row_lists(self.adjacency)
+
+    @cached_property
+    def _in_lists(self) -> "_Lists":
+        """In-lists of the ties, read-only: row m lists each i with i -> m."""
+        return _row_lists(self.adjacency.T)
+
+    @cached_property
     def out_degrees(self) -> np.ndarray:
         d = self.adjacency.sum(axis=1).astype(np.int64)
         d.setflags(write=False)
@@ -139,17 +151,94 @@ class NodeSubset:
         return len(self.members)
 
 
+class _Lists(NamedTuple):
+    """The rows of a boolean matrix as neighbour lists: entry e says that
+    row ``rows[e]`` holds column ``cols[e]``, entries run in row-major order,
+    and row v's entries are ``starts[v]:starts[v + 1]``."""
+
+    starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _row_lists(a: np.ndarray) -> _Lists:
+    """Neighbour lists of the rows of the square boolean matrix ``a``, as
+    read-only arrays."""
+    rows, cols = np.nonzero(a)
+    starts = np.searchsorted(rows, np.arange(len(a) + 1))
+    for x in (starts, rows, cols):
+        x.setflags(write=False)
+    return _Lists(starts, rows, cols)
+
+
+def _expand(starts: np.ndarray, v: np.ndarray):
+    """Every entry of the lists of the rows ``v``, as ``(origin, pos)``: the
+    list of row ``v[origin[k]]`` holds entry ``pos[k]``."""
+    deg = starts[v + 1] - starts[v]
+    origin = np.repeat(np.arange(len(v)), deg)
+    pos = np.arange(len(origin)) + np.repeat(starts[v] - np.cumsum(deg) + deg, deg)
+    return origin, pos
+
+
+def _walks(first: _Lists, second: _Lists, lo: int, hi: int):
+    """Every walk i -> m -> j with ``lo <= i < hi`` whose first step is an
+    entry of ``first`` and whose second is an entry of ``second``, as
+    ``(i, j, p, q)``: p is the position of the first step in ``first`` and q
+    that of the second in ``second``."""
+    start, stop = first.starts[lo], first.starts[hi]
+    origin, q = _expand(second.starts, first.cols[start:stop])
+    p = origin + start
+    return first.rows[p], second.cols[q], p, q
+
+
+# Walks expanded at once: a block of rows holds at most this many, unless one
+# row alone has more, so the scratch arrays stay a few tens of MiB on dense
+# graphs too
+_WALK_BLOCK = 1 << 20
+
+
+def _walk_blocks(n: int, *steps):
+    """Consecutive row ranges ``(lo, hi)`` covering rows ``0..n-1``. Each
+    ``(first, second)`` pair in ``steps`` names one kind of walk; a range
+    holds at most ``_WALK_BLOCK`` walks of all kinds together, unless a
+    single row alone has more."""
+    upto = np.zeros(n + 1, dtype=np.int64)
+    for first, second in steps:
+        # walks from rows before v: every first step adds the second-step
+        # degree of its middle node
+        w = np.zeros(len(first.cols) + 1, dtype=np.int64)
+        np.cumsum(np.diff(second.starts)[first.cols], out=w[1:])
+        upto += w[first.starts]
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(upto, upto[lo] + _WALK_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def two_path_counts(g: DirectedGraph) -> np.ndarray:
     """Two-path counts as an int64 matrix: entry ``[i, j]`` is the number of
     nodes m with i -> m -> j, and the diagonal counts two-cycles.
 
-    The product is taken in float64 so that it runs in BLAS; numpy's integer
-    matmul does not. It is exact, since every count and partial sum is an
-    integer of at most n < 2**53. Nothing is cached on the graph: each call
-    pays for one product.
+    The counts come from the edge list: every tie i -> m is joined to the
+    out-list of m, and the walks i -> m -> j are counted with
+    ``np.bincount``, a block of rows at a time. The work is
+    O(n^2 + sum over m of indeg(m) * outdeg(m)), the n^2 being the zeroed
+    result, so on a sparse graph it is far below the n^3 of a dense matrix
+    product: at n = 800 and density 0.75%, 28,312 two-paths against 5e8
+    multiply-adds. The counts are exact integers. Nothing is cached on the
+    graph: each call walks the edges again.
     """
-    a = g.adjacency.astype(np.float64)
-    return (a @ a).astype(np.int64)
+    n = g.node_count
+    out = g._out_lists
+    counts = np.zeros((n, n), dtype=np.int64)
+    for lo, hi in _walk_blocks(n, (out, out)):
+        i, j, _, _ = _walks(out, out, lo, hi)
+        counts[lo:hi] = np.bincount(
+            (i - lo) * n + j, minlength=(hi - lo) * n
+        ).reshape(hi - lo, n)
+    return counts
 
 
 def build_graph(node_count: int, pairs: Iterable) -> DirectedGraph:

@@ -101,21 +101,21 @@ def pooled_design(
         raise InsufficientPeriodsError(
             f"need at least two panels, have {len(series)}"
         )
-    ii, jj = np.nonzero(~np.eye(series.node_count, dtype=bool))
-    if len(ii) == 0:
+    if series.node_count < 2:
         raise EmptyDesignError("panels have no dyads")
-    blocks = [_design(g, g, attrs, spec, ii, jj) for g in series.graphs[1:]]
+    off = ~np.eye(series.node_count, dtype=bool)
+    blocks = [_design(g, g, attrs, spec, off) for g in series.graphs[1:]]
     x = np.concatenate([b.matrix for b in blocks])
     names = spec.names
     if include_lagged_tie:
-        lag = np.concatenate([g.adjacency[ii, jj] for g in series.graphs[:-1]])
+        lag = np.concatenate([g.adjacency[off] for g in series.graphs[:-1]])
         x, names = np.column_stack([x, lag]), names + (LAGGED_TIE_NAME,)
     return DyadDesign(
         dyads=np.concatenate([b.dyads for b in blocks]),
         response=np.concatenate([b.response for b in blocks]),
         matrix=x,
         term_names=names,
-        periods=np.repeat(np.array(series.labels[1:], dtype=object), len(ii)),
+        periods=np.repeat(np.array(series.labels[1:], dtype=object), blocks[0].n_rows),
     )
 
 
@@ -249,10 +249,9 @@ def formation_design(
     n = prev.node_count
     union = DirectedGraph(n, prev.edges | curr.edges)
     free = ~prev.adjacency & ~np.eye(n, dtype=bool)
-    ii, jj = np.nonzero(free)
-    if len(ii) == 0:
+    if not free.any():
         raise EmptyDesignError("no free dyads: the previous panel is complete")
-    return _design(union, curr, attrs, spec, ii, jj)
+    return _design(union, curr, attrs, spec, free)
 
 
 def fit_formation(

@@ -30,6 +30,21 @@ statistic with the dyad present minus with it absent, in closed form, read
 at a design's dyads by ``_change_stat_columns``; the incremental form is one
 dyad's change, bound once to the sampler chain's neighbour sets and counts
 and walking only the endpoints' neighbours. Tests check the forms agree.
+
+Cost and sparsity. Two-path counts and the all-dyad forms of gwesp and
+gwdsp come from the edge list, not from dense matrix products: the counts
+join the out-edge list to itself on the middle node, and each shared-partner
+column is a sum over the walks i -> m <- j and i <- m -> j through the
+tie's co-senders and co-receivers (for gwdsp only through the dyads that a
+two-path joins; the rest of its weight is a degree count). The work is
+O(n^2 + sum over m of deg(m)^2) instead of O(n^3), the n^2 being the output
+matrices, so it follows the ties on the sparse discussion networks this
+package models: on an 800-node graph of density 0.75% there are 28,312
+two-paths, where a dense product does 5e8 multiply-adds. On a dense graph the
+walks number up to n^3 and are taken a block of rows at a time, so memory
+stays O(n^2). Each dyad's sum is taken in a canonical order, so dyads with
+equal shared-partner profiles get bit-equal change statistics whatever the
+node labels.
 """
 
 from __future__ import annotations
@@ -37,11 +52,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UnknownAttributeError
-from .graph import DirectedGraph, two_path_counts
+from .graph import DirectedGraph, _row_lists, _walk_blocks, _walks, two_path_counts
 
 __all__ = [
     "TermSpec",
@@ -216,19 +232,16 @@ class _Shared:
 
     def __init__(self, g: DirectedGraph, attrs, spec: ModelSpec):
         self.g, self.attrs, self.n, self.A = g, attrs, g.node_count, g.adjacency
-        self.Af = self.A.astype(np.float64)
         # two-path counts: P[i, j] is the number of m with i -> m -> j
         paths = any(_rule(t).paths for t in spec.terms)
         self.P = two_path_counts(g) if paths else None
-        self._powers = {}
 
-    def powers(self, decay: float):
-        """Decay tables, ``r**P`` and ``r**max(P - 1, 0)`` for one decay."""
-        if decay not in self._powers:
-            rtab, wtab = _decay_tables(decay, self.n)
-            rp, rpm = rtab[self.P], rtab[np.maximum(self.P - 1, 0)]
-            self._powers[decay] = rtab, wtab, rp, rpm
-        return self._powers[decay]
+    @cached_property
+    def linked(self):
+        """The dyads i -> m, i != m, that at least one two-path joins."""
+        linked = self.P > 0
+        np.fill_diagonal(linked, False)
+        return _row_lists(linked)
 
 
 def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
@@ -237,17 +250,21 @@ def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
     return np.array([_rule(t).stat(t, s) for t in spec.terms], dtype=np.float64)
 
 
-def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, ii, jj):
-    """Change statistics at the dyads ``(ii[r], jj[r])``, shape ``(rows, n_terms)``.
+def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, dyads):
+    """Change statistics at the design's dyads, shape ``(rows, n_terms)``.
 
-    Each term's all-dyad form is read at the dyads straight into its column
-    of a column-major matrix, so no ``(n_terms, n, n)`` cube is held.
+    ``dyads`` selects the dyads from an ``(n, n)`` array: a boolean mask,
+    whose dyads come in row-major order, or a pair ``(ii, jj)`` of index
+    arrays. Each term's all-dyad form is read through that one selection
+    straight into its column of a column-major matrix, so no
+    ``(n_terms, n, n)`` cube is held.
     """
-    out = np.empty((len(spec.terms), len(ii))).T
     s = _Shared(g, attrs, spec)
     shape = (s.n, s.n)
+    rows = np.count_nonzero(dyads) if isinstance(dyads, np.ndarray) else len(dyads[0])
+    out = np.empty((len(spec.terms), rows)).T
     for k, term in enumerate(spec.terms):
-        out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[ii, jj]
+        out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[dyads]
     return out
 
 
@@ -256,26 +273,56 @@ def _gwdsp_stat(t, s):
     return wtab[s.P].sum() - wtab[s.P.diagonal()].sum()
 
 
+def _partner_sums(s, out, sources, table):
+    """Add to the float matrix ``out``, at every dyad i -> j, the partner sum
+    of one shared-partner term; returns ``out``. The diagonal takes sums too
+    but holds no change statistic.
+
+    A source is a dyad (a, b) of ``sources``. Toggling i -> j on changes by
+    one the two-path count of each source (i, b) with j -> b and of each
+    source (a, j) with a -> i; k is that count with i -> j off, and each
+    such source adds ``table[k]``. Both kinds are walks i -> b <- j and
+    i <- a -> j, so the work is the number of walks, done a block of rows at
+    a time, with no n x n matrix product.
+
+    The sum at each dyad is canonical: its terms are added one by one in
+    ascending k, so it depends only on how many sources of each k the dyad
+    has. Dyads with equal profiles therefore get bit-equal values, and
+    relabelling the nodes permutes the result exactly.
+    """
+    n, inn = s.n, s.g._in_lists
+    flat, tied = out.reshape(-1), s.A.reshape(-1)
+    level = s.P[sources.rows, sources.cols]
+    for lo, hi in _walk_blocks(n, (sources, inn), (inn, sources)):
+        i1, j1, p, _ = _walks(sources, inn, lo, hi)
+        i2, j2, _, q = _walks(inn, sources, lo, hi)
+        dyad = np.concatenate([i1 * n + j1, i2 * n + j2])
+        ks = np.concatenate([level[p], level[q]]) - tied[dyad]
+        # sorted by (k, dyad); np.add.at adds repeated indices in the order
+        # given, so each dyad's terms go in ascending k
+        ks, dyad = np.divmod(np.sort(ks * (n * n) + dyad), n * n)
+        np.add.at(flat, dyad, table[ks])
+    return out
+
+
 def _gwesp_matrix(t, s):
-    _, wtab, rp, rpm = s.powers(t.decay)
-    Af = s.Af
-    # closing the focal tie: weight of its own partner count, plus the focal
-    # tie promoting each two-path it completes
-    closed = (Af * rpm) @ Af.T + Af.T @ (Af * rpm)
-    return wtab[s.P] + np.where(s.A, closed, (Af * rp) @ Af.T + Af.T @ (Af * rp))
+    rtab, wtab = _decay_tables(t.decay, s.n)
+    # the focal tie's own weight, plus what it adds to the ties it gives a
+    # new shared partner: w(k + 1) - w(k) = r**k for a tie with k of them
+    return _partner_sums(s, wtab[s.P], s.g._out_lists, rtab)
 
 
 def _gwdsp_matrix(t, s):
-    rtab, _, rp, rpm = s.powers(t.decay)
-    Af = s.Af
-    base = np.where(s.A, rpm @ Af.T + Af.T @ rpm, rp @ Af.T + Af.T @ rp)
-    # remove the y == i and x == j contributions, whose two-path counts are
-    # the diagonal cycle counts corrected for mutuality
-    mut = s.A & s.A.T
-    cyc = s.P.diagonal()
-    e1 = np.maximum(cyc[:, None] - mut, 0)
-    e2 = np.maximum(cyc[None, :] - mut, 0)
-    return base - Af.T * (rtab[e1] + rtab[e2])
+    rtab, _ = _decay_tables(t.decay, s.n)
+    g = s.g
+    # i -> j opens the two-paths i -> j -> m (m != i) and m -> i -> j
+    # (m != j); each raises the count k of the dyad it spans, whose weight
+    # gains r**k = 1 + (r**k - 1). The ones sum to the degree counts below,
+    # and the rest vanish at k = 0, so only the dyads that a two-path
+    # already joins are sources.
+    base = np.add.outer(g.in_degrees, g.out_degrees).astype(np.float64)
+    base -= 2.0 * s.A.T
+    return _partner_sums(s, base, s.linked, rtab - 1.0)
 
 
 def _gwesp_delta(t, attrs, c):
@@ -335,7 +382,7 @@ _TERMS = {
     "mutual": _Term(
         _NO_ARGS,
         lambda t, s: (s.A & s.A.T).sum() // 2,
-        lambda t, s: s.Af.T,
+        lambda t, s: s.A.T,
         lambda t, attrs, c: lambda i, j, aij, out=c.out: i in out[j],
     ),
     "isolates": _Term(

@@ -7,7 +7,9 @@ The reference code here deliberately avoids the library's vectorized paths
 one exception is ``change_stat_matrices``, which lays the library's
 closed-form change statistics out as ``(n_terms, n, n)`` matrices so that
 the toggle route and the sampler's incremental deltas can be checked
-against them.
+against them. ``dense_gwesp_matrix`` and ``dense_gwdsp_matrix`` keep the
+dense n x n matrix-product forms of the shared-partner terms, the oracle
+of the library's edge-list sums.
 """
 
 from __future__ import annotations
@@ -138,10 +140,48 @@ def change_stat_matrices(g, attrs, spec):
     n = g.node_count
     if n < 2:
         return np.zeros((len(spec.terms), n, n), dtype=np.float64)
-    ii, jj = np.divmod(np.arange(n * n), n)
-    out = _change_stat_columns(g, attrs, spec, ii, jj).T.reshape(-1, n, n)
+    every = np.ones((n, n), dtype=bool)
+    out = _change_stat_columns(g, attrs, spec, every).T.reshape(-1, n, n)
     out[:, np.arange(n), np.arange(n)] = 0.0
     return out
+
+
+def _dense_tables(g, decay):
+    """Adjacency as floats, integer two-path counts, and for one decay the
+    tables ``r**P`` and ``r**max(P - 1, 0)`` with their lookup tables."""
+    n = g.node_count
+    a = g.adjacency.astype(np.int64)
+    P = a @ a
+    r = 1.0 - math.exp(-decay)
+    rtab = np.power(r, np.arange(n + 1, dtype=np.float64))
+    wtab = math.exp(decay) * (1.0 - rtab)
+    return a.astype(np.float64), P, rtab, wtab, rtab[P], rtab[np.maximum(P - 1, 0)]
+
+
+def dense_gwesp_matrix(g, decay):
+    """All-dyad gwesp change statistics from eight dense n x n products;
+    the diagonal holds no change statistic."""
+    Af, P, _, wtab, rp, rpm = _dense_tables(g, decay)
+    A = g.adjacency
+    # closing the focal tie: weight of its own partner count, plus the focal
+    # tie promoting each two-path it completes
+    closed = (Af * rpm) @ Af.T + Af.T @ (Af * rpm)
+    return wtab[P] + np.where(A, closed, (Af * rp) @ Af.T + Af.T @ (Af * rp))
+
+
+def dense_gwdsp_matrix(g, decay):
+    """All-dyad gwdsp change statistics from dense n x n products; the
+    diagonal holds no change statistic."""
+    Af, P, rtab, _, rp, rpm = _dense_tables(g, decay)
+    A = g.adjacency
+    base = np.where(A, rpm @ Af.T + Af.T @ rpm, rp @ Af.T + Af.T @ rp)
+    # remove the y == i and x == j contributions, whose two-path counts are
+    # the diagonal cycle counts corrected for mutuality
+    mut = A & A.T
+    cyc = P.diagonal()
+    e1 = np.maximum(cyc[:, None] - mut, 0)
+    e2 = np.maximum(cyc[None, :] - mut, 0)
+    return base - Af.T * (rtab[e1] + rtab[e2])
 
 
 def replicate_rows(design, counts):

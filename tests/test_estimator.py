@@ -484,6 +484,28 @@ class TestUniqueRows:
         np.testing.assert_array_equal(x, x[first[group]])
         assert len(first) >= 2
 
+    def test_colliding_rows_form_one_group_each(self):
+        # the 1e20 collision of the test above, rows interleaved under the sort
+        a, b = [1e20, 0.0], [1e20, 1.0]
+        x = np.asfortranarray([a, b, a, b, a])
+        y = np.zeros(5, dtype=np.int8)
+        first, group = _unique_rows(x, y)
+        np.testing.assert_array_equal(first, [0, 1])
+        np.testing.assert_array_equal(group, [0, 1, 0, 1, 0])
+
+    def test_many_colliding_rows(self):
+        rng = np.random.default_rng(217)
+        small = rng.integers(0, 4, size=(300, 2)).astype(np.float64)
+        x = np.asfortranarray(np.column_stack([np.full(300, 1e20), small]))
+        y = rng.integers(0, 2, size=300).astype(np.int8)
+        first, group = _unique_rows(x, y)
+        np.testing.assert_array_equal(x, x[first[group]])
+        np.testing.assert_array_equal(y, y[first[group]])
+        _, firsts = np.unique(
+            np.column_stack([small, y]), axis=0, return_index=True
+        )
+        np.testing.assert_array_equal(first, np.sort(firsts))
+
     def test_signed_zeros_and_responses(self):
         x = np.asfortranarray([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
         y = np.array([1, 1, 0, 1], dtype=np.int8)

@@ -18,11 +18,15 @@ from netergm import (
     parse_term,
     parse_terms,
 )
+from netergm import graph as graph_module
+from netergm.graph import two_path_counts
 from netergm.sampler import _Chain
-from netergm.terms import _TERMS, split_term_list
+from netergm.terms import _TERMS, _Shared, split_term_list
 from helpers import (
     change_stat_matrices,
     change_stats,
+    dense_gwdsp_matrix,
+    dense_gwesp_matrix,
     naive_change_stat,
     naive_global_stats,
     random_graph,
@@ -267,6 +271,70 @@ TABLE_EXAMPLES = (
     "nodematch(team)",
     "nodematch(team, red)",
 )
+
+
+def all_dyad_form(g, term):
+    """The n x n all-dyad form of one term, as the design reads it."""
+    s = _Shared(g, None, ModelSpec((term,)))
+    return _TERMS[term.kind].matrix(term, s)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs of 0 to 60 nodes, empty to complete, some with many mutual
+    ties and some with isolates."""
+    n = draw(st.integers(0, 60))
+    density = draw(st.sampled_from((0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((n, n)) < density
+    if draw(st.booleans()):
+        a |= a.T
+    isolated = rng.random(n) < draw(st.sampled_from((0.0, 0.2)))
+    a[isolated, :] = a[:, isolated] = False
+    return DirectedGraph.from_adjacency(a)
+
+
+class TestEdgeListForms:
+    """The shared-partner forms, summed over the edge list, against the
+    dense matrix-product oracle and under relabelling."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(g=oracle_graphs(), decay=st.sampled_from((0.0, 0.5, 1.7)))
+    def test_match_the_dense_oracle(self, g, decay):
+        n = g.node_count
+        a = g.adjacency.astype(np.int64)
+        np.testing.assert_array_equal(two_path_counts(g), a @ a)
+        off = ~np.eye(n, dtype=bool)
+        for kind, dense in (("gwesp", dense_gwesp_matrix), ("gwdsp", dense_gwdsp_matrix)):
+            got = all_dyad_form(g, TermSpec(kind, decay=decay))
+            assert got.shape == (n, n)
+            np.testing.assert_allclose(
+                got[off], dense(g, decay)[off], rtol=1e-12, atol=1e-12, err_msg=kind
+            )
+
+    @pytest.mark.parametrize("limit", [1, 7, 500])
+    def test_row_blocks_change_nothing(self, monkeypatch, limit):
+        rng = np.random.default_rng(41)
+        g = random_graph(rng, 40, 0.3)
+        terms = [TermSpec(kind, decay=0.5) for kind in ("gwesp", "gwdsp")]
+        whole = [two_path_counts(g)] + [all_dyad_form(g, t) for t in terms]
+        monkeypatch.setattr(graph_module, "_WALK_BLOCK", limit)
+        blocked = [two_path_counts(g)] + [all_dyad_form(g, t) for t in terms]
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["gwesp", "gwdsp"])
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_relabelling_permutes_bit_for_bit(self, n, kind):
+        rng = np.random.default_rng(400 + n)
+        g = random_graph(rng, n, 0.3)
+        perm = rng.permutation(n)
+        relabelled = DirectedGraph(
+            n, frozenset((int(perm[i]), int(perm[j])) for i, j in g.edges)
+        )
+        term = TermSpec(kind, decay=0.5)
+        got = all_dyad_form(relabelled, term)
+        np.testing.assert_array_equal(got[np.ix_(perm, perm)], all_dyad_form(g, term))
 
 
 class TestTermTable:
