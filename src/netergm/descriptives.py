@@ -94,8 +94,8 @@ def transitivity(g: DirectedGraph) -> float:
     return closed / two_paths
 
 
-# Sources per block of the betweenness search; the path counts, distances and
-# dependencies of a block are flat arrays of 256 * n entries.
+# Sources per block of the betweenness search; the path counts, dependencies
+# and visited marks of a block are flat arrays of 256 * n entries.
 _SOURCE_BLOCK = 256
 
 
@@ -104,50 +104,58 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
 
     Brandes' two passes run level-synchronously for a block of sources at
     once. A frontier is the flat list of ``source * n + node`` pairs at one
-    breadth-first level, and each level expands it through the out-edge
-    list. The forward pass sums the shortest-path counts (sigma) of each
-    pair's predecessors with ``np.bincount``; the level is the distance.
-    The backward pass sweeps the levels deepest first, passing the
-    dependencies ``sigma[v] / sigma[w] * (1 + delta[w])`` back to the
-    predecessors. Every (source, node) pair expands its out-edges once per
-    pass, so the work is O(n * m) whatever the diameter of the graph.
+    breadth-first level. The forward pass expands it through the out-edge
+    list and keeps the edges that reach a pair not yet seen: those are the
+    edges of the shortest-path DAG (directed acyclic graph) into the next
+    level. The pairs they reach are deduplicated by a scatter, not a sort:
+    each edge writes its index into a block-length ``slot`` array at its
+    pair, and the edge whose index survives stands for that pair. The
+    shortest-path counts (sigma) of the new pairs are the sums, by
+    ``np.bincount``, of the counts of their predecessors. The backward pass
+    sweeps the kept DAG edges deepest level first, passing the dependencies
+    ``sigma[v] / sigma[w] * (1 + delta[w])`` back to the predecessors, so no
+    out-list is expanded twice. Each step costs O(edges expanded), and every
+    (source, node) pair expands its out-edges once, so the work is
+    O(n * m) whatever the diameter of the graph; no level scans all pairs
+    of a block.
     """
     n = g.node_count
     out = g._out_lists
-
-    def out_edges(f):
-        # For pairs f = s * n + v: the index into f and the pair s * n + w
-        # of every out-edge v -> w.
-        v = f % n
-        origin, pos = _expand(out.starts, v)
-        return origin, (f - v)[origin] + out.cols[pos]
-
     c = np.zeros(n, dtype=np.float64)
+    # read only where the same level has just written it, so never cleared
+    slot = np.empty(min(n, _SOURCE_BLOCK) * n, dtype=np.int64)
     for lo in range(0, n, _SOURCE_BLOCK):
         src = np.arange(lo, min(lo + _SOURCE_BLOCK, n))
         own = np.arange(len(src)) * n + src
         sigma = np.zeros(len(src) * n)
         sigma[own] = 1.0
-        dist = np.full(len(src) * n, -1, dtype=np.int64)
-        dist[own] = 0
-        levels = [own]
+        unseen = np.ones(len(src) * n, dtype=bool)
+        unseen[own] = False
+        f = own
+        # per level: the frontier and its kept edges, as (index into f, pair)
+        dag = []
         while True:
-            f = levels[-1]
-            origin, w = out_edges(f)
-            depth = len(levels)
-            dist[w[dist[w] < 0]] = depth
-            keep = dist[w] == depth
-            if not keep.any():
+            v = f % n
+            origin, pos = _expand(out.starts, v)
+            w = (f - v)[origin] + out.cols[pos]
+            new = unseen[w]
+            origin, w = origin[new], w[new]
+            if not len(w):
                 break
-            reached, inv = np.unique(w[keep], return_inverse=True)
-            sigma[reached] = np.bincount(inv, weights=sigma[f][origin[keep]])
-            levels.append(reached)
+            idx = np.arange(len(w))
+            slot[w] = idx
+            rep = slot[w]
+            first = rep == idx
+            reached = w[first]
+            unseen[reached] = False
+            inv = (np.cumsum(first) - 1)[rep]
+            sigma[reached] = np.bincount(
+                inv, weights=sigma[f][origin], minlength=len(reached)
+            )
+            dag.append((f, origin, w))
+            f = reached
         delta = np.zeros_like(sigma)
-        for k in range(len(levels) - 1, 0, -1):
-            f = levels[k - 1]
-            origin, w = out_edges(f)
-            keep = dist[w] == k
-            origin, w = origin[keep], w[keep]
+        for f, origin, w in reversed(dag):
             share = sigma[f][origin] / sigma[w] * (1.0 + delta[w])
             delta[f] += np.bincount(origin, weights=share, minlength=len(f))
         delta[own] = 0.0

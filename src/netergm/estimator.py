@@ -117,7 +117,12 @@ class DyadDesign:
 @dataclass(frozen=True)
 class FitResult:
     """One fitted model. Arrays are aligned with ``term_names``; terms that
-    had to be dropped (all-zero columns) carry NaN estimates."""
+    had to be dropped (all-zero columns) carry NaN estimates.
+
+    The Newton record: ``ll_path`` is the log pseudolikelihood at the start
+    and after each step, ``max_abs_score`` the largest |score| at the
+    returned estimate, and ``step_halvings`` the number of times a step was
+    halved."""
 
     term_names: tuple
     coefficients: np.ndarray
@@ -132,6 +137,9 @@ class FitResult:
     n_params: int
     converged: bool
     iterations: int
+    ll_path: tuple
+    max_abs_score: float
+    step_halvings: int
     separation_flags: np.ndarray
     dropped_terms: tuple
 
@@ -390,18 +398,21 @@ def _score_information(xs, ys, ws, theta):
 
 def _newton(xs, ys, ws, theta, tolerance, max_iterations):
     """Newton ascent with step halving from ``theta`` over the row blocks
-    ``xs``, ``ys`` and ``ws``. Returns (theta, info, ll_path, converged,
-    iterations)."""
+    ``xs``, ``ys`` and ``ws``. Returns (theta, info, ll_path, max_score,
+    halvings, converged, iterations): ``max_score`` is the largest |score|
+    at the returned theta and ``halvings`` counts every halved step."""
     ll = _log_likelihood(xs, ys, ws, theta)
     ll_path = [ll]
+    halvings = 0
     converged = False
     iterations = 0
     # one pass past the cap, so that info is taken at the returned theta
     for it in range(1, max_iterations + 2):
         score, info = _score_information(xs, ys, ws, theta)
+        max_score = float(np.max(np.abs(score)))
         if it > max_iterations:
             break
-        if np.max(np.abs(score)) < tolerance:
+        if max_score < tolerance:
             converged = True
             break
         iterations = it
@@ -421,10 +432,11 @@ def _newton(xs, ys, ws, theta, tolerance, max_iterations):
                 improved = True
                 break
             lam *= 0.5
+            halvings += 1
         if not improved:
             break
         ll_path.append(ll)
-    return theta, info, ll_path, converged, iterations
+    return theta, info, ll_path, max_score, halvings, converged, iterations
 
 
 # A kept coefficient is flagged for separation when its magnitude or its
@@ -534,7 +546,7 @@ def fit_logistic(
         )
 
     start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
-    theta, info, ll_path, converged, iterations = _newton(
+    theta, info, ll_path, max_score, halvings, converged, iterations = _newton(
         xs, ys, ws, start, tolerance, max_iterations
     )
     ll = ll_path[-1]
@@ -584,6 +596,9 @@ def fit_logistic(
         n_params=p,
         converged=converged,
         iterations=iterations,
+        ll_path=tuple(ll_path),
+        max_abs_score=max_score,
+        step_halvings=halvings,
         separation_flags=flags,
         dropped_terms=dropped,
     )

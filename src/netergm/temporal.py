@@ -186,7 +186,14 @@ def fit_btergm(
             if (draws == 1).all():
                 # every unit drawn once: the point fit's own weights, so the
                 # refit would return the point fit, at once when it starts there
-                fit = replace(point, iterations=0) if warm else point
+                fit = point
+                if warm:
+                    fit = replace(
+                        point,
+                        iterations=0,
+                        ll_path=point.ll_path[-1:],
+                        step_halvings=0,
+                    )
             else:
                 weights = np.bincount(
                     group, weights=draws[unit_of_row], minlength=len(first)

@@ -146,6 +146,39 @@ class TestBetweenness:
             betweenness_scores(cycle), np.full(n, (n - 1) * (n - 2) / 2)
         )
 
+    @staticmethod
+    def sparse_and_long_graphs():
+        sparse = graph_with_isolates(np.random.default_rng(3), 300, 0.01, 20)
+        assert (sparse.total_degrees == 0).any()
+        return [sparse, chain_of_diamonds()]
+
+    def test_scores_do_not_depend_on_the_source_block(self, monkeypatch):
+        for g in self.sparse_and_long_graphs():
+            scores = []
+            for block in (1, 7, 256):
+                monkeypatch.setattr(netergm.descriptives, "_SOURCE_BLOCK", block)
+                scores.append(betweenness_scores(g))
+            for other in scores[1:]:
+                np.testing.assert_allclose(other, scores[0], rtol=1e-12)
+
+    def test_relabelling_permutes_the_scores(self):
+        rng = np.random.default_rng(4)
+        for g in self.sparse_and_long_graphs():
+            perm = rng.permutation(g.node_count)
+            h = build_graph(g.node_count, [(perm[i], perm[j]) for i, j in g.edges])
+            np.testing.assert_allclose(
+                betweenness_scores(h)[perm], betweenness_scores(g), rtol=1e-12
+            )
+
+
+def chain_of_diamonds(k=150):
+    """``k`` diamonds in a row: diameter 2k, and 2**k shortest paths from end
+    to end."""
+    edges = []
+    for s in range(0, 3 * k, 3):
+        edges += [(s, s + 1), (s, s + 2), (s + 1, s + 3), (s + 2, s + 3)]
+    return build_graph(3 * k + 1, edges)
+
 
 def networkx_digraph(nx, g):
     h = nx.DiGraph()

@@ -269,6 +269,45 @@ class TestFitDiagnostics:
         info = (x * (mu * (1 - mu))[:, None]).T @ x
         np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-10)
 
+    def test_newton_record(self):
+        # far starts make Newton overshoot, so some steps are halved
+        rng = np.random.default_rng(50)
+        halved = 0
+        for start, tolerance in [
+            ([0, 0], 1e-8), ([5, 5], 1e-8), ([-5, 8], 1e-6), ([0, 10], 1e-8)
+        ]:
+            design = synthetic_design(rng, 200, [0.5, -1.0])
+            with mock.patch.object(
+                estimator, "_log_likelihood", wraps=estimator._log_likelihood
+            ) as spy:
+                fit = fit_logistic(design, tolerance=tolerance, _start=start)
+            assert fit.converged
+            # each evaluation is the start, an accepted step or a halving
+            assert spy.call_count == len(fit.ll_path) + fit.step_halvings
+            assert len(fit.ll_path) == fit.iterations + 1
+            # the line search lets a step lose at most 1e-10 to rounding
+            assert (np.diff(fit.ll_path) >= -1e-10).all()
+            assert fit.ll_path[-1] == fit.log_likelihood
+            x, y = design.matrix, design.response
+            score = x.T @ (y - expit(x @ fit.coefficients))
+            assert fit.max_abs_score < tolerance
+            assert fit.max_abs_score == pytest.approx(np.abs(score).max(), abs=1e-10)
+            halved += fit.step_halvings
+        assert halved > 0
+
+    def test_newton_record_of_capped_and_boundary_fits(self):
+        rng = np.random.default_rng(48)
+        capped = fit_logistic(
+            synthetic_design(rng, 200, [0.5, -1.0, 0.8]), max_iterations=2
+        )
+        with pytest.warns(UserWarning):
+            boundary = fit_mple(DirectedGraph(5, frozenset()), None, parse_terms("edges"))
+        for fit in (capped, boundary):
+            assert not fit.converged
+            assert len(fit.ll_path) == fit.iterations + 1
+            assert (np.diff(fit.ll_path) >= -1e-10).all()
+            assert fit.ll_path[-1] == fit.log_likelihood
+
     def test_fit_mple_equals_fit_logistic_on_same_design(self):
         rng = np.random.default_rng(49)
         g = random_graph(rng, 8, 0.35)

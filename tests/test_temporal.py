@@ -433,6 +433,34 @@ class TestDistinctRowsAndWarmStarts:
         assert boot.replicate_iterations == tuple(iterations)
         assert [iterations[rep] for rep in range(12) if rep not in refit] == [0, 0, 0]
 
+    def test_a_reused_point_fit_records_a_fit_that_stops_at_once(self, monkeypatch):
+        real_replace = netergm.temporal.replace
+        reused = []
+
+        def spy(fit, **changes):
+            reused.append(real_replace(fit, **changes))
+            return reused[-1]
+
+        monkeypatch.setattr(netergm.temporal, "replace", spy)
+        calls = spy_on_fits(monkeypatch)
+        point, _ = fit_btergm(self.series(73), None, self.SPEC3, replications=12, seed=73)
+        assert len(reused) == 12 - len(refit_draws(seed=73, replications=12, units=3))
+        distinct, options = calls[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            again = fit_logistic(
+                distinct, weights=options["weights"], _start=point.coefficients
+            )
+        assert again.iterations == 0 and again.step_halvings == 0
+        assert len(again.ll_path) == 1
+        for fit in reused:
+            assert fit.iterations == 0 and fit.step_halvings == 0
+            np.testing.assert_allclose(fit.ll_path, again.ll_path, rtol=1e-12)
+            np.testing.assert_allclose(
+                fit.max_abs_score, again.max_abs_score, rtol=1e-6, atol=1e-12
+            )
+            np.testing.assert_array_equal(fit.coefficients, point.coefficients)
+
     def test_replicate_iterations_in_draw_order(self, monkeypatch):
         real_fit = netergm.temporal.fit_logistic
         fits = []
