@@ -16,9 +16,10 @@ distinct rows, each weighted by the rows it stands for, as ergm's
 included, so a design of distinct rows fits and ranks exactly as the rows
 it stands for. The rows a fit reads (views of the design, or the
 distinct or positive-weight rows gathered into column-major copies) are one
-list of ``_BLOCK_ROWS``-row blocks, and the rank check, the log-likelihood
-and every score and information pass walk that list, so there is one
-Newton path for grouped and plain designs and no step copies a whole design.
+list of ``_BLOCK_ROWS``-row blocks. The rank check walks that list, and so
+does each Newton step, once, for the log-likelihood, score and information
+together (``_evaluate``), so there is one Newton path for grouped and plain
+designs and no step copies a whole design.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class FitResult:
     The Newton record: ``ll_path`` is the log pseudolikelihood at the start
     and after each step, ``max_abs_score`` the largest |score| at the
     returned estimate, and ``step_halvings`` the number of times a step was
-    halved."""
+    halved. ``condition_number`` is the ratio of the largest to the smallest
+    eigenvalue of the information matrix of the kept terms at the returned
+    estimate, inf when the smallest is zero."""
 
     term_names: tuple
     coefficients: np.ndarray
@@ -140,6 +143,7 @@ class FitResult:
     ll_path: tuple
     max_abs_score: float
     step_halvings: int
+    condition_number: float
     separation_flags: np.ndarray
     dropped_terms: tuple
 
@@ -285,13 +289,16 @@ def _unique_rows(x, y):
     return first, group
 
 
-def _sigmoid(eta):
-    """Logistic function 1 / (1 + exp(-eta)), overflow-free at any eta."""
+def _logistic(eta):
+    """The logistic function ``mu = 1 / (1 + exp(-eta))`` and
+    ``log(1 + exp(eta))`` at ``eta``, both from one ``exp(-|eta|)`` and
+    overflow-free at any eta."""
     # exp of -|eta| never overflows; below about -745 it underflows to 0,
     # which is the right limit, so that flag is not an error here
     with np.errstate(under="ignore"):
         e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    return mu, np.maximum(eta, 0.0) + np.log1p(e)
 
 
 def _two_sided_p(theta, se):
@@ -370,45 +377,48 @@ def _rank(xs, ws, cols=slice(None)):
     return int((s > tol).sum())
 
 
-def _log_likelihood(xs, ys, ws, theta):
-    """Weighted sum of ``y*eta - log(1 + exp(eta))`` at ``eta = x @ theta``,
-    stable at large |eta|, summed over the matching lists of row blocks
-    ``xs``, ``ys`` and ``ws``."""
-    ll = 0.0
+def _evaluate(xs, ys, ws, theta):
+    """Log-likelihood, score and information at ``theta``, summed over the
+    matching lists of row blocks ``xs``, ``ys`` and ``ws`` in one pass.
+
+    With ``eta = x @ theta``, ``mu`` its logistic and ``v = w * mu * (1 - mu)``,
+    these are the weighted sum of ``y*eta - log(1 + exp(eta))``, the score
+    ``x.T @ (w * (y - mu))`` and the information ``a.T @ a``, where ``a``
+    holds the rows of ``x`` scaled by ``sqrt(v)``: a product of a matrix with
+    its own transpose, which BLAS forms at half the cost of a general one.
+    Every block writes its ``a`` into one buffer, so that no temporary as
+    large as the design is made.
+    """
+    p = len(theta)
+    ll, score, info = 0.0, np.zeros(p), np.zeros((p, p))
+    # column-major, like the blocks
+    buf = np.empty((p, max(len(xb) for xb in xs))).T
     for xb, yb, wb in zip(xs, ys, ws):
         eta = xb @ theta
-        ll += float(np.sum(wb * yb * eta) - np.sum(wb * np.logaddexp(0.0, eta)))
-    return ll
-
-
-def _score_information(xs, ys, ws, theta):
-    """Score ``x.T @ (w * (y - mu))`` and information ``(x * v[:, None]).T @ x``
-    with ``v = w * mu * (1 - mu)`` at ``theta``, summed over row blocks (as in
-    ``_log_likelihood``), so that no temporary as large as the design is
-    made."""
-    p = xs[0].shape[1]
-    score, info = np.zeros(p), np.zeros((p, p))
-    for xb, yb, wb in zip(xs, ys, ws):
-        mu = _sigmoid(xb @ theta)
+        mu, log1pexp = _logistic(eta)
+        ll += float(np.sum(wb * yb * eta) - np.sum(wb * log1pexp))
         score += xb.T @ (wb * (yb - mu))
-        v = wb * mu * (1.0 - mu)
-        info += (xb * v[:, None]).T @ xb
-    return score, info
+        a = np.multiply(xb, np.sqrt(wb * mu * (1.0 - mu))[:, None], out=buf[: len(xb)])
+        info += a.T @ a
+    return ll, score, info
 
 
 def _newton(xs, ys, ws, theta, tolerance, max_iterations):
     """Newton ascent with step halving from ``theta`` over the row blocks
     ``xs``, ``ys`` and ``ws``. Returns (theta, info, ll_path, max_score,
     halvings, converged, iterations): ``max_score`` is the largest |score|
-    at the returned theta and ``halvings`` counts every halved step."""
-    ll = _log_likelihood(xs, ys, ws, theta)
+    at the returned theta and ``halvings`` counts every halved step.
+
+    Each candidate is evaluated once: the score and information of an
+    accepted one serve the next step, and those of a halved one are
+    dropped with it, so ``info`` is always taken at the returned theta."""
+    ll, score, info = _evaluate(xs, ys, ws, theta)
     ll_path = [ll]
     halvings = 0
     converged = False
     iterations = 0
-    # one pass past the cap, so that info is taken at the returned theta
+    # one round past the cap, so that max_score is read at the returned theta
     for it in range(1, max_iterations + 2):
-        score, info = _score_information(xs, ys, ws, theta)
         max_score = float(np.max(np.abs(score)))
         if it > max_iterations:
             break
@@ -423,18 +433,16 @@ def _newton(xs, ys, ws, theta, tolerance, max_iterations):
         if not np.all(np.isfinite(step)):
             break
         lam = 1.0
-        improved = False
         for _ in range(30):
             cand = theta + lam * step
-            ll_cand = _log_likelihood(xs, ys, ws, cand)
-            if ll_cand >= ll - 1e-10:
-                theta, ll = cand, ll_cand
-                improved = True
+            at_cand = _evaluate(xs, ys, ws, cand)
+            if at_cand[0] >= ll - 1e-10:
                 break
             lam *= 0.5
             halvings += 1
-        if not improved:
+        else:  # no candidate kept the log-likelihood
             break
+        theta, (ll, score, info) = cand, at_cand
         ll_path.append(ll)
     return theta, info, ll_path, max_score, halvings, converged, iterations
 
@@ -475,7 +483,7 @@ def fit_logistic(
     with the row-by-row fit to rounding. The rows that the fit reads (all
     of them, the positive-weight ones, or the distinct ones) are one list
     of row blocks, views of the design or gathered copies, which the rank
-    check and every Newton pass walk.
+    check walks and each Newton step walks once.
 
     Private: ``_start`` (aligned with ``term_names``) is where Newton starts
     instead of zero.
@@ -559,6 +567,11 @@ def fit_logistic(
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(info)
+    # the information is symmetric and positive semi-definite, so its
+    # singular values are its eigenvalues; the SVD is the LAPACK routine the
+    # rank check already runs, where eigvalsh would load another
+    sv = np.linalg.svd(info, compute_uv=False)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
     var = np.diag(cov).copy()
     var[var < 0] = np.nan
     se = np.sqrt(var)
@@ -599,6 +612,7 @@ def fit_logistic(
         ll_path=tuple(ll_path),
         max_abs_score=max_score,
         step_halvings=halvings,
+        condition_number=condition,
         separation_flags=flags,
         dropped_terms=dropped,
     )

@@ -30,10 +30,10 @@ from netergm import estimator
 from netergm.estimator import (
     _BLOCK_ROWS,
     _blocks,
+    _evaluate,
+    _logistic,
     _rank,
     _record_row_groups,
-    _score_information,
-    _sigmoid,
     _two_sided_p,
     _unique_rows,
     akaike_criterion,
@@ -52,6 +52,12 @@ def synthetic_design(rng, rows, true_beta):
                              np.ones(rows, dtype=np.int64)])
     names = tuple(f"t{k}" for k in range(p))
     return DyadDesign(dyads=dyads, response=y, matrix=x, term_names=names)
+
+
+def information(x, theta):
+    """Observed information of the logistic fit of ``x`` at ``theta``."""
+    mu = expit(x @ theta)
+    return (x * (mu * (1.0 - mu))[:, None]).T @ x
 
 
 class TestMetricHelpers:
@@ -264,9 +270,7 @@ class TestFitDiagnostics:
         assert fit_logistic(design).iterations > 2
         fit = fit_logistic(design, max_iterations=2)
         assert not fit.converged and fit.iterations == 2
-        x = design.matrix
-        mu = expit(x @ fit.coefficients)
-        info = (x * (mu * (1 - mu))[:, None]).T @ x
+        info = information(design.matrix, fit.coefficients)
         np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-10)
 
     def test_newton_record(self):
@@ -278,7 +282,7 @@ class TestFitDiagnostics:
         ]:
             design = synthetic_design(rng, 200, [0.5, -1.0])
             with mock.patch.object(
-                estimator, "_log_likelihood", wraps=estimator._log_likelihood
+                estimator, "_evaluate", wraps=estimator._evaluate
             ) as spy:
                 fit = fit_logistic(design, tolerance=tolerance, _start=start)
             assert fit.converged
@@ -307,6 +311,79 @@ class TestFitDiagnostics:
             assert len(fit.ll_path) == fit.iterations + 1
             assert (np.diff(fit.ll_path) >= -1e-10).all()
             assert fit.ll_path[-1] == fit.log_likelihood
+
+    def test_halved_steps_leave_the_information_of_the_returned_theta(self, monkeypatch):
+        # the far starts of test_newton_record: every halved candidate is
+        # evaluated in full, and its information must be dropped with it
+        real = estimator._evaluate
+        rng = np.random.default_rng(50)
+        halved = 0
+        for start, tolerance in [
+            ([0, 0], 1e-8), ([5, 5], 1e-8), ([-5, 8], 1e-6), ([0, 10], 1e-8)
+        ]:
+            design = synthetic_design(rng, 200, [0.5, -1.0])
+            evaluations = []
+
+            def record(xs, ys, ws, theta):
+                out = real(xs, ys, ws, theta)
+                evaluations.append((theta.copy(), out[0]))
+                return out
+
+            monkeypatch.setattr(estimator, "_evaluate", record)
+            fit = fit_logistic(design, tolerance=tolerance, _start=start)
+            rejected = [t for t, ll in evaluations if ll not in fit.ll_path]
+            assert len(rejected) == fit.step_halvings
+            x = design.matrix
+            cov = np.linalg.inv(information(x, fit.coefficients))
+            np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10)
+            for theta in rejected:
+                cov = np.linalg.inv(information(x, theta))
+                assert not np.allclose(fit.covariance, cov, rtol=1e-6)
+            halved += fit.step_halvings
+        assert halved > 0
+
+    def test_failed_line_search_keeps_the_information_of_the_returned_theta(
+        self, monkeypatch
+    ):
+        # after the first step every candidate loses and reports a doubled
+        # information, so the line search gives up and any use of a
+        # rejected candidate's information shows in the covariance
+        real = estimator._evaluate
+        thetas = []
+
+        def losing(xs, ys, ws, theta):
+            ll, score, info = real(xs, ys, ws, theta)
+            thetas.append(theta.copy())
+            return (ll, score, info) if len(thetas) <= 2 else (-np.inf, score, 2 * info)
+
+        monkeypatch.setattr(estimator, "_evaluate", losing)
+        design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])
+        fit = fit_logistic(design)
+        assert not fit.converged
+        assert fit.iterations == 2 and fit.step_halvings == 30
+        assert len(thetas) == 2 + 30 and len(fit.ll_path) == 2
+        np.testing.assert_array_equal(fit.coefficients, thetas[1])
+        cov = np.linalg.inv(information(design.matrix, thetas[1]))
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10)
+
+    @pytest.mark.parametrize("noise", [1.0, 1e-4])
+    def test_condition_number_of_the_information(self, noise):
+        # at noise 1e-4 the third column nearly repeats the second
+        rng = np.random.default_rng(75)
+        rows = 500
+        x = np.column_stack([np.ones(rows), rng.normal(size=(rows, 2))])
+        x[:, 2] = x[:, 1] + noise * x[:, 2]
+        y = (rng.random(rows) < expit(x @ [-0.5, 0.8, 0.2])).astype(float)
+        design = DyadDesign(
+            np.zeros((rows, 2), dtype=np.int64), y, x, ("a", "b", "c")
+        )
+        with warnings.catch_warnings():
+            # the near repeat gives b and c standard errors past SE_THRESHOLD
+            warnings.simplefilter("ignore")
+            fit = fit_logistic(design)
+        cond = np.linalg.cond(information(x, fit.coefficients))
+        assert fit.condition_number == pytest.approx(cond, rel=1e-6)
+        assert cond < 100.0 if noise == 1.0 else cond > 1e6
 
     def test_fit_mple_equals_fit_logistic_on_same_design(self):
         rng = np.random.default_rng(49)
@@ -865,25 +942,21 @@ def unblocked_rank(x, w, cols=slice(None)):
     return int((s > max(w.sum(), x.shape[1]) * np.finfo(np.float64).eps * s[0]).sum())
 
 
-def unblocked_log_likelihood(x, y, w, theta):
+def unblocked_evaluate(x, y, w, theta):
+    # the formulas of _evaluate, applied to the whole design at once
     x, y, w = whole(x), whole(y), whole(w)
     eta = x @ theta
-    return float(np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta)))
-
-
-def unblocked_score_information(x, y, w, theta):
-    x, y, w = whole(x), whole(y), whole(w)
-    mu = _sigmoid(x @ theta)
-    v = w * mu * (1.0 - mu)
-    return x.T @ (w * (y - mu)), (x * v[:, None]).T @ x
+    mu, log1pexp = _logistic(eta)
+    a = x * np.sqrt(w * mu * (1.0 - mu))[:, None]
+    ll = float(np.sum(w * y * eta) - np.sum(w * log1pexp))
+    return ll, x.T @ (w * (y - mu)), a.T @ a
 
 
 def fit_unblocked(monkeypatch, design, **options):
     """Fit with whole-design kernels in place of the row-blocked ones."""
     with monkeypatch.context() as m:
         m.setattr(estimator, "_rank", unblocked_rank)
-        m.setattr(estimator, "_log_likelihood", unblocked_log_likelihood)
-        m.setattr(estimator, "_score_information", unblocked_score_information)
+        m.setattr(estimator, "_evaluate", unblocked_evaluate)
         return fit_logistic(design, **options)
 
 
@@ -951,12 +1024,16 @@ class TestRowBlocks:
         x = np.asfortranarray(rng.normal(size=(rows, p)))
         y = (rng.random(rows) < 0.3).astype(float)
         w = rng.integers(0, 4, rows).astype(float)
+        assert (w == 0.0).any()
         theta = rng.normal(size=p) * 0.3
-        score, info = _score_information(_blocks(x), _blocks(y), _blocks(w), theta)
-        mu = expit(x @ theta)
+        ll, score, info = _evaluate(_blocks(x), _blocks(y), _blocks(w), theta)
+        eta = x @ theta
+        mu = expit(eta)
         v = w * mu * (1.0 - mu)
         np.testing.assert_allclose(info, (x * v[:, None]).T @ x, rtol=1e-12)
         np.testing.assert_allclose(score, x.T @ (w * (y - mu)), rtol=1e-12)
+        ll_full = np.sum(w * y * eta) - np.sum(w * np.logaddexp(0.0, eta))
+        assert ll == pytest.approx(ll_full, rel=1e-12)
 
     @pytest.mark.parametrize("rows", [40, _BLOCK_ROWS - 1, _BLOCK_ROWS])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -995,13 +1072,18 @@ class TestNumpyKernelsAgainstScipy:
         ])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            mu = _sigmoid(eta)
+            mu, log1pexp = _logistic(eta)
         # scipy's 1 / (1 + exp(-eta)) flushes to 0 below eta of about -744,
         # where the true value is subnormal; everywhere else compare relative
         np.testing.assert_allclose(
             mu, expit(eta), rtol=1e-15, atol=np.finfo(np.float64).tiny
         )
         assert mu[0] == 0.0 and mu[-1] == 1.0
+        # log(1 + exp(eta)) on the same grid, infinities included
+        np.testing.assert_allclose(
+            log1pexp, np.logaddexp(0.0, eta), rtol=1e-15, atol=np.finfo(np.float64).tiny
+        )
+        assert log1pexp[-1] == np.inf and (log1pexp[eta == -np.inf] == 0.0).all()
 
     def test_p_values_at_infinite_z_and_nan_se(self):
         theta = np.array([1.5, -2.0, 0.5, 0.0, 3.0, -0.4])

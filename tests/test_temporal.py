@@ -459,6 +459,7 @@ class TestDistinctRowsAndWarmStarts:
             np.testing.assert_allclose(
                 fit.max_abs_score, again.max_abs_score, rtol=1e-6, atol=1e-12
             )
+            assert fit.condition_number == pytest.approx(again.condition_number, rel=1e-9)
             np.testing.assert_array_equal(fit.coefficients, point.coefficients)
 
     def test_replicate_iterations_in_draw_order(self, monkeypatch):
