@@ -16,10 +16,13 @@ distinct rows, each weighted by the rows it stands for, as ergm's
 included, so a design of distinct rows fits and ranks exactly as the rows
 it stands for. The rows a fit reads (views of the design, or the
 distinct or positive-weight rows gathered into column-major copies) are one
-list of ``_BLOCK_ROWS``-row blocks. The rank check walks that list, and so
-does each Newton step, once, for the log-likelihood, score and information
-together (``_evaluate``), so there is one Newton path for grouped and plain
-designs and no step copies a whole design.
+list of ``_BLOCK_ROWS``-row blocks. Each Newton step walks that list once,
+for the log-likelihood, score and information together (``_evaluate``), so
+there is one Newton path for grouped and plain designs and no step copies a
+whole design. The rank check reads Newton's first information: where it
+proves that the row-blocked QR (``_rank``) would find full rank
+(``_full_rank_certificate``), the QR does not run; where it cannot, the QR
+walks the blocks and decides, as it always did.
 """
 
 from __future__ import annotations
@@ -362,6 +365,11 @@ def _rank(xs, ws, cols=slice(None)):
     R has the singular values of the scaled ``x[:, cols]`` while no copy of
     the design is made and Q is never formed. A design of one block gives
     the R of a single QR.
+
+    ``fit_logistic`` runs it only where ``_full_rank_certificate`` cannot
+    show from Newton's first information that it would return p, and on
+    the column selections that name the dependent columns; it alone
+    rejects a design, so every rank verdict is this rule's.
     """
     r = xs[0][:0, cols]  # no rows yet, as many columns as the selection
     for xb, wb in zip(xs, ws):
@@ -375,6 +383,55 @@ def _rank(xs, ws, cols=slice(None)):
     d = sum(float(wb.sum()) for wb in ws)
     tol = max(d, r.shape[1]) * np.finfo(np.float64).eps * s[0]
     return int((s > tol).sum())
+
+
+def _full_rank_certificate(info, m2, ws):
+    """True only if ``_rank(xs, ws)`` would return ``p``: a proof from the
+    information ``info`` (p x p) of some ``_evaluate(xs, ys, ws, theta)``,
+    the sum ``m2`` of the squared largest |entries| of the p columns of
+    ``xs``, and the weights ``ws``. False means only that it cannot tell.
+
+    Write S for the rows of ``xs`` scaled by the square roots of their
+    weights, whose singular values ``_rank`` compares, and d for its rows.
+
+    * ``info`` is the rounded sum of ``a.T @ a``, ``a`` the rows scaled by
+      ``sqrt(v)`` with ``v = w * mu * (1 - mu)``; as ``mu * (1 - mu) <= 1/4``,
+      the computed v are at most ``w / 4 * (1 + eps)``, so the exact G of
+      those v satisfies ``sigma_p(S)**2 >= 4 * lambda_min(G) / (1 + eps)``.
+    * G is positive semi-definite, so ``lambda_min(G) = sigma_min(G)``,
+      which is at least the computed ``sigma_min(info)`` less the rounding
+      of the blocked sums (at most ``2 (d + p) eps trace``), the error of
+      the p x p SVD (a multiple of ``p eps sigma_max``) and an allowance
+      for underflow.
+    * ``||S||_2 <= ||S||_F <= s1 = sqrt(sum(w) * m2)``, raised by the
+      rounding of ``sum(w)``.
+    * The row-blocked QR returns the R of S moved by at most ``slack``
+      (Householder's backward error ``c (rows + p) p eps ||S||_F`` summed
+      over the stages, the weight scaling, the SVD of R and underflow), so
+      the singular values it compares lie within ``slack`` of S's.
+
+    ``_rank`` reports full rank when its smallest singular value clears
+    ``max(sum(w), p) * eps * s_max``; that holds when the lower bound on
+    ``sigma_p(S)`` less ``slack`` clears that tolerance at ``s1 + slack``.
+    The caller sees that ``sum(w) * m2`` is finite, so no sum of the QR
+    can overflow. One p x p SVD, the routine ``_rank`` already loads.
+    """
+    if not np.isfinite(info).all():
+        return False
+    eps, tiny = float(np.finfo(np.float64).eps), float(np.finfo(np.float64).tiny)
+    p = len(info)
+    d = sum(len(wb) for wb in ws)
+    n_w = sum(float(wb.sum()) for wb in ws)  # as _rank sums it
+    w_max = max(float(wb.max()) for wb in ws)
+    sv = np.linalg.svd(info, compute_uv=False)
+    scale = max(float(np.trace(info)), float(sv[0]))
+    err = 2 * (d + 3 * p) * eps * scale
+    err += 2 * p * d * (1 + m2) * (1 + w_max) * tiny * eps
+    low = math.sqrt(max(4 * (float(sv[-1]) - err) / (1 + eps), 0.0))
+    s1 = math.sqrt(n_w * m2) * (1 + (d + 4) * eps)
+    slack = 10 * (d + (len(ws) + 1) * p) * p * eps * s1 + d * p * tiny
+    tol = max(n_w, p) * eps * (s1 + slack) * (1 + 2 * eps)
+    return low - slack > tol
 
 
 def _evaluate(xs, ys, ws, theta):
@@ -403,16 +460,19 @@ def _evaluate(xs, ys, ws, theta):
     return ll, score, info
 
 
-def _newton(xs, ys, ws, theta, tolerance, max_iterations):
+def _newton(xs, ys, ws, theta, at_theta, tolerance, max_iterations):
     """Newton ascent with step halving from ``theta`` over the row blocks
-    ``xs``, ``ys`` and ``ws``. Returns (theta, info, ll_path, max_score,
-    halvings, converged, iterations): ``max_score`` is the largest |score|
-    at the returned theta and ``halvings`` counts every halved step.
+    ``xs``, ``ys`` and ``ws``, where ``at_theta`` is ``_evaluate`` at
+    ``theta``. Returns (theta, info, ll_path, max_score, halvings,
+    converged, iterations): ``max_score`` is the largest |score| at the
+    returned theta and ``halvings`` counts every halved step. A theta whose
+    score is under ``tolerance`` converges, the last one the cap allows
+    included.
 
     Each candidate is evaluated once: the score and information of an
     accepted one serve the next step, and those of a halved one are
     dropped with it, so ``info`` is always taken at the returned theta."""
-    ll, score, info = _evaluate(xs, ys, ws, theta)
+    ll, score, info = at_theta
     ll_path = [ll]
     halvings = 0
     converged = False
@@ -420,10 +480,10 @@ def _newton(xs, ys, ws, theta, tolerance, max_iterations):
     # one round past the cap, so that max_score is read at the returned theta
     for it in range(1, max_iterations + 2):
         max_score = float(np.max(np.abs(score)))
-        if it > max_iterations:
-            break
         if max_score < tolerance:
             converged = True
+            break
+        if it > max_iterations:
             break
         iterations = it
         try:
@@ -482,8 +542,10 @@ def fit_logistic(
     stands for, so it fits and ranks as its rows do; the estimates agree
     with the row-by-row fit to rounding. The rows that the fit reads (all
     of them, the positive-weight ones, or the distinct ones) are one list
-    of row blocks, views of the design or gathered copies, which the rank
-    check walks and each Newton step walks once.
+    of row blocks, views of the design or gathered copies, which each
+    Newton step walks once. The rank check reads the information of the
+    first of those walks and walks the blocks itself, by QR, only when that
+    information cannot certify full rank.
 
     Private: ``_start`` (aligned with ``term_names``) is where Newton starts
     instead of zero.
@@ -516,7 +578,11 @@ def fit_logistic(
     xs, ys, ws = _fit_blocks(design.matrix, design.response, w, rows)
     names = design.term_names
 
-    zero_cols = ~np.logical_or.reduce([(xb != 0.0).any(axis=0) for xb in xs])
+    # the largest |entry| of each column; NaN propagates
+    colmax = np.maximum.reduce(
+        [np.maximum(xb.max(axis=0), -xb.min(axis=0)) for xb in xs]
+    )
+    zero_cols = colmax == 0.0
     if zero_cols.all():
         raise RankDeficiencyError("every design column is identically zero")
     dropped = tuple(n for n, z in zip(names, zero_cols) if z)
@@ -530,20 +596,31 @@ def fit_logistic(
     kept_names = [n for n, k in zip(names, keep) if k]
     p = int(keep.sum())
 
-    rank = _rank(xs, ws)
-    if rank < p:
-        # identify a maximal independent prefix; the rest are dependent
-        culprits = []
-        basis = []
-        for k in range(p):
-            if _rank(xs, ws, basis + [k]) > len(basis):
-                basis.append(k)
-            else:
-                culprits.append(kept_names[k])
-        raise RankDeficiencyError(
-            f"design is rank deficient ({rank}/{p}); dependent columns: "
-            + ", ".join(culprits)
-        )
+    start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
+    # Newton's first evaluation doubles as the rank check's input. Where
+    # sum(w) * m2 bounds no sum (a non-finite or overflowing entry), the QR
+    # checks first, so that it raises before any evaluation warns.
+    m2 = math.fsum(m * m for m in colmax[keep].tolist())
+    at_start = None
+    if math.isfinite(sum(float(wb.sum()) for wb in ws) * m2):
+        at_start = _evaluate(xs, ys, ws, start)
+    if at_start is None or not _full_rank_certificate(at_start[2], m2, ws):
+        rank = _rank(xs, ws)
+        if rank < p:
+            # identify a maximal independent prefix; the rest are dependent
+            culprits = []
+            basis = []
+            for k in range(p):
+                if _rank(xs, ws, basis + [k]) > len(basis):
+                    basis.append(k)
+                else:
+                    culprits.append(kept_names[k])
+            raise RankDeficiencyError(
+                f"design is rank deficient ({rank}/{p}); dependent columns: "
+                + ", ".join(culprits)
+            )
+        if at_start is None:
+            at_start = _evaluate(xs, ys, ws, start)
 
     boundary = min(yb.min() for yb in ys) == max(yb.max() for yb in ys)
     if boundary:
@@ -553,9 +630,8 @@ def fit_logistic(
             stacklevel=2,
         )
 
-    start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
     theta, info, ll_path, max_score, halvings, converged, iterations = _newton(
-        xs, ys, ws, start, tolerance, max_iterations
+        xs, ys, ws, start, at_start, tolerance, max_iterations
     )
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the

@@ -17,20 +17,24 @@ from netergm import (
     DyadDesign,
     EmptyDesignError,
     InvalidDyadError,
+    NetworkModelError,
     NumericalError,
     RankDeficiencyError,
     ValidationError,
     build_design,
     build_graph,
+    fit_btergm,
     fit_logistic,
     fit_mple,
+    largest_component,
     parse_terms,
 )
-from netergm import estimator
+from netergm import config, estimator, ingest
 from netergm.estimator import (
     _BLOCK_ROWS,
     _blocks,
     _evaluate,
+    _full_rank_certificate,
     _logistic,
     _rank,
     _record_row_groups,
@@ -58,6 +62,37 @@ def information(x, theta):
     """Observed information of the logistic fit of ``x`` at ``theta``."""
     mu = expit(x @ theta)
     return (x * (mu * (1.0 - mu))[:, None]).T @ x
+
+
+def assert_identical_fits(a, b):
+    """Every field of two FitResults equal, NaN matching NaN."""
+    for f in dataclasses.fields(a):
+        np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
+def qr_only(info, m2, ws):
+    """A rank certificate that never holds, so the QR always decides."""
+    return False
+
+
+def fit_checked(design, **options):
+    """``fit_logistic``, checked against the oracle whose rank check always
+    runs the row-blocked QR: the same FitResult, or the same error with the
+    same message, which is raised again."""
+    outcomes = []
+    for certificate in (estimator._full_rank_certificate, qr_only):
+        with mock.patch.object(estimator, "_full_rank_certificate", certificate):
+            try:
+                outcomes.append(fit_logistic(design, **options))
+            except NetworkModelError as exc:
+                outcomes.append(exc)
+    fit, oracle = outcomes
+    if isinstance(fit, Exception):
+        assert type(fit) is type(oracle) and str(fit) == str(oracle), (fit, oracle)
+        raise fit
+    assert not isinstance(oracle, Exception), oracle
+    assert_identical_fits(fit, oracle)
+    return fit
 
 
 class TestMetricHelpers:
@@ -225,14 +260,15 @@ class TestFitDiagnostics:
                                  np.ones(60, dtype=np.int64)])
         design = DyadDesign(dyads, y, x, ("a", "b", "b_copy"))
         with pytest.raises(RankDeficiencyError, match="b_copy"):
-            fit_logistic(design)
+            fit_checked(design)
 
     def test_constant_column_beside_edges_raises_with_name(self):
         g = build_graph(4, [(0, 1), (1, 2)])
         table = simple_table(tuple("abcd"), team=("blue",) * 4)
         # everyone shares a team, so nodematch(team) is the edges column again
+        spec = parse_terms(("edges", "nodematch(team)"))
         with pytest.raises(RankDeficiencyError, match=r"nodematch\(team\)"):
-            fit_mple(g, table, parse_terms(("edges", "nodematch(team)")))
+            fit_checked(build_design(g, table, spec))
 
     def test_constant_response_is_boundary_not_crash(self):
         g = DirectedGraph(5, frozenset())
@@ -263,6 +299,22 @@ class TestFitDiagnostics:
         fit = fit_logistic(design, max_iterations=1)
         assert not fit.converged
         assert fit.iterations <= 1
+
+    def test_stationary_point_at_the_cap_converges(self):
+        design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])
+        free = fit_logistic(design)
+        assert free.converged and free.iterations == 5
+        capped = fit_logistic(design, max_iterations=5)
+        assert capped.converged and capped.max_abs_score < 1e-8
+        assert_identical_fits(capped, free)
+        # a separated coefficient still drifts at the cap
+        ids = tuple(f"n{k}" for k in range(10))
+        table = simple_table(ids, team=tuple("a" if k < 5 else "b" for k in range(10)))
+        g = build_graph(10, [(i, j) for i in range(5) for j in range(5) if i != j])
+        drifting = fit_mple(g, table, parse_terms(("edges", "nodematch(team, a)")),
+                            max_iterations=5)
+        assert not drifting.converged and drifting.iterations == 5
+        assert drifting.max_abs_score > 1e-8
 
     def test_capped_fit_reports_information_at_returned_theta(self):
         rng = np.random.default_rng(48)
@@ -441,7 +493,7 @@ class TestWeights:
             messages = []
             for args in ((design, counts), (replicate_rows(design, counts), None)):
                 with pytest.raises(RankDeficiencyError, match="dependent columns: b$") as exc:
-                    fit_logistic(args[0], weights=args[1])
+                    fit_checked(args[0], weights=args[1])
                 messages.append(str(exc.value))
             assert messages[0] == messages[1]
             return
@@ -490,9 +542,9 @@ class TestWeights:
         counts = rng.integers(1, 3, size=100)
         counts[:4] = 0
         with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
-            fit_logistic(design, weights=counts)
+            fit_checked(design, weights=counts)
         with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
-            fit_logistic(replicate_rows(design, counts))
+            fit_checked(replicate_rows(design, counts))
 
     def test_constant_response_on_weighted_rows_is_boundary(self):
         rng = np.random.default_rng(208)
@@ -572,7 +624,7 @@ def collapsed_fit(design, weights):
         design.dyads[first], design.response[first], design.matrix[first],
         design.term_names,
     )
-    return fit_logistic(
+    return fit_checked(
         distinct, weights=np.bincount(group, weights=weights, minlength=len(first))
     )
 
@@ -644,13 +696,13 @@ class TestUniqueRows:
         if case == "collinear":
             w[6:10] = 0.0  # twin equals b on every weighted row
             with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
-                fit_logistic(design, weights=w)
+                fit_checked(design, weights=w)
             with pytest.raises(RankDeficiencyError, match="dependent columns: twin$"):
                 collapsed_fit(design, w)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            full = fit_logistic(design, weights=w)
+            full = fit_checked(design, weights=w)
             short = collapsed_fit(design, w)
         assert full.dropped_terms == short.dropped_terms == (
             ("rare",) if case == "empty" else ()
@@ -693,7 +745,7 @@ def fit_or_culprits(design, weights=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return fit_logistic(design, weights=weights)
+            return fit_checked(design, weights=weights)
         except RankDeficiencyError as exc:
             return str(exc)
 
@@ -794,12 +846,7 @@ class TestRecordedRowGroups:
         assert replaced.row_groups is None
         assert dataclasses.replace(design).row_groups is None
         by_hand = DyadDesign(design.dyads, design.response, other, design.term_names)
-        a, b = fit_logistic(replaced), fit_logistic(by_hand)
-        for f in dataclasses.fields(a):
-            if isinstance(getattr(a, f.name), np.ndarray):
-                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
-            else:
-                assert getattr(a, f.name) == getattr(b, f.name), f.name
+        assert_identical_fits(fit_logistic(replaced), fit_logistic(by_hand))
         # only a builder sets it, and it takes no part in repr or equality
         with pytest.raises(TypeError):
             DyadDesign(design.dyads, design.response, other, design.term_names,
@@ -828,16 +875,32 @@ class TestRecordedRowGroups:
         design = build_design(g, None, spec)
         assert design.n_rows > 3 * _BLOCK_ROWS
         assert 2 * len(design.row_groups[0]) <= design.n_rows
-        ranks = []
+        reads = []
+
+        def spy(ws):
+            reads.append((sum(len(wb) for wb in ws), sum(wb.sum() for wb in ws)))
+
+        def spy_certificate(info, m2, ws):
+            spy(ws)
+            return _full_rank_certificate(info, m2, ws)
 
         def spy_rank(xs, ws, cols=slice(None)):
-            ranks.append((sum(len(xb) for xb in xs), sum(wb.sum() for wb in ws)))
+            assert [len(xb) for xb in xs] == [len(wb) for wb in ws]
+            spy(ws)
             return _rank(xs, ws, cols)
 
-        with mock.patch.object(estimator, "_rank", spy_rank):
+        # the distinct rows are read, weighted up to the rows of the whole
+        # design: by the certificate, which decides, and by the QR in its place
+        distinct = (len(design.row_groups[0]), design.n_rows)
+        with mock.patch.object(estimator, "_full_rank_certificate", spy_certificate), \
+                mock.patch.object(estimator, "_rank", spy_rank):
             grouped = fit_logistic(design)
-        # the distinct rows are read, weighted up to the rows of the whole design
-        assert ranks == [(len(design.row_groups[0]), design.n_rows)]
+        assert reads == [distinct]
+        reads.clear()
+        with mock.patch.object(estimator, "_full_rank_certificate", qr_only), \
+                mock.patch.object(estimator, "_rank", spy_rank):
+            assert_identical_fits(fit_logistic(design), grouped)
+        assert reads == [distinct]
         plain = fit_logistic(dataclasses.replace(design))
         assert_fits_agree(grouped, plain)
         assert grouped.iterations == plain.iterations and grouped.converged
@@ -854,7 +917,7 @@ class TestRecordedRowGroups:
         assert len(grouped.row_groups[0]) == 3
         for d in (design, grouped):
             with pytest.raises(RankDeficiencyError, match="dependent columns: b$"):
-                fit_logistic(d)
+                fit_checked(d)
 
     def test_grouped_fit_holds_less_than_half_a_design(self):
         g = random_graph(np.random.default_rng(219), 200, 0.03)
@@ -978,6 +1041,13 @@ class TestRowBlocks:
             sparse[:, 1] = 0.0
             sparse[rows_of_block, 1] = 1.0
             assert rank(sparse) == p
+            y, dyads = np.arange(rows) % 2, np.zeros((rows, 2), dtype=np.int64)
+            for full in (broken, sparse):
+                design = DyadDesign(dyads, y, full, tuple("abcde"))
+                with warnings.catch_warnings():
+                    # a column broken in one block only can separate
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert fit_checked(design).n_params == p
 
     @pytest.mark.parametrize("rank_of", [_rank, unblocked_rank])
     def test_rank_tolerance_counts_the_given_rows(self, rank_of):
@@ -998,9 +1068,9 @@ class TestRowBlocks:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert fit_logistic(design).n_params == 2
+            assert fit_checked(design).n_params == 2
         with pytest.raises(RankDeficiencyError, match="dependent columns: b$"):
-            fit_logistic(design, weights=np.full(10, 10**5))
+            fit_checked(design, weights=np.full(10, 10**5))
 
     def test_rank_of_selected_columns(self):
         rng = np.random.default_rng(65)
@@ -1016,7 +1086,7 @@ class TestRowBlocks:
         design = synthetic_design(np.random.default_rng(67), rows, [-1.0, 0.5, 0.2, 0.1])
         design.matrix[row, 2] = bad
         with pytest.raises(NumericalError, match="non-finite"):
-            fit_logistic(design)
+            fit_checked(design)
 
     def test_blocked_score_and_information_match_full_products(self):
         rng = np.random.default_rng(68)
@@ -1042,13 +1112,7 @@ class TestRowBlocks:
         design = synthetic_design(rng, rows, [-1.0, 0.8, -0.4, 0.3, 0.1])
         w = rng.integers(0, 3, rows) if weighted else None
         blocked = fit_logistic(design, weights=w)
-        whole = fit_unblocked(monkeypatch, design, weights=w)
-        for f in dataclasses.fields(blocked):
-            a, b = getattr(blocked, f.name), getattr(whole, f.name)
-            if isinstance(a, np.ndarray):
-                np.testing.assert_array_equal(a, b)
-            else:
-                assert a == b, f.name
+        assert_identical_fits(blocked, fit_unblocked(monkeypatch, design, weights=w))
 
     def test_several_block_fits_agree_with_unblocked(self, monkeypatch):
         rows = 2 * _BLOCK_ROWS + 333
@@ -1107,7 +1171,7 @@ class TestNumpyKernelsAgainstScipy:
             names = tuple(f"c{j}" for j in range(p))
             design = DyadDesign(dyads, y, x, names)
             with pytest.raises(RankDeficiencyError) as err:
-                fit_logistic(design)
+                fit_checked(design)
             # the planted column is the last of its dependent set
             assert str(err.value).endswith(f"dependent columns: c{k}")
 
@@ -1121,10 +1185,157 @@ class TestNumpyKernelsAgainstScipy:
             planted, _ = planted_design(rng, rows, p)
             assert rank(full) == np.linalg.matrix_rank(full) == p
             assert rank(planted) == np.linalg.matrix_rank(planted) == p - 1
+            y, dyads = np.arange(rows) % 2, np.zeros((rows, 2), dtype=np.int64)
+            names = tuple(f"c{j}" for j in range(p))
+            assert fit_checked(DyadDesign(dyads, y, full, names)).n_params == p
+            with pytest.raises(RankDeficiencyError):
+                fit_checked(DyadDesign(dyads, y, planted, names))
 
     def test_non_finite_design_raises(self):
         x = np.column_stack([np.ones(5), [0.0, 1.0, np.nan, 1.0, 0.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         design = DyadDesign(np.zeros((5, 2), dtype=np.int64), y, x, ("a", "b"))
         with pytest.raises(NumericalError, match="non-finite"):
-            fit_logistic(design)
+            fit_checked(design)
+
+
+@st.composite
+def near_dependent_designs(draw):
+    """A design whose rows, scaled by the square roots of their integer
+    weights (up to 1e5), have singular values from 1 down to 10**-k, k from
+    1 to 15, read in one to three blocks of 16 rows, with a start at zero
+    or far from it (the largest |eta| at 40). Returns (design, weights,
+    start, k)."""
+    k = draw(st.integers(1, 15))
+    p = draw(st.integers(2, 6))
+    rows = draw(st.integers(8, 48))
+    top = draw(st.sampled_from([1, 10, 10**3, 10**5]))
+    far = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(rows, p)))[0]
+    v = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    w = rng.integers(1, top + 1, size=rows).astype(np.float64)
+    scaled = (u * np.geomspace(1.0, 10.0**-k, p)) @ v.T
+    x = np.asfortranarray(scaled / np.sqrt(w)[:, None])
+    y = rng.integers(0, 2, size=rows).astype(np.int8)
+    start = np.zeros(p)
+    if far:
+        start = rng.normal(size=p)
+        start *= 40.0 / np.abs(x @ start).max()
+    names = tuple(f"c{j}" for j in range(p))
+    return DyadDesign(np.zeros((rows, 2), dtype=np.int64), y, x, names), w, start, k
+
+
+class TestRankCertificate:
+    """Newton's first information certifies full rank; the row-blocked QR
+    decides wherever it cannot."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(near_dependent_designs())
+    def test_a_certified_design_has_full_rank(self, case):
+        design, w, start, k = case
+        x, p = design.matrix, design.matrix.shape[1]
+        with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
+            xs, ws = _blocks(x), _blocks(w)
+            info = _evaluate(xs, _blocks(design.response.astype(float)), ws, start)[2]
+            m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(p))
+            certified = _full_rank_certificate(info, m2, ws)
+            if certified:
+                assert _rank(xs, ws) == p
+            # at zero start it decides while the near-dependency stands
+            # far above the rounding
+            if not start.any() and k <= 4:
+                assert certified
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    fit_checked(design, weights=w, _start=start)
+                except RankDeficiencyError:
+                    assert not certified
+
+    def test_the_certificate_counts_weights_as_rows(self):
+        # scaled rows with singular values 1 and 1e-6: far above the
+        # rounding of the information, and above the rank tolerance at unit
+        # weights, but under it at weights of 1e9 (1e10 * eps is 2.2e-6)
+        rng = np.random.default_rng(222)
+        u = np.linalg.qr(rng.normal(size=(10, 2)))[0]
+        v = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        scaled = (u * [1.0, 1e-6]) @ v.T
+        for weight, full in ((1.0, True), (1e9, False)):
+            x = np.asfortranarray(scaled / math.sqrt(weight))
+            xs, ws = _blocks(x), _blocks(np.full(10, weight))
+            info = _evaluate(xs, _blocks(np.arange(10) % 2.0), ws, np.zeros(2))[2]
+            m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(2))
+            assert _full_rank_certificate(info, m2, ws) == full
+            assert _rank(xs, ws) == (2 if full else 1)
+
+    def test_the_qr_runs_only_where_the_certificate_cannot_decide(self):
+        g = random_graph(np.random.default_rng(218), 60, 0.05)
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "odegpop"))
+        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+            fit_logistic(build_design(g, None, spec))
+        assert spy.call_count == 0
+        # c is b moved by 1e-12: full rank to the QR, whose tolerance is
+        # 40 * eps of the largest singular value, but below the rounding
+        # the certificate allows
+        rng = np.random.default_rng(221)
+        x = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
+        x[:, 2] = x[:, 1] + 1e-12 * rng.normal(size=40)
+        design = DyadDesign(np.zeros((40, 2), dtype=np.int64), np.arange(40) % 2, x, tuple("abc"))
+        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+            with warnings.catch_warnings():
+                # b and c have standard errors past SE_THRESHOLD
+                warnings.simplefilter("ignore", UserWarning)
+                assert fit_checked(design).n_params == 3
+        # once for the fit and once for its oracle
+        assert spy.call_count == 2
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_the_qr_decides_first_where_no_bound_is_finite(self, dependent):
+        # squares of 1e155 overflow, so sum(w) * m2 bounds nothing and the
+        # QR runs before any evaluation, which could warn; at weights of
+        # 1e-20 the information itself stays finite
+        rng = np.random.default_rng(223)
+        x = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
+        if dependent:
+            x[:, 2] = 2.0 * x[:, 1]
+        design = DyadDesign(
+            np.zeros((30, 2), dtype=np.int64), np.arange(30) % 2, 1e155 * x, tuple("abc")
+        )
+        calls = []
+
+        def spy(xs, ys, ws, theta):
+            calls.append(estimator._rank.call_count)
+            return _evaluate(xs, ys, ws, theta)
+
+        with mock.patch.object(estimator, "_rank", wraps=_rank), \
+                mock.patch.object(estimator, "_evaluate", spy):
+            if dependent:
+                with pytest.raises(RankDeficiencyError, match="dependent columns: c$"):
+                    fit_checked(design, weights=np.full(30, 1e-20))
+                assert calls == []
+            else:
+                with warnings.catch_warnings():
+                    # the scores, of order 1e135, never reach the tolerance
+                    warnings.simplefilter("ignore", UserWarning)
+                    fit = fit_checked(design, weights=np.full(30, 1e-20))
+                assert fit.n_params == 3
+                # the first evaluation of each fit follows its QR
+                assert calls[0] == 1 and calls[len(fit.ll_path) + fit.step_halvings] == 2
+
+    def test_pooled_course_fits_run_no_qr(self, course_files):
+        events = ingest.load_events(course_files["edges"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            g, table = ingest.assemble_network(
+                events, ingest.load_attributes(course_files["attrs"])
+            )
+        table = table.restrict([table.ids[m] for m in largest_component(g).members])
+        series = ingest.slice_periods(events, table)
+        spec = parse_terms(config.TEMPORAL_TERMS)
+        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                point, boot = fit_btergm(series, table, spec, replications=4, seed=3)
+        assert spy.call_count == 0
+        assert point.converged and len(boot.replicate_coefficients) > 0
