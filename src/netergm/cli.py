@@ -11,9 +11,9 @@ explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .export import export_graph
 from .graph import activity_subset, induced_subgraph, largest_component, NodeSubset
 from .ingest import assemble_network, load_attributes, load_events, slice_periods
 from .report import (
+    Table,
+    _write_csv,
     btergm_table,
     describe_table,
     emit,
@@ -126,12 +128,16 @@ def run_tergm(cfg: RunConfig) -> list:
     table_out = btergm_table(boot, "Pooled temporal model")
     print(render_text(table_out))
     paths = emit(table_out, cfg.out_dir, "tergm", cfg.format)
+    replicates = Table(
+        "Bootstrap replicates",
+        ("replicate",) + boot.term_names,
+        tuple(
+            (str(k),) + tuple(f"{v:.10g}" for v in row)
+            for k, row in enumerate(boot.replicate_coefficients)
+        ),
+    )
     rep_path = os.path.join(cfg.out_dir, "tergm_replicates.csv")
-    with open(rep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("replicate",) + boot.term_names)
-        for k, row in enumerate(boot.replicate_coefficients):
-            writer.writerow([k] + [f"{v:.10g}" for v in row])
+    _write_csv(replicates, rep_path)
     paths.append(rep_path)
     return paths
 
@@ -189,13 +195,11 @@ def run_simulate(cfg: RunConfig) -> list:
     )
     paths = []
     width = max(3, len(str(len(graphs) - 1)))
+    header = ("sender_id", "receiver_id", "day")
     for k, g in enumerate(graphs):
+        edges = tuple((ids[i], ids[j], "1") for i, j in sorted(g.edges))
         path = os.path.join(cfg.out_dir, f"sample_{k:0{width}d}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sender_id", "receiver_id", "day"])
-            for i, j in sorted(g.edges):
-                writer.writerow([ids[i], ids[j], 1])
+        _write_csv(Table(f"Sample {k}", header, edges), path)
         paths.append(path)
     stats = np.array([global_stats(g, attrs, spec) for g in graphs])
     table_out = trace_table(spec.names, stats)
@@ -312,15 +316,12 @@ def _build_parser():
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in (
-        "edges", "attrs", "horizon", "subsample", "component_mode",
-        "exclude_facilitators", "seed", "replications", "tolerance",
-        "max_iterations", "bootstrap_mode", "lagged_tie", "out_dir", "format",
-        "nodes", "burn_in", "thin", "samples", "graph_format", "output",
-    ):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
+    # every flag but --terms and --theta sets the RunConfig field of its name
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if f.name not in ("terms", "theta") and hasattr(args, f.name)
+    }
     if getattr(args, "terms", None) is not None:
         overrides["terms"] = tuple(split_term_list(args.terms))
     theta = getattr(args, "theta", None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericalError, UndefinedMetricError
+from .errors import ConfigError, NumericalError, UndefinedMetricError
 from .graph import DirectedGraph, _expand, largest_component, two_path_counts
 
 __all__ = [
@@ -202,7 +202,7 @@ def eigenvector_scores(
 def centralization(g: DirectedGraph, kind: str) -> float:
     """Freeman-style centralization of one node score; see module docs."""
     if kind not in CENTRALIZATION_KINDS:
-        raise ValueError(f"kind must be one of {CENTRALIZATION_KINDS}, got {kind!r}")
+        raise ConfigError(f"kind must be one of {CENTRALIZATION_KINDS}, got {kind!r}")
     n = g.node_count
     if n < 3:
         raise UndefinedMetricError(f"centralization undefined for {n} node(s)")
@@ -244,9 +244,8 @@ def describe(g: DirectedGraph) -> DescriptiveRow:
         mean_total_degree=2 * g.edge_count / n if n else None,
         reciprocity=guarded(edgewise_reciprocity, g),
         transitivity=guarded(transitivity, g),
-        indegree_centralization=guarded(centralization, g, "indegree"),
-        outdegree_centralization=guarded(centralization, g, "outdegree"),
-        total_degree_centralization=guarded(centralization, g, "total_degree"),
-        betweenness_centralization=guarded(centralization, g, "betweenness"),
-        eigenvector_centralization=guarded(centralization, g, "eigenvector"),
+        **{
+            f"{kind}_centralization": guarded(centralization, g, kind)
+            for kind in CENTRALIZATION_KINDS
+        },
     )

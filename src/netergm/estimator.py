@@ -28,6 +28,7 @@ walks the blocks and decides, as it always did.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     EmptyDesignError,
     InvalidDyadError,
@@ -43,6 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import DirectedGraph
+from .sampler import _integer
 from .terms import ModelSpec, _change_stat_columns
 
 __all__ = [
@@ -547,9 +550,16 @@ def fit_logistic(
     first of those walks and walks the blocks itself, by QR, only when that
     information cannot certify full rank.
 
+    ``max_iterations`` must be an integer >= 0 and ``tolerance`` finite and
+    >= 0, or :class:`ConfigError` is raised.
+
     Private: ``_start`` (aligned with ``term_names``) is where Newton starts
     instead of zero.
     """
+    max_iterations = _integer("max_iterations", max_iterations, 0)
+    finite = isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
+    if not (finite and tolerance >= 0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     d, p_all = design.matrix.shape
     if weights is None:
         # a read-only broadcast of 1.0 holds no d-vector of ones

@@ -18,7 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, GraphIndexError, InvalidDyadError, ValidationError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    GraphIndexError,
+    InvalidDyadError,
+    ValidationError,
+)
 
 __all__ = [
     "DirectedGraph",
@@ -356,7 +362,7 @@ def largest_component(g: DirectedGraph, mode: str = "weak") -> NodeSubset:
     result is deterministic.
     """
     if mode not in ("weak", "strong"):
-        raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
+        raise ConfigError(f"mode must be 'weak' or 'strong', got {mode!r}")
     if g.node_count == 0:
         return NodeSubset(0, ())
     comps = _weak_components(g) if mode == "weak" else _strong_components(g)
@@ -371,7 +377,7 @@ def activity_subset(g: DirectedGraph, k: int) -> NodeSubset:
     surviving nodes may fall below ``k`` within the induced subgraph.
     """
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ConfigError(f"k must be >= 0, got {k}")
     keep = np.nonzero(g.total_degrees >= k)[0] if g.node_count else []
     return NodeSubset(g.node_count, tuple(int(v) for v in keep))
 

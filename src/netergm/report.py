@@ -1,8 +1,13 @@
 """Result tables: shared layout, text alignment, CSV and JSON writers.
 
-Every table the CLI emits goes through :class:`Table`, so the aligned text
-view and the machine-readable file always hold the same cells. Numbers are
-formatted to three decimals; undefined values render blank; p-values get
+Every table file the CLI writes is a :class:`Table`. Results tables go
+through :func:`emit`, so the aligned text view and the machine-readable
+file hold the same cells; the bootstrap replicates and the sampled edge
+lists are CSV only, written by the same CSV writer. The coefficient tables
+share one builder: a row per term and an ordered mapping from column header
+to formatted cells, so a new column is one entry. The descriptive table's
+columns are the fields of :class:`DescriptiveRow`. Numbers in results tables
+are formatted to three decimals; undefined values render blank; p-values get
 the usual significance ladder (0.001, 0.01, 0.05, 0.1).
 """
 
@@ -12,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,56 +80,42 @@ class Table:
 
 
 def describe_table(labeled_rows) -> Table:
-    """One row per network from (label, DescriptiveRow) pairs."""
-    headers = (
-        "network",
-        "nodes",
-        "edges",
-        "density",
-        "mean_indegree",
-        "mean_outdegree",
-        "mean_total_degree",
-        "reciprocity",
-        "transitivity",
-        "indegree_centralization",
-        "outdegree_centralization",
-        "total_degree_centralization",
-        "betweenness_centralization",
-        "eigenvector_centralization",
+    """One row per network from (label, DescriptiveRow) pairs; the columns
+    are ``DescriptiveRow``'s fields in order."""
+    names = [f.name for f in fields(DescriptiveRow)]
+    rows = tuple(
+        (label,) + tuple(format_number(getattr(row, name)) for name in names)
+        for label, row in labeled_rows
     )
-    rows = []
-    for label, row in labeled_rows:
-        assert isinstance(row, DescriptiveRow)
-        d = row.as_dict()
-        rows.append(tuple([label] + [format_number(d[h]) for h in headers[1:]]))
-    return Table("Descriptive statistics", headers, tuple(rows))
+    return Table("Descriptive statistics", ("network", *names), rows)
 
 
-def _flag_note(fit: FitResult, k: int) -> str:
-    if fit.term_names[k] in fit.dropped_terms:
-        return "dropped"
-    if fit.separation_flags[k]:
-        return "separation"
-    return ""
+def _term_table(title, term_names, columns: dict, footers) -> Table:
+    """One row per term; ``columns`` maps each header after ``term``, in
+    order, to that column's formatted cells."""
+    rows = tuple(zip(term_names, *columns.values()))
+    return Table(title, ("term", *columns), rows, tuple(footers))
+
+
+def _numbers(values) -> list:
+    return [format_number(v) for v in values]
+
+
+def _fit_columns(fit: FitResult) -> dict:
+    return {
+        "estimate": _numbers(fit.coefficients),
+        "std_error": _numbers(fit.standard_errors),
+        "exp_estimate": _numbers(fit.exp_coefficients),
+        "p_value": _numbers(fit.p_values),
+        "sig": [significance_stars(p) for p in fit.p_values],
+        "note": [
+            "dropped" if name in fit.dropped_terms else "separation" if flag else ""
+            for name, flag in zip(fit.term_names, fit.separation_flags)
+        ],
+    }
 
 
 def fit_table(fit: FitResult, title: str = "Model fit") -> Table:
-    headers = ("term", "estimate", "std_error", "exp_estimate", "p_value", "sig", "note")
-    rows = []
-    for k, name in enumerate(fit.term_names):
-        rows.append(
-            (
-                name,
-                format_number(fit.coefficients[k]),
-                format_number(fit.standard_errors[k]),
-                format_number(fit.exp_coefficients[k]),
-                format_number(fit.p_values[k]),
-                significance_stars(
-                    None if math.isnan(fit.p_values[k]) else float(fit.p_values[k])
-                ),
-                _flag_note(fit, k),
-            )
-        )
     footers = (
         f"null_pseudo_deviance: {format_number(fit.null_deviance)}",
         f"residual_pseudo_deviance: {format_number(fit.residual_deviance)}",
@@ -134,25 +125,18 @@ def fit_table(fit: FitResult, title: str = "Model fit") -> Table:
         f"n_params: {fit.n_params}",
         f"converged: {'yes' if fit.converged else 'no'}",
     )
-    return Table(title, headers, tuple(rows), footers)
+    return _term_table(title, fit.term_names, _fit_columns(fit), footers)
 
 
 def btergm_table(boot: BootstrapResult, title: str = "Pooled temporal fit") -> Table:
-    headers = ("term", "estimate", "boot_se", "exp_estimate", "ci_lower", "ci_upper", "sig")
-    rows = []
-    for k, name in enumerate(boot.term_names):
-        est = boot.point_estimates[k]
-        rows.append(
-            (
-                name,
-                format_number(est),
-                format_number(boot.standard_errors[k]),
-                format_number(np.exp(est)),
-                format_number(boot.ci_lower[k]),
-                format_number(boot.ci_upper[k]),
-                "*" if boot.significant[k] else "",
-            )
-        )
+    columns = {
+        "estimate": _numbers(boot.point_estimates),
+        "boot_se": _numbers(boot.standard_errors),
+        "exp_estimate": _numbers(np.exp(boot.point_estimates)),
+        "ci_lower": _numbers(boot.ci_lower),
+        "ci_upper": _numbers(boot.ci_upper),
+        "sig": ["*" if s else "" for s in boot.significant],
+    }
     footers = (
         f"replications: {boot.replications}",
         f"valid_replicates: {boot.n_valid}",
@@ -160,7 +144,7 @@ def btergm_table(boot: BootstrapResult, title: str = "Pooled temporal fit") -> T
         f"bootstrap_mode: {boot.mode}",
         f"seed: {boot.seed}",
     )
-    return Table(title, headers, tuple(rows), footers)
+    return _term_table(title, boot.term_names, columns, footers)
 
 
 def formation_table(
@@ -168,21 +152,8 @@ def formation_table(
     title: str = "Formation model",
     bic_all_dyads: float | None = None,
 ) -> Table:
-    headers = ("term", "estimate", "std_error", "p_value", "sig", "note")
-    rows = []
-    for k, name in enumerate(fit.term_names):
-        rows.append(
-            (
-                name,
-                format_number(fit.coefficients[k]),
-                format_number(fit.standard_errors[k]),
-                format_number(fit.p_values[k]),
-                significance_stars(
-                    None if math.isnan(fit.p_values[k]) else float(fit.p_values[k])
-                ),
-                _flag_note(fit, k),
-            )
-        )
+    columns = _fit_columns(fit)
+    del columns["exp_estimate"]
     footers = [
         f"log_likelihood: {format_number(fit.log_likelihood)}",
         f"aic: {format_number(fit.aic)}",
@@ -193,7 +164,7 @@ def formation_table(
     ]
     if bic_all_dyads is not None:
         footers.insert(3, f"bic_all_dyads: {format_number(bic_all_dyads)}")
-    return Table(title, headers, tuple(rows), tuple(footers))
+    return _term_table(title, fit.term_names, columns, footers)
 
 
 def trace_table(term_names, stats: np.ndarray, title: str = "Sampler trace") -> Table:

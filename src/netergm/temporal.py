@@ -41,6 +41,7 @@ from .estimator import (
 )
 from .graph import DirectedGraph
 from .ingest import NetworkSeries
+from .sampler import _integer
 from .terms import ModelSpec
 
 __all__ = [
@@ -149,8 +150,8 @@ def fit_btergm(
     -------
     (FitResult, BootstrapResult)
     """
-    if replications < 2:
-        raise ConfigError(f"replications must be >= 2, got {replications}")
+    replications = _integer("replications", replications, 2)
+    seed = _integer("seed", seed, 0)
     if mode not in ("temporal", "node"):
         raise ConfigError(f"mode must be 'temporal' or 'node', got {mode!r}")
     pooled = pooled_design(series, attrs, spec, include_lagged_tie)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -8,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from netergm import read_json_edgelist
-from netergm.cli import main
+from netergm.cli import _build_parser, main
 from netergm.config import (
     CROSS_SECTIONAL_TERMS,
     TEMPORAL_TERMS,
@@ -360,6 +362,40 @@ class TestCliConfigAndErrors:
         code = run_cli("describe", "--config", str(cfg_path))
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("fit", ("--max-iterations", "-1"), "max_iterations must be >= 0"),
+            ("fit", ("--tolerance", "nan"), "tolerance must be finite and >= 0"),
+            ("tergm", ("--seed", "-1"), "seed must be >= 0"),
+        ],
+    )
+    def test_out_of_range_fit_option_reports_error(
+        self, course_files, tmp_path, capsys, command, flags, message
+    ):
+        code = run_cli(
+            command,
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--terms", "edges, mutual",
+            "--replications", "2",
+            "--out-dir", str(tmp_path),
+            *flags,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}, got {flags[1]}\n"
+
+    def test_every_flag_sets_a_config_field(self):
+        known = {f.name for f in dataclasses.fields(RunConfig)}
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {
+            "describe", "fit", "tergm", "formation", "simulate", "export"
+        }
+        for name, command in sub.choices.items():
+            dests = {a.dest for a in command._actions} - {"help", "config"}
+            assert dests <= known, (name, sorted(dests - known))
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

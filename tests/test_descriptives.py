@@ -6,6 +6,7 @@ import pytest
 
 import netergm.descriptives
 from netergm import (
+    ConfigError,
     DirectedGraph,
     NumericalError,
     UndefinedMetricError,
@@ -340,7 +341,7 @@ class TestCentralization:
 
     def test_unknown_kind(self):
         g = build_graph(3, [(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             centralization(g, "pagerank")
 
     def test_kind_list_is_exposed(self):

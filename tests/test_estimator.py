@@ -12,6 +12,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from netergm import (
+    ConfigError,
     DimensionError,
     DirectedGraph,
     DyadDesign,
@@ -299,6 +300,33 @@ class TestFitDiagnostics:
         fit = fit_logistic(design, max_iterations=1)
         assert not fit.converged
         assert fit.iterations <= 1
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"max_iterations": -1}, "max_iterations must be >= 0"),
+            ({"max_iterations": 2.0}, "max_iterations must be an integer"),
+            ({"max_iterations": True}, "max_iterations must be an integer"),
+            ({"tolerance": float("nan")}, "tolerance must be finite and >= 0"),
+            ({"tolerance": float("inf")}, "tolerance must be finite and >= 0"),
+            ({"tolerance": -1e-8}, "tolerance must be finite and >= 0"),
+            ({"tolerance": "1e-8"}, "tolerance must be finite and >= 0"),
+        ],
+    )
+    def test_out_of_range_options_raise(self, options, message):
+        design = synthetic_design(np.random.default_rng(48), 50, [0.5, -1.0])
+        with pytest.raises(ConfigError, match=message):
+            fit_logistic(design, **options)
+
+    def test_zero_cap_and_numpy_integer_cap(self):
+        design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])
+        fit = fit_logistic(design, max_iterations=0, tolerance=0.0)
+        assert not fit.converged and fit.iterations == 0
+        np.testing.assert_array_equal(fit.coefficients, 0.0)
+        assert_identical_fits(
+            fit_logistic(design, max_iterations=np.int64(3)),
+            fit_logistic(design, max_iterations=3),
+        )
 
     def test_stationary_point_at_the_cap_converges(self):
         design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])

@@ -4,6 +4,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from netergm import (
+    ConfigError,
     DimensionError,
     DirectedGraph,
     GraphIndexError,
@@ -165,7 +166,7 @@ class TestLargestComponent:
 
     def test_bad_mode(self):
         g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             largest_component(g, mode="loose")
 
 
@@ -217,6 +218,11 @@ class TestActivitySubset:
             cur = set(activity_subset(g, k).members)
             assert cur <= prev
             prev = cur
+
+    def test_negative_threshold_raises(self):
+        g = build_graph(3, [(0, 1)])
+        with pytest.raises(ConfigError, match="k must be >= 0"):
+            activity_subset(g, -1)
 
 
 class TestInducedSubgraph:

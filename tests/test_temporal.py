@@ -204,6 +204,21 @@ class TestFitBtergm:
         with pytest.raises(ConfigError):
             fit_btergm(series, None, SPEC, replications=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed(self, seed):
+        rng = np.random.default_rng(57)
+        series = series_of([random_graph(rng, 5, 0.4) for _ in range(3)])
+        with pytest.raises(ConfigError, match="seed must be"):
+            fit_btergm(series, None, SPEC, replications=3, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        rng = np.random.default_rng(57)
+        series = series_of([random_graph(rng, 5, 0.4) for _ in range(3)])
+        _, a = fit_btergm(series, None, SPEC, replications=4, seed=np.int64(5))
+        _, b = fit_btergm(series, None, SPEC, replications=4, seed=5)
+        np.testing.assert_array_equal(a.replicate_coefficients, b.replicate_coefficients)
+        assert a.seed == 5
+
     def test_bad_mode(self):
         rng = np.random.default_rng(58)
         series = series_of([random_graph(rng, 5, 0.4) for _ in range(3)])
