@@ -8,21 +8,26 @@ conventions (no implicit intercept, observed-information standard errors,
 deviance bookkeeping) stay pinned down in one place.
 
 Most rows of a cross-sectional dyadic design repeat. ``build_design`` groups
-identical rows right after the columns are written (``_unique_rows``) and
-records the grouping on the design when it at least halves the rows, which
-also makes the design's arrays read-only; ``fit_logistic`` then fits the
-distinct rows, each weighted by the rows it stands for, as ergm's
+identical rows right after the columns are written (``_unique_rows``: runs
+of equal row hashes, each proved one group by a gather of the distinct
+rows, with no grouping at all once the distinct hashes pass half of the
+rows) and records the grouping on the design when it at least halves the
+rows, which also makes the design's arrays read-only; ``fit_logistic`` then
+fits the distinct rows, each weighted by the rows it stands for, as ergm's
 ``ergmMPLE`` does. Weights count as rows in every check, the rank check
 included, so a design of distinct rows fits and ranks exactly as the rows
-it stands for. The rows a fit reads (views of the design, or the
-distinct or positive-weight rows gathered into column-major copies) are one
-list of ``_BLOCK_ROWS``-row blocks. Each Newton step walks that list once,
-for the log-likelihood, score and information together (``_evaluate``), so
-there is one Newton path for grouped and plain designs and no step copies a
-whole design. The rank check reads Newton's first information: where it
+it stands for. The rows a fit reads (views of the design, or the distinct
+or positive-weight rows gathered into column-major copies) are one list of
+``_BLOCK_ROWS``-row blocks. Each Newton step walks that list once, for the
+log-likelihood, score and information together (``_evaluate``), so there is
+one Newton path for grouped and plain designs and no step copies a whole
+design. The rank check reads Newton's first information: where it
 proves that the row-blocked QR (``_rank``) would find full rank
 (``_full_rank_certificate``), the QR does not run; where it cannot, the QR
-walks the blocks and decides, as it always did.
+walks the blocks and decides, as it always did. A cold fit starts at the
+intercept-only estimate (``_intercept_start``), as R's ``glm`` starts from
+the data, so that a sparse network's fit spends no steps walking ``edges``
+from a tie probability of 1/2 toward its density.
 """
 
 from __future__ import annotations
@@ -79,8 +84,7 @@ class DyadDesign:
 
     ``dyads`` holds (sender, receiver) index pairs aligned with ``response``
     (tie indicators) and ``matrix`` (change statistics, one column per
-    term). ``periods`` tags each row with its panel label for pooled
-    temporal designs, or is None for cross-sectional ones.
+    term).
 
     ``row_groups`` records which rows are identical, as the pair
     ``(first, group)`` that ``_unique_rows`` returns: row r equals row
@@ -99,7 +103,6 @@ class DyadDesign:
     response: np.ndarray
     matrix: np.ndarray
     term_names: tuple
-    periods: np.ndarray | None = None
     row_groups: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -113,8 +116,6 @@ class DyadDesign:
             )
         if self.dyads.shape != (d, 2):
             raise DimensionError("dyads must be an (n_rows, 2) array")
-        if self.periods is not None and len(self.periods) != d:
-            raise DimensionError("periods tag length mismatch")
 
     @property
     def n_rows(self) -> int:
@@ -210,11 +211,19 @@ def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
 def _record_row_groups(design: DyadDesign) -> DyadDesign:
     """Record on a freshly built ``design`` which of its rows are identical,
     when that at least halves the rows, and then freeze its ``matrix`` and
-    ``response``; returns ``design``."""
-    first, group = _unique_rows(design.matrix, design.response)
+    ``response``; returns ``design``.
+
+    Equal rows hash equally, so the distinct rows are at least as many as
+    the distinct hashes: when those are over half of the rows, the rows
+    cannot halve and no group is checked."""
+    x, y = design.matrix, design.response
+    order, run = _hash_runs(x, y)
+    if 2 * int(np.count_nonzero(run)) > design.n_rows:
+        return design
+    first, group = _group_runs(x, y, order, run)
     if 2 * len(first) <= design.n_rows:
-        design.matrix.setflags(write=False)
-        design.response.setflags(write=False)
+        x.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(design, "row_groups", (first, group))
     return design
 
@@ -225,17 +234,26 @@ def _unique_rows(x, y):
     Returns ``(first, group)``: ``first`` holds one representative row index
     per distinct (x, y) row, the row's first appearance, in row order, and
     row r equals row ``first[group[r]]``. Rows are sorted by a fixed-seed
-    random projection, summed column by column with elementwise ufuncs so
-    that equal rows hash bit-identically. A group starts wherever any column
-    or the response differs from the previous sorted row, so groups are
-    exact: distinct rows never share one. Distinct rows whose hashes collide
-    can interleave within their run of equal hashes; each such run is then
-    sorted by its columns, so every distinct row is one group. The sort
-    need not be stable: a group's first appearance is the least row index
-    in it. One row-length buffer takes every column's hash term and then
-    every sorted column, so the scratch space does not grow with the
-    columns.
+    random projection (``_hash_runs``), and each run of equal hashes is
+    taken as one group. Equal rows hash equally, so no two equal rows fall
+    in different runs; each group is then proved exact by comparing every
+    row with its group's first row, ``col[first][group] == col``, for the
+    response and for every column: a gather of the distinct rows in row
+    order, written into buffers allocated once. Only where distinct rows
+    share a hash (a collision), or an entry is NaN, does that check fail, and
+    the groups are then split by the sorted columns (``_split_runs``). The
+    scratch space does not grow with the columns.
     """
+    return _group_runs(x, y, *_hash_runs(x, y))
+
+
+def _hash_runs(x, y):
+    """``(order, run)`` for the rows of the design ``(x, y)``: ``order``
+    sorts the rows by a fixed-seed random projection, summed column by column
+    with elementwise ufuncs so that equal rows hash bit-identically, and
+    ``run[r]`` flags sorted row r as the first of a run of equal hashes. The
+    sort need not be stable: a group's first appearance is the least row
+    index in it."""
     d, p = x.shape
     # Python's generator: numpy.random loads lazily, and loading it would
     # add about 6 MiB to the resident size of a process that never samples
@@ -246,11 +264,51 @@ def _unique_rows(x, y):
     for k in range(p):
         h += np.multiply(x[:, k], coef[k], out=buf)
     order = np.argsort(h)
-    # run[r]: sorted row r starts a run of equal hashes
     run = np.ones(d, dtype=bool)
     np.take(h, order, out=buf)
     del h
     np.not_equal(buf[1:], buf[:-1], out=run[1:])
+    return order, run
+
+
+def _group_runs(x, y, order, run):
+    """``_unique_rows`` from the hash order and runs of ``_hash_runs``."""
+    first, group = _label_groups(order, run)
+    if _groups_hold(x, y, first, group):
+        return first, group
+    del first, group
+    return _label_groups(order, _split_runs(x, y, order, run))
+
+
+def _groups_hold(x, y, first, group):
+    """True when every row of ``(x, y)`` equals row ``first[group[r]]``,
+    column by column; the representatives of each column are gathered in row
+    order into one buffer of distinct rows and one of rows."""
+    d = len(group)
+    same = np.empty(d, dtype=bool)
+    if not np.equal(y[first][group], y, out=same).all():
+        return False
+    distinct = np.empty(len(first), dtype=x.dtype)
+    rows = np.empty(d, dtype=x.dtype)
+    for k in range(x.shape[1]):
+        col = x[:, k]
+        # indices in range: "clip" takes into ``out`` with no buffer of its own
+        np.take(col, first, out=distinct, mode="clip")
+        np.take(distinct, group, out=rows, mode="clip")
+        if not np.equal(rows, col, out=same).all():
+            return False
+    return True
+
+
+def _split_runs(x, y, order, run):
+    """Group starts in hash order: a group starts wherever any column or the
+    response differs from the previous sorted row, so groups are exact and
+    distinct rows never share one. Distinct rows whose hashes collide can
+    interleave within their run of equal hashes; each such run is then
+    sorted by its columns, in place in ``order``, so every distinct row is
+    one group. One row-length buffer takes every sorted column."""
+    d, p = x.shape
+    buf = np.empty(d)
     new = run.copy()
     ys = y[order]
     new[1:] |= ys[1:] != ys[:-1]
@@ -277,8 +335,14 @@ def _unique_rows(x, y):
         for k in range(p):
             flags |= x[rows, k] != x[prev, k]
         new[at] = flags
-        del run_id
-    del run, split
+    return new
+
+
+def _label_groups(order, new):
+    """``(first, group)`` of the groups that start at the flags ``new`` of
+    the rows in the order ``order``: ``first`` is the least row index of
+    each group, and groups are labelled in the row order of their firsts."""
+    d = len(order)
     starts = np.flatnonzero(new)
     first = np.minimum.reduceat(order, starts) if d else order
     del starts
@@ -288,7 +352,6 @@ def _unique_rows(x, y):
     first = first[by_row]
     del by_row
     sorted_label = np.cumsum(new)
-    del new
     sorted_label -= 1
     group = np.empty(d, dtype=np.intp)
     group[order] = label[sorted_label]
@@ -510,6 +573,25 @@ def _newton(xs, ys, ws, theta, at_theta, tolerance, max_iterations):
     return theta, info, ll_path, max_score, halvings, converged, iterations
 
 
+def _intercept_start(ys, ws, ones):
+    """Where a cold Newton fit starts: the intercept-only estimate.
+
+    ``ones`` flags the kept columns that equal 1 on every fitted row. The
+    first of them starts at ``logit(sum(w * y) / sum(w))`` and every other
+    coefficient at 0, the point where the score of that column is zero and
+    every fitted probability is the weighted mean response. Without such a
+    column, or with a response that is 0 or 1 on every fitted row, the start
+    is zero."""
+    start = np.zeros(len(ones))
+    # tie and no-tie weight, each a sum of non-negative terms, so each is
+    # positive exactly when some fitted row has that response
+    tied = sum(float(np.dot(wb, yb)) for wb, yb in zip(ws, ys))
+    untied = sum(float(np.dot(wb, 1.0 - yb)) for wb, yb in zip(ws, ys))
+    if ones.any() and 0.0 < tied < math.inf and 0.0 < untied < math.inf:
+        start[np.argmax(ones)] = math.log(tied) - math.log(untied)
+    return start
+
+
 # A kept coefficient is flagged for separation when its magnitude or its
 # standard error passes these bounds.
 SEPARATION_THRESHOLD = 15.0
@@ -553,8 +635,10 @@ def fit_logistic(
     ``max_iterations`` must be an integer >= 0 and ``tolerance`` finite and
     >= 0, or :class:`ConfigError` is raised.
 
-    Private: ``_start`` (aligned with ``term_names``) is where Newton starts
-    instead of zero.
+    Newton starts at the intercept-only estimate when the design has a
+    column of ones on the fitted rows and both responses among them, and at
+    zero otherwise. Private: ``_start`` (aligned with ``term_names``) is
+    where Newton starts instead.
     """
     max_iterations = _integer("max_iterations", max_iterations, 0)
     finite = isinstance(tolerance, numbers.Real) and math.isfinite(tolerance)
@@ -588,10 +672,10 @@ def fit_logistic(
     xs, ys, ws = _fit_blocks(design.matrix, design.response, w, rows)
     names = design.term_names
 
-    # the largest |entry| of each column; NaN propagates
-    colmax = np.maximum.reduce(
-        [np.maximum(xb.max(axis=0), -xb.min(axis=0)) for xb in xs]
-    )
+    # the largest and least entry of each column; NaN propagates
+    hi = np.maximum.reduce([xb.max(axis=0) for xb in xs])
+    lo = np.minimum.reduce([xb.min(axis=0) for xb in xs])
+    colmax = np.maximum(hi, -lo)
     zero_cols = colmax == 0.0
     if zero_cols.all():
         raise RankDeficiencyError("every design column is identically zero")
@@ -606,7 +690,10 @@ def fit_logistic(
     kept_names = [n for n, k in zip(names, keep) if k]
     p = int(keep.sum())
 
-    start = np.zeros(p) if _start is None else np.asarray(_start, np.float64)[keep]
+    if _start is None:
+        start = _intercept_start(ys, ws, ((hi == 1.0) & (lo == 1.0))[keep])
+    else:
+        start = np.asarray(_start, np.float64)[keep]
     # Newton's first evaluation doubles as the rank check's input. Where
     # sum(w) * m2 bounds no sum (a non-finite or overflowing entry), the QR
     # checks first, so that it raises before any evaluation warns.

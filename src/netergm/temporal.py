@@ -116,7 +116,6 @@ def pooled_design(
         response=np.concatenate([b.response for b in blocks]),
         matrix=x,
         term_names=names,
-        periods=np.repeat(np.array(series.labels[1:], dtype=object), blocks[0].n_rows),
     )
 
 

@@ -15,11 +15,21 @@ of the library's edge-list sums.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 
-from netergm import DirectedGraph, DyadDesign, InvalidDyadError, NodeTable, global_stats
+from netergm import (
+    DirectedGraph,
+    DyadDesign,
+    InvalidDyadError,
+    NodeTable,
+    build_graph,
+    global_stats,
+)
 from netergm.ingest import DEFAULT_LEVELS
 from netergm.terms import _change_stat_columns
 
@@ -195,8 +205,82 @@ def replicate_rows(design, counts):
         response=design.response[rows],
         matrix=design.matrix[rows],
         term_names=design.term_names,
-        periods=None if design.periods is None else design.periods[rows],
     )
+
+
+def sorted_gather_unique_rows(x, y):
+    """``estimator._unique_rows`` as it was before groups were proved by a
+    gather of the distinct rows: every column is gathered in hash order, and
+    a group starts wherever any column or the response differs from the
+    previous sorted row. The reference for ``(first, group)``."""
+    d, p = x.shape
+    rng = random.Random(0x5EED)
+    coef = [rng.uniform(0.5, 1.5) for _ in range(p + 1)]
+    buf = np.empty(d)
+    h = np.multiply(y, coef[p], dtype=np.float64)
+    for k in range(p):
+        h += np.multiply(x[:, k], coef[k], out=buf)
+    order = np.argsort(h)
+    # run[r]: sorted row r starts a run of equal hashes
+    run = np.ones(d, dtype=bool)
+    np.take(h, order, out=buf)
+    del h
+    np.not_equal(buf[1:], buf[:-1], out=run[1:])
+    new = run.copy()
+    ys = y[order]
+    new[1:] |= ys[1:] != ys[:-1]
+    del ys
+    step = np.empty(max(d - 1, 0), dtype=bool)
+    for k in range(p):
+        np.take(x[:, k], order, out=buf)
+        new[1:] |= np.not_equal(buf[1:], buf[:-1], out=step)
+    del buf, step
+    split = new & ~run
+    if split.any():
+        # runs holding more than one distinct row: sort their rows by the
+        # columns and the response, runs kept in place, and flag them again
+        run_id = np.cumsum(run) - 1
+        bad = np.zeros(run_id[-1] + 1, dtype=bool)
+        bad[run_id[split]] = True
+        at = np.flatnonzero(bad[run_id])
+        rows = order[at]
+        keys = [x[rows, k] for k in reversed(range(p))] + [y[rows], run_id[at]]
+        order[at] = rows = rows[np.lexsort(keys)]
+        # a run's first row has its run flag set, whatever row precedes it
+        prev = order[at - 1]
+        flags = run[at] | (y[rows] != y[prev])
+        for k in range(p):
+            flags |= x[rows, k] != x[prev, k]
+        new[at] = flags
+        del run_id
+    del run, split
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts) if d else order
+    del starts
+    by_row = np.argsort(first)
+    label = np.empty_like(by_row)
+    label[by_row] = np.arange(len(by_row))
+    first = first[by_row]
+    del by_row
+    sorted_label = np.cumsum(new)
+    del new
+    sorted_label -= 1
+    group = np.empty(d, dtype=np.intp)
+    group[order] = label[sorted_label]
+    return first, group
+
+
+def large_mple_network(variant):
+    """The graph and node table of the benchmark's ``large_mple`` workload
+    (800 nodes, mean degree 6) for one input variant, made by the
+    benchmark's own generator, ``bench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    pairs, ids, columns = gen.random_network(variant, 800, 6.0)
+    levels = {name: gen.LEVELS[name] for name in columns}
+    return build_graph(800, pairs), NodeTable(ids, columns, levels)
 
 
 def naive_global_stats(g, attrs, spec):

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import norm
@@ -39,13 +40,21 @@ from netergm.estimator import (
     _logistic,
     _rank,
     _record_row_groups,
+    _split_runs,
     _two_sided_p,
     _unique_rows,
     akaike_criterion,
     bayes_criterion,
     null_pseudo_deviance,
 )
-from helpers import change_stats, random_graph, replicate_rows, simple_table
+from helpers import (
+    change_stats,
+    large_mple_network,
+    random_graph,
+    replicate_rows,
+    simple_table,
+    sorted_gather_unique_rows,
+)
 from irls_reference import irls_fit, logistic_log_likelihood
 
 
@@ -322,7 +331,10 @@ class TestFitDiagnostics:
         design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])
         fit = fit_logistic(design, max_iterations=0, tolerance=0.0)
         assert not fit.converged and fit.iterations == 0
-        np.testing.assert_array_equal(fit.coefficients, 0.0)
+        # the intercept-only estimate: t0 is the column of ones
+        ties = int(design.response.sum())
+        assert fit.coefficients[0] == math.log(ties) - math.log(200 - ties)
+        np.testing.assert_array_equal(fit.coefficients[1:], 0.0)
         assert_identical_fits(
             fit_logistic(design, max_iterations=np.int64(3)),
             fit_logistic(design, max_iterations=3),
@@ -473,6 +485,123 @@ class TestFitDiagnostics:
         b = fit_logistic(build_design(g, None, spec))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-14)
         assert a.residual_deviance == pytest.approx(b.residual_deviance)
+
+
+@st.composite
+def designs_with_a_ones_column(draw):
+    """A logistic design of normal columns with a column of ones at a drawn
+    place, its response drawn at drawn coefficients, and weights that are
+    None or drawn integers with some zeros."""
+    rows, p = draw(st.integers(20, 300)), draw(st.integers(1, 5))
+    ones = draw(st.integers(0, p - 1))
+    beta = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=p, max_size=p)))
+    beta[ones] = draw(st.floats(-4.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(rows, p))
+    x[:, ones] = 1.0
+    y = (rng.random(rows) < expit(x @ beta)).astype(np.int8)
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.integers(0, 4, size=rows).astype(np.float64)
+    names = tuple(f"t{k}" for k in range(p))
+    dyads = np.zeros((rows, 2), dtype=np.int64)
+    return DyadDesign(dyads, y, np.asfortranarray(x), names), weights
+
+
+def first_evaluation(design, **options):
+    """The theta of the first ``_evaluate`` of a fit of ``design``: where
+    Newton starts."""
+    with mock.patch.object(estimator, "_evaluate", wraps=_evaluate) as spy:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            fit_logistic(design, **options)
+    return spy.call_args_list[0].args[3]
+
+
+class TestInterceptStart:
+    """A cold fit starts at the intercept-only estimate where the design has
+    a column of ones, and at zero elsewhere."""
+
+    def test_an_intercept_only_design_converges_at_once(self):
+        rng = np.random.default_rng(240)
+        for g in (random_graph(rng, 30, 0.1), random_graph(rng, 100, 0.01)):
+            fit = fit_mple(g, None, parse_terms("edges"))
+            assert fit.converged and fit.iterations == 0 and len(fit.ll_path) == 1
+            m, d = len(g.edges), g.node_count * (g.node_count - 1)
+            assert fit.coefficients[0] == pytest.approx(math.log(m / (d - m)), rel=1e-14)
+            assert fit.standard_errors[0] == pytest.approx(
+                math.sqrt(1 / m + 1 / (d - m)), rel=1e-10
+            )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(designs_with_a_ones_column())
+    def test_agrees_with_the_zero_start_in_no_more_passes(self, case):
+        design, weights = case
+        p = len(design.term_names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                fits = [
+                    fit_logistic(design, weights=weights, tolerance=1e-10, _start=start)
+                    for start in (None, np.zeros(p))
+                ]
+            except RankDeficiencyError:
+                assume(False)
+        cold, zero = fits
+        assume(zero.converged and not zero.separation_flags.any())
+        assert cold.converged and cold.iterations <= zero.iterations
+        scale = max(1.0, float(np.abs(zero.coefficients).max()))
+        assert np.abs(cold.coefficients - zero.coefficients).max() <= 1e-9 * scale
+        np.testing.assert_allclose(
+            cold.standard_errors, zero.standard_errors, rtol=1e-8
+        )
+
+    def test_only_the_first_column_of_ones_on_the_fitted_rows_moves(self):
+        rng = np.random.default_rng(241)
+        y = (rng.random(120) < 0.3).astype(np.int8)
+        b = rng.normal(size=120)
+        # a is 1 on the fitted rows only: rows 0-9 weigh nothing
+        a = np.ones(120)
+        a[:10] = 2.0
+        w = np.ones(120)
+        w[:10] = 0.0
+        logit = math.log(y[10:].sum()) - math.log(110 - y[10:].sum())
+        dyads = np.zeros((120, 2), dtype=np.int64)
+        design = DyadDesign(dyads, y, np.column_stack([b, a]), ("b", "a"))
+        np.testing.assert_array_equal(first_evaluation(design, weights=w), [0.0, logit])
+        # two columns of ones: the first starts at the estimate, and the fit
+        # then names the second as dependent
+        x = np.column_stack([b, a, np.ones(120)])
+        design = DyadDesign(dyads, y, x, ("b", "a", "a_copy"))
+        with mock.patch.object(estimator, "_evaluate", wraps=_evaluate) as spy:
+            with pytest.raises(RankDeficiencyError, match="dependent columns: a_copy$"):
+                fit_logistic(design, weights=w)
+        np.testing.assert_array_equal(spy.call_args_list[0].args[3], [0.0, logit, 0.0])
+
+    @pytest.mark.parametrize("case", ["no ones", "constant twos", "no ties", "all ties"])
+    def test_the_zero_start_stays_without_an_intercept_or_at_the_boundary(self, case):
+        design = synthetic_design(np.random.default_rng(242), 80, [-0.5, 0.7])
+        x, y = design.matrix.copy(), design.response.copy()
+        if case == "no ones":
+            x[0, 0] = 0.0
+        elif case == "constant twos":
+            x[:, 0] = 2.0
+        else:
+            y[:] = 1.0 if case == "all ties" else 0.0
+        design = dataclasses.replace(design, matrix=x, response=y)
+        np.testing.assert_array_equal(first_evaluation(design), [0.0, 0.0])
+        # and the path is the zero start's, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert_identical_fits(
+                fit_logistic(design), fit_logistic(design, _start=np.zeros(2))
+            )
+
+    def test_a_given_start_is_kept(self):
+        design = synthetic_design(np.random.default_rng(243), 80, [-0.5, 0.7])
+        np.testing.assert_array_equal(
+            first_evaluation(design, _start=[0.25, -0.5]), [0.25, -0.5]
+        )
 
 
 def planted_design(rng, rows, p):
@@ -644,6 +773,23 @@ def duplicated_design(rng, rows):
     return DyadDesign(dyads, y, x, ("a", "b", "c", "rare", "twin"))
 
 
+class UnitCoefficients:
+    """Stands in for ``random.Random`` where ``_hash_runs`` draws its hash
+    coefficients: every one is 1.0, so that rows of equal sums collide."""
+
+    def __init__(self, seed):
+        pass
+
+    def uniform(self, lo, hi):
+        return 1.0
+
+
+def assert_same_groups(got, expect):
+    """``(first, group)`` pairs equal, element for element."""
+    for a, b in zip(got, expect, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def collapsed_fit(design, weights):
     """Fit ``design`` on its distinct rows, each weighted by the total
     weight of the rows it stands for."""
@@ -670,6 +816,22 @@ class TestUniqueRows:
         labels, firsts = np.unique(group, return_index=True)
         np.testing.assert_array_equal(labels, np.arange(len(first)))
         np.testing.assert_array_equal(firsts, first)
+        expect = sorted_gather_unique_rows(x, y)
+        assert_same_groups((first, group), expect)
+        # with every hash coefficient 1.0, rows of equal sums collide
+        with mock.patch.object(estimator.random, "Random", UnitCoefficients):
+            assert_same_groups(_unique_rows(x, y), expect)
+
+    def test_planted_collisions_take_the_sorted_gather_path(self):
+        rng = np.random.default_rng(244)
+        x = np.asfortranarray(rng.integers(0, 3, size=(500, 4)).astype(np.float64))
+        y = rng.integers(0, 2, size=500).astype(np.int8)
+        expect = sorted_gather_unique_rows(x, y)
+        for coefficients, collides in ((random.Random, False), (UnitCoefficients, True)):
+            with mock.patch.object(estimator.random, "Random", coefficients), \
+                    mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
+                assert_same_groups(_unique_rows(x, y), expect)
+            assert spy.call_count == collides
 
     def test_hash_collisions_split_but_never_merge(self):
         # 1 is below the spacing of floats near 1e20, so both rows hash alike
@@ -750,22 +912,75 @@ class TestUniqueRows:
         np.testing.assert_array_equal(short.separation_flags, full.separation_flags)
 
 
-@pytest.mark.parametrize("p", [8, 22])
-def test_unique_rows_scratch_does_not_grow_with_the_columns(p):
+@pytest.mark.parametrize(
+    "p, case",
+    [
+        # every row distinct keeps the plain ids, [8] and [22]
+        pytest.param(p, case, id=str(p) if case == "distinct" else f"{p}-{case}")
+        for case in ("distinct", "duplicated", "collision")
+        for p in (8, 22)
+    ],
+)
+def test_unique_rows_scratch_does_not_grow_with_the_columns(p, case):
     rows = 20000
     rng = np.random.default_rng(216)
     x = np.asfortranarray(rng.integers(0, 3, size=(rows, p)).astype(np.float64))
-    x[:, 0] = np.arange(rows)  # every row distinct: the most groups
     y = rng.integers(0, 2, size=rows).astype(np.int8)
-    tracemalloc.start()
-    try:
-        first, _ = _unique_rows(x, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(first) == rows
+    coefficients = random.Random
+    if case == "distinct":
+        x[:, 0] = np.arange(rows)  # every row distinct: the most groups
+    elif case == "collision":
+        # row sums far apart, but for rows 0 and 1, which differ by a swap:
+        # under unit hash coefficients they collide and no other rows do
+        x[:, 0] = 100.0 * np.arange(rows)
+        x[1], y[1] = x[0], y[0]
+        x[:2, 1:3] = [[0.0, 1.0], [1.0, 0.0]]
+        coefficients = UnitCoefficients
+    with mock.patch.object(estimator.random, "Random", coefficients), \
+            mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
+        tracemalloc.start()
+        try:
+            first, group = _unique_rows(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert spy.call_count == (case == "collision")
+    # at 8 columns of three values, about half of the rows repeat
+    assert len(first) < rows if case == "duplicated" and p == 8 else len(first) == rows
+    np.testing.assert_array_equal(x, x[first[group]])
     # the same number of row-length float vectors at every column count
     assert peak < 6.5 * rows * 8
+
+
+@pytest.fixture(scope="module", params=[5, 11])
+def large_mple_design(request):
+    """The design of the benchmark's ``large_mple`` fit: 22 terms on 800
+    nodes, 639,200 rows."""
+    g, table = large_mple_network(request.param)
+    return build_design(g, table, parse_terms(config.CROSS_SECTIONAL_TERMS))
+
+
+class TestLargeMpleDesigns:
+    def test_groups_equal_the_sorted_gather_groups(self, large_mple_design):
+        design = large_mple_design
+        expect = sorted_gather_unique_rows(design.matrix, design.response)
+        with mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
+            assert_same_groups(_unique_rows(design.matrix, design.response), expect)
+        assert spy.call_count == 0
+        assert_same_groups(design.row_groups, expect)
+
+    def test_the_intercept_start_saves_passes_and_needs_no_qr(self, large_mple_design):
+        design = large_mple_design
+        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+            cold = fit_logistic(design)
+        assert spy.call_count == 0
+        zero = fit_logistic(design, _start=np.zeros(design.matrix.shape[1]))
+        assert cold.converged and zero.converged
+        assert cold.iterations < zero.iterations
+        for field in ("coefficients", "standard_errors"):
+            np.testing.assert_allclose(
+                getattr(cold, field), getattr(zero, field), rtol=1e-9, err_msg=field
+            )
 
 
 def fit_or_culprits(design, weights=None):

@@ -49,14 +49,15 @@ class TestPooledDesign:
         design = pooled_design(series, None, SPEC)
         d = 6 * 5
         assert design.matrix.shape == (3 * d, 2)
-        assert design.periods is not None
-        # each block equals the cross-sectional design of its own panel
+        # block b, rows b*d to (b+1)*d, is the cross-sectional design of
+        # modeled period b, dyads in the same order: fit_btergm reads a row's
+        # period from its position alone
         for b, g in enumerate(graphs[1:]):
             block = slice(b * d, (b + 1) * d)
             single = build_design(g, None, SPEC)
+            np.testing.assert_array_equal(design.dyads[block], single.dyads)
             np.testing.assert_allclose(design.matrix[block], single.matrix)
             np.testing.assert_array_equal(design.response[block], single.response)
-            assert set(design.periods[block]) == {series.labels[b + 1]}
 
     def test_lagged_tie_column(self):
         rng = np.random.default_rng(52)
@@ -240,7 +241,7 @@ def restacked_replicates(pooled, units, mode, replications, seed):
         rows = np.concatenate([rows_of[k] for k in pick])
         design = DyadDesign(
             pooled.dyads[rows], pooled.response[rows], pooled.matrix[rows],
-            pooled.term_names, pooled.periods[rows],
+            pooled.term_names,
         )
         try:
             with warnings.catch_warnings():
