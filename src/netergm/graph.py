@@ -177,10 +177,12 @@ def _row_lists(a: np.ndarray) -> _Lists:
     return _Lists(starts, rows, cols)
 
 
-def _expand(starts: np.ndarray, v: np.ndarray):
+def _expand(starts: np.ndarray, v: np.ndarray, deg: np.ndarray | None = None):
     """Every entry of the lists of the rows ``v``, as ``(origin, pos)``: the
-    list of row ``v[origin[k]]`` holds entry ``pos[k]``."""
-    deg = starts[v + 1] - starts[v]
+    list of row ``v[origin[k]]`` holds entry ``pos[k]``. ``deg``, the
+    lengths of those lists, is taken from ``starts`` unless given."""
+    if deg is None:
+        deg = starts[v + 1] - starts[v]
     origin = np.repeat(np.arange(len(v)), deg)
     pos = np.arange(len(origin)) + np.repeat(starts[v] - np.cumsum(deg) + deg, deg)
     return origin, pos

@@ -23,7 +23,8 @@ from netergm.descriptives import (
     betweenness_scores,
     eigenvector_scores,
 )
-from helpers import random_graph
+from netergm.graph import _expand
+from helpers import large_mple_network, random_graph
 
 
 def reference_transitivity(g):
@@ -151,7 +152,9 @@ class TestBetweenness:
     def sparse_and_long_graphs():
         sparse = graph_with_isolates(np.random.default_rng(3), 300, 0.01, 20)
         assert (sparse.total_degrees == 0).any()
-        return [sparse, chain_of_diamonds()]
+        # dense enough that the middle levels run bottom-up
+        dense = random_graph(np.random.default_rng(5), 300, 0.3)
+        return [sparse, chain_of_diamonds(), dense]
 
     def test_scores_do_not_depend_on_the_source_block(self, monkeypatch):
         for g in self.sparse_and_long_graphs():
@@ -181,11 +184,56 @@ def chain_of_diamonds(k=150):
     return build_graph(3 * k + 1, edges)
 
 
+def layered_bipartite(width, depth):
+    """``depth + 1`` layers of ``width`` nodes, each layer tied to the next
+    both ways by complete bipartite steps: a node of the first layer has
+    ``width**(depth - 1)`` shortest paths to each node of the last."""
+    edges = []
+    for lo in range(0, depth * width, width):
+        for i in range(lo, lo + width):
+            for j in range(lo + width, lo + 2 * width):
+                edges += [(i, j), (j, i)]
+    return build_graph((depth + 1) * width, edges)
+
+
+def hub_then_two_chains(hub=40, diamonds=54, fan=200):
+    """A complete hub from which two chains of the same length lead to one
+    sink. The first, from the last hub node, runs through ``diamonds``
+    diamonds, so 2**diamonds shortest paths reach its end; the second, from
+    hub node 1, runs through one diamond and a path that fans out to ``fan``
+    nodes of two shortest paths each. From a hub node, the sink's path
+    count is a sum past 2**53 whose rounding depends on its order: the
+    second chain's pairs come first top-down, but last in ascending
+    order."""
+    edges = [(i, j) for i in range(hub) for j in range(hub) if i != j]
+    head, n = hub, hub + 1
+    edges.append((hub - 1, head))
+    for _ in range(diamonds):
+        edges += [(head, n), (head, n + 1), (n, n + 2), (n + 1, n + 2)]
+        head, n = n + 2, n + 3
+    ends = [head]
+    edges += [(1, n), (n, n + 1), (n, n + 2), (n + 1, n + 3), (n + 2, n + 3)]
+    head, n = n + 3, n + 4
+    for _ in range(2 * diamonds - 3):
+        edges.append((head, n))
+        head, n = n, n + 1
+    ends += range(n, n + fan)
+    edges += [(head, e) for e in ends[1:]]
+    n += fan
+    edges += [(e, n) for e in ends]
+    return build_graph(n + 1, edges)
+
+
 def networkx_digraph(nx, g):
     h = nx.DiGraph()
     h.add_nodes_from(range(g.node_count))
     h.add_edges_from(g.edges)
     return h
+
+
+def networkx_betweenness(nx, g):
+    ref = nx.betweenness_centrality(networkx_digraph(nx, g), normalized=False)
+    return np.array([ref[v] for v in range(g.node_count)])
 
 
 def networkx_transitivity(nx, h):
@@ -259,6 +307,96 @@ class TestAgainstNetworkx:
         assert networkx_transitivity(nx, networkx_digraph(nx, g)) == 1 / 3 == transitivity(g)
 
 
+def traced_betweenness(g, top_down_only=False):
+    """Betweenness of ``g`` as ``(scores, entries, bottom_up)``: the list
+    entries its search expanded, and how many expansions ran bottom-up,
+    through the in-lists. ``top_down_only`` swaps in a direction rule that
+    never picks bottom-up."""
+    expanded = []
+
+    def spy(starts, v, deg=None):
+        origin, pos = _expand(starts, v, deg)
+        expanded.append((starts is g._in_lists.starts, len(origin)))
+        return origin, pos
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(netergm.descriptives, "_expand", spy)
+        if top_down_only:
+            m.setattr(netergm.descriptives, "_bottom_up", lambda *counts: False)
+        scores = betweenness_scores(g)
+    return scores, sum(k for _, k in expanded), sum(up for up, _ in expanded)
+
+
+@pytest.fixture(scope="module")
+def direction_runs():
+    """Name -> (default run, top-down run) of ``traced_betweenness``."""
+    graphs = {
+        "large_mple 5": large_mple_network(5)[0],
+        "large_mple 11": large_mple_network(11)[0],
+        "isolates": graph_with_isolates(np.random.default_rng(3), 300, 0.01, 20),
+        "diamonds": chain_of_diamonds(),
+        "n=363 at 3%": random_graph(np.random.default_rng(6), 363, 0.03),
+        "n=300 at 30%": random_graph(np.random.default_rng(5), 300, 0.3),
+        "path": build_graph(2000, [(i, i + 1) for i in range(1999)]),
+    }
+    return {
+        name: (traced_betweenness(g), traced_betweenness(g, top_down_only=True))
+        for name, g in graphs.items()
+    }
+
+
+class TestBetweennessDirection:
+    """Bottom-up levels scan fewer entries and leave every score as it is."""
+
+    def test_direction_does_not_change_the_scores(self, direction_runs):
+        for name, (default, top_down) in direction_runs.items():
+            np.testing.assert_array_equal(default[0], top_down[0], err_msg=name)
+        for name in ("large_mple 5", "large_mple 11"):
+            assert direction_runs[name][0][2] >= 1, name
+
+    def test_bottom_up_levels_expand_fewer_entries(self, direction_runs):
+        for name, (default, top_down) in direction_runs.items():
+            assert default[1] <= top_down[1], name
+        for name in ("path", "diamonds"):
+            default, top_down = direction_runs[name]
+            assert default[1] == top_down[1] and default[2] == 0, name
+        default, top_down = direction_runs["large_mple 5"]
+        assert top_down[1] == 3_778_561
+        assert default[1] <= 1_900_000
+
+    def test_a_level_past_2_53_runs_top_down(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        # 4**27 = 2**54 shortest paths from the first layer to the last
+        g = layered_bipartite(4, 28)
+        rule, verdicts = netergm.descriptives._bottom_up, []
+
+        def spy(*counts):
+            verdicts.append(rule(*counts))
+            return verdicts[-1]
+
+        monkeypatch.setattr(netergm.descriptives, "_bottom_up", spy)
+        scores, _, bottom_up = traced_betweenness(g)
+        assert any(verdicts) and bottom_up == 0
+        np.testing.assert_array_equal(
+            scores, traced_betweenness(g, top_down_only=True)[0]
+        )
+        np.testing.assert_allclose(scores, networkx_betweenness(nx, g), rtol=1e-12)
+
+    def test_a_sum_past_2_53_after_a_bottom_up_level_reruns_top_down(
+        self, monkeypatch
+    ):
+        nx = pytest.importorskip("networkx")
+        g = hub_then_two_chains()
+        # one block of the hub's sources, so its second level runs bottom-up
+        monkeypatch.setattr(netergm.descriptives, "_SOURCE_BLOCK", 40)
+        scores, _, bottom_up = traced_betweenness(g)
+        assert bottom_up >= 1
+        np.testing.assert_array_equal(
+            scores, traced_betweenness(g, top_down_only=True)[0]
+        )
+        np.testing.assert_allclose(scores, networkx_betweenness(nx, g), rtol=1e-12)
+
+
 class TestEigenvector:
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(23)
@@ -277,6 +415,25 @@ class TestEigenvector:
             expect[list(members)] = lead / lead.max()
             np.testing.assert_allclose(got, expect, atol=1e-6)
             checked += 1
+
+    def test_neighbour_lists_match_dense_power_iteration(self):
+        # the power iteration as a dense product with S + I, same start,
+        # tolerance and stopping rule
+        g = large_mple_network(5)[0]
+        members = np.array(largest_component(g).members)
+        s = (g.adjacency | g.adjacency.T)[np.ix_(members, members)].astype(float)
+        s += np.eye(len(members))
+        x = np.full(len(members), 1.0 / np.sqrt(len(members)))
+        for _ in range(1000):
+            y = s @ x
+            y /= np.linalg.norm(y)
+            done = np.max(np.abs(y - x)) < 1e-10
+            x = y
+            if done:
+                break
+        expect = np.zeros(g.node_count)
+        expect[members] = x / x.max()
+        np.testing.assert_allclose(eigenvector_scores(g), expect, rtol=0, atol=1e-9)
 
     def test_star_closed_form(self):
         n = 6
