@@ -132,7 +132,8 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
       edges that reach an unseen pair. The pairs they reach are deduplicated
       by a scatter, not a sort: each edge writes its index into a
       block-length ``slot`` array at its pair, and the edge whose index
-      survives stands for that pair.
+      survives stands for that pair. A second scatter, of each reached
+      pair's position, then labels every kept edge with its pair.
     - Bottom-up, every unseen pair, in ascending order, expands through the
       in-edge list and keeps the edges from a frontier pair. A level runs
       bottom-up when the unseen pairs' in-lists hold fewer entries than the
@@ -225,21 +226,23 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
                     opens = np.empty(len(w), dtype=bool)
                     opens[0] = True
                     np.not_equal(child[1:], child[:-1], out=opens[1:])
-                    first = np.flatnonzero(opens)
+                    reached = w[np.flatnonzero(opens)]
                     inv = np.cumsum(opens) - 1
                 else:
                     origin, pos = _expand(out.starts, v, deg)
                     w = (f - v)[origin] + out.cols[pos]
-                    new = unseen[w]
+                    # gathers by index: through a boolean mask numpy
+                    # gathers a large level several times slower
+                    new = unseen[w].nonzero()[0]
                     origin, w = origin[new], w[new]
                     if not len(w):
                         break
                     idx = np.arange(len(w))
                     slot[w] = idx
-                    rep = slot[w]
-                    first = rep == idx
-                    inv = (np.cumsum(first) - 1)[rep]
-                reached = w[first]
+                    reached = w[(slot[w] == idx).nonzero()[0]]
+                    # each kept edge's reached pair, as an index into reached
+                    slot[reached] = np.arange(len(reached))
+                    inv = slot[w]
                 unseen[reached] = False
                 sigma[reached] = np.bincount(
                     inv, weights=sf[origin], minlength=len(reached)

@@ -9,7 +9,10 @@ reported confidence bounds. A node-block variant resamples sender nodes
 instead, for designs where period resampling is too coarse. The pooled
 design is collapsed once to its distinct rows, each weighted by how many
 pooled rows it stands for; a replicate reweights them by their rows' unit
-draw counts and starts Newton at the point estimate.
+draw counts and starts Newton at the point estimate. A replicate's fit
+depends on its draw counts alone, so each distinct draw is fitted once: three
+modeled periods allow only C(5, 3) = 10 draws, one of them the point fit's
+own weights, however many replications are asked for.
 
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
@@ -19,7 +22,7 @@ two panels so that dissolving ties still shape the local configurations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +64,13 @@ class BootstrapResult:
     """Replicate coefficients and percentile intervals for a pooled fit.
 
     ``drop_reasons`` counts the dropped replicates by cause:
-    ``"not_converged"``, ``"dropped_term"`` (a column was all zero), or the
-    class name of the error the refit raised. Its counts sum to
-    ``dropped_replicates``. ``replicate_iterations`` holds each attempted
-    replicate's Newton iteration count in draw order, None where the refit
-    raised.
+    ``"not_converged"``, ``"dropped_term"`` (a column the point fit kept was
+    all zero), or the class name of the error the refit raised. Its counts
+    sum to ``dropped_replicates``. ``replicate_iterations`` holds each
+    attempted replicate's Newton iteration count in draw order, None where
+    the refit raised; a replicate that repeats an earlier draw reports the
+    count of that draw's refit. Terms the point fit dropped have NaN
+    standard errors and bounds and are never significant.
     """
 
     term_names: tuple
@@ -137,13 +142,18 @@ def fit_btergm(
     count. Every fit runs on the design's distinct rows, weighted by their
     multiplicity, and a replicate starts at the point estimate unless the
     point fit is flagged for separation or did not converge; replicates
-    then agree with cold starts to the fit tolerance. A draw of every unit
-    exactly once has the point fit's weights and takes the point fit as its
-    replicate, with the iteration count its refit would report (0 from a
-    warm start). Replicates that fail
-    to converge (or lose a column entirely) are dropped and counted by
-    reason in ``BootstrapResult.drop_reasons``.
-    Intervals are percentile 2.5/97.5 over replicate coefficients.
+    then agree with cold starts to the fit tolerance.
+
+    Equal draw counts give equal weights and so an equal fit: only the
+    first replicate with each draw is refit, and a later one takes its
+    coefficients, iteration count and drop reason (or the error it raised).
+    A draw of every unit exactly once has the point fit's weights and takes
+    the point fit, with the iteration count its refit would report (0 from
+    a warm start). Replicates that fail to converge, or lose a column the
+    point fit kept, are dropped and counted by reason in
+    ``BootstrapResult.drop_reasons``; a column the point fit dropped is NaN
+    in every replicate. Intervals are percentile 2.5/97.5 over replicate
+    coefficients.
 
     Returns
     -------
@@ -176,46 +186,44 @@ def fit_btergm(
     warm = point.converged and not point.separation_flags.any()
     start = point.coefficients if warm else None
 
+    # outcome of each distinct draw: (coefficients, Newton iterations, drop
+    # reason or None); every unit drawn once has the point fit's weights
+    outcomes = {
+        np.bincount(np.arange(units)).tobytes(): (
+            point.coefficients,
+            0 if warm else point.iterations,
+            _drop_reason(point, point),
+        )
+    }
     reps = []
     drop_reasons = {}
     iterations = []
     for rep in range(replications):
         pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
         draws = np.bincount(pick, minlength=units)
-        try:
-            if (draws == 1).all():
-                # every unit drawn once: the point fit's own weights, so the
-                # refit would return the point fit, at once when it starts there
-                fit = point
-                if warm:
-                    fit = replace(
-                        point,
-                        iterations=0,
-                        ll_path=point.ll_path[-1:],
-                        step_halvings=0,
-                    )
-            else:
-                weights = np.bincount(
-                    group, weights=draws[unit_of_row], minlength=len(first)
-                )
+        key = draws.tobytes()
+        if key not in outcomes:
+            weights = np.bincount(
+                group, weights=draws[unit_of_row], minlength=len(first)
+            )
+            try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     fit = fit_logistic(
                         distinct, weights=weights, _start=start, **options
                     )
-        except (NetworkModelError, np.linalg.LinAlgError) as exc:
-            reason = type(exc).__name__
-            iterations.append(None)
-        else:
-            iterations.append(fit.iterations)
-            if not fit.converged:
-                reason = "not_converged"
-            elif fit.dropped_terms:
-                reason = "dropped_term"
+            except (NetworkModelError, np.linalg.LinAlgError) as exc:
+                outcomes[key] = (None, None, type(exc).__name__)
             else:
-                reps.append(fit.coefficients)
-                continue
-        drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+                outcomes[key] = (
+                    fit.coefficients, fit.iterations, _drop_reason(fit, point)
+                )
+        coefficients, its, reason = outcomes[key]
+        iterations.append(its)
+        if reason is None:
+            reps.append(coefficients)
+        else:
+            drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
     if not reps:
         raise NumericalError("no bootstrap replicate converged")
     rep_matrix = np.array(reps)
@@ -236,6 +244,16 @@ def fit_btergm(
         replicate_iterations=tuple(iterations),
     )
     return point, boot
+
+
+def _drop_reason(fit: FitResult, point: FitResult):
+    """Why a replicate fit is dropped, None when it is kept: it did not
+    converge, or it lost a column that the point fit kept."""
+    if not fit.converged:
+        return "not_converged"
+    if set(fit.dropped_terms) - set(point.dropped_terms):
+        return "dropped_term"
+    return None
 
 
 def formation_design(

@@ -9,7 +9,9 @@ closed-form change statistics out as ``(n_terms, n, n)`` matrices so that
 the toggle route and the sampler's incremental deltas can be checked
 against them. ``dense_gwesp_matrix`` and ``dense_gwdsp_matrix`` keep the
 dense n x n matrix-product forms of the shared-partner terms, the oracle
-of the library's edge-list sums.
+of the library's edge-list sums. ``refit_every_replicate`` runs the pooled
+bootstrap with the library's own fit on every replicate, the oracle of
+fitting each distinct draw once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import importlib.util
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +29,14 @@ from netergm import (
     DirectedGraph,
     DyadDesign,
     InvalidDyadError,
+    NetworkModelError,
     NodeTable,
     build_graph,
+    fit_logistic,
     global_stats,
+    pooled_design,
 )
+from netergm.estimator import _unique_rows
 from netergm.ingest import DEFAULT_LEVELS
 from netergm.terms import _change_stat_columns
 
@@ -268,6 +275,78 @@ def sorted_gather_unique_rows(x, y):
     group = np.empty(d, dtype=np.intp)
     group[order] = label[sorted_label]
     return first, group
+
+
+def refit_every_replicate(
+    series, attrs, spec, replications, seed, mode, include_lagged_tie=False
+):
+    """``fit_btergm``'s bootstrap with every replicate refit, the draw of
+    every unit once included, as the fields of its ``BootstrapResult``: the
+    reference for fitting each distinct draw once. The point fit and the
+    replicates run on the pooled design's distinct rows, column-major, and a
+    replicate starts at the point estimate unless the point fit is flagged
+    or did not converge, as in ``fit_btergm``."""
+    pooled = pooled_design(series, attrs, spec, include_lagged_tie)
+    if mode == "temporal":
+        units = len(series) - 1
+        unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
+    else:
+        units = series.node_count
+        unit_of_row = pooled.dyads[:, 0]
+    first, group = _unique_rows(pooled.matrix, pooled.response)
+    distinct = DyadDesign(
+        pooled.dyads[first],
+        pooled.response[first],
+        np.asfortranarray(pooled.matrix[first]),
+        pooled.term_names,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        point = fit_logistic(distinct, weights=np.bincount(group))
+    warm = point.converged and not point.separation_flags.any()
+    coefs, reasons, iterations = [], {}, []
+    for rep in range(replications):
+        pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
+        draws = np.bincount(pick, minlength=units)
+        weights = np.bincount(group, weights=draws[unit_of_row], minlength=len(first))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fit = fit_logistic(
+                    distinct,
+                    weights=weights,
+                    _start=point.coefficients if warm else None,
+                )
+        except (NetworkModelError, np.linalg.LinAlgError) as exc:
+            reason = type(exc).__name__
+            iterations.append(None)
+        else:
+            iterations.append(fit.iterations)
+            if not fit.converged:
+                reason = "not_converged"
+            elif set(fit.dropped_terms) - set(point.dropped_terms):
+                reason = "dropped_term"
+            else:
+                coefs.append(fit.coefficients)
+                continue
+        reasons[reason] = reasons.get(reason, 0) + 1
+    reps = np.array(coefs)
+    lo, hi = np.percentile(reps, [2.5, 97.5], axis=0)
+    return {
+        "term_names": pooled.term_names,
+        "point_estimates": point.coefficients,
+        "replicate_coefficients": reps,
+        "standard_errors": reps.std(axis=0, ddof=1),
+        "ci_lower": lo,
+        "ci_upper": hi,
+        "significant": (lo > 0) | (hi < 0),
+        "replications": replications,
+        "dropped_replicates": sum(reasons.values()),
+        "drop_reasons": reasons,
+        "seed": seed,
+        "mode": mode,
+        "replicate_iterations": tuple(iterations),
+    }
 
 
 def large_mple_network(variant):

@@ -28,7 +28,12 @@ from netergm import (
 )
 from netergm.estimator import _unique_rows
 from netergm.temporal import LAGGED_TIE_NAME, formation_bic_all_dyads
-from helpers import change_stats, random_graph, simple_table
+from helpers import (
+    change_stats,
+    random_graph,
+    refit_every_replicate,
+    simple_table,
+)
 
 
 SPEC = parse_terms(("edges", "mutual"))
@@ -148,20 +153,22 @@ class TestFitBtergm:
         assert boot.replicate_coefficients.shape[1] == 2
 
     # units drawn per replicate: modeled periods, or sender nodes
-    UNITS = {"temporal": 2, "node": 8}
+    UNITS = {"temporal": 3, "node": 8}
+
+    @staticmethod
+    def four_panels():
+        rng = np.random.default_rng(56)
+        return series_of([random_graph(rng, 8, 0.35) for _ in range(4)])
 
     def test_unexpected_replicate_error_propagates(self, monkeypatch):
-        rng = np.random.default_rng(56)
-        series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
+        series = self.four_panels()
         real_fit = netergm.temporal.fit_logistic
         for mode, units in self.UNITS.items():
-            # call 1 is the point fit, then one call per refitted replicate
             assert len(refit_draws(seed=3, replications=6, units=units)) >= 2
-            calls = []
+            number = weights_numbering()
 
             def flaky_fit(design, **options):
-                calls.append(design)
-                if len(calls) == 3:  # the second refitted replicate
+                if number(options) == 2:  # the second refitted draw
                     raise TypeError("a bug, not a failed fit")
                 return real_fit(design, **options)
 
@@ -170,34 +177,58 @@ class TestFitBtergm:
                 fit_btergm(series, None, SPEC, replications=6, seed=3, mode=mode)
 
     def test_drop_reasons_are_counted(self, monkeypatch):
-        rng = np.random.default_rng(56)
-        series = series_of([random_graph(rng, 8, 0.35) for _ in range(3)])
+        series = self.four_panels()
         real_fit = netergm.temporal.fit_logistic
         for mode, units in self.UNITS.items():
-            # calls 2-4 are the first three refitted replicates
-            assert len(refit_draws(seed=3, replications=9, units=units)) >= 3
-            calls = []
+            # the first three refitted draws fail, each for its own reason
+            refit = list(refit_draws(seed=3, replications=9, units=units).values())
+            assert len(refit) >= 3
+            number = weights_numbering()
 
             def failing_fit(design, **options):
-                calls.append(design)
-                if len(calls) == 2:
+                k = number(options)
+                if k == 1:
                     raise RankDeficiencyError("design is rank deficient")
                 fit = real_fit(design, **options)
-                if len(calls) == 3:
+                if k == 2:
                     return dataclasses.replace(fit, converged=False)
-                if len(calls) == 4:
+                if k == 3:
                     return dataclasses.replace(fit, dropped_terms=("mutual",))
                 return fit
 
             monkeypatch.setattr(netergm.temporal, "fit_logistic", failing_fit)
             _, boot = fit_btergm(series, None, SPEC, replications=9, seed=3, mode=mode)
+            # a replicate counts its draw's reason, however often it repeats
+            draws = unit_draws(seed=3, replications=9, units=units)
+            times = [sum(np.array_equal(d, r) for d in draws) for r in refit[:3]]
             assert boot.drop_reasons == {
-                "RankDeficiencyError": 1,
-                "not_converged": 1,
-                "dropped_term": 1,
+                "RankDeficiencyError": times[0],
+                "not_converged": times[1],
+                "dropped_term": times[2],
             }, mode
-            assert boot.dropped_replicates == 3
-            assert boot.n_valid == 6
+            assert boot.dropped_replicates == sum(times)
+            assert boot.n_valid == 9 - sum(times)
+
+    @pytest.mark.parametrize("mode", ["temporal", "node"])
+    def test_a_column_the_point_fit_drops_is_nan_in_every_replicate(self, mode):
+        # every node lies on a ring, so no modeled panel has an isolate and
+        # the isolates column is all zero in the point fit and every replicate
+        rng = np.random.default_rng(59)
+        ring = {(i, (i + 1) % 10) for i in range(10)}
+        series = series_of(
+            [DirectedGraph(10, random_graph(rng, 10, 0.2).edges | ring) for _ in range(3)]
+        )
+        spec = parse_terms(("edges", "mutual", "isolates"))
+        with pytest.warns(UserWarning, match="all-zero column.*isolates"):
+            point, boot = fit_btergm(series, None, spec, replications=5, mode=mode)
+        assert point.dropped_terms == ("isolates",)
+        assert boot.drop_reasons == {} and boot.n_valid == 5
+        assert np.isnan(boot.replicate_coefficients[:, 2]).all()
+        assert np.isfinite(boot.replicate_coefficients[:, :2]).all()
+        for field in ("standard_errors", "ci_lower", "ci_upper"):
+            values = getattr(boot, field)
+            assert np.isnan(values[2]) and np.isfinite(values[:2]).all(), field
+        assert not boot.significant[2]
 
     def test_too_few_replications(self):
         rng = np.random.default_rng(57)
@@ -307,14 +338,42 @@ def spy_on_fits(monkeypatch, tamper=None):
     return calls
 
 
-def refit_draws(seed, replications, units):
-    """Replicate index -> unit draw of the replicates that ``fit_btergm``
-    refits: those that do not draw every unit exactly once."""
-    draws = {
-        rep: np.random.default_rng([seed, rep]).integers(0, units, size=units)
+def unit_draws(seed, replications, units):
+    """Each replicate's draw count of every unit, in draw order, as
+    ``fit_btergm`` draws them."""
+    return [
+        np.bincount(
+            np.random.default_rng([seed, rep]).integers(0, units, size=units),
+            minlength=units,
+        )
         for rep in range(replications)
-    }
-    return {rep: pick for rep, pick in draws.items() if len(set(pick.tolist())) < units}
+    ]
+
+
+def refit_draws(seed, replications, units):
+    """Replicate index -> unit draw counts of the replicates that
+    ``fit_btergm`` refits: the first with each draw, but for a draw of every
+    unit exactly once, which takes the point fit."""
+    refit, seen = {}, {tuple([1] * units)}
+    for rep, draws in enumerate(unit_draws(seed, replications, units)):
+        if tuple(draws.tolist()) not in seen:
+            seen.add(tuple(draws.tolist()))
+            refit[rep] = draws
+    return refit
+
+
+def weights_numbering():
+    """Number the weight vectors of ``fit_logistic`` calls in order of first
+    sight: the point fit's is 0, the first refitted draw's 1, and so on. A
+    mock that acts by this number acts alike on every call with the same
+    weights, as a real fit does."""
+    seen = {}
+
+    def number(options):
+        key = np.asarray(options["weights"], dtype=np.float64).tobytes()
+        return seen.setdefault(key, len(seen))
+
+    return number
 
 
 def separated(fit):
@@ -447,20 +506,18 @@ class TestDistinctRowsAndWarmStarts:
         np.testing.assert_array_equal(boot.replicate_coefficients, np.array(coefs))
         assert boot.drop_reasons == reasons
         assert boot.replicate_iterations == tuple(iterations)
-        assert [iterations[rep] for rep in range(12) if rep not in refit] == [0, 0, 0]
+        once = [
+            rep for rep, draws in enumerate(unit_draws(73, 12, 3)) if (draws == 1).all()
+        ]
+        assert [iterations[rep] for rep in once] == [0, 0, 0]
 
     def test_a_reused_point_fit_records_a_fit_that_stops_at_once(self, monkeypatch):
-        real_replace = netergm.temporal.replace
-        reused = []
-
-        def spy(fit, **changes):
-            reused.append(real_replace(fit, **changes))
-            return reused[-1]
-
-        monkeypatch.setattr(netergm.temporal, "replace", spy)
         calls = spy_on_fits(monkeypatch)
-        point, _ = fit_btergm(self.series(73), None, self.SPEC3, replications=12, seed=73)
-        assert len(reused) == 12 - len(refit_draws(seed=73, replications=12, units=3))
+        point, boot = fit_btergm(self.series(73), None, self.SPEC3, replications=12, seed=73)
+        once = [
+            rep for rep, draws in enumerate(unit_draws(73, 12, 3)) if (draws == 1).all()
+        ]
+        assert len(once) == 3
         distinct, options = calls[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -469,33 +526,139 @@ class TestDistinctRowsAndWarmStarts:
             )
         assert again.iterations == 0 and again.step_halvings == 0
         assert len(again.ll_path) == 1
-        for fit in reused:
-            assert fit.iterations == 0 and fit.step_halvings == 0
-            np.testing.assert_allclose(fit.ll_path, again.ll_path, rtol=1e-12)
-            np.testing.assert_allclose(
-                fit.max_abs_score, again.max_abs_score, rtol=1e-6, atol=1e-12
+        np.testing.assert_array_equal(again.coefficients, point.coefficients)
+        # nothing is dropped, so the replicate rows stand in draw order
+        assert boot.dropped_replicates == 0
+        for rep in once:
+            assert boot.replicate_iterations[rep] == again.iterations
+            np.testing.assert_array_equal(
+                boot.replicate_coefficients[rep], again.coefficients
             )
-            assert fit.condition_number == pytest.approx(again.condition_number, rel=1e-9)
-            np.testing.assert_array_equal(fit.coefficients, point.coefficients)
 
     def test_replicate_iterations_in_draw_order(self, monkeypatch):
         real_fit = netergm.temporal.fit_logistic
-        fits = []
+        number = weights_numbering()
+        fits = {}
 
         def fit_or_raise(design, **options):
-            if len(fits) == 2:  # the second replicate
-                fits.append(None)
+            k = number(options)
+            if k == 3:  # the third refitted draw
+                fits[k] = None
                 raise RankDeficiencyError("design is rank deficient")
-            fits.append(real_fit(design, **options))
-            return fits[-1]
+            fits[k] = real_fit(design, **options)
+            return fits[k]
 
         monkeypatch.setattr(netergm.temporal, "fit_logistic", fit_or_raise)
-        _, boot = fit_btergm(self.series(74), None, SPEC, replications=4, seed=5)
-        assert boot.replicate_iterations == tuple(
-            None if f is None else f.iterations for f in fits[1:]
-        )
-        assert boot.replicate_iterations[1] is None
-        assert all(isinstance(k, int) for k in boot.replicate_iterations[::2])
+        _, boot = fit_btergm(self.series(74), None, SPEC, replications=12, seed=5)
+        # a replicate reports the fit of its draw; every unit drawn once
+        # takes the point fit, which stops at once from its own estimate
+        refit = refit_draws(seed=5, replications=12, units=3)
+        fit_of = {
+            tuple(draws.tolist()): fits[k]
+            for k, draws in enumerate(refit.values(), start=1)
+        }
+        expect = []
+        for draws in unit_draws(5, 12, 3):
+            fit = fit_of.get(tuple(draws.tolist()))
+            if (draws == 1).all():
+                expect.append(0)
+            else:
+                expect.append(None if fit is None else fit.iterations)
+        assert boot.replicate_iterations == tuple(expect)
+        assert expect.count(None) == 2
+        assert all(isinstance(k, int) for k in expect if k is not None)
+
+
+TEAM = simple_table(
+    tuple(f"n{k}" for k in range(9)),
+    levels={"team": ("b", "r")},
+    team=tuple("r" if k < 2 else "b" for k in range(9)),
+)
+TEAM_SPEC = parse_terms(("edges", "mutual", "nodematch(team, r)"))
+
+
+def team_series(warm):
+    """Four 9-node panels, the first modeled one empty, and a team "r" of
+    nodes 0 and 1. Warm, the pair is tied in the last two panels; cold, it
+    is never tied, so ``nodematch(team, r)`` separates in the point fit and
+    every replicate starts cold."""
+    rng = np.random.default_rng(60)
+    graphs = [random_graph(rng, 9, 0.25) for _ in range(4)]
+    graphs[1] = DirectedGraph(9, frozenset())
+    pair = {(0, 1), (1, 0)}
+    graphs = [DirectedGraph(9, g.edges - pair) for g in graphs]
+    if warm:
+        graphs[2] = DirectedGraph(9, graphs[2].edges | {(0, 1)})
+        graphs[3] = DirectedGraph(9, graphs[3].edges | {(1, 0)})
+    return series_of(graphs)
+
+
+class TestEachDistinctDrawFitOnce:
+    @pytest.mark.filterwarnings("ignore:possible separation")
+    @pytest.mark.parametrize("lag", [False, True], ids=["no_lag", "lag"])
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("mode", ["temporal", "node"])
+    def test_every_field_matches_refitting_every_replicate(
+        self, monkeypatch, mode, warm, lag
+    ):
+        series = team_series(warm)
+        run = dict(replications=40, seed=60, mode=mode, include_lagged_tie=lag)
+        calls = spy_on_fits(monkeypatch)
+        point, boot = fit_btergm(series, TEAM, TEAM_SPEC, **run)
+        assert (point.converged and not point.separation_flags.any()) == warm
+        assert all((options["_start"] is not None) == warm for _, options in calls[1:])
+        units = 3 if mode == "temporal" else 9
+        assert len(calls) == 1 + len(refit_draws(60, 40, units))
+        expect = refit_every_replicate(series, TEAM, TEAM_SPEC, **run)
+        got = dataclasses.asdict(boot)
+        assert got.keys() == expect.keys()
+        for field, value in expect.items():
+            if isinstance(value, np.ndarray):
+                assert got[field].shape == value.shape, field
+                np.testing.assert_array_equal(got[field], value, err_msg=field)
+            else:
+                assert got[field] == value, field
+
+    def test_three_modeled_periods_fit_at_most_ten_times(self, monkeypatch):
+        calls = spy_on_fits(monkeypatch)
+        _, boot = fit_btergm(team_series(True), TEAM, TEAM_SPEC, replications=100)
+        # the point fit, and one refit of each of the 9 other draws at most
+        assert len(calls) <= 10
+        assert len(calls) == 1 + len(refit_draws(0, 100, 3))
+        assert len(boot.replicate_iterations) == 100
+
+    def test_a_raising_draw_counts_each_time_it_is_drawn(self, monkeypatch):
+        real_fit = netergm.temporal.fit_logistic
+        number = weights_numbering()
+
+        def fit_or_raise(design, **options):
+            if number(options) == 1:
+                raise np.linalg.LinAlgError("the first refitted draw fails")
+            return real_fit(design, **options)
+
+        monkeypatch.setattr(netergm.temporal, "fit_logistic", fit_or_raise)
+        _, boot = fit_btergm(team_series(True), TEAM, TEAM_SPEC, replications=12, seed=5)
+        # seed 5 draws (1, 0, 2) first, and 5 times in 12
+        times = sum((d == [1, 0, 2]).all() for d in unit_draws(5, 12, 3))
+        assert times == 5
+        assert boot.drop_reasons == {"LinAlgError": 5}
+        assert boot.replicate_iterations.count(None) == 5
+
+    def test_a_type_error_is_not_an_outcome(self, monkeypatch):
+        real_fit = netergm.temporal.fit_logistic
+        calls = []
+
+        def fit_or_raise(design, **options):
+            calls.append(options)
+            if len(calls) == 2:
+                raise TypeError("a bug, not a failed fit")
+            return real_fit(design, **options)
+
+        monkeypatch.setattr(netergm.temporal, "fit_logistic", fit_or_raise)
+        with pytest.raises(TypeError, match="a bug"):
+            fit_btergm(team_series(True), TEAM, TEAM_SPEC, replications=12, seed=5)
+        # the first refit raised, and the bootstrap stopped there
+        assert len(calls) == 2
 
 
 class TestFormation:
