@@ -137,13 +137,19 @@ def btergm_table(boot: BootstrapResult, title: str = "Pooled temporal fit") -> T
         "ci_upper": _numbers(boot.ci_upper),
         "sig": ["*" if s else "" for s in boot.significant],
     }
-    footers = (
+    footers = [
         f"replications: {boot.replications}",
         f"valid_replicates: {boot.n_valid}",
         f"dropped_replicates: {boot.dropped_replicates}",
         f"bootstrap_mode: {boot.mode}",
         f"seed: {boot.seed}",
-    )
+    ]
+    # the point fit leaves a NaN coefficient exactly where it dropped a term
+    dropped = [
+        name for name, b in zip(boot.term_names, boot.point_estimates) if np.isnan(b)
+    ]
+    if dropped:
+        footers.append(f"dropped_terms: {', '.join(dropped)}")
     return _term_table(title, boot.term_names, columns, footers)
 
 

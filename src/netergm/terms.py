@@ -330,14 +330,22 @@ def _gwesp_delta(t, attrs, c):
     out, inn, P = c.out, c.inn, c.P
 
     def delta(i, j, aij):
-        # with i -> j present every count below includes it, so none drops under 0
+        # with i -> j present every count below includes it, so none drops
+        # under 0. Each sum runs over the shared partners in ascending order,
+        # since float addition is not associative and set order depends on
+        # the set's history; a set of one has only one order, so only sets of
+        # two or more are sorted, and chains stay bit-identical.
         P_i = P[i]
         s1 = 0.0
-        for m in sorted(out[i] & out[j]):
-            s1 += rtab[P_i[m] - aij]
+        shared = out[i] & out[j]
+        if shared:
+            for m in sorted(shared) if len(shared) > 1 else shared:
+                s1 += rtab[P_i[m] - aij]
         s2 = 0.0
-        for m in sorted(inn[j] & inn[i]):
-            s2 += rtab[P[m][j] - aij]
+        shared = inn[j] & inn[i]
+        if shared:
+            for m in sorted(shared) if len(shared) > 1 else shared:
+                s2 += rtab[P[m][j] - aij]
         return wtab[P_i[j]] + s1 + s2
     return delta
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from netergm import (
+    DirectedGraph,
     NetworkSeries,
     build_graph,
     describe,
@@ -125,6 +126,24 @@ class TestTables:
         joined = " ".join(t.footers)
         assert "replications: 3" in joined
         assert "seed" in joined
+        assert "dropped_terms" not in joined
+
+    def test_btergm_table_names_the_terms_the_point_fit_dropped(self):
+        # every node lies on a ring, so no modeled panel has an isolate and
+        # the point fit drops the all-zero isolates column
+        rng = np.random.default_rng(59)
+        ring = {(i, (i + 1) % 10) for i in range(10)}
+        graphs = tuple(
+            DirectedGraph(10, random_graph(rng, 10, 0.2).edges | ring) for _ in range(3)
+        )
+        series = NetworkSeries(10, ("P0", "P1", "P2"), graphs, ((1, 1), (2, 2), (3, 3)))
+        spec = parse_terms(("edges", "mutual", "isolates"))
+        with pytest.warns(UserWarning, match="all-zero column.*isolates"):
+            _, boot = fit_btergm(series, None, spec, replications=5)
+        t = btergm_table(boot)
+        assert t.rows[2][1:] == ("", "", "", "", "", "")
+        assert t.footers[-1] == "dropped_terms: isolates"
+        assert sum("dropped_terms" in f for f in t.footers) == 1
 
     def test_formation_table_footers(self):
         rng = np.random.default_rng(73)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -94,6 +95,29 @@ class TestControlValidation:
             sample_ergm(5, None, spec, [0.0, 1.0])
         with pytest.raises(NumericalError):
             sample_ergm(5, None, spec, [float("nan")])
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.bool_(False), "0.5", None, 1j],
+        ids=["bool", "numpy-bool", "str", "None", "complex"],
+    )
+    def test_rejects_non_real_coefficients(self, bad):
+        spec = parse_terms(("edges", "mutual"))
+        with pytest.raises(ConfigError, match=r"theta\[1\]"):
+            sample_ergm(5, None, spec, [0.0, bad])
+
+    def test_accepts_numpy_coefficients(self):
+        spec = parse_terms(("edges", "mutual"))
+        control = SamplerControl(burn_in=50, thin=5, sample_count=3, seed=2)
+        plain = sample_ergm(5, None, spec, [-1.0, 2], control)
+        numpy = sample_ergm(5, None, spec, np.array([-1.0, 2.0], dtype=np.float32), control)
+        assert [g.edges for g in plain] == [g.edges for g in numpy]
+
+    def test_overflowing_ratio_names_the_dyad(self):
+        # each term is finite alone; a toggle that closes a mutual pair adds
+        # 1e308 twice and overflows
+        spec = parse_terms(("edges", "mutual"))
+        with pytest.raises(NumericalError, match=r"dyad \(5, 3\)"):
+            sample_ergm(6, None, spec, [1e308, 1e308], SamplerControl(seed=0))
 
 
 class TestEdgesOnlyDistribution:
@@ -208,6 +232,19 @@ class TestDeterminismAndDiagnostics:
         with pytest.warns(UserWarning, match="degenerate"):
             sample_ergm(15, None, parse_terms("edges"), [9.0], longer)
 
+    def test_a_call_leaves_no_reference_cycles(self):
+        # a cycle would keep the chain's neighbour sets alive until the
+        # collector runs
+        spec = parse_terms(("edges", "mutual", "isolates", "odegpop", "gwesp(0.5)", "gwdsp(0.7)"))
+        control = SamplerControl(burn_in=400, thin=50, sample_count=3, seed=4)
+        gc.collect()
+        gc.disable()
+        try:
+            sample_ergm(12, None, spec, [-2.0, 1.0, 0.2, 0.02, 0.3, -0.1], control)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def chain_digest(graphs):
     """SHA-256 over the sorted edge list of every retained graph, in order."""
@@ -228,6 +265,7 @@ class TestPinnedChains:
         1: "b50efd4639c902aadf9e61ef20a8400f187e1a75a15e711af01330c44382c512",
     }
     ALL_KINDS_DIGEST = "7693b98e0196a9294d4f724dc79196077aedb490f496be3739d344160cd003a6"
+    STRADDLE_DIGEST = "69d91a971faabc3668763cdeedff781671d86386f1114bba7d6983cc1f208bd8"
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gwesp_chain_at_n40(self, seed):
@@ -251,3 +289,11 @@ class TestPinnedChains:
         control = SamplerControl(burn_in=3000, thin=500, sample_count=5, seed=3)
         graphs = sample_ergm(n, table, spec, theta, control)
         assert chain_digest(graphs) == self.ALL_KINDS_DIGEST
+
+    def test_kept_samples_straddle_the_draw_chunk(self):
+        # draws come 16,384 at a time; these samples are kept at steps
+        # 16,384 to 16,393, on both sides of the first chunk's edge
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "odegpop"))
+        control = SamplerControl(burn_in=16381, thin=3, sample_count=4, seed=0)
+        graphs = sample_ergm(40, None, spec, [-3.0, 1.5, 0.3, 0.02], control)
+        assert chain_digest(graphs) == self.STRADDLE_DIGEST
