@@ -76,6 +76,18 @@ def parse_subsample(text: str) -> tuple:
     )
 
 
+# What a config file may give a field, by the field's annotation: the exact
+# JSON types, so that true is no integer, and their name for the error
+# message. A field annotated ``X | None`` also takes null.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "tuple": ((list,), "a list"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI run needs; see module docs for precedence rules."""
@@ -146,10 +158,17 @@ class RunConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(raw) - set(annotations))
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {unknown}")
+        for key, value in raw.items():
+            kind, _, optional = annotations[key].partition(" | ")
+            types, name = _JSON_TYPES[kind]
+            if type(value) not in types and not (value is None and optional):
+                raise ConfigError(
+                    f"{path}: config key {key!r} must be {name}, got {value!r}"
+                )
         return cls(**raw)
 
     def with_overrides(self, **overrides) -> "RunConfig":

@@ -104,10 +104,6 @@ def transitivity(g: DirectedGraph) -> float:
 # and visited marks of a block are flat arrays of 256 * n entries.
 _SOURCE_BLOCK = 256
 
-# float64 holds every integer below 2**53 exactly, so path counts summed below
-# it are the same in any order
-_EXACT_BELOW = 2.0**53
-
 
 def _bottom_up(frontier_entries: int, unseen_entries: int) -> bool:
     """Whether a breadth-first level runs bottom-up: exactly when the
@@ -130,35 +126,32 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
 
     - Top-down, the frontier expands through the out-edge list and keeps the
       edges that reach an unseen pair. The pairs they reach are deduplicated
-      by a scatter, not a sort: each edge writes its index into a
-      block-length ``slot`` array at its pair, and the edge whose index
-      survives stands for that pair. A second scatter, of each reached
-      pair's position, then labels every kept edge with its pair.
+      by a scatter: each edge writes its index into a block-length ``slot``
+      array at its pair, and the edge whose index survives stands for that
+      pair. The reached pairs are then sorted, and a second scatter, of each
+      one's position, labels every kept edge with its pair.
     - Bottom-up, every unseen pair, in ascending order, expands through the
       in-edge list and keeps the edges from a frontier pair. A level runs
       bottom-up when the unseen pairs' in-lists hold fewer entries than the
       frontier's out-lists, so no level expands more entries than it would
       top-down, and a wide middle level of a small-world graph expands far
-      fewer. Within one source the ascending pairs list each predecessor's
-      kept edges in its out-list order, the order top-down keeps them in, so
-      the backward pass needs no re-sort.
+      fewer.
 
-    A bottom-up level adds a pair's counts in another order than top-down,
-    so it runs only while the largest count in the frontier times the
-    largest in-degree is below 2**53: every such sum is an exact integer in
-    any order. Should a later level of the block pass that bound, the pairs
-    a bottom-up level reached stand in another order than top-down would
-    have left them, so the block's forward pass runs again top-down only.
-    Scores are therefore bit-identical to an all top-down search.
+    Either way the next frontier is ascending, as are the neighbour lists.
+    ``np.bincount`` adds in input order, so each reached pair's count sums
+    its predecessors' counts in ascending order, and each frontier pair's
+    dependency, below, sums its successors' shares in ascending order,
+    whichever direction each level took. The direction therefore changes
+    no bit of any score, however far the counts grow past 2**53.
 
     The backward pass sweeps the kept DAG edges deepest level first,
     passing the dependencies ``sigma[v] / sigma[w] * (1 + delta[w])`` back
     to the predecessors, so no list is expanded twice. Each step costs
     O(entries expanded), and no level expands more than it would top-down,
     where every (source, node) pair expands its out-edges once, so the work
-    is O(n * m) whatever the diameter of the graph; a block whose forward
-    pass runs again does it twice. A bottom-up level also scans the block's
-    pairs for the unseen ones.
+    is O(n * m) whatever the diameter of the graph. A top-down level also
+    sorts the r pairs it reached, O(r log r), and a bottom-up level scans
+    the block's pairs for the unseen ones.
     """
     n = g.node_count
     out, into = g._out_lists, g._in_lists
@@ -173,84 +166,74 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
     for lo in range(0, n, _SOURCE_BLOCK):
         src = np.arange(lo, min(lo + _SOURCE_BLOCK, n))
         own = np.arange(len(src)) * n + src
-        for may_go_up in (True, False):
-            sigma = np.zeros(len(src) * n)
-            sigma[own] = 1.0
-            unseen = np.ones(len(src) * n, dtype=bool)
-            unseen[own] = False
-            # in-list entries of the unseen pairs, but for those of the nodes
-            # in `pending`, the frontiers not yet counted, of `uncounted` pairs
-            unseen_in = len(src) * g.edge_count
-            pending, uncounted = [], 0
-            went_up = False
-            f = own
-            # per level: the frontier and its kept edges, as (index into f, pair)
-            dag = []
-            while True:
-                v = f % n
-                sf = sigma[f]
-                deg = out_deg[v]
-                pending.append(v)
-                uncounted += len(v)
-                up = False
-                # the frontier's out-lists hold at most len(f) * max_out
-                # entries and the unseen in-lists at least unseen_in -
-                # uncounted * max_in; where that settles the rule, neither
-                # count is summed, so small frontiers pay nothing for it
-                if may_go_up and unseen_in - uncounted * max_in < len(f) * max_out:
-                    unseen_in -= int(in_deg[np.concatenate(pending)].sum())
-                    pending, uncounted = [], 0
-                    up = _bottom_up(int(deg.sum()), unseen_in)
-                if up or went_up:
-                    exact = sf.max() * max_in < _EXACT_BELOW
-                    if went_up and not exact:
-                        dag = None  # run the block again, top-down only
-                        break
-                    up = up and exact
-                if up:
-                    went_up = True
-                    u = np.flatnonzero(unseen)
-                    x = u % n
-                    child, pos = _expand(into.starts, x, in_deg[x])
-                    p = (u - x)[child] + into.cols[pos]
-                    frontier[f] = True
-                    kept = np.flatnonzero(frontier[p])
-                    frontier[f] = False
-                    child, p = child[kept], p[kept]
-                    if not len(p):
-                        break
-                    slot[f] = np.arange(len(f))
-                    origin = slot[p]
-                    w = u[child]
-                    # the kept edges of one pair are adjacent
-                    opens = np.empty(len(w), dtype=bool)
-                    opens[0] = True
-                    np.not_equal(child[1:], child[:-1], out=opens[1:])
-                    reached = w[np.flatnonzero(opens)]
-                    inv = np.cumsum(opens) - 1
-                else:
-                    origin, pos = _expand(out.starts, v, deg)
-                    w = (f - v)[origin] + out.cols[pos]
-                    # gathers by index: through a boolean mask numpy
-                    # gathers a large level several times slower
-                    new = unseen[w].nonzero()[0]
-                    origin, w = origin[new], w[new]
-                    if not len(w):
-                        break
-                    idx = np.arange(len(w))
-                    slot[w] = idx
-                    reached = w[(slot[w] == idx).nonzero()[0]]
-                    # each kept edge's reached pair, as an index into reached
-                    slot[reached] = np.arange(len(reached))
-                    inv = slot[w]
-                unseen[reached] = False
-                sigma[reached] = np.bincount(
-                    inv, weights=sf[origin], minlength=len(reached)
-                )
-                dag.append((f, origin, w))
-                f = reached
-            if dag is not None:
-                break
+        sigma = np.zeros(len(src) * n)
+        sigma[own] = 1.0
+        unseen = np.ones(len(src) * n, dtype=bool)
+        unseen[own] = False
+        # in-list entries of the unseen pairs, but for those of the nodes
+        # in `pending`, the frontiers not yet counted, of `uncounted` pairs
+        unseen_in = len(src) * g.edge_count
+        pending, uncounted = [], 0
+        f = own
+        # per level: the frontier and its kept edges, as (index into f, pair)
+        dag = []
+        while True:
+            v = f % n
+            sf = sigma[f]
+            deg = out_deg[v]
+            pending.append(v)
+            uncounted += len(v)
+            up = False
+            # the frontier's out-lists hold at most len(f) * max_out
+            # entries and the unseen in-lists at least unseen_in -
+            # uncounted * max_in; where that settles the rule, neither
+            # count is summed, so small frontiers pay nothing for it
+            if unseen_in - uncounted * max_in < len(f) * max_out:
+                unseen_in -= int(in_deg[np.concatenate(pending)].sum())
+                pending, uncounted = [], 0
+                up = _bottom_up(int(deg.sum()), unseen_in)
+            if up:
+                u = np.flatnonzero(unseen)
+                x = u % n
+                child, pos = _expand(into.starts, x, in_deg[x])
+                p = (u - x)[child] + into.cols[pos]
+                frontier[f] = True
+                kept = np.flatnonzero(frontier[p])
+                frontier[f] = False
+                child, p = child[kept], p[kept]
+                if not len(p):
+                    break
+                slot[f] = np.arange(len(f))
+                origin = slot[p]
+                w = u[child]
+                # the kept edges of one pair are adjacent
+                opens = np.empty(len(w), dtype=bool)
+                opens[0] = True
+                np.not_equal(child[1:], child[:-1], out=opens[1:])
+                reached = w[np.flatnonzero(opens)]
+                inv = np.cumsum(opens) - 1
+            else:
+                origin, pos = _expand(out.starts, v, deg)
+                w = (f - v)[origin] + out.cols[pos]
+                # gathers by index: through a boolean mask numpy
+                # gathers a large level several times slower
+                new = unseen[w].nonzero()[0]
+                origin, w = origin[new], w[new]
+                if not len(w):
+                    break
+                idx = np.arange(len(w))
+                slot[w] = idx
+                # ascending, as bottom-up leaves it
+                reached = np.sort(w[(slot[w] == idx).nonzero()[0]])
+                # each kept edge's reached pair, as an index into reached
+                slot[reached] = np.arange(len(reached))
+                inv = slot[w]
+            unseen[reached] = False
+            sigma[reached] = np.bincount(
+                inv, weights=sf[origin], minlength=len(reached)
+            )
+            dag.append((f, origin, w))
+            f = reached
         delta = np.zeros_like(sigma)
         for f, origin, w in reversed(dag):
             share = sigma[f][origin] / sigma[w] * (1.0 + delta[w])

@@ -241,8 +241,8 @@ def _unique_rows(x, y):
     response and for every column: a gather of the distinct rows in row
     order, written into buffers allocated once. Only where distinct rows
     share a hash (a collision), or an entry is NaN, does that check fail, and
-    the groups are then split by the sorted columns (``_split_runs``). The
-    scratch space does not grow with the columns.
+    the runs holding distinct rows are then split by ``np.unique`` of their
+    rows (``_split_runs``). The scratch space does not grow with the columns.
     """
     return _group_runs(x, y, *_hash_runs(x, y))
 
@@ -301,40 +301,29 @@ def _groups_hold(x, y, first, group):
 
 
 def _split_runs(x, y, order, run):
-    """Group starts in hash order: a group starts wherever any column or the
-    response differs from the previous sorted row, so groups are exact and
-    distinct rows never share one. Distinct rows whose hashes collide can
-    interleave within their run of equal hashes; each such run is then
-    sorted by its columns, in place in ``order``, so every distinct row is
-    one group. One row-length buffer takes every sorted column."""
-    d, p = x.shape
-    buf = np.empty(d)
+    """Group starts in the order ``order``: the runs ``run`` of equal
+    hashes, split exactly where they hold distinct rows (a hash collision,
+    or a NaN entry).
+
+    The rows of each run that holds a row unlike its first are sorted, in
+    place in ``order``, by ``np.unique`` of their run, response and columns,
+    and a group starts wherever that key changes."""
+    # each sorted row's run, as the position where the run starts
+    start = np.maximum.accumulate(np.where(run, np.arange(len(order)), 0))
+    lead = order[start]
+    unlike = y[lead] != y[order]
+    for k in range(x.shape[1]):
+        unlike |= x[lead, k] != x[order, k]
+    at = np.flatnonzero(np.isin(start, start[unlike]))
+    rows = order[at]
+    # the run leads each row's key, so every run keeps its place in the order
+    _, key = np.unique(
+        np.column_stack([start[at], y[rows], x[rows]]), axis=0, return_inverse=True
+    )
+    by_key = np.argsort(key, kind="stable")
+    order[at] = rows[by_key]
     new = run.copy()
-    ys = y[order]
-    new[1:] |= ys[1:] != ys[:-1]
-    del ys
-    step = np.empty(max(d - 1, 0), dtype=bool)
-    for k in range(p):
-        np.take(x[:, k], order, out=buf)
-        new[1:] |= np.not_equal(buf[1:], buf[:-1], out=step)
-    del buf, step
-    split = new & ~run
-    if split.any():
-        # runs holding more than one distinct row: sort their rows by the
-        # columns and the response, runs kept in place, and flag them again
-        run_id = np.cumsum(run) - 1
-        bad = np.zeros(run_id[-1] + 1, dtype=bool)
-        bad[run_id[split]] = True
-        at = np.flatnonzero(bad[run_id])
-        rows = order[at]
-        keys = [x[rows, k] for k in reversed(range(p))] + [y[rows], run_id[at]]
-        order[at] = rows = rows[np.lexsort(keys)]
-        # a run's first row has its run flag set, whatever row precedes it
-        prev = order[at - 1]
-        flags = run[at] | (y[rows] != y[prev])
-        for k in range(p):
-            flags |= x[rows, k] != x[prev, k]
-        new[at] = flags
+    new[at] = np.diff(key[by_key], prepend=-1) != 0
     return new
 
 
@@ -410,13 +399,19 @@ def _fit_blocks(x, y, w, rows):
     xs, ys, ws = [], [], []
     for block in _row_blocks(len(rows)):
         at = rows[block]
-        xb = np.empty((x.shape[1], len(at))).T
-        for k in range(x.shape[1]):
-            np.take(x[:, k], at, out=xb[:, k])
-        xs.append(xb)
+        xs.append(_take_rows(x, at))
         ys.append(y[at].astype(np.float64))
         ws.append(w[block])
     return xs, ys, ws
+
+
+def _take_rows(x, rows):
+    """The rows ``rows`` of the matrix ``x`` as a new column-major float64
+    array, gathered one column at a time."""
+    out = np.empty((x.shape[1], len(rows))).T
+    for k in range(x.shape[1]):
+        np.take(x[:, k], rows, out=out[:, k])
+    return out
 
 
 def _rank(xs, ws, cols=slice(None)):

@@ -38,6 +38,7 @@ from .estimator import (
     DyadDesign,
     FitResult,
     _design,
+    _take_rows,
     _unique_rows,
     bayes_criterion,
     fit_logistic,
@@ -174,11 +175,9 @@ def fit_btergm(
     # every fit runs on the distinct rows, column-major like the builders'
     # output; the pooled rows are let go before the first fit
     first, group = _unique_rows(pooled.matrix, pooled.response)
-    x = np.empty((pooled.matrix.shape[1], len(first))).T
-    for k in range(x.shape[1]):
-        np.take(pooled.matrix[:, k], first, out=x[:, k])
     distinct = DyadDesign(
-        pooled.dyads[first], pooled.response[first], x, pooled.term_names
+        pooled.dyads[first], pooled.response[first],
+        _take_rows(pooled.matrix, first), pooled.term_names,
     )
     del pooled
     point = fit_logistic(distinct, weights=np.bincount(group), **options)

@@ -68,6 +68,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="JSON"):
             RunConfig.from_file(path)
 
+    def test_from_file_takes_every_default(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dataclasses.asdict(RunConfig())))
+        assert RunConfig.from_file(path) == RunConfig()
+
+    @pytest.mark.parametrize(
+        "raw, accepted",
+        [
+            ({"seed": True}, False),
+            ({"seed": 1.0}, False),
+            ({"tolerance": False}, False),
+            ({"tolerance": 0}, True),
+            ({"exclude_facilitators": 0}, False),
+            ({"breakpoints": None}, False),
+            ({"terms": None, "burn_in": None}, True),
+            ({"subsample": None}, False),
+            ({"theta": [1, 2.5]}, True),
+        ],
+    )
+    def test_from_file_checks_json_types(self, tmp_path, raw, accepted):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        if accepted:
+            RunConfig.from_file(path)
+        else:
+            with pytest.raises(ConfigError, match=repr(next(iter(raw)))):
+                RunConfig.from_file(path)
+
     def test_overrides_ignore_none(self):
         cfg = RunConfig(seed=11, out_dir="a")
         out = cfg.with_overrides(seed=None, out_dir="b", horizon=None)
@@ -362,6 +390,34 @@ class TestCliConfigAndErrors:
         code = run_cli("describe", "--config", str(cfg_path))
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("theta", "1,2", "a list"),
+            ("horizon", "72", "an integer"),
+            ("terms", "edges, mutual", "a list"),
+            ("lagged_tie", "false", "true or false"),
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_reports_error(
+        self, course_files, tmp_path, capsys, key, value, kind
+    ):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code = run_cli(
+            "fit",
+            "--config", str(cfg_path),
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {cfg_path}: config key {key!r} must be {kind}, got {value!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flags, message",

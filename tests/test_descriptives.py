@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ class TestBetweennessDirection:
         assert top_down[1] == 3_778_561
         assert default[1] <= 1_900_000
 
-    def test_a_level_past_2_53_runs_top_down(self, monkeypatch):
+    def test_a_level_past_2_53_runs_bottom_up(self, monkeypatch):
         nx = pytest.importorskip("networkx")
         # 4**27 = 2**54 shortest paths from the first layer to the last
         g = layered_bipartite(4, 28)
@@ -376,13 +377,13 @@ class TestBetweennessDirection:
 
         monkeypatch.setattr(netergm.descriptives, "_bottom_up", spy)
         scores, _, bottom_up = traced_betweenness(g)
-        assert any(verdicts) and bottom_up == 0
+        assert any(verdicts) and bottom_up >= 1
         np.testing.assert_array_equal(
             scores, traced_betweenness(g, top_down_only=True)[0]
         )
         np.testing.assert_allclose(scores, networkx_betweenness(nx, g), rtol=1e-12)
 
-    def test_a_sum_past_2_53_after_a_bottom_up_level_reruns_top_down(
+    def test_a_sum_past_2_53_after_a_bottom_up_level_matches_top_down(
         self, monkeypatch
     ):
         nx = pytest.importorskip("networkx")
@@ -395,6 +396,35 @@ class TestBetweennessDirection:
             scores, traced_betweenness(g, top_down_only=True)[0]
         )
         np.testing.assert_allclose(scores, networkx_betweenness(nx, g), rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [40, 256])
+    def test_any_sequence_of_directions_gives_the_same_scores(
+        self, monkeypatch, block
+    ):
+        graphs = {
+            "layered": layered_bipartite(4, 28),
+            "hub": hub_then_two_chains(),
+            "diamonds": chain_of_diamonds(),
+            "large_mple 5": large_mple_network(5)[0],
+        }
+        monkeypatch.setattr(netergm.descriptives, "_SOURCE_BLOCK", block)
+        for name, g in graphs.items():
+            top_down = traced_betweenness(g, top_down_only=True)[0]
+            went_up = 0
+            for seed in range(3):
+                # a seeded coin flip answers each call of the direction rule
+                coin = random.Random(seed)
+                monkeypatch.setattr(
+                    netergm.descriptives,
+                    "_bottom_up",
+                    lambda *counts: coin.random() < 0.5,
+                )
+                scores, _, bottom_up = traced_betweenness(g)
+                went_up += bottom_up
+                np.testing.assert_array_equal(
+                    scores, top_down, err_msg=f"{name}, seed {seed}"
+                )
+            assert went_up >= 1, name
 
 
 class TestEigenvector:
