@@ -18,11 +18,17 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .config import CROSS_SECTIONAL_TERMS, TEMPORAL_TERMS, RunConfig, parse_subsample
+from .config import (
+    _CHOICES,
+    CROSS_SECTIONAL_TERMS,
+    TEMPORAL_TERMS,
+    RunConfig,
+    parse_subsample,
+)
 from .descriptives import describe
 from .errors import ConfigError, NetworkModelError, ValidationError
 from .estimator import fit_mple
-from .export import export_graph
+from .export import _WRITERS, export_graph
 from .graph import activity_subset, induced_subgraph, largest_component, NodeSubset
 from .ingest import assemble_network, load_attributes, load_events, slice_periods
 from .report import (
@@ -165,10 +171,7 @@ def run_formation(cfg: RunConfig) -> list:
 def run_simulate(cfg: RunConfig) -> list:
     """Sample graphs from a specified model and write edge lists plus a
     statistic trace."""
-    if cfg.terms is None:
-        raise ConfigError("simulate requires --terms")
-    if cfg.theta is None:
-        raise ConfigError("simulate requires --theta")
+    _require(cfg, "terms", "theta")
     spec = parse_terms(cfg.terms)
     if len(cfg.theta) != len(spec.terms):
         raise ConfigError(
@@ -211,8 +214,8 @@ def run_simulate(cfg: RunConfig) -> list:
 def run_export(cfg: RunConfig) -> list:
     """Write the assembled (and subsampled) network to a graph file."""
     _, graph, table = _load_network(cfg)
-    ext = {"graphml": "graphml", "dot": "dot", "json-edgelist": "json"}
-    path = cfg.output or os.path.join(cfg.out_dir, f"graph.{ext[cfg.graph_format]}")
+    _, ext = _WRITERS[cfg.graph_format]
+    path = cfg.output or os.path.join(cfg.out_dir, f"graph.{ext}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -242,8 +245,7 @@ def _add_common(parser):
     )
     parser.add_argument(
         "--component-mode",
-        dest="component_mode",
-        choices=("weak", "strong"),
+        choices=_CHOICES["component_mode"],
         help="connectivity used by the lc subsample",
     )
     parser.add_argument(
@@ -259,25 +261,21 @@ def _add_common(parser):
         "--replications", type=int, help="bootstrap replications (tergm)"
     )
     parser.add_argument("--tolerance", type=float, help="score tolerance for fits")
-    parser.add_argument(
-        "--max-iterations", dest="max_iterations", type=int, help="fit iteration cap"
-    )
+    parser.add_argument("--max-iterations", type=int, help="fit iteration cap")
     parser.add_argument(
         "--bootstrap-mode",
-        dest="bootstrap_mode",
-        choices=("temporal", "node"),
+        choices=_CHOICES["bootstrap_mode"],
         help="bootstrap resampling unit (tergm)",
     )
     parser.add_argument(
         "--lagged-tie",
-        dest="lagged_tie",
         action="store_const",
         const=True,
         help="add a previous-panel tie indicator to pooled designs",
     )
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+    parser.add_argument("--out-dir", help="output directory")
     parser.add_argument(
-        "--format", choices=("text", "csv", "json"), help="machine table format"
+        "--format", choices=_CHOICES["format"], help="machine table format"
     )
 
 
@@ -301,15 +299,11 @@ def _build_parser():
         if name == "simulate":
             p.add_argument("--nodes", type=int, help="number of nodes")
             p.add_argument("--theta", help="comma-separated coefficients")
-            p.add_argument("--burn-in", dest="burn_in", type=int)
+            p.add_argument("--burn-in", type=int)
             p.add_argument("--thin", type=int)
             p.add_argument("--samples", type=int, help="graphs to retain")
         if name == "export":
-            p.add_argument(
-                "--graph-format",
-                dest="graph_format",
-                choices=("graphml", "dot", "json-edgelist"),
-            )
+            p.add_argument("--graph-format", choices=_CHOICES["graph_format"])
             p.add_argument("--output", help="output file path")
     return parser
 

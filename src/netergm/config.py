@@ -10,8 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer, _one_of
+from .export import GRAPH_FORMATS
+from .graph import COMPONENT_MODES
 from .ingest import DEFAULT_HORIZON, QUARTER_BREAKPOINTS
+from .report import TABLE_FORMATS
+from .temporal import BOOTSTRAP_MODES
 
 __all__ = [
     "RunConfig",
@@ -55,37 +59,55 @@ TEMPORAL_TERMS = CROSS_SECTIONAL_TERMS[:4] + ("isolates",) + CROSS_SECTIONAL_TER
 def parse_subsample(text: str) -> tuple:
     """Parse the subsample grammar: ``lc``, ``active[:K]``, or ``none``."""
     s = text.strip().lower()
-    if s == "lc":
-        return ("lc", None)
-    if s == "none":
-        return ("none", None)
-    if s == "active":
-        # Threshold comes from RunConfig.activity_k when not spelled inline.
-        return ("active", None)
+    if s in ("lc", "active", "none"):
+        # an active threshold comes from RunConfig.activity_k unless inline
+        return (s, None)
     if s.startswith("active:"):
         raw = s.split(":", 1)[1]
         try:
             k = int(raw)
         except ValueError:
             raise ConfigError(f"bad activity threshold {raw!r}") from None
-        if k < 0:
-            raise ConfigError(f"activity threshold must be >= 0, got {k}")
-        return ("active", k)
+        return ("active", _integer("activity threshold", k, 0))
     raise ConfigError(
         f"subsample must be 'lc', 'active:K', or 'none', got {text!r}"
     )
 
 
 # What a config file may give a field, by the field's annotation: the exact
-# JSON types, so that true is no integer, and their name for the error
+# JSON types, so that true is no integer; for a list, the annotation of its
+# entries and, where it is fixed, their count; and the name for the error
 # message. A field annotated ``X | None`` also takes null.
 _JSON_TYPES = {
-    "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
-    "tuple": ((list,), "a list"),
+    "str": ((str,), None, None, "a string"),
+    "int": ((int,), None, None, "an integer"),
+    "float": ((int, float), None, None, "a number"),
+    "bool": ((bool,), None, None, "true or false"),
+    "tuple[str, ...]": ((list,), "str", None, "a list"),
+    "tuple[float, ...]": ((list,), "float", None, "a list"),
+    "tuple[int, int]": ((list,), "int", 2, "a pair of integers"),
+    "tuple[tuple[int, int], ...]": ((list,), "tuple[int, int]", None, "a list"),
 }
+
+# each choice field and the module tuple that owns its values, which the
+# CLI's choices read too
+_CHOICES = {
+    "format": TABLE_FORMATS,
+    "component_mode": COMPONENT_MODES,
+    "bootstrap_mode": BOOTSTRAP_MODES,
+    "graph_format": GRAPH_FORMATS,
+}
+
+
+def _check_json(where: str, kind: str, value):
+    """Raise a ConfigError naming ``where`` unless ``value``, as read from
+    JSON, can fill a field annotated ``kind``; a list's entries are checked
+    in turn, each named by its position."""
+    types, entry, count, name = _JSON_TYPES[kind]
+    if type(value) not in types or (count is not None and len(value) != count):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    for k, v in enumerate(value if entry else ()):
+        _check_json(f"{where}[{k}]", entry, v)
 
 
 @dataclass(frozen=True)
@@ -95,12 +117,12 @@ class RunConfig:
     edges: str | None = None
     attrs: str | None = None
     horizon: int = DEFAULT_HORIZON
-    breakpoints: tuple = QUARTER_BREAKPOINTS
+    breakpoints: tuple[tuple[int, int], ...] = QUARTER_BREAKPOINTS
     subsample: str = "lc"
     activity_k: int = 3
     component_mode: str = "weak"
     exclude_facilitators: bool = True
-    terms: tuple | None = None
+    terms: tuple[str, ...] | None = None
     seed: int = 0
     replications: int = 100
     tolerance: float = 1e-8
@@ -111,7 +133,7 @@ class RunConfig:
     format: str = "text"
     # simulate command
     nodes: int = 30
-    theta: tuple | None = None
+    theta: tuple[float, ...] | None = None
     burn_in: int | None = None
     thin: int | None = None
     samples: int = 100
@@ -120,28 +142,11 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.format not in ("text", "csv", "json"):
-            raise ConfigError(f"format must be text, csv, or json: {self.format!r}")
-        if self.component_mode not in ("weak", "strong"):
-            raise ConfigError(
-                f"component_mode must be weak or strong: {self.component_mode!r}"
-            )
-        if self.bootstrap_mode not in ("temporal", "node"):
-            raise ConfigError(
-                f"bootstrap_mode must be temporal or node: {self.bootstrap_mode!r}"
-            )
-        if self.graph_format not in ("graphml", "dot", "json-edgelist"):
-            raise ConfigError(
-                "graph_format must be graphml, dot, or json-edgelist: "
-                f"{self.graph_format!r}"
-            )
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        for name, choices in _CHOICES.items():
+            _one_of(name, getattr(self, name), choices)
+        _integer("horizon", self.horizon, 1)
         parse_subsample(self.subsample)
-        if self.activity_k < 0:
-            raise ConfigError(
-                f"activity_k must be >= 0, got {self.activity_k}"
-            )
+        _integer("activity_k", self.activity_k, 0)
         bps = tuple(tuple(bp) for bp in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if self.terms is not None:
@@ -164,11 +169,8 @@ class RunConfig:
             raise ConfigError(f"{path}: unknown config keys: {unknown}")
         for key, value in raw.items():
             kind, _, optional = annotations[key].partition(" | ")
-            types, name = _JSON_TYPES[kind]
-            if type(value) not in types and not (value is None and optional):
-                raise ConfigError(
-                    f"{path}: config key {key!r} must be {name}, got {value!r}"
-                )
+            if not (value is None and optional):
+                _check_json(f"{path}: config key {key!r}", kind, value)
         return cls(**raw)
 
     def with_overrides(self, **overrides) -> "RunConfig":

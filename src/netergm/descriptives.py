@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, UndefinedMetricError
+from .errors import NumericalError, UndefinedMetricError, _one_of
 from .graph import (
     DirectedGraph,
     _expand,
@@ -281,8 +281,7 @@ def eigenvector_scores(
 
 def centralization(g: DirectedGraph, kind: str) -> float:
     """Freeman-style centralization of one node score; see module docs."""
-    if kind not in CENTRALIZATION_KINDS:
-        raise ConfigError(f"kind must be one of {CENTRALIZATION_KINDS}, got {kind!r}")
+    _one_of("kind", kind, CENTRALIZATION_KINDS)
     n = g.node_count
     if n < 3:
         raise UndefinedMetricError(f"centralization undefined for {n} node(s)")

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the argument checks.
 
 Everything raised deliberately by this package derives from
 :class:`NetworkModelError`, so callers (and the CLI) can catch one type.
+Every module checks integer arguments with ``_integer`` and closed option
+sets with ``_one_of``, each set a tuple owned by the module that acts on it.
 """
+
+import numbers
 
 
 class NetworkModelError(Exception):
@@ -55,3 +59,19 @@ class EmptyDesignError(NetworkModelError):
 
 class InsufficientPeriodsError(NetworkModelError):
     """Temporal operations need at least two network panels."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _one_of(name: str, value, choices: tuple):
+    """``value`` if it is one of ``choices``; else a ConfigError naming it."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value

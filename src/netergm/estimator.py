@@ -48,9 +48,9 @@ from .errors import (
     NumericalError,
     RankDeficiencyError,
     ValidationError,
+    _integer,
 )
 from .graph import DirectedGraph
-from .sampler import _integer
 from .terms import ModelSpec, _change_stat_columns
 
 __all__ = [
@@ -217,19 +217,17 @@ def _record_row_groups(design: DyadDesign) -> DyadDesign:
     the distinct hashes: when those are over half of the rows, the rows
     cannot halve and no group is checked."""
     x, y = design.matrix, design.response
-    order, run = _hash_runs(x, y)
-    if 2 * int(np.count_nonzero(run)) > design.n_rows:
-        return design
-    first, group = _group_runs(x, y, order, run)
-    if 2 * len(first) <= design.n_rows:
+    groups = _unique_rows(x, y, at_most=design.n_rows // 2)
+    if groups is not None and 2 * len(groups[0]) <= design.n_rows:
         x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(design, "row_groups", (first, group))
+        object.__setattr__(design, "row_groups", groups)
     return design
 
 
-def _unique_rows(x, y):
-    """Distinct rows of the design ``(x, y)``.
+def _unique_rows(x, y, at_most=None):
+    """Distinct rows of the design ``(x, y)``, or None when the distinct
+    row hashes are more than ``at_most``.
 
     Returns ``(first, group)``: ``first`` holds one representative row index
     per distinct (x, y) row, the row's first appearance, in row order, and
@@ -244,7 +242,14 @@ def _unique_rows(x, y):
     the runs holding distinct rows are then split by ``np.unique`` of their
     rows (``_split_runs``). The scratch space does not grow with the columns.
     """
-    return _group_runs(x, y, *_hash_runs(x, y))
+    order, run = _hash_runs(x, y)
+    if at_most is not None and int(np.count_nonzero(run)) > at_most:
+        return None
+    first, group = _label_groups(order, run)
+    if _groups_hold(x, y, first, group):
+        return first, group
+    del first, group
+    return _label_groups(order, _split_runs(x, y, order, run))
 
 
 def _hash_runs(x, y):
@@ -269,15 +274,6 @@ def _hash_runs(x, y):
     del h
     np.not_equal(buf[1:], buf[:-1], out=run[1:])
     return order, run
-
-
-def _group_runs(x, y, order, run):
-    """``_unique_rows`` from the hash order and runs of ``_hash_runs``."""
-    first, group = _label_groups(order, run)
-    if _groups_hold(x, y, first, group):
-        return first, group
-    del first, group
-    return _label_groups(order, _split_runs(x, y, order, run))
 
 
 def _groups_hold(x, y, first, group):

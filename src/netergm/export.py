@@ -10,13 +10,11 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 
-from .errors import ConfigError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, _one_of
 from .graph import DirectedGraph
 from .ingest import NodeTable
 
 __all__ = ["GRAPH_FORMATS", "export_graph", "read_json_edgelist"]
-
-GRAPH_FORMATS = ("graphml", "dot", "json-edgelist")
 
 
 def _check(g: DirectedGraph, attrs: NodeTable):
@@ -85,26 +83,27 @@ def _write_json_edgelist(g: DirectedGraph, attrs: NodeTable, path):
         fh.write("\n")
 
 
+# each format's writer and file extension
+_WRITERS = {
+    "graphml": (_write_graphml, "graphml"),
+    "dot": (_write_dot, "dot"),
+    "json-edgelist": (_write_json_edgelist, "json"),
+}
+GRAPH_FORMATS = tuple(_WRITERS)
+
+
 def export_graph(g: DirectedGraph, attrs: NodeTable, path, fmt: str = "graphml"):
     """Write ``g`` with its node attributes to ``path`` in ``fmt``.
 
     ``attrs`` may be None, in which case nodes get synthetic ids and no
     attribute payload.
     """
-    if fmt not in GRAPH_FORMATS:
-        raise ConfigError(
-            f"format must be one of {', '.join(GRAPH_FORMATS)}: got {fmt!r}"
-        )
+    write, _ = _WRITERS[_one_of("format", fmt, GRAPH_FORMATS)]
     if attrs is None:
         ids = tuple(f"n{k:03d}" for k in range(g.node_count))
         attrs = NodeTable(ids, {}, {})
     _check(g, attrs)
-    if fmt == "graphml":
-        _write_graphml(g, attrs, path)
-    elif fmt == "dot":
-        _write_dot(g, attrs, path)
-    elif fmt == "json-edgelist":
-        _write_json_edgelist(g, attrs, path)
+    write(g, attrs, path)
 
 
 def read_json_edgelist(path) -> tuple:

@@ -19,11 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionError,
     GraphIndexError,
     InvalidDyadError,
     ValidationError,
+    _integer,
+    _one_of,
 )
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
     "induced_subgraph",
     "two_path_counts",
 ]
+
+
+COMPONENT_MODES = ("weak", "strong")
 
 
 @dataclass(frozen=True)
@@ -363,8 +367,7 @@ def largest_component(g: DirectedGraph, mode: str = "weak") -> NodeSubset:
     broken toward the component containing the smallest node index, so the
     result is deterministic.
     """
-    if mode not in ("weak", "strong"):
-        raise ConfigError(f"mode must be 'weak' or 'strong', got {mode!r}")
+    _one_of("mode", mode, COMPONENT_MODES)
     if g.node_count == 0:
         return NodeSubset(0, ())
     comps = _weak_components(g) if mode == "weak" else _strong_components(g)
@@ -378,8 +381,7 @@ def activity_subset(g: DirectedGraph, k: int) -> NodeSubset:
     A single pass over the original degrees; the rule is not iterated, so
     surviving nodes may fall below ``k`` within the induced subgraph.
     """
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
+    k = _integer("k", k, 0)
     keep = np.nonzero(g.total_degrees >= k)[0] if g.node_count else []
     return NodeSubset(g.node_count, tuple(int(v) for v in keep))
 

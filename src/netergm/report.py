@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .descriptives import DescriptiveRow
+from .errors import _one_of
 from .estimator import FitResult
 from .temporal import BootstrapResult
 
@@ -37,6 +38,8 @@ __all__ = [
     "render_text",
     "emit",
 ]
+
+TABLE_FORMATS = ("text", "csv", "json")
 
 
 def significance_stars(p) -> str:
@@ -233,14 +236,12 @@ def emit(table: Table, out_dir, name: str, fmt: str = "text") -> list:
     ``fmt`` picks the machine format: json for ``json``, csv otherwise.
     Returns the written paths.
     """
+    _one_of("format", fmt, TABLE_FORMATS)
     os.makedirs(out_dir, exist_ok=True)
     txt_path = os.path.join(out_dir, f"{name}.txt")
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(render_text(table))
-    if fmt == "json":
-        data_path = os.path.join(out_dir, f"{name}.json")
-        _write_json(table, data_path)
-    else:
-        data_path = os.path.join(out_dir, f"{name}.csv")
-        _write_csv(table, data_path)
+    ext, write = ("json", _write_json) if fmt == "json" else ("csv", _write_csv)
+    data_path = os.path.join(out_dir, f"{name}.{ext}")
+    write(table, data_path)
     return [txt_path, data_path]

@@ -13,6 +13,9 @@ log acceptance ratio inline, with no per-step bookkeeping. On one core of a
 40-node gwesp chain, 1.1M on a 363-node gwesp + gwdsp chain at 0.4%
 density, and 250k-290k on a 14-node chain with every term kind at 40%
 density; change statistics, not the loop, set the pace of the last.
+
+The schedule's counts and ``node_count`` are checked by ``errors._integer``,
+the integer check every module shares.
 """
 
 from __future__ import annotations
@@ -24,20 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError, _integer
 from .graph import DirectedGraph
 from .terms import ModelSpec, _rule
 
 __all__ = ["SamplerControl", "sample_ergm"]
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; numpy integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionError,
     EmptyDesignError,
     InsufficientPeriodsError,
     NetworkModelError,
     NumericalError,
+    _integer,
+    _one_of,
 )
 from .estimator import (
     DyadDesign,
@@ -45,7 +46,6 @@ from .estimator import (
 )
 from .graph import DirectedGraph
 from .ingest import NetworkSeries
-from .sampler import _integer
 from .terms import ModelSpec
 
 __all__ = [
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 LAGGED_TIE_NAME = "lagged_tie"
+
+BOOTSTRAP_MODES = ("temporal", "node")
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,7 @@ def fit_btergm(
     """
     replications = _integer("replications", replications, 2)
     seed = _integer("seed", seed, 0)
-    if mode not in ("temporal", "node"):
-        raise ConfigError(f"mode must be 'temporal' or 'node', got {mode!r}")
+    _one_of("mode", mode, BOOTSTRAP_MODES)
     pooled = pooled_design(series, attrs, spec, include_lagged_tie)
     if mode == "temporal":
         units = len(series) - 1

@@ -7,9 +7,10 @@ import os
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from netergm import read_json_edgelist
+from netergm import NetworkSeries, build_graph, read_json_edgelist
 from netergm.cli import _build_parser, main
 from netergm.config import (
     CROSS_SECTIONAL_TERMS,
@@ -17,7 +18,15 @@ from netergm.config import (
     RunConfig,
     parse_subsample,
 )
+from netergm.descriptives import CENTRALIZATION_KINDS, centralization
 from netergm.errors import ConfigError
+from netergm.export import GRAPH_FORMATS, export_graph
+from netergm.graph import COMPONENT_MODES, largest_component
+from netergm.report import TABLE_FORMATS, Table, emit
+from netergm.temporal import BOOTSTRAP_MODES, fit_btergm
+from netergm.terms import parse_terms
+
+from helpers import random_graph
 
 
 def read_csv(path):
@@ -128,6 +137,82 @@ class TestRunConfig:
         assert len(TEMPORAL_TERMS) == 23
         assert TEMPORAL_TERMS[4] == "isolates"
         assert set(TEMPORAL_TERMS) - set(CROSS_SECTIONAL_TERMS) == {"isolates"}
+
+
+def subparsers():
+    """The parser of each subcommand, by name."""
+    (sub,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+def three_panels():
+    rng = np.random.default_rng(57)
+    graphs = tuple(random_graph(rng, 5, 0.4) for _ in range(3))
+    return NetworkSeries(5, ("P0", "P1", "P2"), graphs, ((1, 1), (2, 2), (3, 3)))
+
+
+# each closed option set: its owner tuple, the RunConfig field that takes it
+# (None where none does), and a call of the library function that checks it
+# as its parameter ``name``
+OWNERS = {
+    "TABLE_FORMATS": (
+        TABLE_FORMATS, "format", "format",
+        lambda tmp, v: emit(Table("T", ("a",), (("1",),)), tmp, "t", v),
+    ),
+    "COMPONENT_MODES": (
+        COMPONENT_MODES, "component_mode", "mode",
+        lambda tmp, v: largest_component(build_graph(3, [(0, 1)]), mode=v),
+    ),
+    "BOOTSTRAP_MODES": (
+        BOOTSTRAP_MODES, "bootstrap_mode", "mode",
+        lambda tmp, v: fit_btergm(
+            three_panels(), None, parse_terms(("edges", "mutual")), replications=2, mode=v
+        ),
+    ),
+    "GRAPH_FORMATS": (
+        GRAPH_FORMATS, "graph_format", "format",
+        lambda tmp, v: export_graph(build_graph(3, [(0, 1)]), None, tmp / "g", v),
+    ),
+    "CENTRALIZATION_KINDS": (
+        CENTRALIZATION_KINDS, None, "kind",
+        lambda tmp, v: centralization(build_graph(3, [(0, 1), (1, 2)]), v),
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", OWNERS)
+def test_every_reader_accepts_exactly_the_owner_tuple(owner, tmp_path):
+    choices, field, name, call = OWNERS[owner]
+    others = ("bogus", "", choices[0].upper(), f" {choices[0]}", None, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for value in choices:
+            call(tmp_path, value)
+    for value in others:
+        with pytest.raises(ConfigError, match=f"^{name} must be one of {', '.join(choices)}, got"):
+            call(tmp_path, value)
+    if field is None:
+        return
+    for value in choices:
+        assert getattr(RunConfig(**{field: value}), field) == value
+    for value in others:
+        with pytest.raises(ConfigError, match=f"^{field} must be one of"):
+            RunConfig(**{field: value})
+    flag = "--" + field.replace("_", "-")
+    readers = 0
+    for command, parser in subparsers().items():
+        for action in parser._actions:
+            if action.dest != field:
+                continue
+            readers += 1
+            assert tuple(action.choices) == choices, (command, flag)
+            assert getattr(parser.parse_args([flag, choices[-1]]), field) == choices[-1]
+            for value in others[:4]:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([flag, value])
+    assert readers >= 1
 
 
 class TestParseSubsample:
@@ -417,6 +502,40 @@ class TestCliConfigAndErrors:
         assert err == (
             f"error: {cfg_path}: config key {key!r} must be {kind}, got {value!r}\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, raw, message",
+        [
+            ("simulate", {"theta": ["a"]}, "'theta'[0] must be a number, got 'a'"),
+            ("simulate", {"theta": [1, "1"]}, "'theta'[1] must be a number, got '1'"),
+            ("simulate", {"theta": [True]}, "'theta'[0] must be a number, got True"),
+            ("describe", {"breakpoints": [1, 2]},
+             "'breakpoints'[0] must be a pair of integers, got 1"),
+            ("describe", {"breakpoints": [[1, 2, 3]]},
+             "'breakpoints'[0] must be a pair of integers, got [1, 2, 3]"),
+            ("describe", {"breakpoints": [[1, 36], [37, "72"]]},
+             "'breakpoints'[1][1] must be an integer, got '72'"),
+            ("describe", {"breakpoints": [[1, True]]},
+             "'breakpoints'[0][1] must be an integer, got True"),
+            ("fit", {"terms": ["edges", 3]}, "'terms'[1] must be a string, got 3"),
+        ],
+    )
+    def test_config_list_entry_of_the_wrong_json_type_reports_error(
+        self, course_files, tmp_path, capsys, command, raw, message
+    ):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = run_cli(
+            command,
+            "--config", str(cfg_path),
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--out-dir", str(tmp_path / "out"),
+            *(("--terms", "edges", "--samples", "1") if command == "simulate" else ()),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}: config key {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
