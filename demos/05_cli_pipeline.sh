@@ -51,6 +51,9 @@ DATA="--edges $OUT/events.csv --attrs $OUT/attributes.csv"
 # --- descriptive battery, aggregate plus quarters --------------------------
 $CLI describe $DATA --out-dir "$OUT/describe" --format csv
 
+# --- the same battery on the largest strongly connected component ---------
+$CLI describe $DATA --component-mode strong --out-dir "$OUT/describe_strong" --format csv
+
 # --- cross-sectional fit with a compact term set ---------------------------
 $CLI fit $DATA --terms "edges, mutual, gwesp(0.5), nodematch(gender)" \
     --out-dir "$OUT/fit" --format csv

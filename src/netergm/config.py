@@ -2,13 +2,17 @@
 
 Precedence is defaults < config file < explicit flags. The config file is a
 flat JSON object whose keys match :class:`RunConfig` field names; unknown
-keys raise so typos surface instead of silently doing nothing.
+keys raise so typos surface instead of silently doing nothing. Every value,
+from a file, a flag or the Python API, is checked by ``RunConfig`` itself.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .errors import ConfigError, _integer, _one_of
 from .export import GRAPH_FORMATS
@@ -74,19 +78,21 @@ def parse_subsample(text: str) -> tuple:
     )
 
 
-# What a config file may give a field, by the field's annotation: the exact
-# JSON types, so that true is no integer; for a list, the annotation of its
-# entries and, where it is fixed, their count; and the name for the error
-# message. A field annotated ``X | None`` also takes null.
-_JSON_TYPES = {
-    "str": ((str,), None, None, "a string"),
-    "int": ((int,), None, None, "an integer"),
-    "float": ((int, float), None, None, "a number"),
-    "bool": ((bool,), None, None, "true or false"),
-    "tuple[str, ...]": ((list,), "str", None, "a list"),
-    "tuple[float, ...]": ((list,), "float", None, "a list"),
-    "tuple[int, int]": ((list,), "int", 2, "a pair of integers"),
-    "tuple[tuple[int, int], ...]": ((list,), "tuple[int, int]", None, "a list"),
+# What a field may hold, by its annotation: the types that fill it, where a
+# bool fills only a bool field, so that true is no integer; for a list, the
+# annotation of its entries and, where it is fixed, their count; and the name
+# for the error message. Lists may also be tuples or numpy arrays, and
+# numbers numpy's. A field annotated ``X | None`` also takes None.
+_LISTS = (list, tuple, np.ndarray)
+_KINDS = {
+    "str": (str, None, None, "a string"),
+    "int": (numbers.Integral, None, None, "an integer"),
+    "float": (numbers.Real, None, None, "a number"),
+    "bool": (bool, None, None, "true or false"),
+    "tuple[str, ...]": (_LISTS, "str", None, "a list"),
+    "tuple[float, ...]": (_LISTS, "float", None, "a list"),
+    "tuple[int, int]": (_LISTS, "int", 2, "a pair of integers"),
+    "tuple[tuple[int, int], ...]": (_LISTS, "tuple[int, int]", None, "a list"),
 }
 
 # each choice field and the module tuple that owns its values, which the
@@ -99,15 +105,19 @@ _CHOICES = {
 }
 
 
-def _check_json(where: str, kind: str, value):
-    """Raise a ConfigError naming ``where`` unless ``value``, as read from
-    JSON, can fill a field annotated ``kind``; a list's entries are checked
-    in turn, each named by its position."""
-    types, entry, count, name = _JSON_TYPES[kind]
-    if type(value) not in types or (count is not None and len(value) != count):
+def _check_kind(where: str, kind: str, value):
+    """Raise a ConfigError naming ``where`` unless ``value`` can fill a field
+    annotated ``kind``; a list's entries are checked in turn, each named by
+    its position."""
+    types, entry, count, name = _KINDS[kind]
+    if (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and kind != "bool")
+        or (count is not None and len(value) != count)
+    ):
         raise ConfigError(f"{where} must be {name}, got {value!r}")
     for k, v in enumerate(value if entry else ()):
-        _check_json(f"{where}[{k}]", entry, v)
+        _check_kind(f"{where}[{k}]", entry, v)
 
 
 @dataclass(frozen=True)
@@ -144,6 +154,11 @@ class RunConfig:
     def __post_init__(self):
         for name, choices in _CHOICES.items():
             _one_of(name, getattr(self, name), choices)
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (value is None and optional):
+                _check_kind(f"config key {f.name!r}", kind, value)
         _integer("horizon", self.horizon, 1)
         parse_subsample(self.subsample)
         _integer("activity_k", self.activity_k, 0)
@@ -163,15 +178,13 @@ class RunConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        annotations = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(raw) - set(annotations))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {unknown}")
-        for key, value in raw.items():
-            kind, _, optional = annotations[key].partition(" | ")
-            if not (value is None and optional):
-                _check_json(f"{path}: config key {key!r}", kind, value)
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """New config with the non-None overrides applied (flags win)."""

@@ -107,12 +107,25 @@ def export_graph(g: DirectedGraph, attrs: NodeTable, path, fmt: str = "graphml")
 
 
 def read_json_edgelist(path) -> tuple:
-    """Read a json-edgelist export back into (DirectedGraph, NodeTable)."""
+    """Read a json-edgelist export back into (DirectedGraph, NodeTable).
+
+    A file that is not such an export raises a ValidationError naming it.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: a json-edgelist must be a JSON object")
     if not payload.get("directed", False):
         raise ValidationError(f"{path}: only directed graphs are supported")
     nodes = payload.get("nodes", [])
+    for what, keys in (("nodes", ("id",)), ("edges", ("source", "target"))):
+        for k, item in enumerate(payload.get(what, [])):
+            if not isinstance(item, dict) or any(key not in item for key in keys):
+                need = " and ".join(repr(key) for key in keys)
+                raise ValidationError(f"{path}: {what}[{k}] must be an object with {need}")
     ids = tuple(str(n["id"]) for n in nodes)
     levels = {
         name: tuple(vals) for name, vals in payload.get("levels", {}).items()

@@ -2,7 +2,8 @@
 
 The graph type is deliberately small: a node count plus a frozen edge set,
 with a cached dense boolean adjacency matrix and cached neighbour lists for
-the numerical layers.
+the numerical layers. Weak and strong components both come from one routine,
+``_components``, which ``largest_component`` reads.
 Graphs here are simple (no loops, no parallel edges) and node identity is a
 plain integer index; mapping external ids to indices is the ingest layer's
 job.
@@ -289,39 +290,23 @@ def build_graph(node_count: int, pairs: Iterable) -> DirectedGraph:
     return DirectedGraph(node_count, frozenset(seen))
 
 
-def _weak_components(g: DirectedGraph) -> list:
-    n = g.node_count
-    nbrs = [[] for _ in range(n)]
-    for i, j in g.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+def _components(g: DirectedGraph, mode: str) -> list:
+    """The weak or strong components of ``g``, each a list of nodes.
 
-
-def _strong_components(g: DirectedGraph) -> list:
-    # Kosaraju with iterative DFS; fine at the node counts this package sees.
+    Kosaraju's two passes (Sharir 1981) over adjacency lists built once from
+    ``g.edges``: a depth-first search along the out-lists lists the nodes in
+    the order they finish, then, latest-finished first, each node not yet
+    assigned collects what it reaches along the in-lists. A weak component
+    is a strong component of the graph with every tie taken both ways, so
+    the weak mode puts every tie into one list in both directions and reads
+    it as the out- and the in-lists.
+    """
     n = g.node_count
     out = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
+    inn = out if mode == "weak" else [[] for _ in range(n)]
     for i, j in g.edges:
         out[i].append(j)
-        rev[j].append(i)
+        inn[j].append(i)
     order = []
     seen = [False] * n
     for start in range(n):
@@ -331,14 +316,12 @@ def _strong_components(g: DirectedGraph) -> list:
         seen[start] = True
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
                 if not seen[w]:
                     seen[w] = True
                     stack.append((w, iter(out[w])))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 order.append(v)
                 stack.pop()
     comps = []
@@ -346,16 +329,14 @@ def _strong_components(g: DirectedGraph) -> list:
     for start in reversed(order):
         if assigned[start]:
             continue
-        comp = [start]
         assigned[start] = True
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in rev[v]:
+        comp = [start]
+        # the loop reads the nodes that it appends
+        for v in comp:
+            for w in inn[v]:
                 if not assigned[w]:
                     assigned[w] = True
                     comp.append(w)
-                    stack.append(w)
         comps.append(comp)
     return comps
 
@@ -363,15 +344,15 @@ def _strong_components(g: DirectedGraph) -> list:
 def largest_component(g: DirectedGraph, mode: str = "weak") -> NodeSubset:
     """Largest connected component as a :class:`NodeSubset`.
 
-    ``mode`` selects weak (default) or strong connectivity. Ties on size are
-    broken toward the component containing the smallest node index, so the
-    result is deterministic.
+    ``mode`` selects weak (default) or strong connectivity; both kinds of
+    component come from ``_components``. Ties on size are broken toward the
+    component containing the smallest node index, so the result is
+    deterministic.
     """
     _one_of("mode", mode, COMPONENT_MODES)
     if g.node_count == 0:
         return NodeSubset(0, ())
-    comps = _weak_components(g) if mode == "weak" else _strong_components(g)
-    best = max(comps, key=lambda c: (len(c), -min(c)))
+    best = max(_components(g, mode), key=lambda c: (len(c), -min(c)))
     return NodeSubset(g.node_count, tuple(sorted(best)))
 
 

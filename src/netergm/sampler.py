@@ -1,10 +1,10 @@
 """Metropolis sampling from the model's network distribution.
 
 Proposals toggle one uniformly chosen ordered dyad. The chain starts from
-the empty graph and keeps each node's out- and in-neighbour sets, degrees
-and two-path counts up to date incrementally. A toggle and every change
-statistic walk only the endpoints' neighbour sets, so each step costs
-O(degree) whatever the graph size.
+the empty graph and keeps each node's out- and in-neighbour sets and the
+two-path counts up to date incrementally; a degree is read as the size of a
+neighbour set. A toggle and every change statistic walk only the endpoints'
+neighbour sets, so each step costs O(degree) whatever the graph size.
 
 Draws come in chunks of 16,384, and each stretch of proposals between two
 kept samples (or up to the chunk's end) runs as one loop that computes the
@@ -59,15 +59,14 @@ class SamplerControl:
 
 
 class _Chain:
-    """Mutable chain state: neighbour sets ``out[i]`` and ``inn[j]``, degree
-    lists, and two-path counts ``P[i][m]`` when a term reads them."""
+    """Mutable chain state: neighbour sets ``out[i]`` and ``inn[j]``, whose
+    sizes are the degrees, and two-path counts ``P[i][m]`` when a term reads
+    them."""
 
     def __init__(self, n, attrs, spec, theta):
         self.n = n
         self.out = out = [set() for _ in range(n)]
         self.inn = [set() for _ in range(n)]
-        self.outdeg = [0] * n
-        self.indeg = [0] * n
         uses_paths = any(_rule(t).paths for t in spec.terms)
         self.P = [[0] * n for _ in range(n)] if uses_paths else None
         bound = [_rule(t).delta(t, attrs, self) for t in spec.terms]
@@ -80,8 +79,6 @@ class _Chain:
         sign = -1 if j in self.out[i] else 1
         self.out[i] ^= {j}
         self.inn[j] ^= {i}
-        self.outdeg[i] += sign
-        self.indeg[j] += sign
         if self.P is not None:
             # i -> j opens or closes the two-paths i -> j -> m and m -> i -> j
             P_i = self.P[i]

@@ -374,8 +374,9 @@ def _nodematch_delta(t, attrs, c):
 
 # stat(term, shared) and matrix(term, shared) read a _Shared; a matrix is
 # anything that broadcasts to n x n. delta(term, attrs, chain) binds to a
-# sampler chain's live neighbour sets out/inn, degree lists outdeg/indeg and
-# two-path lists P, and returns f(i, j, aij), aij true when i -> j is present.
+# sampler chain's live neighbour sets out/inn, whose sizes are the degrees,
+# and two-path lists P, and returns f(i, j, aij), aij true when i -> j is
+# present.
 # paths marks the terms that read two-path counts.
 _Term = namedtuple("_Term", "grammar stat matrix delta paths", defaults=(False,))
 
@@ -402,16 +403,16 @@ _TERMS = {
             + (s.g.total_degrees[None, :] == s.A).astype(np.float64)
         ),
         # the degrees are Python ints, so two left-isolated endpoints add to 2
-        lambda t, attrs, c: lambda i, j, aij, indeg=c.indeg, outdeg=c.outdeg: -(
-            (indeg[i] + outdeg[i] == aij) + (indeg[j] + outdeg[j] == aij)
+        lambda t, attrs, c: lambda i, j, aij, out=c.out, inn=c.inn: -(
+            (len(inn[i]) + len(out[i]) == aij) + (len(inn[j]) + len(out[j]) == aij)
         ),
     ),
     "odegpop": _Term(
         _NO_ARGS,
         lambda t, s: (s.g.in_degrees * s.g.out_degrees).sum(),
         lambda t, s: s.g.in_degrees[:, None] + s.g.out_degrees[None, :],
-        lambda t, attrs, c: lambda i, j, aij, indeg=c.indeg, outdeg=c.outdeg: (
-            indeg[i] + outdeg[j]
+        lambda t, attrs, c: lambda i, j, aij, out=c.out, inn=c.inn: (
+            len(inn[i]) + len(out[j])
         ),
     ),
     "gwesp": _Term(

@@ -132,6 +132,49 @@ class TestRunConfig:
         assert cfg.breakpoints == ((1, 10), (11, 20))
         assert cfg.theta == (1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"theta": ("1", True)}, "'theta'[0] must be a number, got '1'"),
+            ({"theta": (1.0, True)}, "'theta'[1] must be a number, got True"),
+            ({"theta": ("a",)}, "'theta'[0] must be a number, got 'a'"),
+            ({"breakpoints": [1, 2]},
+             "'breakpoints'[0] must be a pair of integers, got 1"),
+            ({"breakpoints": [[1, "72"]]},
+             "'breakpoints'[0][1] must be an integer, got '72'"),
+            ({"terms": ["edges", 3]}, "'terms'[1] must be a string, got 3"),
+            ({"horizon": 72.0}, "'horizon' must be an integer, got 72.0"),
+            ({"exclude_facilitators": 0}, "'exclude_facilitators' must be true or false, got 0"),
+            ({"out_dir": None}, "'out_dir' must be a string, got None"),
+        ],
+    )
+    def test_api_values_are_checked_as_config_files_are(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**kwargs)
+        assert str(info.value) == f"config key {message}"
+
+    def test_api_takes_tuples_and_numpy_numbers(self):
+        cfg = RunConfig(
+            theta=(np.float64(1.5), np.int64(-2)),
+            breakpoints=((np.int64(1), 36), (37, 72)),
+            terms=("edges", "mutual"),
+            horizon=np.int64(72),
+            tolerance=np.float32(0.5),
+        )
+        assert cfg.theta == (1.5, -2.0)
+        assert cfg.breakpoints == ((1, 36), (37, 72))
+        assert cfg.terms == ("edges", "mutual")
+        cfg = RunConfig(theta=np.array([0.5, 1.0]), breakpoints=np.array([[1, 72]]))
+        assert cfg.theta == (0.5, 1.0)
+        assert cfg.breakpoints == ((1, 72),)
+
+    def test_from_file_names_the_file_in_every_check(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"horizon": 0}))
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_file(path)
+        assert str(info.value) == f"{path}: horizon must be >= 1, got 0"
+
     def test_term_batteries(self):
         assert len(CROSS_SECTIONAL_TERMS) == 22
         assert len(TEMPORAL_TERMS) == 23

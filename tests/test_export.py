@@ -128,6 +128,33 @@ class TestJsonEdgelist:
         with pytest.raises(ValidationError, match="endpoint"):
             read_json_edgelist(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"directed": true, "nodes": [', "invalid JSON"),
+            ("[1, 2]", "must be a JSON object"),
+            ('{"directed": true, "nodes": [{"id": "a"}, {"role": "x"}]}',
+             "nodes[1] must be an object with 'id'"),
+            ('{"directed": true, "nodes": [{"id": "a"}, {"id": "b"}],'
+             ' "edges": [{"source": "a"}]}',
+             "edges[0] must be an object with 'source' and 'target'"),
+            ('{"directed": true, "nodes": [{"id": "a"}, {"id": "b"}],'
+             ' "edges": [{"source": "a", "target": "b"}, {"target": "a"}]}',
+             "edges[1] must be an object with 'source' and 'target'"),
+        ],
+        ids=["bad-json", "top-level-list", "node-without-id", "edge-without-target",
+             "edge-without-source"],
+    )
+    def test_malformed_file_raises_validation_error_naming_it(
+        self, tmp_path, text, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_json_edgelist(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
 
 class TestErrors:
     def test_unknown_format(self, tmp_path):

@@ -15,7 +15,7 @@ from netergm import (
     induced_subgraph,
     largest_component,
 )
-from netergm.graph import _strong_components, _weak_components, two_path_counts
+from netergm.graph import _components, two_path_counts
 from helpers import random_graph
 
 
@@ -111,6 +111,33 @@ class TestNodeSubset:
             NodeSubset(3, (0, 3))
 
 
+def scipy_largest(g, mode):
+    """Members of scipy's largest ``mode`` component, ties on size broken
+    toward the smallest node index."""
+    count, labels = connected_components(
+        csr_matrix(g.adjacency.astype(np.int8)), directed=True, connection=mode
+    )
+    sizes = np.bincount(labels, minlength=count)
+    best = max(
+        range(count),
+        key=lambda c: (sizes[c], -int(np.nonzero(labels == c)[0][0])),
+    )
+    return tuple(np.nonzero(labels == best)[0].tolist())
+
+
+def long_and_star_graph(shape, n=3000):
+    """A directed path or cycle through ``n`` nodes, deeper than Python's
+    recursion limit, or a star whose hub 0 sends or receives all n - 1
+    ties."""
+    path = [(v, v + 1) for v in range(n - 1)]
+    return build_graph(n, {
+        "path": path,
+        "cycle": path + [(n - 1, 0)],
+        "in-star": [(v, 0) for v in range(1, n)],
+        "out-star": [(0, v) for v in range(1, n)],
+    }[shape])
+
+
 class TestLargestComponent:
     def test_weak_known_graph(self):
         # components {0,1,2,3} (weak) and {4,5}
@@ -131,23 +158,12 @@ class TestLargestComponent:
         for _ in range(50):
             n = int(rng.integers(2, 25))
             g = random_graph(rng, n, rng.random() * 0.25)
-            adj = csr_matrix(g.adjacency.astype(np.int8))
             for mode in ("weak", "strong"):
-                count, labels = connected_components(
-                    adj, directed=True, connection=mode
-                )
-                sizes = np.bincount(labels, minlength=count)
-                best = max(
-                    range(count),
-                    key=lambda c: (sizes[c], -int(np.nonzero(labels == c)[0][0])),
-                )
-                expect = tuple(np.nonzero(labels == best)[0].tolist())
-                assert largest_component(g, mode=mode).members == expect
+                assert largest_component(g, mode=mode).members == scipy_largest(g, mode)
 
     @pytest.mark.parametrize("mode", ["weak", "strong"])
     def test_components_match_networkx(self, mode):
         nx = pytest.importorskip("networkx")
-        ours = {"weak": _weak_components, "strong": _strong_components}[mode]
         theirs = {
             "weak": nx.weakly_connected_components,
             "strong": nx.strongly_connected_components,
@@ -160,9 +176,26 @@ class TestLargestComponent:
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges)
             expect = {frozenset(c) for c in theirs(h)}
-            assert {frozenset(c) for c in ours(g)} == expect
+            assert {frozenset(c) for c in _components(g, mode)} == expect
             best = max(expect, key=lambda c: (len(c), -min(c)))
             assert largest_component(g, mode=mode).members == tuple(sorted(best))
+
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    @pytest.mark.parametrize("shape", ["path", "cycle", "in-star", "out-star"])
+    def test_long_and_star_graphs_match_scipy_and_networkx(self, shape, mode):
+        g = long_and_star_graph(shape)
+        got = largest_component(g, mode=mode).members
+        assert got == scipy_largest(g, mode)
+        # a strong component of the path or a star is one node; the rest span all
+        assert len(got) == (1 if mode == "strong" and shape != "cycle" else 3000)
+        nx = pytest.importorskip("networkx")
+        theirs = {
+            "weak": nx.weakly_connected_components,
+            "strong": nx.strongly_connected_components,
+        }[mode](nx.DiGraph(list(g.edges)))
+        assert {frozenset(c) for c in _components(g, mode)} == {
+            frozenset(c) for c in theirs
+        }
 
     def test_bad_mode(self):
         g = build_graph(2, [(0, 1)])
