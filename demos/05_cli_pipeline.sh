@@ -51,8 +51,11 @@ DATA="--edges $OUT/events.csv --attrs $OUT/attributes.csv"
 # --- descriptive battery, aggregate plus quarters --------------------------
 $CLI describe $DATA --out-dir "$OUT/describe" --format csv
 
-# --- the same battery on the largest strongly connected component ---------
-$CLI describe $DATA --component-mode strong --out-dir "$OUT/describe_strong" --format csv
+# --- the largest strongly connected component of a sparser log -----------
+# Every fifth event: the weak component keeps all 55 nodes, the strong one 45.
+awk 'NR == 1 || NR % 5 == 2' "$OUT/events.csv" > "$OUT/events_thin.csv"
+$CLI describe --edges "$OUT/events_thin.csv" --attrs "$OUT/attributes.csv" \
+    --component-mode strong --out-dir "$OUT/describe_strong" --format csv
 
 # --- cross-sectional fit with a compact term set ---------------------------
 $CLI fit $DATA --terms "edges, mutual, gwesp(0.5), nodematch(gender)" \

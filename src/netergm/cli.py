@@ -80,7 +80,7 @@ def _load_network(cfg: RunConfig):
     if kind == "lc":
         subset = largest_component(graph, mode=cfg.component_mode)
     elif kind == "active":
-        subset = activity_subset(graph, cfg.activity_k if k is None else k)
+        subset = activity_subset(graph, k)
     else:
         subset = NodeSubset(graph.node_count, tuple(range(graph.node_count)))
     if len(subset) == 0:
@@ -241,7 +241,7 @@ def _add_common(parser):
     parser.add_argument("--horizon", type=int, help="last observation day")
     parser.add_argument(
         "--subsample",
-        help="node filter: lc, active:K, or none (default lc)",
+        help="node filter: lc, active:K (active is active:3), or none (default lc)",
     )
     parser.add_argument(
         "--component-mode",

@@ -60,12 +60,20 @@ CROSS_SECTIONAL_TERMS = (
 TEMPORAL_TERMS = CROSS_SECTIONAL_TERMS[:4] + ("isolates",) + CROSS_SECTIONAL_TERMS[4:]
 
 
+# The paper's active subsample: participants with three or more interactions.
+_ACTIVE_K = 3
+
+
 def parse_subsample(text: str) -> tuple:
-    """Parse the subsample grammar: ``lc``, ``active[:K]``, or ``none``."""
+    """Parse the subsample grammar: ``lc``, ``active[:K]``, or ``none``.
+
+    A bare ``active`` is the paper's ``active:3``.
+    """
     s = text.strip().lower()
-    if s in ("lc", "active", "none"):
-        # an active threshold comes from RunConfig.activity_k unless inline
+    if s in ("lc", "none"):
         return (s, None)
+    if s == "active":
+        return (s, _ACTIVE_K)
     if s.startswith("active:"):
         raw = s.split(":", 1)[1]
         try:
@@ -129,7 +137,6 @@ class RunConfig:
     horizon: int = DEFAULT_HORIZON
     breakpoints: tuple[tuple[int, int], ...] = QUARTER_BREAKPOINTS
     subsample: str = "lc"
-    activity_k: int = 3
     component_mode: str = "weak"
     exclude_facilitators: bool = True
     terms: tuple[str, ...] | None = None
@@ -140,7 +147,7 @@ class RunConfig:
     bootstrap_mode: str = "temporal"
     lagged_tie: bool = False
     out_dir: str = "out"
-    format: str = "text"
+    format: str = "csv"
     # simulate command
     nodes: int = 30
     theta: tuple[float, ...] | None = None
@@ -161,7 +168,6 @@ class RunConfig:
                 _check_kind(f"config key {f.name!r}", kind, value)
         _integer("horizon", self.horizon, 1)
         parse_subsample(self.subsample)
-        _integer("activity_k", self.activity_k, 0)
         bps = tuple(tuple(bp) for bp in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if self.terms is not None:

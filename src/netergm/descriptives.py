@@ -122,7 +122,9 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
     pairs not yet seen, and the shortest-path counts (sigma) of the pairs
     they reach are the sums, by ``np.bincount``, of the counts of their
     predecessors. Each level takes the direction that scans fewer list
-    entries (Beamer, Asanovic & Patterson 2012), from two exact counts:
+    entries (Beamer, Asanovic & Patterson 2012), from two exact counts: the
+    frontier's out-degrees, summed at each level, and a running total of the
+    unseen pairs' in-degrees, which each level lowers by its frontier's.
 
     - Top-down, the frontier expands through the out-edge list and keeps the
       edges that reach an unseen pair. The pairs they reach are deduplicated
@@ -156,7 +158,6 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
     n = g.node_count
     out, into = g._out_lists, g._in_lists
     out_deg, in_deg = np.diff(out.starts), np.diff(into.starts)
-    max_in, max_out = int(in_deg.max(initial=0)), int(out_deg.max(initial=0))
     c = np.zeros(n, dtype=np.float64)
     pairs = min(n, _SOURCE_BLOCK) * n
     # read only where the same level has just written it, so never cleared
@@ -170,10 +171,8 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
         sigma[own] = 1.0
         unseen = np.ones(len(src) * n, dtype=bool)
         unseen[own] = False
-        # in-list entries of the unseen pairs, but for those of the nodes
-        # in `pending`, the frontiers not yet counted, of `uncounted` pairs
+        # in-list entries of the pairs not yet reached
         unseen_in = len(src) * g.edge_count
-        pending, uncounted = [], 0
         f = own
         # per level: the frontier and its kept edges, as (index into f, pair)
         dag = []
@@ -181,18 +180,8 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
             v = f % n
             sf = sigma[f]
             deg = out_deg[v]
-            pending.append(v)
-            uncounted += len(v)
-            up = False
-            # the frontier's out-lists hold at most len(f) * max_out
-            # entries and the unseen in-lists at least unseen_in -
-            # uncounted * max_in; where that settles the rule, neither
-            # count is summed, so small frontiers pay nothing for it
-            if unseen_in - uncounted * max_in < len(f) * max_out:
-                unseen_in -= int(in_deg[np.concatenate(pending)].sum())
-                pending, uncounted = [], 0
-                up = _bottom_up(int(deg.sum()), unseen_in)
-            if up:
+            unseen_in -= int(in_deg[v].sum())
+            if _bottom_up(int(deg.sum()), unseen_in):
                 u = np.flatnonzero(unseen)
                 x = u % n
                 child, pos = _expand(into.starts, x, in_deg[x])
@@ -243,11 +232,11 @@ def betweenness_scores(g: DirectedGraph) -> np.ndarray:
     return c
 
 
-def eigenvector_scores(
-    g: DirectedGraph,
-    tolerance: float = 1e-10,
-    max_iterations: int = 1000,
-) -> np.ndarray:
+_EIGEN_TOLERANCE = 1e-10
+_EIGEN_MAX_ITERATIONS = 1000
+
+
+def eigenvector_scores(g: DirectedGraph) -> np.ndarray:
     """Dominant-eigenvector scores of the symmetrized graph, max scaled to 1.
 
     Computed on the largest weakly connected component; other nodes score
@@ -263,16 +252,16 @@ def eigenvector_scores(
     a = g.adjacency
     s = _row_lists((a | a.T)[np.ix_(members, members)])
     x = np.full(len(members), 1.0 / np.sqrt(len(members)))
-    for _ in range(max_iterations):
+    for _ in range(_EIGEN_MAX_ITERATIONS):
         y = x + np.bincount(s.rows, weights=x[s.cols], minlength=len(x))
         y /= np.linalg.norm(y)
-        if np.max(np.abs(y - x)) < tolerance:
+        if np.max(np.abs(y - x)) < _EIGEN_TOLERANCE:
             x = y
             break
         x = y
     else:
         raise NumericalError(
-            f"eigenvector iteration did not converge in {max_iterations} steps"
+            f"eigenvector iteration did not converge in {_EIGEN_MAX_ITERATIONS} steps"
         )
     scores = np.zeros(n, dtype=np.float64)
     scores[members] = x / x.max()

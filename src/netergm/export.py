@@ -120,16 +120,22 @@ def read_json_edgelist(path) -> tuple:
         raise ValidationError(f"{path}: a json-edgelist must be a JSON object")
     if not payload.get("directed", False):
         raise ValidationError(f"{path}: only directed graphs are supported")
-    nodes = payload.get("nodes", [])
+    levels = payload.get("levels", {})
+    if not isinstance(levels, dict) or not all(
+        isinstance(vals, list) for vals in levels.values()
+    ):
+        raise ValidationError(f"{path}: 'levels' must be an object of lists")
     for what, keys in (("nodes", ("id",)), ("edges", ("source", "target"))):
-        for k, item in enumerate(payload.get(what, [])):
+        items = payload.get(what, [])
+        if not isinstance(items, list):
+            raise ValidationError(f"{path}: {what!r} must be a list")
+        for k, item in enumerate(items):
             if not isinstance(item, dict) or any(key not in item for key in keys):
                 need = " and ".join(repr(key) for key in keys)
                 raise ValidationError(f"{path}: {what}[{k}] must be an object with {need}")
+    nodes = payload.get("nodes", [])
     ids = tuple(str(n["id"]) for n in nodes)
-    levels = {
-        name: tuple(vals) for name, vals in payload.get("levels", {}).items()
-    }
+    levels = {name: tuple(vals) for name, vals in levels.items()}
     columns = {
         name: tuple(str(n.get(name, "")) for n in nodes) for name in levels
     }

@@ -1,7 +1,7 @@
 """Reading event logs and participant attributes; assembling networks.
 
-Input files are delimited text (comma by default, tab accepted). The event
-log holds one directed interaction per row with a day stamp inside the
+Input files are delimited text, comma or tab, sniffed from the header. The
+event log holds one directed interaction per row with a day stamp inside the
 observation window; the attribute file holds one participant per row with
 categorical columns. Attribute values are validated against declared level
 sets so that later homophily terms can rely on a closed vocabulary.
@@ -178,15 +178,13 @@ class NetworkSeries:
         return len(self.graphs)
 
 
-def _open_rows(path, delimiter):
+def _open_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValidationError(f"{path}: empty file")
-        if delimiter is None:
-            delimiter = "\t" if "\t" in first else ","
         fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        reader = csv.DictReader(fh, delimiter="\t" if "\t" in first else ",")
         yield from enumerate(reader, start=2)  # header is line 1
 
 
@@ -194,21 +192,19 @@ def load_events(
     path,
     mapping: Mapping | None = None,
     horizon: int = DEFAULT_HORIZON,
-    delimiter: str | None = None,
 ) -> list:
     """Read an interaction log into a list of :class:`InteractionEvent`.
 
     Parameters
     ----------
     path : str or Path
-        Delimited text file with header columns ``sender_id``,
-        ``receiver_id``, ``day`` (renameable through ``mapping``).
+        Delimited text file, comma or tab, sniffed from the header, with
+        columns ``sender_id``, ``receiver_id``, ``day`` (renameable through
+        ``mapping``).
     mapping : dict, optional
         Overrides for column names, keys ``sender``/``receiver``/``day``.
     horizon : int
         Last valid day; day stamps must fall in ``1..horizon``.
-    delimiter : str, optional
-        Field separator; sniffed from the header (tab or comma) when None.
 
     Rows with self-interactions are kept here and handled during assembly.
     """
@@ -216,7 +212,7 @@ def load_events(
     if mapping:
         cols.update(mapping)
     events = []
-    for lineno, row in _open_rows(path, delimiter):
+    for lineno, row in _open_rows(path):
         try:
             sender = row[cols["sender"]]
             receiver = row[cols["receiver"]]
@@ -250,16 +246,13 @@ def _normalize_value(column, value):
     return v
 
 
-def load_attributes(
-    path,
-    level_config: Mapping | None = None,
-    delimiter: str | None = None,
-) -> NodeTable:
+def load_attributes(path, level_config: Mapping | None = None) -> NodeTable:
     """Read the participant table, validating every value against its levels.
 
-    ``level_config`` maps column name -> iterable of allowed levels and
-    defaults to :data:`DEFAULT_LEVELS`. The file must carry an ``id`` column
-    plus every configured column; extra columns are ignored.
+    The delimiter is sniffed as for the event log. ``level_config`` maps
+    column name -> iterable of allowed levels and defaults to
+    :data:`DEFAULT_LEVELS`. The file must carry an ``id`` column plus every
+    configured column; extra columns are ignored.
     """
     levels = {
         name: tuple(vals)
@@ -268,7 +261,7 @@ def load_attributes(
     ids = []
     columns = {name: [] for name in levels}
     seen = set()
-    for lineno, row in _open_rows(path, delimiter):
+    for lineno, row in _open_rows(path):
         pid = (row.get("id") or "").strip()
         if not pid:
             raise ValidationError(f"{path}:{lineno}: missing participant id")
@@ -352,7 +345,8 @@ def _validate_breakpoints(breakpoints, horizon):
         cursor = hi + 1
     if cursor != horizon + 1:
         raise ConfigError(
-            f"period ranges end at {cursor - 1}, expected horizon {horizon}"
+            f"breakpoints end at day {cursor - 1}, expected horizon {horizon}; "
+            f"give breakpoints that tile 1..{horizon}"
         )
 
 

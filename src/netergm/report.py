@@ -39,7 +39,7 @@ __all__ = [
     "emit",
 ]
 
-TABLE_FORMATS = ("text", "csv", "json")
+TABLE_FORMATS = ("csv", "json")
 
 
 def significance_stars(p) -> str:
@@ -230,11 +230,11 @@ def _write_json(table: Table, path):
         fh.write("\n")
 
 
-def emit(table: Table, out_dir, name: str, fmt: str = "text") -> list:
+def emit(table: Table, out_dir, name: str, fmt: str = "csv") -> list:
     """Write the aligned text file plus one machine-readable file.
 
-    ``fmt`` picks the machine format: json for ``json``, csv otherwise.
-    Returns the written paths.
+    ``fmt`` picks the machine format, ``csv`` or ``json``. Returns the
+    written paths.
     """
     _one_of("format", fmt, TABLE_FORMATS)
     os.makedirs(out_dir, exist_ok=True)

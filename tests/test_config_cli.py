@@ -45,7 +45,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.subsample == "lc"
-        assert cfg.activity_k == 3
+        assert cfg.format == "csv"
         assert cfg.exclude_facilitators is True
         assert cfg.replications == 100
         assert cfg.horizon == 72
@@ -124,8 +124,8 @@ class TestRunConfig:
             RunConfig(horizon=0)
         with pytest.raises(ConfigError, match="subsample"):
             RunConfig(subsample="largest")
-        with pytest.raises(ConfigError, match="activity_k"):
-            RunConfig(activity_k=-1)
+        with pytest.raises(ConfigError, match="activity threshold"):
+            RunConfig(subsample="active:-1")
 
     def test_sequences_normalized(self):
         cfg = RunConfig(breakpoints=[[1, 10], [11, 20]], theta=[1, -2])
@@ -262,7 +262,7 @@ class TestParseSubsample:
     def test_grammar(self):
         assert parse_subsample("lc") == ("lc", None)
         assert parse_subsample("none") == ("none", None)
-        assert parse_subsample("active") == ("active", None)
+        assert parse_subsample("active") == ("active", 3)
         assert parse_subsample("active:5") == ("active", 5)
         assert parse_subsample(" ACTIVE:2 ") == ("active", 2)
 
@@ -454,6 +454,50 @@ class TestCliCommands:
             counts[label] = int(rows[0][1])
         assert counts["active"] < counts["none"]
 
+    def test_bare_active_subsample_is_active_3(self, course_files, tmp_path):
+        # total degrees a 4, b 3, c 4, d 2, e 1: K = 3 keeps a, b and c
+        a, b, c, d, e = course_files["participants"][:5]
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "sender_id,receiver_id,day\n"
+            + "".join(
+                f"{s},{r},{day}\n"
+                for day, (s, r) in enumerate(
+                    ((a, b), (b, a), (a, c), (c, a), (b, c), (c, d), (d, e)), 1
+                )
+            )
+        )
+        for sub in ("active", "active:3"):
+            run_cli(
+                "describe",
+                "--edges", str(events),
+                "--attrs", course_files["attrs"],
+                "--subsample", sub,
+                "--out-dir", str(tmp_path / sub),
+            )
+        for name in ("descriptives.csv", "descriptives.txt"):
+            assert filecmp.cmp(
+                tmp_path / "active" / name, tmp_path / "active:3" / name, shallow=False
+            )
+        _, rows = read_csv(tmp_path / "active" / "descriptives.csv")
+        assert int(rows[0][1]) == 3
+
+    def test_default_format_writes_the_text_and_csv_files(self, course_files, tmp_path):
+        for label, extra in (("default", ()), ("csv", ("--format", "csv"))):
+            run_cli(
+                "describe",
+                "--edges", course_files["edges"],
+                "--attrs", course_files["attrs"],
+                "--out-dir", str(tmp_path / label),
+                *extra,
+            )
+        names = ["descriptives.csv", "descriptives.txt"]
+        assert sorted(os.listdir(tmp_path / "default")) == names
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "default", tmp_path / "csv", names, shallow=False
+        )
+        assert (match, mismatch, errors) == (names, [], [])
+
 
 class TestCliConfigAndErrors:
     def test_flags_beat_config_file(self, course_files, tmp_path):
@@ -484,6 +528,38 @@ class TestCliConfigAndErrors:
             "format": "csv",
         }))
         assert run_cli("describe", "--config", str(cfg_path)) == 0
+
+    @pytest.mark.parametrize("command", ["describe", "tergm", "formation"])
+    def test_horizon_past_the_default_breakpoints_names_them(
+        self, course_files, tmp_path, capsys, command
+    ):
+        code = run_cli(
+            command,
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--horizon", "80",
+            "--terms", "edges, mutual",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: breakpoints end at day 72, expected horizon 80; "
+            "give breakpoints that tile 1..80\n"
+        )
+
+    def test_fit_reads_a_horizon_past_the_default_breakpoints(
+        self, course_files, tmp_path
+    ):
+        code = run_cli(
+            "fit",
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--horizon", "80",
+            "--terms", "edges, mutual",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert (tmp_path / "out" / "ergm.csv").exists()
 
     def test_missing_edges_flag(self, course_files, capsys):
         code = run_cli("describe", "--attrs", course_files["attrs"])

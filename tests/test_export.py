@@ -155,6 +155,25 @@ class TestJsonEdgelist:
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"levels": [1]}, "'levels' must be an object of lists"),
+            ({"levels": {"role": 5}}, "'levels' must be an object of lists"),
+            ({"edges": 3}, "'edges' must be a list"),
+            ({"nodes": {"a": 1}}, "'nodes' must be a list"),
+        ],
+        ids=["levels-list", "level-not-a-list", "edges-number", "nodes-object"],
+    )
+    def test_malformed_container_raises_validation_error_naming_the_key(
+        self, tmp_path, payload, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"directed": True, **payload}))
+        with pytest.raises(ValidationError) as info:
+            read_json_edgelist(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestErrors:
     def test_unknown_format(self, tmp_path):
