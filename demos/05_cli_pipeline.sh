@@ -73,6 +73,12 @@ $CLI formation $DATA --terms "edges, mutual" \
 $CLI simulate --nodes 25 --terms "edges, mutual" --theta=-2.5,1.0 \
     --samples 5 --seed 9 --out-dir "$OUT/simulate" --format csv
 
+# --- simulate from a model with every kind of term -------------------------
+$CLI simulate --nodes 30 --attrs "$OUT/attributes.csv" \
+    --terms "edges, mutual, gwesp(0.5), gwdsp(0.7), isolates, odegpop, nodematch(gender), nodematch(role, Teacher)" \
+    --theta=-2.5,1.0,0.4,-0.1,0.3,0.02,0.5,0.4 \
+    --samples 5 --seed 9 --out-dir "$OUT/simulate_every_term" --format csv
+
 # --- export the assembled network ------------------------------------------
 $CLI export $DATA --graph-format json-edgelist --output "$OUT/network.json"
 

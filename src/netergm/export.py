@@ -139,12 +139,17 @@ def read_json_edgelist(path) -> tuple:
     columns = {
         name: tuple(str(n.get(name, "")) for n in nodes) for name in levels
     }
-    table = NodeTable(ids, columns, levels)
+    try:
+        table = NodeTable(ids, columns, levels)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     idx = table.index_of
     pairs = set()
     for e in payload.get("edges", []):
         src, dst = str(e["source"]), str(e["target"])
         if src not in idx or dst not in idx:
             raise ValidationError(f"{path}: edge endpoint missing from nodes")
+        if src == dst:
+            raise ValidationError(f"{path}: loop edge on node {src!r}")
         pairs.add((idx[src], idx[dst]))
     return DirectedGraph(len(ids), frozenset(pairs)), table

@@ -28,8 +28,13 @@ three forms of its statistic. The global form is the statistic of one graph
 (``global_stats``); the all-dyad form is every dyad's change statistic, the
 statistic with the dyad present minus with it absent, in closed form, read
 at a design's dyads by ``_change_stat_columns``; the incremental form is one
-dyad's change, bound once to the sampler chain's neighbour sets and counts
-and walking only the endpoints' neighbours. Tests check the forms agree.
+dyad's change as a short Python source snippet, which the sampler inlines
+into the one step function it compiles for a model. The snippet reads the
+chain's neighbour sets and two-path counts and walks only the endpoints'
+neighbours. gwesp and gwdsp, whose snippets walk those neighbours, also give
+an interval read from set sizes alone that holds their change, so the
+sampler can decide most proposals without the walk. Tests check the forms
+agree.
 
 Cost and sparsity. Two-path counts and the all-dyad forms of gwesp and
 gwdsp come from the edge list, not from dense matrix products: the counts
@@ -325,60 +330,79 @@ def _gwdsp_matrix(t, s):
     return _partner_sums(s, base, s.linked, rtab - 1.0)
 
 
-def _gwesp_delta(t, attrs, c):
-    rtab, wtab = (x.tolist() for x in _decay_tables(t.decay, c.n))
-    out, inn, P = c.out, c.inn, c.P
+# The incremental form, in the names the sampler's step binds: i -> j is
+# the dyad toggled, aij is true when it is present, out[i] and inn[j] are
+# the live neighbour sets, whose sizes are the degrees, and P[i][m] the
+# two-path counts. A snippet is a block of statements whose last line is
+# the change statistic; ``{k}`` stands for the term's position, so two terms
+# of one kind keep their tables apart.
+#
+# gwesp and gwdsp walk neighbours, so they also give a bound: a head of
+# statements, then a low and a high expression that hold the change. The
+# snippet runs after the head and reads its names; the high end may read
+# the low end as lo{k}. Each sum adds rtab entries, all in [0, 1], one by
+# one from 0.0, and such a float sum of c entries lies in [0, c], since
+# rounding is monotone and integers are exact. The gwesp change therefore
+# lies between w = wtab[P[i][j]] and w plus the sizes of its two
+# shared-partner sets, and the gwdsp change between 0 and the sizes of the
+# two sets it walks.
 
-    def delta(i, j, aij):
-        # with i -> j present every count below includes it, so none drops
-        # under 0. Each sum runs over the shared partners in ascending order,
-        # since float addition is not associative and set order depends on
-        # the set's history; a set of one has only one order, so only sets of
-        # two or more are sorted, and chains stay bit-identical.
-        P_i = P[i]
-        s1 = 0.0
-        shared = out[i] & out[j]
-        if shared:
-            for m in sorted(shared) if len(shared) > 1 else shared:
-                s1 += rtab[P_i[m] - aij]
-        s2 = 0.0
-        shared = inn[j] & inn[i]
-        if shared:
-            for m in sorted(shared) if len(shared) > 1 else shared:
-                s2 += rtab[P[m][j] - aij]
-        return wtab[P_i[j]] + s1 + s2
-    return delta
+# With i -> j present every count below includes it, so none drops under 0.
+# Each sum runs over the shared partners in ascending order, since float
+# addition is not associative and set order depends on the set's history; a
+# set of one has only one order, so only sets of two or more are sorted.
+_GWESP_BOUND = (
+    """\
+P_i = P[i]
+shared1 = out[i] & out[j]
+shared2 = inn[j] & inn[i]""",
+    "wtab{k}[P_i[j]]",
+    "lo{k} + len(shared1) + len(shared2)",
+)
+_GWESP_DELTA = """\
+s1 = 0.0
+if shared1:
+    for m in sorted(shared1) if len(shared1) > 1 else shared1:
+        s1 += rtab{k}[P_i[m] - aij]
+s2 = 0.0
+if shared2:
+    for m in sorted(shared2) if len(shared2) > 1 else shared2:
+        s2 += rtab{k}[P[m][j] - aij]
+wtab{k}[P_i[j]] + s1 + s2"""
+
+_GWDSP_BOUND = ("", "0.0", "len(out[j]) + len(inn[i])")
+_GWDSP_DELTA = """\
+P_i = P[i]
+total = 0.0
+for m in out[j]:
+    if m != i:
+        total += rtab{k}[P_i[m] - aij]
+for m in inn[i]:
+    if m != j:
+        total += rtab{k}[P[m][j] - aij]
+total"""
 
 
-def _gwdsp_delta(t, attrs, c):
-    rtab = _decay_tables(t.decay, c.n)[0].tolist()
-    out, inn, P = c.out, c.inn, c.P
-
-    def delta(i, j, aij):
-        P_i = P[i]
-        total = 0.0
-        for m in out[j]:
-            if m != i:
-                total += rtab[P_i[m] - aij]
-        for m in inn[i]:
-            if m != j:
-                total += rtab[P[m][j] - aij]
-        return total
-    return delta
+def _match_table(t, attrs, n):
+    # every entry is one of two float objects, so a read at a random dyad
+    # touches the row's pointers and not one float per dyad
+    rows = _match_matrix(attrs, t, n).tolist()
+    return {"match": [[1.0 if m else 0.0 for m in row] for row in rows]}
 
 
-def _nodematch_delta(t, attrs, c):
-    match = _match_matrix(attrs, t, c.n).astype(np.float64).tolist()
-    return lambda i, j, aij: match[i][j]
+def _shared_partner_tables(t, attrs, n):
+    rtab, wtab = _decay_tables(t.decay, n)
+    return {"rtab": rtab.tolist(), "wtab": wtab.tolist()}
 
 
 # stat(term, shared) and matrix(term, shared) read a _Shared; a matrix is
-# anything that broadcasts to n x n. delta(term, attrs, chain) binds to a
-# sampler chain's live neighbour sets out/inn, whose sizes are the degrees,
-# and two-path lists P, and returns f(i, j, aij), aij true when i -> j is
-# present.
-# paths marks the terms that read two-path counts.
-_Term = namedtuple("_Term", "grammar stat matrix delta paths", defaults=(False,))
+# anything that broadcasts to n x n. delta is the incremental form, a
+# snippet as above. tables(term, attrs, n) gives the lists a snippet reads,
+# by name without the {k}; bound is the (head, low, high) of an O(degree)
+# delta. paths marks the terms that read two-path counts.
+_Term = namedtuple(
+    "_Term", "grammar stat matrix delta tables bound paths", defaults=(None, None, False)
+)
 
 
 _TERMS = {
@@ -386,13 +410,13 @@ _TERMS = {
         _NO_ARGS,
         lambda t, s: s.g.edge_count,
         lambda t, s: 1.0,
-        lambda t, *_: lambda i, j, aij: 1.0,
+        "1.0",
     ),
     "mutual": _Term(
         _NO_ARGS,
         lambda t, s: (s.A & s.A.T).sum() // 2,
         lambda t, s: s.A.T,
-        lambda t, attrs, c: lambda i, j, aij, out=c.out: i in out[j],
+        "(i in out[j])",
     ),
     "isolates": _Term(
         _NO_ARGS,
@@ -403,31 +427,38 @@ _TERMS = {
             + (s.g.total_degrees[None, :] == s.A).astype(np.float64)
         ),
         # the degrees are Python ints, so two left-isolated endpoints add to 2
-        lambda t, attrs, c: lambda i, j, aij, out=c.out, inn=c.inn: -(
-            (len(inn[i]) + len(out[i]) == aij) + (len(inn[j]) + len(out[j]) == aij)
-        ),
+        "-((len(inn[i]) + len(out[i]) == aij) + (len(inn[j]) + len(out[j]) == aij))",
     ),
     "odegpop": _Term(
         _NO_ARGS,
         lambda t, s: (s.g.in_degrees * s.g.out_degrees).sum(),
         lambda t, s: s.g.in_degrees[:, None] + s.g.out_degrees[None, :],
-        lambda t, attrs, c: lambda i, j, aij, out=c.out, inn=c.inn: (
-            len(inn[i]) + len(out[j])
-        ),
+        "(len(inn[i]) + len(out[j]))",
     ),
     "gwesp": _Term(
         _DECAY,
         lambda t, s: _decay_tables(t.decay, s.n)[1][s.P[s.A]].sum(),
         _gwesp_matrix,
-        _gwesp_delta,
+        _GWESP_DELTA,
+        _shared_partner_tables,
+        _GWESP_BOUND,
         paths=True,
     ),
-    "gwdsp": _Term(_DECAY, _gwdsp_stat, _gwdsp_matrix, _gwdsp_delta, paths=True),
+    "gwdsp": _Term(
+        _DECAY,
+        _gwdsp_stat,
+        _gwdsp_matrix,
+        _GWDSP_DELTA,
+        _shared_partner_tables,
+        _GWDSP_BOUND,
+        paths=True,
+    ),
     "nodematch": _Term(
         _ATTRIBUTE,
         lambda t, s: (s.A & _match_matrix(s.attrs, t, s.n)).sum(),
         lambda t, s: _match_matrix(s.attrs, t, s.n),
-        _nodematch_delta,
+        "match{k}[i][j]",
+        _match_table,
     ),
 }
 

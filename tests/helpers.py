@@ -11,7 +11,9 @@ against them. ``dense_gwesp_matrix`` and ``dense_gwdsp_matrix`` keep the
 dense n x n matrix-product forms of the shared-partner terms, the oracle
 of the library's edge-list sums. ``refit_every_replicate`` runs the pooled
 bootstrap with the library's own fit on every replicate, the oracle of
-fitting each distinct draw once.
+fitting each distinct draw once. ``OracleChain`` and ``oracle_sample`` are
+the Metropolis chain as a plain loop that calls one delta function per term,
+the oracle of the sampler's compiled step.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from netergm import (
     InvalidDyadError,
     NetworkModelError,
     NodeTable,
+    NumericalError,
     build_graph,
     fit_logistic,
     global_stats,
@@ -38,7 +41,7 @@ from netergm import (
 )
 from netergm.estimator import _unique_rows
 from netergm.ingest import DEFAULT_LEVELS
-from netergm.terms import _change_stat_columns
+from netergm.terms import _change_stat_columns, _decay_tables, _match_matrix
 
 
 def random_graph(rng, n, p):
@@ -373,6 +376,127 @@ def naive_change_stat(g, attrs, dyad, spec):
     with_edge = naive_stats(g.node_count, edges | {(i, j)}, attrs, spec)
     without = naive_stats(g.node_count, edges - {(i, j)}, attrs, spec)
     return with_edge - without
+
+
+def _gwesp_delta(c, t):
+    rtab, wtab = (x.tolist() for x in _decay_tables(t.decay, c.n))
+    out, inn, P = c.out, c.inn, c.P
+
+    def delta(i, j, aij):
+        # ascending order over shared partners, as the sampler sums them
+        P_i = P[i]
+        s1 = 0.0
+        for m in sorted(out[i] & out[j]):
+            s1 += rtab[P_i[m] - aij]
+        s2 = 0.0
+        for m in sorted(inn[j] & inn[i]):
+            s2 += rtab[P[m][j] - aij]
+        return wtab[P_i[j]] + s1 + s2
+    return delta
+
+
+def _gwdsp_delta(c, t):
+    rtab = _decay_tables(t.decay, c.n)[0].tolist()
+    out, inn, P = c.out, c.inn, c.P
+
+    def delta(i, j, aij):
+        # set iteration order, as the sampler sums them
+        P_i = P[i]
+        total = 0.0
+        for m in out[j]:
+            if m != i:
+                total += rtab[P_i[m] - aij]
+        for m in inn[i]:
+            if m != j:
+                total += rtab[P[m][j] - aij]
+        return total
+    return delta
+
+
+def _oracle_delta(c, t, attrs):
+    out, inn = c.out, c.inn
+    if t.kind == "edges":
+        return lambda i, j, aij: 1.0
+    if t.kind == "mutual":
+        return lambda i, j, aij: i in out[j]
+    if t.kind == "isolates":
+        return lambda i, j, aij: -(
+            (len(inn[i]) + len(out[i]) == aij) + (len(inn[j]) + len(out[j]) == aij)
+        )
+    if t.kind == "odegpop":
+        return lambda i, j, aij: len(inn[i]) + len(out[j])
+    if t.kind == "gwesp":
+        return _gwesp_delta(c, t)
+    if t.kind == "gwdsp":
+        return _gwdsp_delta(c, t)
+    match = _match_matrix(attrs, t, c.n).astype(np.float64).tolist()
+    return lambda i, j, aij: match[i][j]
+
+
+class OracleChain:
+    """The Metropolis chain as a plain loop: neighbour sets, two-path counts
+    and one delta function per term, the log ratio summed term by term from
+    0.0 in spec order."""
+
+    def __init__(self, n, attrs, spec, theta):
+        self.n = n
+        self.out = [set() for _ in range(n)]
+        self.inn = [set() for _ in range(n)]
+        self.P = [[0] * n for _ in range(n)]
+        self.deltas = [
+            (float(th), _oracle_delta(self, t, attrs))
+            for t, th in zip(spec.terms, theta) if th != 0.0
+        ]
+
+    def toggle(self, i, j):
+        sign = -1 if j in self.out[i] else 1
+        self.out[i] ^= {j}
+        self.inn[j] ^= {i}
+        for m in self.out[j]:
+            self.P[i][m] += sign
+        for m in self.inn[i]:
+            self.P[m][j] += sign
+
+    def step(self, i, j, logu) -> bool:
+        """One proposal to toggle i -> j; True when it is accepted."""
+        aij = j in self.out[i]
+        ratio = 0.0
+        for th, delta in self.deltas:
+            ratio += th * delta(i, j, aij)
+        if not math.isfinite(ratio):
+            raise NumericalError(f"non-finite acceptance ratio at dyad ({i}, {j})")
+        accept = logu < (-ratio if aij else ratio)
+        if accept:
+            self.toggle(i, j)
+        return accept
+
+    def edges(self) -> frozenset:
+        return frozenset((i, j) for i, out_i in enumerate(self.out) for j in out_i)
+
+
+def oracle_sample(node_count, attrs, spec, theta, control) -> list:
+    """The kept edge sets of ``sample_ergm``'s chain, from the same draws,
+    one ``OracleChain.step`` per proposal."""
+    chain = OracleChain(node_count, attrs, spec, theta)
+    burn, thin = control.resolved(node_count)
+    total = burn + thin * control.sample_count
+    rng = np.random.default_rng(control.seed)
+    kept = []
+    step = 0
+    while step < total:
+        chunk = 16384
+        buf_i = rng.integers(0, node_count, size=chunk)
+        buf_j = rng.integers(0, node_count - 1, size=chunk)
+        buf_j = buf_j + (buf_j >= buf_i)
+        buf_logu = np.log(rng.random(size=chunk))
+        for i, j, logu in zip(buf_i.tolist(), buf_j.tolist(), buf_logu.tolist()):
+            if step == total:
+                break
+            chain.step(i, j, logu)
+            step += 1
+            if step >= burn + thin and (step - burn) % thin == 0:
+                kept.append(chain.edges())
+    return kept
 
 
 PARTICIPANTS = 80

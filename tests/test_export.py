@@ -174,6 +174,27 @@ class TestJsonEdgelist:
             read_json_edgelist(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"nodes": [{"id": "a"}, {"id": "a"}]}, "duplicate participant ids"),
+            ({"levels": {"role": ["x"]}, "nodes": [{"id": "a", "role": "x"}, {"id": "b"}]},
+             "column 'role' has values outside declared levels"),
+            ({"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "a"}]},
+             "loop edge on node 'a'"),
+        ],
+        ids=["duplicate-id", "missing-level-value", "self-loop"],
+    )
+    def test_inconsistent_payload_raises_validation_error_naming_it(
+        self, tmp_path, payload, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"directed": True, **payload}))
+        with pytest.raises(ValidationError) as info:
+            read_json_edgelist(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
 
 class TestErrors:
     def test_unknown_format(self, tmp_path):

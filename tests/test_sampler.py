@@ -2,9 +2,11 @@ import gc
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from netergm import (
@@ -18,7 +20,8 @@ from netergm import (
     parse_terms,
     sample_ergm,
 )
-from helpers import naive_stats, simple_table
+from helpers import OracleChain, naive_stats, oracle_sample, random_graph, simple_table
+from netergm import sampler
 
 
 def mean_density(graphs):
@@ -297,3 +300,120 @@ class TestPinnedChains:
         control = SamplerControl(burn_in=16381, thin=3, sample_count=4, seed=0)
         graphs = sample_ergm(40, None, spec, [-3.0, 1.5, 0.3, 0.02], control)
         assert chain_digest(graphs) == self.STRADDLE_DIGEST
+
+
+# every argument form of every kind, decays 0 included
+ORACLE_TERMS = (
+    "edges", "mutual", "isolates", "odegpop", "gwesp(0)", "gwesp(0.5)", "gwesp(1.7)",
+    "gwdsp(0)", "gwdsp(0.7)", "gwdsp(2.5)", "nodematch(team)", "nodematch(team, red)",
+)
+
+
+def team_table(n):
+    return simple_table(
+        tuple(f"n{k}" for k in range(n)),
+        levels={"team": ("blue", "green", "red")},
+        team=tuple(("red", "blue", "green")[k % 3] for k in range(n)),
+    )
+
+
+@st.composite
+def chain_models(draw):
+    """A model of 1 to 6 terms in random order, with coefficients of both
+    signs and zeros, on 3 to 14 nodes."""
+    n = draw(st.integers(3, 14))
+    terms = draw(st.lists(st.sampled_from(ORACLE_TERMS), min_size=1, max_size=6, unique=True))
+    theta = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False)),
+        min_size=len(terms), max_size=len(terms),
+    ))
+    return n, parse_terms(terms), theta
+
+
+class TestCompiledStep:
+    """The compiled step against the plain per-term loop of
+    ``helpers.OracleChain``: every decision, and every kept graph."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        model=chain_models(),
+        density=st.sampled_from((0.0, 0.05, 0.4, 0.8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_decision_matches_the_oracle(self, model, density, seed):
+        n, spec, theta = model
+        table = team_table(n)
+        rng = np.random.default_rng(seed)
+        chain = sampler._Chain(n, table, spec, theta)
+        oracle = OracleChain(n, table, spec, theta)
+        # both start from one state, reached by one toggle order, so their
+        # sets share an iteration order
+        for i, j in sorted(random_graph(rng, n, density).edges):
+            chain.toggle(i, j)
+            oracle.toggle(i, j)
+        run = chain.step()
+        for _ in range(300):
+            i = int(rng.integers(n))
+            j = int(rng.integers(n - 1))
+            j += j >= i
+            logu = math.log(rng.random())
+            before = j in chain.out[i]
+            run((i,), (j,), (logu,))
+            accepted = (j in chain.out[i]) != before
+            assert accepted == oracle.step(i, j, logu), (i, j, logu)
+        assert chain.out == oracle.out
+        assert chain.P in (None, oracle.P)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        model=chain_models(),
+        burn_in=st.integers(0, 400),
+        thin=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kept_graphs_match_the_oracle(self, model, burn_in, thin, seed):
+        n, spec, theta = model
+        table = team_table(n)
+        control = SamplerControl(burn_in=burn_in, thin=thin, sample_count=4, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            kept = sample_ergm(n, table, spec, theta, control)
+        assert [g.edges for g in kept] == oracle_sample(n, table, spec, theta, control)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overflow_in_a_bounded_term_names_the_oracles_dyad(self, seed):
+        # edges alone stays finite; gwesp at 1e308 overflows once a tie has
+        # two shared partners, which only the exact sum sees
+        spec = parse_terms(("edges", "gwesp(0.5)"))
+        theta = [-2.0, 1e308]
+        control = SamplerControl(burn_in=2000, thin=100, sample_count=3, seed=seed)
+        with pytest.raises(NumericalError) as expected:
+            oracle_sample(8, None, spec, theta, control)
+        with pytest.raises(NumericalError) as got:
+            sample_ergm(8, None, spec, theta, control)
+        assert "dyad (" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_most_proposals_are_decided_by_the_bounds(self, monkeypatch):
+        # the sim_recovery benchmark's model; each run of the step returns how
+        # many of its proposals needed the exact sums
+        calls = []
+        make = sampler._Chain.step
+
+        def spy(chain):
+            run = make(chain)
+
+            def counted(view_i, view_j, view_logu):
+                exact = run(view_i, view_j, view_logu)
+                calls.append((len(view_i), exact))
+                return exact
+            return counted
+
+        monkeypatch.setattr(sampler._Chain, "step", spy)
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "odegpop"))
+        control = SamplerControl(sample_count=20, seed=0)
+        sample_ergm(40, None, spec, [-3.0, 1.5, 0.3, 0.02], control)
+        proposals = sum(n for n, _ in calls)
+        exact = sum(e for _, e in calls)
+        assert proposals == 10 * 40 * 39 + 20 * 40 * 39
+        assert exact <= proposals / 2
