@@ -26,7 +26,6 @@ from netergm.report import btergm_table, formation_table, render_text
 
 NODES = 45
 LABELS = ("Q1", "Q2", "Q3", "Q4")
-BREAKPOINTS = ((1, 18), (19, 36), (37, 54), (55, 72))
 
 
 def evolve(rng, prev_edges, birth_count):
@@ -70,7 +69,7 @@ def main():
         print(f"{label}: {g.edge_count} edges")
     print()
 
-    series = NetworkSeries(NODES, LABELS, tuple(panels), BREAKPOINTS)
+    series = NetworkSeries(NODES, LABELS, tuple(panels))
     spec = parse_terms(("edges", "mutual", "isolates", "nodematch(gender)"))
 
     # Replicates that separate or lose a column are dropped and counted;

@@ -165,7 +165,6 @@ class NetworkSeries:
     node_count: int
     labels: tuple
     graphs: tuple
-    breakpoints: tuple
 
     def __post_init__(self):
         if len(self.labels) != len(self.graphs):
@@ -385,6 +384,4 @@ def slice_periods(
     graphs = tuple(
         DirectedGraph(attrs.size, frozenset(pairs)) for pairs in per_period
     )
-    return NetworkSeries(
-        attrs.size, tuple(labels), graphs, tuple(tuple(bp) for bp in breakpoints)
-    )
+    return NetworkSeries(attrs.size, tuple(labels), graphs)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -104,7 +104,7 @@ class TermSpec:
 
     @property
     def name(self) -> str:
-        """Canonical display name, also used for duplicate detection."""
+        """Canonical display name."""
         fields, _, _ = _rule(self).grammar
         args = [f"{self.decay:g}" if f == "decay" else getattr(self, f) for f in fields]
         args = ", ".join(a for a in args if a is not None)
@@ -121,8 +121,9 @@ class ModelSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ConfigError("a model needs at least one term")
-        names = [t.name for t in self.terms]
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        # a level resolves case-insensitively (NodeTable.level_code)
+        keys = [replace(t, level=t.level and t.level.lower()) for t in self.terms]
+        dupes = sorted({t.name for t, key in zip(self.terms, keys) if keys.count(key) > 1})
         if dupes:
             raise ConfigError(f"duplicate terms: {dupes}")
 
@@ -215,7 +216,10 @@ def _decay_tables(decay: float, n: int):
     return rtab, wtab
 
 
-def _match_matrix(attrs, term, n: int) -> np.ndarray:
+def _match_codes(attrs, term, n: int) -> np.ndarray:
+    """Node codes of a nodematch term: i -> j, i != j, matches exactly when
+    ``code[i] == code[j]``. Uniform: the level codes. With a level: -1 at the
+    nodes that hold it and each other node's own index."""
     if attrs is None:
         raise UnknownAttributeError(
             f"term {term.name!r} needs node attributes, none supplied"
@@ -226,10 +230,14 @@ def _match_matrix(attrs, term, n: int) -> np.ndarray:
         )
     codes = attrs.codes(term.attribute)
     if term.level is None:
-        return codes[:, None] == codes[None, :]
+        return codes
     lc = attrs.level_code(term.attribute, term.level)
-    both = codes == lc
-    return both[:, None] & both[None, :]
+    return np.where(codes == lc, -1, np.arange(n))
+
+
+def _nodematch_stat(t, s):
+    c, ties = _match_codes(s.attrs, t, s.n), s.g._out_lists
+    return (c[ties.rows] == c[ties.cols]).sum()
 
 
 class _Shared:
@@ -383,13 +391,6 @@ for m in inn[i]:
 total"""
 
 
-def _match_table(t, attrs, n):
-    # every entry is one of two float objects, so a read at a random dyad
-    # touches the row's pointers and not one float per dyad
-    rows = _match_matrix(attrs, t, n).tolist()
-    return {"match": [[1.0 if m else 0.0 for m in row] for row in rows]}
-
-
 def _shared_partner_tables(t, attrs, n):
     rtab, wtab = _decay_tables(t.decay, n)
     return {"rtab": rtab.tolist(), "wtab": wtab.tolist()}
@@ -397,9 +398,9 @@ def _shared_partner_tables(t, attrs, n):
 
 # stat(term, shared) and matrix(term, shared) read a _Shared; a matrix is
 # anything that broadcasts to n x n. delta is the incremental form, a
-# snippet as above. tables(term, attrs, n) gives the lists a snippet reads,
-# by name without the {k}; bound is the (head, low, high) of an O(degree)
-# delta. paths marks the terms that read two-path counts.
+# snippet as above. tables(term, attrs, n) gives the O(n) lists a snippet
+# reads, by name without the {k}; bound is the (head, low, high) of an
+# O(degree) delta. paths marks the terms that read two-path counts.
 _Term = namedtuple(
     "_Term", "grammar stat matrix delta tables bound paths", defaults=(None, None, False)
 )
@@ -455,10 +456,10 @@ _TERMS = {
     ),
     "nodematch": _Term(
         _ATTRIBUTE,
-        lambda t, s: (s.A & _match_matrix(s.attrs, t, s.n)).sum(),
-        lambda t, s: _match_matrix(s.attrs, t, s.n),
-        "match{k}[i][j]",
-        _match_table,
+        _nodematch_stat,
+        lambda t, s: (c := _match_codes(s.attrs, t, s.n))[:, None] == c[None, :],
+        "(code{k}[i] == code{k}[j])",
+        lambda t, attrs, n: {"code": _match_codes(attrs, t, n).tolist()},
     ),
 }
 

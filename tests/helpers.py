@@ -41,7 +41,7 @@ from netergm import (
 )
 from netergm.estimator import _unique_rows
 from netergm.ingest import DEFAULT_LEVELS
-from netergm.terms import _change_stat_columns, _decay_tables, _match_matrix
+from netergm.terms import _change_stat_columns, _decay_tables
 
 
 def random_graph(rng, n, p):
@@ -429,8 +429,13 @@ def _oracle_delta(c, t, attrs):
         return _gwesp_delta(c, t)
     if t.kind == "gwdsp":
         return _gwdsp_delta(c, t)
-    match = _match_matrix(attrs, t, c.n).astype(np.float64).tolist()
-    return lambda i, j, aij: match[i][j]
+    # the attribute's strings, and a level compared case-insensitively, so
+    # the oracle shares no code with terms._match_codes
+    values = attrs.values(t.attribute)
+    if t.level is None:
+        return lambda i, j, aij: 1.0 if values[i] == values[j] else 0.0
+    level = t.level.lower()
+    return lambda i, j, aij: 1.0 if values[i].lower() == level == values[j].lower() else 0.0
 
 
 class OracleChain:

@@ -280,8 +280,7 @@ def test_criterion_10_pooled_reduces_to_single_slice():
     for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
         g = g.with_dyad(i, j, True)
     spec = parse_terms(("edges", "mutual"))
-    series = NetworkSeries(12, ("P0", "P1", "P2"), (g, g, g),
-                           ((1, 1), (2, 2), (3, 3)))
+    series = NetworkSeries(12, ("P0", "P1", "P2"), (g, g, g))
     point, _ = fit_btergm(series, None, spec, replications=3, seed=0)
     single = fit_mple(g, None, spec)
     worst = float(np.max(np.abs(point.coefficients - single.coefficients)))

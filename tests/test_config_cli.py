@@ -193,7 +193,7 @@ def subparsers():
 def three_panels():
     rng = np.random.default_rng(57)
     graphs = tuple(random_graph(rng, 5, 0.4) for _ in range(3))
-    return NetworkSeries(5, ("P0", "P1", "P2"), graphs, ((1, 1), (2, 2), (3, 3)))
+    return NetworkSeries(5, ("P0", "P1", "P2"), graphs)
 
 
 # each closed option set: its owner tuple, the RunConfig field that takes it

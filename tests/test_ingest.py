@@ -12,7 +12,7 @@ from netergm import (
     load_events,
     slice_periods,
 )
-from netergm.ingest import DEFAULT_LEVELS, QUARTER_BREAKPOINTS
+from netergm.ingest import DEFAULT_LEVELS
 from helpers import simple_table
 
 
@@ -221,7 +221,6 @@ class TestSlicePeriods:
         ]
         series = slice_periods(events, table)
         assert series.labels == ("Q1", "Q2", "Q3", "Q4")
-        assert series.breakpoints == QUARTER_BREAKPOINTS
         counts = [g.edge_count for g in series.graphs]
         assert counts == [2, 2, 2, 2]
         assert series.graphs[0].has_edge(0, 2)  # day 18 lands in Q1

@@ -110,7 +110,7 @@ class TestTables:
         rng = np.random.default_rng(72)
         g = random_graph(rng, 8, 0.35)
         graphs = (g, g, g)
-        series = NetworkSeries(8, ("P0", "P1", "P2"), graphs, ((1, 1), (2, 2), (3, 3)))
+        series = NetworkSeries(8, ("P0", "P1", "P2"), graphs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, boot = fit_btergm(
@@ -136,7 +136,7 @@ class TestTables:
         graphs = tuple(
             DirectedGraph(10, random_graph(rng, 10, 0.2).edges | ring) for _ in range(3)
         )
-        series = NetworkSeries(10, ("P0", "P1", "P2"), graphs, ((1, 1), (2, 2), (3, 3)))
+        series = NetworkSeries(10, ("P0", "P1", "P2"), graphs)
         spec = parse_terms(("edges", "mutual", "isolates"))
         with pytest.warns(UserWarning, match="all-zero column.*isolates"):
             _, boot = fit_btergm(series, None, spec, replications=5)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from netergm import (
+    CROSS_SECTIONAL_TERMS,
     ConfigError,
     DimensionError,
     DirectedGraph,
@@ -20,7 +22,14 @@ from netergm import (
     parse_terms,
     sample_ergm,
 )
-from helpers import OracleChain, naive_stats, oracle_sample, random_graph, simple_table
+from helpers import (
+    OracleChain,
+    naive_stats,
+    oracle_sample,
+    random_graph,
+    random_table,
+    simple_table,
+)
 from netergm import sampler
 
 
@@ -417,3 +426,21 @@ class TestCompiledStep:
         exact = sum(e for _, e in calls)
         assert proposals == 10 * 40 * 39 + 20 * 40 * 39
         assert exact <= proposals / 2
+
+
+def test_paper_scale_chain_set_up_holds_no_n_by_n_tables():
+    # the default battery at n=800 with the paper-scale chain's coefficients;
+    # the two-path list P, n lists of n ints, is the only n x n part
+    n = 800
+    table = random_table(np.random.default_rng(5), (f"p{k}" for k in range(n)))
+    spec = parse_terms(CROSS_SECTIONAL_TERMS)
+    nonzero = {"edges": -5.4, "mutual": 2.0, "gwesp(0.5)": 0.8, "nodematch(group)": 1.5}
+    theta = [nonzero.get(name, 0.0) for name in spec.names]
+    tracemalloc.start()
+    try:
+        chain = sampler._Chain(n, table, spec, theta)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chain.snippets) == 4
+    assert held < 10 * 2**20

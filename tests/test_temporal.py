@@ -42,8 +42,7 @@ SPEC = parse_terms(("edges", "mutual"))
 def series_of(graphs, labels=None):
     n = graphs[0].node_count
     labels = labels or tuple(f"P{k}" for k in range(len(graphs)))
-    bps = tuple((k + 1, k + 1) for k in range(len(graphs)))
-    return NetworkSeries(n, tuple(labels), tuple(graphs), bps)
+    return NetworkSeries(n, tuple(labels), tuple(graphs))
 
 
 class TestPooledDesign:

@@ -97,6 +97,17 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_terms(("gwesp(0.5)", "gwesp(0.50)"))
 
+    def test_levels_that_differ_only_in_case_are_duplicates(self):
+        # a level resolves case-insensitively, so both terms would be one
+        # statistic; display names keep the case given, attributes keep theirs
+        with pytest.raises(ConfigError) as err:
+            parse_terms("edges, nodematch(region, South), nodematch(region, south)")
+        assert str(err.value) == (
+            "duplicate terms: ['nodematch(region, South)', 'nodematch(region, south)']"
+        )
+        spec = parse_terms("nodematch(region, South), nodematch(Region, South)")
+        assert spec.names == ("nodematch(region, South)", "nodematch(Region, South)")
+
     def test_split_respects_parentheses(self):
         assert split_term_list("edges, nodematch(team, red), gwesp(0.5)") == [
             "edges",
@@ -439,3 +450,7 @@ class TestIncrementalRoute:
         assert [th for th, _ in chain.deltas] == [1.5]
         with pytest.raises(UnknownAttributeError):
             _Chain(4, None, parse_terms(("edges", "nodematch(team)")), [1.0, 0.0])
+        with pytest.raises(ConfigError, match="level 'purple'"):
+            _Chain(4, team_table(4), parse_terms(("edges", "nodematch(team, purple)")), [1.0, 0.0])
+        with pytest.raises(DimensionError, match="node table has 5 rows"):
+            _Chain(4, team_table(5), parse_terms(("edges", "nodematch(team)")), [1.0, 0.0])
