@@ -16,18 +16,29 @@ rows, which also makes the design's arrays read-only; ``fit_logistic`` then
 fits the distinct rows, each weighted by the rows it stands for, as ergm's
 ``ergmMPLE`` does. Weights count as rows in every check, the rank check
 included, so a design of distinct rows fits and ranks exactly as the rows
-it stands for. The rows a fit reads (views of the design, or the distinct
-or positive-weight rows gathered into column-major copies) are one list of
-``_BLOCK_ROWS``-row blocks. Each Newton step walks that list once, for the
-log-likelihood, score and information together (``_evaluate``), so there is
-one Newton path for grouped and plain designs and no step copies a whole
-design. The rank check reads Newton's first information: where it
-proves that the row-blocked QR (``_rank``) would find full rank
-(``_full_rank_certificate``), the QR does not run; where it cannot, the QR
-walks the blocks and decides, as it always did. A cold fit starts at the
-intercept-only estimate (``_intercept_start``), as R's ``glm`` starts from
-the data, so that a sparse network's fit spends no steps walking ``edges``
-from a tie probability of 1/2 toward its density.
+it stands for.
+
+Most columns of the default batteries hold only 0 and 1 (``edges``,
+``mutual`` and every ``nodematch``). Each fit splits its kept columns
+(``_fit_rows``): the 0/1 columns, up to ``_KEY_BITS`` of them, are read as
+the bits of one key per row, and every fitted row gets the id of its key's
+pattern; the other columns are ordinary. The rows a fit reads form one list
+of ``_BLOCK_ROWS``-row blocks: views of the design where it reads every row
+in place, and otherwise the other columns alone, gathered into column-major
+copies. Each Newton step walks that list once, for the log-likelihood,
+score and information together (``_evaluate_rows``): the 0/1 columns enter
+through sums per pattern, so their part of a step costs patterns x b**2
+rather than rows x b**2. There is one Newton path for grouped and plain
+designs, and no step copies a whole design. On a design whose arrays are
+read-only the pattern ids are computed once and kept on it
+(``DyadDesign.row_patterns``). The rank check reads Newton's first
+information: where it proves that the row-blocked QR (``_rank``) would find
+full rank (``_full_rank_certificate``), the QR does not run; where it
+cannot, the QR walks blocks of every kept column and decides, as it always
+did. A cold fit starts at the intercept-only estimate
+(``_intercept_start``), as R's ``glm`` starts from the data, so that a
+sparse network's fit spends no steps walking ``edges`` from a tie
+probability of 1/2 toward its density.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import numbers
 import random
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +109,13 @@ class DyadDesign:
     carry the grouping of other rows, and a design that has one holds
     ``matrix`` and ``response`` read-only, so that no edit in place can
     leave the grouping stale.
+
+    ``row_patterns`` keeps, on a design whose ``matrix`` and ``response``
+    are read-only, the 0/1 patterns of the rows that its fits start from
+    (the distinct rows when it has ``row_groups``), as ``(cols, ids,
+    patterns)`` of ``_scan``. The first fit sets it; every later fit whose
+    0/1 columns are the same reads its ids instead of labelling its rows
+    again. Like ``row_groups``, it is no ``__init__`` argument.
     """
 
     dyads: np.ndarray
@@ -104,6 +123,9 @@ class DyadDesign:
     matrix: np.ndarray
     term_names: tuple
     row_groups: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    row_patterns: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -343,16 +365,27 @@ def _label_groups(order, new):
     return first, group
 
 
-def _logistic(eta):
+def _logistic(eta, out=None):
     """The logistic function ``mu = 1 / (1 + exp(-eta))`` and
     ``log(1 + exp(eta))`` at ``eta``, both from one ``exp(-|eta|)`` and
-    overflow-free at any eta."""
+    overflow-free at any eta; written into the pair of arrays ``out`` when
+    given."""
+    mu, log1pexp = (np.empty_like(eta), np.empty_like(eta)) if out is None else out
     # exp of -|eta| never overflows; below about -745 it underflows to 0,
-    # which is the right limit, so that flag is not an error here
+    # which is the right limit, so that flag is not an error here. It is
+    # held in log1pexp until log1p overwrites it there.
+    e = np.abs(eta, out=log1pexp)
+    np.negative(e, out=e)
     with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(eta))
-    mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
-    return mu, np.maximum(eta, 0.0) + np.log1p(e)
+        np.exp(e, out=e)
+    d = 1.0 + e
+    # mu = where(eta >= 0, 1, e) / (1 + e)
+    np.copyto(mu, e)
+    np.copyto(mu, 1.0, where=eta >= 0)
+    mu /= d
+    np.log1p(e, out=log1pexp)
+    log1pexp += np.maximum(eta, 0.0, out=d)
+    return mu, log1pexp
 
 
 def _two_sided_p(theta, se):
@@ -366,6 +399,10 @@ def _two_sided_p(theta, se):
 # of a 22-term design is about 1.4 MiB, so no step copies the whole design.
 _BLOCK_ROWS = 8192
 
+# A fit reads at most this many 0/1 columns as the bits of one unsigned
+# 64-bit key per row; any further 0/1 columns are read as ordinary ones.
+_KEY_BITS = 64
+
 
 def _row_blocks(d):
     """Slices that cover rows ``0..d-1`` in blocks of ``_BLOCK_ROWS``."""
@@ -377,36 +414,209 @@ def _blocks(a):
     return [a[rows] for rows in _row_blocks(len(a))]
 
 
-def _fit_blocks(x, y, w, rows):
-    """Row blocks ``(xs, ys, ws)`` of the rows of the design ``(x, y)`` that
-    a fit reads, as float64.
+def _zero_one(parts, hi, lo):
+    """Whether the column whose pieces are the arrays ``parts``, and whose
+    largest and least entries are ``hi`` and ``lo``, is a 0/1 column: every
+    entry exactly 0.0 or 1.0 and some of them 1.0."""
+    # between 0 and 1, a column is 0/1 when its nonzero entries are its ones
+    return hi == 1.0 and lo >= 0.0 and all(
+        np.count_nonzero(c) == np.count_nonzero(c == 1.0) for c in parts
+    )
 
-    With ``rows`` None these are views of ``x`` (column-major like the
-    builders' output, so results do not depend on layout), ``y`` and ``w``.
-    Otherwise they hold the rows ``rows``, gathered one column at a time
-    into column-major blocks of ``_BLOCK_ROWS`` rows, and ``w`` is aligned
-    with ``rows``; no copy larger than a block is made.
+
+def _scan(x, rows, n):
+    """The column scan of the ``n`` rows ``rows`` of ``x`` (None for all):
+    ``(hi, lo, cols, ids, patterns)``.
+
+    ``hi`` and ``lo`` hold each column's largest and least entry (NaN when
+    it holds a NaN). ``cols`` lists the 0/1 columns (``_zero_one``), in
+    column order and at most ``_KEY_BITS`` of them. A row's entries in
+    ``cols`` are the bits of its key, and the rows are sorted by key:
+    ``patterns`` holds each distinct key once, as a column-major float64
+    row of 0.0 and 1.0, and ``ids[r]``, of the least unsigned type that
+    holds them, is the pattern of row r. Each column is read (or gathered)
+    once; beside the keys, the scratch space is two row-length integer
+    vectors.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if rows is None:
-        y = y.astype(np.float64, copy=False)
-        return _blocks(np.asfortranarray(x)), _blocks(y), _blocks(w)
-    xs, ys, ws = [], [], []
-    for block in _row_blocks(len(rows)):
-        at = rows[block]
-        xs.append(_take_rows(x, at))
-        ys.append(y[at].astype(np.float64))
-        ws.append(w[block])
-    return xs, ys, ws
-
-
-def _take_rows(x, rows):
-    """The rows ``rows`` of the matrix ``x`` as a new column-major float64
-    array, gathered one column at a time."""
-    out = np.empty((x.shape[1], len(rows))).T
+    hi, lo, cols = [], [], []
+    key = np.zeros(n, dtype=np.uint64)
     for k in range(x.shape[1]):
-        np.take(x[:, k], rows, out=out[:, k])
+        col = x[:, k] if rows is None else x[:, k].take(rows)
+        top, least = float(np.maximum.reduce(col)), float(np.minimum.reduce(col))
+        hi.append(top)
+        lo.append(least)
+        if len(cols) < _KEY_BITS and _zero_one([col], top, least):
+            # the bits are distinct, so adding them sets them
+            key += (col == 1.0) * np.uint64(1 << len(cols))
+            cols.append(k)
+        del col
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    key = key[new]
+    ids = np.empty(n, dtype=np.min_scalar_type(len(key) - 1))
+    # each sorted row's pattern, 0 at the first: a count of the key changes
+    label = np.zeros(n, dtype=ids.dtype)
+    np.cumsum(new[1:], dtype=ids.dtype, out=label[1:])
+    ids[order] = label
+    bits = np.arange(len(cols), dtype=np.uint64)
+    patterns = (key[:, None] >> bits) & np.uint64(1)
+    # column-major, as the information's products read it
+    patterns = np.asfortranarray(patterns, dtype=np.float64)
+    return np.array(hi), np.array(lo), cols, ids, patterns
+
+
+def _other_blocks(x, rows, n, cols):
+    """``(xs, rest)``: row blocks of the ``n`` rows ``rows`` of ``x`` (None
+    for all) that hold the columns ``cols``, which are the columns ``rest``
+    of each block. With ``rows`` None the blocks are views of the whole
+    rows; otherwise they hold the columns ``cols`` alone, gathered."""
+    if rows is None:
+        return _blocks(np.asfortranarray(x)), np.array(cols, dtype=np.intp)
+    xs = [_take_rows(x, rows[block], cols) for block in _row_blocks(n)]
+    return xs, np.arange(len(cols))
+
+
+def _known_scan(x, rows, n, known, pick):
+    """``(scan, blocks)`` of the ``n`` rows ``rows`` of ``x`` (None for
+    all), which sit at the positions ``pick`` (None for all) among the rows
+    that the ``(cols, ids, patterns)`` of ``known`` label. ``scan`` is what
+    ``_scan`` of these rows gives: only the patterns they hold, labelled
+    again in key order, the 0/1 columns' extremes read from those, and the
+    other columns' from their blocks, which ``blocks`` returns as the
+    ``(xs, rest)`` of ``_other_blocks``, with ``rest`` naming the kept ones.
+    ``(None, None)`` when these rows have other 0/1 columns than ``known``:
+    a zero weight can empty a 0/1 column or make another one 0/1."""
+    cols, ids, patterns = known
+    if pick is not None:
+        ids = ids[pick]
+        seen = np.bincount(ids, minlength=len(patterns)) > 0
+        label = np.zeros(len(patterns), dtype=ids.dtype)
+        label[seen] = np.arange(np.count_nonzero(seen))
+        ids, patterns = label[ids], np.asfortranarray(patterns[seen])
+    p = x.shape[1]
+    ones = set(cols)
+    others = [k for k in range(p) if k not in ones]
+    xs, rest = _other_blocks(x, rows, n, others)
+    hi, lo = np.empty(p), np.empty(p)
+    hi[cols] = np.maximum.reduce(patterns, axis=0)
+    lo[cols] = np.minimum.reduce(patterns, axis=0)
+    hi[others] = np.maximum.reduce([xb[:, rest].max(axis=0) for xb in xs])
+    lo[others] = np.minimum.reduce([xb[:, rest].min(axis=0) for xb in xs])
+    zero_one = [k for k in cols if hi[k] == 1.0]
+    for k, c in zip(others, rest):
+        if _zero_one([xb[:, c] for xb in xs], hi[k], lo[k]):
+            zero_one.append(k)
+    if sorted(zero_one)[:_KEY_BITS] != cols:
+        return None, None
+    kept = [j for j, k in enumerate(others) if hi[k] != 0.0 or lo[k] != 0.0]
+    return (hi, lo, cols, ids, patterns), (xs, rest[kept])
+
+
+class _Rows(NamedTuple):
+    """The rows that one fit reads, as one list of ``_BLOCK_ROWS``-row
+    blocks, with its kept columns split into 0/1 columns and the others.
+
+    Newton runs in the column order ``order`` (positions among the kept
+    columns): the 0/1 columns first, then the others, each in design order.
+    ``patterns`` holds each distinct row of the 0/1 columns once, and
+    ``ids`` the pattern of every fitted row, block by block. ``xs`` holds
+    the other columns: views of the design, whose columns ``rest`` are the
+    others, where the fit reads the design in place, and otherwise copies
+    of the others alone gathered into column-major blocks. ``ys`` and ``ws``
+    are the responses (as float64) and weights. ``x``, ``rows`` (None where
+    the design is read in place) and ``kept`` serve the QR alone.
+    """
+
+    order: np.ndarray
+    patterns: np.ndarray
+    ids: list
+    xs: list
+    rest: np.ndarray
+    ys: list
+    ws: list
+    x: np.ndarray
+    rows: np.ndarray | None
+    kept: list
+
+    def design_blocks(self):
+        """Row blocks of the kept columns in design order, for the QR:
+        views of the design where the fit reads it in place (copies where
+        a column is dropped), gathered copies otherwise."""
+        if self.rows is None:
+            full = _blocks(np.asfortranarray(self.x))
+            if len(self.kept) == self.x.shape[1]:
+                return full
+            return [xb[:, self.kept] for xb in full]
+        return [
+            _take_rows(self.x, self.rows[block], self.kept)
+            for block in _row_blocks(len(self.rows))
+        ]
+
+
+def _fit_rows(design, w, pick):
+    """``(rows, hi, lo)``: the ``_Rows`` that a fit of ``design`` reads and
+    the largest and least entry of each design column on them.
+
+    A fit starts from the design's rows, or from its distinct rows when it
+    has ``row_groups``; ``w`` holds their weights, and ``pick`` the
+    positions of the rows it fits among them, None for all.
+
+    On a design whose ``matrix`` and ``response`` are read-only, the rows it
+    starts from are scanned and labelled once, into ``row_patterns``; a fit
+    then reads its ids and scans only the other columns, unless its rows
+    have other 0/1 columns (a zero weight can make a column 0/1, or empty
+    one). Every other fit scans its own rows. The rows are read in place
+    when the fit reads every row of a design without ``row_groups``;
+    otherwise the other columns alone are gathered.
+    """
+    x = np.asarray(design.matrix, dtype=np.float64)
+    y = np.asarray(design.response)
+    base = None if design.row_groups is None else design.row_groups[0]
+    rows = base if pick is None else pick if base is None else base[pick]
+    if pick is not None:
+        w = w[pick]
+    n, p = len(w), x.shape[1]
+    scan = blocks = None
+    frozen = not (design.matrix.flags.writeable or design.response.flags.writeable)
+    if frozen and design.row_patterns is None:
+        # the rows every fit of the design starts from, labelled once
+        scan = _scan(x, base, len(x) if base is None else len(base))
+        object.__setattr__(design, "row_patterns", scan[2:])
+        if pick is not None:
+            scan = None
+    if scan is None and design.row_patterns is not None:
+        scan, blocks = _known_scan(x, rows, n, design.row_patterns, pick)
+    if scan is None:
+        scan = _scan(x, rows, n)
+    hi, lo, cols, ids, patterns = scan
+    del scan
+
+    # a column of NaN or nonzero extremes is kept
+    kept = [k for k, m in enumerate(np.maximum(hi, -lo).tolist()) if m != 0.0]
+    ones = set(cols)
+    other = [k for k in kept if k not in ones]
+    xs, rest = _other_blocks(x, rows, n, other) if blocks is None else blocks
+    if rows is None:
+        ys = _blocks(y.astype(np.float64, copy=False))
+    else:
+        ys = [y[rows[block]].astype(np.float64) for block in _row_blocks(n)]
+    place = {k: j for j, k in enumerate(kept)}
+    order = np.array([place[k] for k in cols + other], dtype=np.intp)
+    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), x, rows, kept)
+    return fit, hi, lo
+
+
+def _take_rows(x, rows, cols=None):
+    """The rows ``rows`` of the columns ``cols`` (all when None) of the
+    matrix ``x`` as a new column-major float64 array, gathered one column
+    at a time."""
+    cols = range(x.shape[1]) if cols is None else cols
+    out = np.empty((len(cols), len(rows))).T
+    for j, k in enumerate(cols):
+        np.take(x[:, k], rows, out=out[:, j])
     return out
 
 
@@ -444,22 +654,35 @@ def _rank(xs, ws, cols=slice(None)):
 
 def _full_rank_certificate(info, m2, ws):
     """True only if ``_rank(xs, ws)`` would return ``p``: a proof from the
-    information ``info`` (p x p) of some ``_evaluate(xs, ys, ws, theta)``,
-    the sum ``m2`` of the squared largest |entries| of the p columns of
-    ``xs``, and the weights ``ws``. False means only that it cannot tell.
+    information ``info`` (p x p, in any column order) of some
+    ``_evaluate_rows`` of the rows whose blocks are ``xs``, the sum ``m2``
+    of the squared largest |entries| of their p columns, and the weights
+    ``ws``. False means only that it cannot tell.
 
     Write S for the rows of ``xs`` scaled by the square roots of their
     weights, whose singular values ``_rank`` compares, and d for its rows.
 
-    * ``info`` is the rounded sum of ``a.T @ a``, ``a`` the rows scaled by
-      ``sqrt(v)`` with ``v = w * mu * (1 - mu)``; as ``mu * (1 - mu) <= 1/4``,
-      the computed v are at most ``w / 4 * (1 + eps)``, so the exact G of
-      those v satisfies ``sigma_p(S)**2 >= 4 * lambda_min(G) / (1 + eps)``.
+    * ``info`` is the rounded form of ``G = x.T @ (v * x)`` with
+      ``v = w * mu * (1 - mu)``; as ``mu * (1 - mu) <= 1/4``, the computed v
+      are at most ``w / 4 * (1 + eps)``, so the exact G of those v satisfies
+      ``sigma_p(S)**2 >= 4 * lambda_min(G) / (1 + eps)``.
+    * Each entry of G is a sum of the d terms ``v x_j x_k``. ``info`` adds
+      them over the rows of each block (for a 0/1 column j, per pattern, by
+      ``np.bincount``), then over the blocks, and for a 0/1 column once
+      more over the patterns, which number at most d. The rows of a block
+      and the blocks together number at most d + 1, and the scalings by
+      ``sqrt(v)`` (or by the root of a pattern's sum of v) and the
+      products add at most four roundings, so each term passes through at
+      most ``2 d + 3 p`` of them (a cross entry needs p >= 2) and each
+      entry is off by at most ``gamma(2 d + 3 p)`` times its sum of
+      |terms|. Those sums form the PSD matrix ``|x|.T @ (v * |x|)``, of norm
+      at most its trace, which is G's; so the error has norm at most
+      ``2 (2 d + 3 p) eps trace``.
     * G is positive semi-definite, so ``lambda_min(G) = sigma_min(G)``,
-      which is at least the computed ``sigma_min(info)`` less the rounding
-      of the blocked sums (at most ``2 (d + p) eps trace``), the error of
-      the p x p SVD (a multiple of ``p eps sigma_max``) and an allowance
-      for underflow.
+      which is at least the computed ``sigma_min(info)`` less that
+      rounding, the error of the p x p SVD (a multiple of
+      ``p eps sigma_max``) and an allowance for underflow. A permutation
+      of the columns changes no singular value.
     * ``||S||_2 <= ||S||_F <= s1 = sqrt(sum(w) * m2)``, raised by the
       rounding of ``sum(w)``.
     * The row-blocked QR returns the R of S moved by at most ``slack``
@@ -482,8 +705,8 @@ def _full_rank_certificate(info, m2, ws):
     w_max = max(float(wb.max()) for wb in ws)
     sv = np.linalg.svd(info, compute_uv=False)
     scale = max(float(np.trace(info)), float(sv[0]))
-    err = 2 * (d + 3 * p) * eps * scale
-    err += 2 * p * d * (1 + m2) * (1 + w_max) * tiny * eps
+    err = 2 * (2 * d + 3 * p) * eps * scale
+    err += 4 * p * d * (1 + m2) * (1 + w_max) * tiny * eps
     low = math.sqrt(max(4 * (float(sv[-1]) - err) / (1 + eps), 0.0))
     s1 = math.sqrt(n_w * m2) * (1 + (d + 4) * eps)
     slack = 10 * (d + (len(ws) + 1) * p) * p * eps * s1 + d * p * tiny
@@ -491,40 +714,81 @@ def _full_rank_certificate(info, m2, ws):
     return low - slack > tol
 
 
-def _evaluate(xs, ys, ws, theta):
-    """Log-likelihood, score and information at ``theta``, summed over the
-    matching lists of row blocks ``xs``, ``ys`` and ``ws`` in one pass.
+def _evaluate_rows(rows, theta):
+    """Log-likelihood, score and information at ``theta`` over the fitted
+    ``rows`` (a ``_Rows``), in one pass over its row blocks. ``theta``, the
+    score and the information are in Newton's column order, 0/1 columns
+    first.
 
-    With ``eta = x @ theta``, ``mu`` its logistic and ``v = w * mu * (1 - mu)``,
-    these are the weighted sum of ``y*eta - log(1 + exp(eta))``, the score
-    ``x.T @ (w * (y - mu))`` and the information ``a.T @ a``, where ``a``
-    holds the rows of ``x`` scaled by ``sqrt(v)``: a product of a matrix with
-    its own transpose, which BLAS forms at half the cost of a general one.
-    Every block writes its ``a`` into one buffer, so that no temporary as
-    large as the design is made.
+    With ``eta = x @ theta``, ``mu`` its logistic and
+    ``v = w * mu * (1 - mu)``, these are the weighted sum of
+    ``y*eta - log(1 + exp(eta))``, the score ``x.T @ (w * (y - mu))`` and
+    the information ``x.T @ (v * x)``. The 0/1 columns enter through their
+    patterns alone. A row's eta adds its pattern's ``patterns @ theta_01``,
+    read at its id. Their score and information come from sums per pattern
+    (``np.bincount`` by id) of ``w * (y - mu)``, of ``v`` and of ``v`` times
+    each other column, which each block adds. So the 0/1 block costs
+    patterns x b**2 and the cross block rows x (p - b), not rows x p**2.
+
+    The information's diagonal blocks are ``a.T @ a``, products of a matrix
+    with its own transpose that BLAS forms at half the cost and exactly
+    symmetric: over the rows, ``a`` the other columns scaled by ``sqrt(v)``,
+    and over the patterns, ``a`` the patterns scaled by the square roots of
+    their sums of ``v``. The cross block is formed once and mirrored. Each
+    block copies its other columns once, so no temporary as large as the
+    design is made.
     """
+    patterns = rows.patterns
+    m, b = patterns.shape
     p = len(theta)
+    theta_r = theta[b:]
+    eta01 = patterns @ theta[:b]
     ll, score, info = 0.0, np.zeros(p), np.zeros((p, p))
-    # column-major, like the blocks
-    buf = np.empty((p, max(len(xb) for xb in xs))).T
-    for xb, yb, wb in zip(xs, ys, ws):
-        eta = xb @ theta
-        mu, log1pexp = _logistic(eta)
-        ll += float(np.sum(wb * yb * eta) - np.sum(wb * log1pexp))
-        score += xb.T @ (wb * (yb - mu))
-        a = np.multiply(xb, np.sqrt(wb * mu * (1.0 - mu))[:, None], out=buf[: len(xb)])
-        info += a.T @ a
+    # per pattern: the sums of w * (y - mu), of v and of v times each other column
+    sums = np.zeros((p - b + 2, m))
+    for xb, yb, wb, ib in zip(rows.xs, rows.ys, rows.ws, rows.ids):
+        ib = ib.astype(np.intp)
+        # rows of the transposed block, each copied whole: column-major
+        a = xb.T[rows.rest].T
+        # the block's vectors, written in place
+        eta, mu, log1pexp, res, v = np.empty((5, len(yb)))
+        np.dot(a, theta_r, out=eta)
+        # ids in range: "clip" takes into ``out`` with no buffer of its own
+        eta += np.take(eta01, ib, out=res, mode="clip")
+        _logistic(eta, out=(mu, log1pexp))
+        np.multiply(yb, eta, out=res)
+        res -= log1pexp
+        ll += float(wb @ res)
+        np.subtract(yb, mu, out=res)
+        res *= wb
+        np.subtract(1.0, mu, out=v)
+        v *= mu
+        v *= wb
+        score[b:] += a.T @ res
+        sqrt_v = np.sqrt(v, out=eta)[:, None]
+        a *= sqrt_v
+        info[b:, b:] += a.T @ a
+        a *= sqrt_v  # now v times the other columns
+        sums += [np.bincount(ib, c, m) for c in (res, v, *a.T)]
+        # so that no block's vectors live on into the next block
+        del a, eta, mu, log1pexp, res, v, sqrt_v
+    s = patterns * np.sqrt(sums[1], out=sums[1])[:, None]
+    info[:b, :b] = s.T @ s
+    # the 0/1 columns' score and cross block, from one product
+    g = patterns.T @ sums.T
+    score[:b] = g[:, 0]
+    info[:b, b:] = g[:, 2:]
+    info[b:, :b] = g[:, 2:].T
     return ll, score, info
 
 
-def _newton(xs, ys, ws, theta, at_theta, tolerance, max_iterations):
-    """Newton ascent with step halving from ``theta`` over the row blocks
-    ``xs``, ``ys`` and ``ws``, where ``at_theta`` is ``_evaluate`` at
-    ``theta``. Returns (theta, info, ll_path, max_score, halvings,
-    converged, iterations): ``max_score`` is the largest |score| at the
-    returned theta and ``halvings`` counts every halved step. A theta whose
-    score is under ``tolerance`` converges, the last one the cap allows
-    included.
+def _newton(rows, theta, at_theta, tolerance, max_iterations):
+    """Newton ascent with step halving from ``theta`` over the fitted
+    ``rows``, where ``at_theta`` is ``_evaluate_rows`` at ``theta``.
+    Returns (theta, info, ll_path, max_score, halvings, converged,
+    iterations): ``max_score`` is the largest |score| at the returned theta
+    and ``halvings`` counts every halved step. A theta whose score is under
+    ``tolerance`` converges, the last one the cap allows included.
 
     Each candidate is evaluated once: the score and information of an
     accepted one serve the next step, and those of a halved one are
@@ -552,7 +816,7 @@ def _newton(xs, ys, ws, theta, at_theta, tolerance, max_iterations):
         lam = 1.0
         for _ in range(30):
             cand = theta + lam * step
-            at_cand = _evaluate(xs, ys, ws, cand)
+            at_cand = _evaluate_rows(rows, cand)
             if at_cand[0] >= ll - 1e-10:
                 break
             lam *= 0.5
@@ -618,10 +882,13 @@ def fit_logistic(
     stands for, so it fits and ranks as its rows do; the estimates agree
     with the row-by-row fit to rounding. The rows that the fit reads (all
     of them, the positive-weight ones, or the distinct ones) are one list
-    of row blocks, views of the design or gathered copies, which each
-    Newton step walks once. The rank check reads the information of the
-    first of those walks and walks the blocks itself, by QR, only when that
-    information cannot certify full rank.
+    of row blocks, views of the design or gathered copies of its columns
+    that are not 0/1, which each Newton step walks once; the columns that
+    hold only 0.0 and 1.0 on those rows enter through one pattern id per
+    row (``_fit_rows``), and Newton runs with them first, in a column order
+    that is undone once at the end. The rank check reads the information of
+    the first of those walks and walks blocks of every kept column itself,
+    by QR, only when that information cannot certify full rank.
 
     ``max_iterations`` must be an integer >= 0 and ``tolerance`` finite and
     >= 0, or :class:`ConfigError` is raised.
@@ -649,23 +916,20 @@ def fit_logistic(
     if not on.any():
         raise EmptyDesignError("no rows of positive weight to fit")
     n_obs = float(w.sum())
-    # the design is read in place unless it is grouped or some rows drop out
-    rows = None
+    # the fit starts from the design's rows, or its distinct rows when it
+    # is grouped, and reads those of positive weight
+    pick = None
     if design.row_groups is not None:
         first, group = design.row_groups
         # unweighted counts need no row-length copy of the broadcast weights
         w = np.bincount(group, None if weights is None else w, len(first))
         w = w.astype(np.float64, copy=False)
-        rows, on = first, w > 0.0
+        on = w > 0.0
     if not on.all():
-        rows = np.flatnonzero(on) if rows is None else rows[on]
-        w = w[on]
-    xs, ys, ws = _fit_blocks(design.matrix, design.response, w, rows)
+        pick = np.flatnonzero(on)
+    rows, hi, lo = _fit_rows(design, w, pick)
     names = design.term_names
 
-    # the largest and least entry of each column; NaN propagates
-    hi = np.maximum.reduce([xb.max(axis=0) for xb in xs])
-    lo = np.minimum.reduce([xb.min(axis=0) for xb in xs])
     colmax = np.maximum(hi, -lo)
     zero_cols = colmax == 0.0
     if zero_cols.all():
@@ -676,23 +940,24 @@ def fit_logistic(
             f"dropping all-zero column(s): {', '.join(dropped)}", stacklevel=2
         )
     keep = ~zero_cols
-    if not keep.all():
-        xs = [xb[:, keep] for xb in xs]
     kept_names = [n for n, k in zip(names, keep) if k]
     p = int(keep.sum())
 
     if _start is None:
-        start = _intercept_start(ys, ws, ((hi == 1.0) & (lo == 1.0))[keep])
+        start = _intercept_start(rows.ys, rows.ws, ((hi == 1.0) & (lo == 1.0))[keep])
     else:
         start = np.asarray(_start, np.float64)[keep]
+    start = start[rows.order]  # Newton's order, 0/1 columns first
     # Newton's first evaluation doubles as the rank check's input. Where
     # sum(w) * m2 bounds no sum (a non-finite or overflowing entry), the QR
     # checks first, so that it raises before any evaluation warns.
     m2 = math.fsum(m * m for m in colmax[keep].tolist())
+    ws = rows.ws
     at_start = None
     if math.isfinite(sum(float(wb.sum()) for wb in ws) * m2):
-        at_start = _evaluate(xs, ys, ws, start)
+        at_start = _evaluate_rows(rows, start)
     if at_start is None or not _full_rank_certificate(at_start[2], m2, ws):
+        xs = rows.design_blocks()
         rank = _rank(xs, ws)
         if rank < p:
             # identify a maximal independent prefix; the rest are dependent
@@ -707,9 +972,11 @@ def fit_logistic(
                 f"design is rank deficient ({rank}/{p}); dependent columns: "
                 + ", ".join(culprits)
             )
+        del xs
         if at_start is None:
-            at_start = _evaluate(xs, ys, ws, start)
+            at_start = _evaluate_rows(rows, start)
 
+    ys = rows.ys
     boundary = min(yb.min() for yb in ys) == max(yb.max() for yb in ys)
     if boundary:
         warnings.warn(
@@ -719,8 +986,11 @@ def fit_logistic(
         )
 
     theta, info, ll_path, max_score, halvings, converged, iterations = _newton(
-        xs, ys, ws, start, at_start, tolerance, max_iterations
+        rows, start, at_start, tolerance, max_iterations
     )
+    # back to design order, once
+    back = np.argsort(rows.order)
+    theta, info = theta[back], info[np.ix_(back, back)]
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the
     # score happens to dip under the tolerance.

@@ -94,7 +94,8 @@ class SamplerControl:
 # The toggle of i -> j, inlined into the step. ``^= {j}`` rather than
 # add/discard: gwdsp sums over its sets in iteration order, which follows
 # each set's history, so the toggle keeps the operations that chains were
-# recorded with. The two-path counts change only where a term reads them.
+# recorded with. The two-path counts change only where a nonzero term reads
+# them.
 _TOGGLE = """\
 out[i] ^= {j}
 inn[j] ^= {i}"""
@@ -135,15 +136,18 @@ def _function(names: dict, params: str, body: list):
 class _Chain:
     """Mutable chain state: neighbour sets ``out[i]`` and ``inn[j]``, whose
     sizes are the degrees, and the n x n two-path counts ``P[i][m]`` when a
-    term reads them. ``names`` holds what the compiled step reads: the state,
-    each term's O(n) tables and each nonzero coefficient ``th{k}``."""
+    term with a nonzero coefficient reads them. ``names`` holds what the
+    compiled step reads: the state, each term's O(n) tables and each
+    nonzero coefficient ``th{k}``."""
 
     def __init__(self, n, attrs, spec, theta):
         self.n = n
         self.out = [set() for _ in range(n)]
         self.inn = [set() for _ in range(n)]
         rules = [_rule(t) for t in spec.terms]
-        self.P = [[0] * n for _ in range(n)] if any(r.paths for r in rules) else None
+        # only a nonzero term's compiled snippet reads the two-path counts
+        paths = any(r.paths and th != 0.0 for r, th in zip(rules, theta))
+        self.P = [[0] * n for _ in range(n)] if paths else None
         self.names = {"out": self.out, "inn": self.inn, "P": self.P}
         self.snippets = []  # (k, delta, bound, theta > 0) of each nonzero term
         for k, (t, r, th) in enumerate(zip(spec.terms, rules, theta)):

@@ -9,10 +9,13 @@ reported confidence bounds. A node-block variant resamples sender nodes
 instead, for designs where period resampling is too coarse. The pooled
 design is collapsed once to its distinct rows, each weighted by how many
 pooled rows it stands for; a replicate reweights them by their rows' unit
-draw counts and starts Newton at the point estimate. A replicate's fit
-depends on its draw counts alone, so each distinct draw is fitted once: three
-modeled periods allow only C(5, 3) = 10 draws, one of them the point fit's
-own weights, however many replications are asked for.
+draw counts and starts Newton at the point estimate. ``fit_btergm`` keeps
+its own copy of the distinct rows and makes it read-only, so the point fit
+labels the rows' 0/1 patterns once (``DyadDesign.row_patterns``) and every
+replicate reads those labels instead of scanning its rows again. A
+replicate's fit depends on its draw counts alone, so each distinct draw is
+fitted once: three modeled periods allow only C(5, 3) = 10 draws, one of
+them the point fit's own weights, however many replications are asked for.
 
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
@@ -145,7 +148,9 @@ def fit_btergm(
     count. Every fit runs on the design's distinct rows, weighted by their
     multiplicity, and a replicate starts at the point estimate unless the
     point fit is flagged for separation or did not converge; replicates
-    then agree with cold starts to the fit tolerance.
+    then agree with cold starts to the fit tolerance. The distinct rows are
+    a read-only copy, so the 0/1 pattern ids that the point fit computes
+    on them serve every replicate.
 
     Equal draw counts give equal weights and so an equal fit: only the
     first replicate with each draw is refit, and a later one takes its
@@ -174,13 +179,16 @@ def fit_btergm(
         unit_of_row = pooled.dyads[:, 0].copy()
 
     # every fit runs on the distinct rows, column-major like the builders'
-    # output; the pooled rows are let go before the first fit
+    # output; the pooled rows are let go before the first fit. The copy is
+    # read-only, so the point fit labels its 0/1 patterns once for every fit
     first, group = _unique_rows(pooled.matrix, pooled.response)
     distinct = DyadDesign(
         pooled.dyads[first], pooled.response[first],
         _take_rows(pooled.matrix, first), pooled.term_names,
     )
     del pooled
+    distinct.matrix.setflags(write=False)
+    distinct.response.setflags(write=False)
     point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()

@@ -35,7 +35,8 @@ from netergm import config, estimator, ingest
 from netergm.estimator import (
     _BLOCK_ROWS,
     _blocks,
-    _evaluate,
+    _evaluate_rows,
+    _fit_rows,
     _full_rank_certificate,
     _logistic,
     _rank,
@@ -78,6 +79,11 @@ def assert_identical_fits(a, b):
     """Every field of two FitResults equal, NaN matching NaN."""
     for f in dataclasses.fields(a):
         np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
+def in_design_order(rows, theta):
+    """A theta of Newton's column order (``rows.order``) in design order."""
+    return theta[np.argsort(rows.order)]
 
 
 def qr_only(info, m2, ws):
@@ -374,7 +380,7 @@ class TestFitDiagnostics:
         ]:
             design = synthetic_design(rng, 200, [0.5, -1.0])
             with mock.patch.object(
-                estimator, "_evaluate", wraps=estimator._evaluate
+                estimator, "_evaluate_rows", wraps=estimator._evaluate_rows
             ) as spy:
                 fit = fit_logistic(design, tolerance=tolerance, _start=start)
             assert fit.converged
@@ -407,7 +413,7 @@ class TestFitDiagnostics:
     def test_halved_steps_leave_the_information_of_the_returned_theta(self, monkeypatch):
         # the far starts of test_newton_record: every halved candidate is
         # evaluated in full, and its information must be dropped with it
-        real = estimator._evaluate
+        real = estimator._evaluate_rows
         rng = np.random.default_rng(50)
         halved = 0
         for start, tolerance in [
@@ -416,12 +422,12 @@ class TestFitDiagnostics:
             design = synthetic_design(rng, 200, [0.5, -1.0])
             evaluations = []
 
-            def record(xs, ys, ws, theta):
-                out = real(xs, ys, ws, theta)
-                evaluations.append((theta.copy(), out[0]))
+            def record(rows, theta):
+                out = real(rows, theta)
+                evaluations.append((in_design_order(rows, theta), out[0]))
                 return out
 
-            monkeypatch.setattr(estimator, "_evaluate", record)
+            monkeypatch.setattr(estimator, "_evaluate_rows", record)
             fit = fit_logistic(design, tolerance=tolerance, _start=start)
             rejected = [t for t, ll in evaluations if ll not in fit.ll_path]
             assert len(rejected) == fit.step_halvings
@@ -440,15 +446,15 @@ class TestFitDiagnostics:
         # after the first step every candidate loses and reports a doubled
         # information, so the line search gives up and any use of a
         # rejected candidate's information shows in the covariance
-        real = estimator._evaluate
+        real = estimator._evaluate_rows
         thetas = []
 
-        def losing(xs, ys, ws, theta):
-            ll, score, info = real(xs, ys, ws, theta)
-            thetas.append(theta.copy())
+        def losing(rows, theta):
+            ll, score, info = real(rows, theta)
+            thetas.append(in_design_order(rows, theta))
             return (ll, score, info) if len(thetas) <= 2 else (-np.inf, score, 2 * info)
 
-        monkeypatch.setattr(estimator, "_evaluate", losing)
+        monkeypatch.setattr(estimator, "_evaluate_rows", losing)
         design = synthetic_design(np.random.default_rng(48), 200, [0.5, -1.0, 0.8])
         fit = fit_logistic(design)
         assert not fit.converged
@@ -509,13 +515,13 @@ def designs_with_a_ones_column(draw):
 
 
 def first_evaluation(design, **options):
-    """The theta of the first ``_evaluate`` of a fit of ``design``: where
-    Newton starts."""
-    with mock.patch.object(estimator, "_evaluate", wraps=_evaluate) as spy:
+    """The theta of the first ``_evaluate_rows`` of a fit of ``design``, in
+    design order: where Newton starts."""
+    with mock.patch.object(estimator, "_evaluate_rows", wraps=_evaluate_rows) as spy:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fit_logistic(design, **options)
-    return spy.call_args_list[0].args[3]
+    return in_design_order(*spy.call_args_list[0].args)
 
 
 class TestInterceptStart:
@@ -573,10 +579,12 @@ class TestInterceptStart:
         # then names the second as dependent
         x = np.column_stack([b, a, np.ones(120)])
         design = DyadDesign(dyads, y, x, ("b", "a", "a_copy"))
-        with mock.patch.object(estimator, "_evaluate", wraps=_evaluate) as spy:
+        with mock.patch.object(estimator, "_evaluate_rows", wraps=_evaluate_rows) as spy:
             with pytest.raises(RankDeficiencyError, match="dependent columns: a_copy$"):
                 fit_logistic(design, weights=w)
-        np.testing.assert_array_equal(spy.call_args_list[0].args[3], [0.0, logit, 0.0])
+        np.testing.assert_array_equal(
+            in_design_order(*spy.call_args_list[0].args), [0.0, logit, 0.0]
+        )
 
     @pytest.mark.parametrize("case", ["no ones", "constant twos", "no ties", "all ties"])
     def test_the_zero_start_stays_without_an_intercept_or_at_the_boundary(self, case):
@@ -1249,7 +1257,8 @@ def unblocked_rank(x, w, cols=slice(None)):
 
 
 def unblocked_evaluate(x, y, w, theta):
-    # the formulas of _evaluate, applied to the whole design at once
+    # the log-likelihood, score and information of every row and column at
+    # once, with no 0/1 patterns: the reference for _evaluate_rows
     x, y, w = whole(x), whole(y), whole(w)
     eta = x @ theta
     mu, log1pexp = _logistic(eta)
@@ -1258,11 +1267,38 @@ def unblocked_evaluate(x, y, w, theta):
     return ll, x.T @ (w * (y - mu)), a.T @ a
 
 
+def fitted_rows(x, y, w):
+    """The ``_Rows`` that a fit reads from the rows of positive weight
+    ``w`` of the plain design ``(x, y)``."""
+    names = tuple(f"c{k}" for k in range(x.shape[1]))
+    design = DyadDesign(np.zeros((len(y), 2), dtype=np.int64), y, x, names)
+    on = w > 0.0
+    return _fit_rows(design, w, None if on.all() else np.flatnonzero(on))[0]
+
+
+def evaluate(x, y, w, theta):
+    """``_evaluate_rows`` at ``theta`` (aligned with the columns of ``x``)
+    on the rows of ``(x, y)`` of positive weight ``w``: the log-likelihood,
+    and the score and information of the kept columns in design order."""
+    rows = fitted_rows(x, y, w)
+    back = np.argsort(rows.order)
+    ll, score, info = _evaluate_rows(rows, np.asarray(theta)[rows.kept][rows.order])
+    return ll, score[back], info[np.ix_(back, back)]
+
+
+def whole_rows(rows):
+    """``rows`` with each list of row blocks joined into one block."""
+    return rows._replace(**{f: [whole(getattr(rows, f))] for f in ("ids", "xs", "ys", "ws")})
+
+
 def fit_unblocked(monkeypatch, design, **options):
     """Fit with whole-design kernels in place of the row-blocked ones."""
     with monkeypatch.context() as m:
         m.setattr(estimator, "_rank", unblocked_rank)
-        m.setattr(estimator, "_evaluate", unblocked_evaluate)
+        m.setattr(
+            estimator, "_evaluate_rows",
+            lambda rows, theta: _evaluate_rows(whole_rows(rows), theta),
+        )
         return fit_logistic(design, **options)
 
 
@@ -1339,7 +1375,7 @@ class TestRowBlocks:
         w = rng.integers(0, 4, rows).astype(float)
         assert (w == 0.0).any()
         theta = rng.normal(size=p) * 0.3
-        ll, score, info = _evaluate(_blocks(x), _blocks(y), _blocks(w), theta)
+        ll, score, info = evaluate(x, y, w, theta)
         eta = x @ theta
         mu = expit(eta)
         v = w * mu * (1.0 - mu)
@@ -1367,6 +1403,210 @@ class TestRowBlocks:
         np.testing.assert_allclose(blocked.standard_errors, whole.standard_errors, rtol=1e-10)
         assert blocked.residual_deviance == pytest.approx(whole.residual_deviance, rel=1e-10)
         assert blocked.iterations == whole.iterations
+
+
+COLUMN_KINDS = ("zero_one", "ones", "integer", "float", "zero_one_on_fitted", "nan")
+
+
+@st.composite
+def mixed_designs(draw):
+    """A design of 20 to 60 rows whose columns are of the drawn kinds of
+    ``COLUMN_KINDS``, integer weights with zeros or unit weights, a theta,
+    and a key of 1 to 4 bits or the full 64. "zero_one_on_fitted" is 0/1
+    on the rows of positive weight and 2.0 on some rows of weight 0, and
+    "nan" a float column with a NaN entry."""
+    rows = draw(st.integers(20, 60))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.ones(rows)
+    if draw(st.booleans()) or "zero_one_on_fitted" in kinds:
+        w = rng.integers(0, 4, size=rows).astype(np.float64)
+        w[:3] = [0.0, 0.0, 1.0]
+    columns = []
+    for kind in kinds:
+        col = {
+            "zero_one": lambda: (rng.random(rows) < 0.4).astype(np.float64),
+            "ones": lambda: np.ones(rows),
+            "integer": lambda: rng.integers(-2, 4, size=rows).astype(np.float64),
+            "float": lambda: rng.normal(size=rows),
+            "zero_one_on_fitted": lambda: np.where(w > 0.0, rng.random(rows) < 0.5, 2.0),
+            "nan": lambda: np.where(
+                np.arange(rows) == rows // 2, np.nan, rng.normal(size=rows)
+            ),
+        }[kind]()
+        columns.append(np.asarray(col, dtype=np.float64))
+    x = np.asfortranarray(np.column_stack(columns))
+    y = (rng.random(rows) < 0.4).astype(np.int8)
+    theta = rng.normal(size=len(kinds)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    bits = draw(st.sampled_from([1, 2, 4, 64]))
+    return x, y, w, theta, bits
+
+
+def zero_one_columns(x, w):
+    """The columns of ``x`` that hold only 0.0 and 1.0, and some 1.0, on
+    the rows of positive weight ``w``."""
+    fitted = x[w > 0.0]
+    return [
+        k for k in range(x.shape[1])
+        if np.isin(fitted[:, k], (0.0, 1.0)).all() and (fitted[:, k] == 1.0).any()
+    ]
+
+
+def assert_close_to_the_terms(got, expect, scale, rel=1e-12):
+    """``got`` within ``rel`` of the sum ``scale`` of the |terms| that
+    ``expect`` sums, entry by entry; NaN only where ``expect`` is NaN."""
+    got, expect, scale = np.broadcast_arrays(*map(np.asarray, (got, expect, scale)))
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
+    finite = ~np.isnan(expect)
+    assert (np.abs(got - expect)[finite] <= rel * scale[finite]).all(), (got, expect)
+
+
+class TestZeroOnePatterns:
+    """The 0/1 columns enter each evaluation through their patterns; the
+    log-likelihood, score and information are those of every row and
+    column at once."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mixed_designs())
+    def test_evaluation_matches_the_whole_design(self, case):
+        x, y, w, theta, bits = case
+        with mock.patch.object(estimator, "_BLOCK_ROWS", 16), \
+                mock.patch.object(estimator, "_KEY_BITS", bits):
+            rows = fitted_rows(x, y, w)
+            ll, score, info = evaluate(x, y, w, theta)
+        on = w > 0.0
+        kept = rows.kept
+        assert kept == [k for k in range(x.shape[1]) if (x[on, k] != 0.0).any()]
+        # the split: the first 0/1 columns on the fitted rows, as many as
+        # the key holds, in design order
+        b = rows.patterns.shape[1]
+        assert [kept[j] for j in rows.order[:b]] == zero_one_columns(x, w)[:bits]
+        xk, yk, wk = x[on][:, kept], y[on].astype(np.float64), w[on]
+        expect = unblocked_evaluate([xk], [yk], [wk], theta[kept])
+        eta = xk @ theta[kept]
+        mu, log1pexp = _logistic(eta)
+        v = wk * mu * (1.0 - mu)
+        ax = np.abs(xk)
+        ll_terms = np.sum(wk * (np.abs(yk * eta) + log1pexp))
+        assert_close_to_the_terms(ll, expect[0], ll_terms)
+        assert_close_to_the_terms(score, expect[1], ax.T @ np.abs(wk * (yk - mu)))
+        assert_close_to_the_terms(info, expect[2], ax.T @ (v[:, None] * ax))
+        # exactly symmetric, NaN where NaN
+        np.testing.assert_array_equal(info, info.T)
+
+    def test_more_zero_one_columns_than_the_key_holds(self):
+        rng = np.random.default_rng(250)
+        x = np.column_stack([(rng.random((400, 70)) < 0.3), rng.normal(size=400)])
+        x = np.asfortranarray(x.astype(np.float64))
+        y = (rng.random(400) < 0.4).astype(np.int8)
+        w = np.ones(400)
+        theta = rng.normal(size=71) * 0.1
+        rows = fitted_rows(x, y, w)
+        # 64 columns are bits of the key, the last six 0/1 columns are read
+        # as ordinary ones, after them the float column
+        assert rows.patterns.shape[1] == 64 and rows.patterns[:, 63].any()
+        np.testing.assert_array_equal(rows.order, np.arange(71))
+        ll, score, info = evaluate(x, y, w, theta)
+        expect = unblocked_evaluate([x], [y.astype(np.float64)], [w], theta)
+        assert ll == pytest.approx(expect[0], rel=1e-12)
+        np.testing.assert_allclose(score, expect[1], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(info, expect[2], rtol=1e-12)
+        np.testing.assert_array_equal(info, info.T)
+
+    def test_a_frozen_design_labels_its_rows_once(self):
+        design = duplicated_design(np.random.default_rng(251), 400)
+        design.matrix.setflags(write=False)
+        design.response.setflags(write=False)
+        w = np.random.default_rng(252).integers(0, 3, size=400).astype(np.float64)
+        w[:10] = 1.0
+        with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
+            first = fit_logistic(design)
+            weighted = fit_logistic(design, weights=w)
+        # the first fit labels the rows it starts from; the weighted fit,
+        # whose rows have the same 0/1 columns, reads those labels
+        assert spy.call_count == 1 and design.row_patterns is not None
+        cols, ids, patterns = design.row_patterns
+        assert cols == [0, 2, 3] and len(ids) == 400
+        # and the fits equal those of a copy that labels its own rows
+        copy = dataclasses.replace(design, matrix=design.matrix.copy(),
+                                   response=design.response.copy())
+        assert_identical_fits(first, fit_logistic(copy))
+        assert_identical_fits(weighted, fit_logistic(copy, weights=w))
+        assert copy.row_patterns is None
+        # zero weights on the rare rows empty a 0/1 column: the fit labels
+        # its own rows, and the design keeps its labels
+        w[:6] = 0.0
+        with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
+            with pytest.warns(UserWarning, match="all-zero"):
+                fit = fit_logistic(design, weights=w)
+        assert spy.call_count == 1 and design.row_patterns[0] == cols
+        assert fit.dropped_terms == ("rare",)
+
+
+@st.composite
+def level_designs(draw):
+    """A 0/1-heavy design: a column of ones, the indicators of k exclusive
+    levels that cover every row but the ``broken`` ones, other 0/1 columns
+    and at times a float column, with the broken rows of weight 1 and the
+    others of weights up to ``top``. Its level indicators sum to the ones
+    column but on the broken rows, so it is nearly rank deficient when they
+    weigh little against the rest. Returns (design, weights)."""
+    rows = draw(st.integers(12, 60))
+    k = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = rng.integers(0, k, size=rows)
+    broken = draw(st.integers(0, 3))
+    level[:broken] = -1
+    columns = [np.ones(rows)] + [(level == j).astype(np.float64) for j in range(k)]
+    for _ in range(draw(st.integers(0, 3))):
+        columns.append((rng.random(rows) < 0.3).astype(np.float64))
+    if draw(st.booleans()):
+        columns.append(rng.normal(size=rows))
+    order = draw(st.permutations(range(len(columns))))
+    x = np.asfortranarray(np.column_stack([columns[j] for j in order]))
+    y = (rng.random(rows) < 0.4).astype(np.int8)
+    top = draw(st.sampled_from([1, 10, 10**3, 10**6, 10**9, 10**11, 10**12, 10**14]))
+    w = rng.integers(1, top + 1, size=rows)
+    w = w.astype(np.float64)
+    w[:broken] = 1.0
+    names = tuple(f"c{j}" for j in range(len(columns)))
+    return DyadDesign(np.zeros((rows, 2), dtype=np.int64), y, x, names), w
+
+
+class TestZeroOneRankCertificate:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(level_designs())
+    def test_a_certified_design_has_full_rank(self, case):
+        design, w = case
+        x = design.matrix
+        with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
+            rows = fitted_rows(x, design.response, w)
+            info = evaluate(x, design.response.astype(float), w, np.zeros(x.shape[1]))[2]
+            # a level that no row holds is dropped
+            m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in rows.kept)
+            if _full_rank_certificate(info, m2, rows.ws):
+                assert _rank(rows.design_blocks(), rows.ws) == len(rows.kept)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    fit_checked(design, weights=w)
+                except RankDeficiencyError:
+                    pass
+
+    def test_levels_that_sum_to_another_column_name_it(self):
+        # a, b and c are exclusive levels, and ab is 1 exactly where a or b
+        # is: the QR names ab, the last column of the dependent prefix
+        rng = np.random.default_rng(253)
+        level = rng.integers(0, 4, size=300)
+        a, b, c = ((level == j).astype(np.float64) for j in range(3))
+        x = np.column_stack([np.ones(300), a, b, a + b, c, rng.normal(size=300)])
+        y = (rng.random(300) < 0.3).astype(np.int8)
+        design = DyadDesign(np.zeros((300, 2), dtype=np.int64), y, x,
+                            ("edges", "a", "b", "ab", "c", "f"))
+        with pytest.raises(RankDeficiencyError, match=r"\(5/6\); dependent columns: ab$"):
+            fit_checked(design)
+        with pytest.raises(RankDeficiencyError, match=r"\(5/6\); dependent columns: ab$"):
+            fit_checked(design, weights=rng.integers(1, 4, size=300))
 
 
 class TestNumpyKernelsAgainstScipy:
@@ -1480,7 +1720,7 @@ class TestRankCertificate:
         x, p = design.matrix, design.matrix.shape[1]
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
             xs, ws = _blocks(x), _blocks(w)
-            info = _evaluate(xs, _blocks(design.response.astype(float)), ws, start)[2]
+            info = evaluate(x, design.response.astype(float), w, start)[2]
             m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(p))
             certified = _full_rank_certificate(info, m2, ws)
             if certified:
@@ -1507,7 +1747,7 @@ class TestRankCertificate:
         for weight, full in ((1.0, True), (1e9, False)):
             x = np.asfortranarray(scaled / math.sqrt(weight))
             xs, ws = _blocks(x), _blocks(np.full(10, weight))
-            info = _evaluate(xs, _blocks(np.arange(10) % 2.0), ws, np.zeros(2))[2]
+            info = evaluate(x, np.arange(10) % 2.0, np.full(10, weight), np.zeros(2))[2]
             m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(2))
             assert _full_rank_certificate(info, m2, ws) == full
             assert _rank(xs, ws) == (2 if full else 1)
@@ -1547,12 +1787,12 @@ class TestRankCertificate:
         )
         calls = []
 
-        def spy(xs, ys, ws, theta):
+        def spy(rows, theta):
             calls.append(estimator._rank.call_count)
-            return _evaluate(xs, ys, ws, theta)
+            return _evaluate_rows(rows, theta)
 
         with mock.patch.object(estimator, "_rank", wraps=_rank), \
-                mock.patch.object(estimator, "_evaluate", spy):
+                mock.patch.object(estimator, "_evaluate_rows", spy):
             if dependent:
                 with pytest.raises(RankDeficiencyError, match="dependent columns: c$"):
                     fit_checked(design, weights=np.full(30, 1e-20))

@@ -428,6 +428,21 @@ class TestCompiledStep:
         assert exact <= proposals / 2
 
 
+def test_zero_two_path_terms_keep_no_two_path_counts():
+    # gwesp and gwdsp read P, but at theta 0 no compiled snippet does, so
+    # the chain neither builds nor updates it and runs as without them
+    control = SamplerControl(burn_in=4000, thin=800, sample_count=5, seed=0)
+    base = parse_terms(("edges", "mutual"))
+    kept = sample_ergm(30, None, base, [-3.0, 1.5], control)
+    for extra in (("gwesp(0.5)",), ("gwesp(0.5)", "gwdsp(0.7)")):
+        spec = parse_terms(base.names + extra)
+        theta = [-3.0, 1.5] + [0.0] * len(extra)
+        assert sampler._Chain(30, None, spec, theta).P is None
+        assert sampler._Chain(30, None, spec, [-3.0, 1.5, 0.2, 0.0][:len(theta)]).P is not None
+        assert [g.edges for g in sample_ergm(30, None, spec, theta, control)] == [
+            g.edges for g in kept
+        ]
+
 def test_paper_scale_chain_set_up_holds_no_n_by_n_tables():
     # the default battery at n=800 with the paper-scale chain's coefficients;
     # the two-path list P, n lists of n ints, is the only n x n part
