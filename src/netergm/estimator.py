@@ -29,9 +29,10 @@ copies. Each Newton step walks that list once, for the log-likelihood,
 score and information together (``_evaluate_rows``): the 0/1 columns enter
 through sums per pattern, so their part of a step costs patterns x b**2
 rather than rows x b**2. There is one Newton path for grouped and plain
-designs, and no step copies a whole design. On a design whose arrays are
-read-only the pattern ids are computed once and kept on it
-(``DyadDesign.row_patterns``). The rank check reads Newton's first
+designs, and no step copies a whole design. On a design that the library
+builds or copies and freezes itself (``build_design``'s grouped designs,
+``fit_btergm``'s distinct rows) the pattern ids are computed once and kept
+on it (``DyadDesign.row_patterns``). The rank check reads Newton's first
 information: where it proves that the row-blocked QR (``_rank``) would find
 full rank (``_full_rank_certificate``), the QR does not run; where it
 cannot, the QR walks blocks of every kept column and decides, as it always
@@ -110,12 +111,17 @@ class DyadDesign:
     ``matrix`` and ``response`` read-only, so that no edit in place can
     leave the grouping stale.
 
-    ``row_patterns`` keeps, on a design whose ``matrix`` and ``response``
-    are read-only, the 0/1 patterns of the rows that its fits start from
-    (the distinct rows when it has ``row_groups``), as ``(cols, ids,
-    patterns)`` of ``_scan``. The first fit sets it; every later fit whose
-    0/1 columns are the same reads its ids instead of labelling its rows
-    again. Like ``row_groups``, it is no ``__init__`` argument.
+    ``row_patterns`` keeps the column scan of the rows that the fits of
+    the design start from (the distinct rows when it has ``row_groups``),
+    as ``_scan`` returns it: a fit of all those rows reads it whole, and a
+    fit of some of them whose 0/1 columns are the same reads its pattern
+    ids, so that no fit labels its rows again.
+    Only ``_record_row_patterns`` sets it, on a design that the library
+    itself built or copied (``build_design``'s grouped designs and
+    ``fit_btergm``'s distinct rows), and it makes ``matrix`` and
+    ``response`` read-only, so that no edit can leave the labels stale;
+    arrays a caller hands in, read-only or not, are labelled again at every
+    fit. Like ``row_groups``, it is no ``__init__`` argument.
     """
 
     dyads: np.ndarray
@@ -233,7 +239,8 @@ def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
 def _record_row_groups(design: DyadDesign) -> DyadDesign:
     """Record on a freshly built ``design`` which of its rows are identical,
     when that at least halves the rows, and then freeze its ``matrix`` and
-    ``response``; returns ``design``.
+    ``response`` and record its row patterns (``_record_row_patterns``);
+    returns ``design``.
 
     Equal rows hash equally, so the distinct rows are at least as many as
     the distinct hashes: when those are over half of the rows, the rows
@@ -241,9 +248,8 @@ def _record_row_groups(design: DyadDesign) -> DyadDesign:
     x, y = design.matrix, design.response
     groups = _unique_rows(x, y, at_most=design.n_rows // 2)
     if groups is not None and 2 * len(groups[0]) <= design.n_rows:
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(design, "row_groups", groups)
+        _record_row_patterns(design)
     return design
 
 
@@ -399,6 +405,10 @@ def _two_sided_p(theta, se):
 # of a 22-term design is about 1.4 MiB, so no step copies the whole design.
 _BLOCK_ROWS = 8192
 
+# The weight of every row of an unweighted fit, read through a zero stride
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
 # A fit reads at most this many 0/1 columns as the bits of one unsigned
 # 64-bit key per row; any further 0/1 columns are read as ordinary ones.
 _KEY_BITS = 64
@@ -414,17 +424,15 @@ def _blocks(a):
     return [a[rows] for rows in _row_blocks(len(a))]
 
 
-def _zero_one(parts, hi, lo):
-    """Whether the column whose pieces are the arrays ``parts``, and whose
-    largest and least entries are ``hi`` and ``lo``, is a 0/1 column: every
-    entry exactly 0.0 or 1.0 and some of them 1.0."""
+def _zero_one(col, hi, lo):
+    """Whether the column ``col``, whose largest and least entries are
+    ``hi`` and ``lo``, is a 0/1 column: every entry exactly 0.0 or 1.0 and
+    some of them 1.0."""
     # between 0 and 1, a column is 0/1 when its nonzero entries are its ones
-    return hi == 1.0 and lo >= 0.0 and all(
-        np.count_nonzero(c) == np.count_nonzero(c == 1.0) for c in parts
-    )
+    return hi == 1.0 and lo >= 0.0 and np.count_nonzero(col) == np.count_nonzero(col == 1.0)
 
 
-def _scan(x, rows, n):
+def _scan(x, rows, n, known=None):
     """The column scan of the ``n`` rows ``rows`` of ``x`` (None for all):
     ``(hi, lo, cols, ids, patterns)``.
 
@@ -437,19 +445,39 @@ def _scan(x, rows, n):
     holds them, is the pattern of row r. Each column is read (or gathered)
     once; beside the keys, the scratch space is two row-length integer
     vectors.
+
+    ``known`` may give the ``(cols, ids, patterns)`` of these rows from an
+    earlier scan of rows that hold them (``_held``). The columns it names
+    are then read from its patterns alone, and when these rows have the
+    same 0/1 columns, its ids and patterns are returned; otherwise (a zero
+    weight can empty a 0/1 column or make another one 0/1) the rows are
+    keyed afresh.
     """
+    known_cols = [] if known is None else known[0]
+    key = np.zeros(n, dtype=np.uint64) if known is None else None
     hi, lo, cols = [], [], []
-    key = np.zeros(n, dtype=np.uint64)
     for k in range(x.shape[1]):
-        col = x[:, k] if rows is None else x[:, k].take(rows)
-        top, least = float(np.maximum.reduce(col)), float(np.minimum.reduce(col))
+        if k in known_cols:
+            # a column of the patterns, which hold only 0.0 and 1.0
+            col = known[2][:, known_cols.index(k)]
+            top, least = float(col.max()), float(col.min())
+            zero_one = top == 1.0
+        else:
+            col = x[:, k] if rows is None else x[:, k].take(rows)
+            top, least = float(np.maximum.reduce(col)), float(np.minimum.reduce(col))
+            zero_one = _zero_one(col, top, least)
         hi.append(top)
         lo.append(least)
-        if len(cols) < _KEY_BITS and _zero_one([col], top, least):
-            # the bits are distinct, so adding them sets them
-            key += (col == 1.0) * np.uint64(1 << len(cols))
+        if zero_one and len(cols) < _KEY_BITS:
+            if key is not None:
+                # the bits are distinct, so adding them sets them
+                key += (col == 1.0) * np.uint64(1 << len(cols))
             cols.append(k)
         del col
+    if known is not None:
+        if cols != known_cols:
+            return _scan(x, rows, n)
+        return np.array(hi), np.array(lo), cols, known[1], known[2]
     order = np.argsort(key)
     key = key[order]
     new = np.empty(n, dtype=bool)
@@ -468,6 +496,35 @@ def _scan(x, rows, n):
     return np.array(hi), np.array(lo), cols, ids, patterns
 
 
+def _held(known, pick):
+    """The ``(cols, ids, patterns)`` of ``_scan`` for the rows at the
+    positions ``pick`` among the rows that ``known`` labels: only the
+    patterns they hold, labelled again in key order, so that it equals a
+    scan of those rows."""
+    cols, ids, patterns = known
+    ids = ids[pick]
+    seen = np.bincount(ids, minlength=len(patterns)) > 0
+    label = np.zeros(len(patterns), dtype=ids.dtype)
+    label[seen] = np.arange(np.count_nonzero(seen))
+    return cols, label[ids], np.asfortranarray(patterns[seen])
+
+
+def _record_row_patterns(design: DyadDesign) -> DyadDesign:
+    """Freeze the ``matrix`` and ``response`` of ``design``, a design the
+    library built or copied and hands to no caller writable, and record on
+    it the 0/1 patterns of the rows its fits start from (its distinct rows
+    when it has ``row_groups``), their ``_scan``, as ``row_patterns``;
+    returns ``design``."""
+    x, y = design.matrix, design.response
+    x.setflags(write=False)
+    y.setflags(write=False)
+    base = None if design.row_groups is None else design.row_groups[0]
+    n = len(x) if base is None else len(base)
+    scan = _scan(np.asarray(x, dtype=np.float64), base, n)
+    object.__setattr__(design, "row_patterns", scan)
+    return design
+
+
 def _other_blocks(x, rows, n, cols):
     """``(xs, rest)``: row blocks of the ``n`` rows ``rows`` of ``x`` (None
     for all) that hold the columns ``cols``, which are the columns ``rest``
@@ -477,42 +534,6 @@ def _other_blocks(x, rows, n, cols):
         return _blocks(np.asfortranarray(x)), np.array(cols, dtype=np.intp)
     xs = [_take_rows(x, rows[block], cols) for block in _row_blocks(n)]
     return xs, np.arange(len(cols))
-
-
-def _known_scan(x, rows, n, known, pick):
-    """``(scan, blocks)`` of the ``n`` rows ``rows`` of ``x`` (None for
-    all), which sit at the positions ``pick`` (None for all) among the rows
-    that the ``(cols, ids, patterns)`` of ``known`` label. ``scan`` is what
-    ``_scan`` of these rows gives: only the patterns they hold, labelled
-    again in key order, the 0/1 columns' extremes read from those, and the
-    other columns' from their blocks, which ``blocks`` returns as the
-    ``(xs, rest)`` of ``_other_blocks``, with ``rest`` naming the kept ones.
-    ``(None, None)`` when these rows have other 0/1 columns than ``known``:
-    a zero weight can empty a 0/1 column or make another one 0/1."""
-    cols, ids, patterns = known
-    if pick is not None:
-        ids = ids[pick]
-        seen = np.bincount(ids, minlength=len(patterns)) > 0
-        label = np.zeros(len(patterns), dtype=ids.dtype)
-        label[seen] = np.arange(np.count_nonzero(seen))
-        ids, patterns = label[ids], np.asfortranarray(patterns[seen])
-    p = x.shape[1]
-    ones = set(cols)
-    others = [k for k in range(p) if k not in ones]
-    xs, rest = _other_blocks(x, rows, n, others)
-    hi, lo = np.empty(p), np.empty(p)
-    hi[cols] = np.maximum.reduce(patterns, axis=0)
-    lo[cols] = np.minimum.reduce(patterns, axis=0)
-    hi[others] = np.maximum.reduce([xb[:, rest].max(axis=0) for xb in xs])
-    lo[others] = np.minimum.reduce([xb[:, rest].min(axis=0) for xb in xs])
-    zero_one = [k for k in cols if hi[k] == 1.0]
-    for k, c in zip(others, rest):
-        if _zero_one([xb[:, c] for xb in xs], hi[k], lo[k]):
-            zero_one.append(k)
-    if sorted(zero_one)[:_KEY_BITS] != cols:
-        return None, None
-    kept = [j for j, k in enumerate(others) if hi[k] != 0.0 or lo[k] != 0.0]
-    return (hi, lo, cols, ids, patterns), (xs, rest[kept])
 
 
 class _Rows(NamedTuple):
@@ -564,11 +585,11 @@ def _fit_rows(design, w, pick):
     has ``row_groups``; ``w`` holds their weights, and ``pick`` the
     positions of the rows it fits among them, None for all.
 
-    On a design whose ``matrix`` and ``response`` are read-only, the rows it
-    starts from are scanned and labelled once, into ``row_patterns``; a fit
-    then reads its ids and scans only the other columns, unless its rows
-    have other 0/1 columns (a zero weight can make a column 0/1, or empty
-    one). Every other fit scans its own rows. The rows are read in place
+    On a design with ``row_patterns``, a fit of every row it starts from
+    reads their scan from there, and a fit of some of them reads their ids
+    and scans only the other columns, unless its rows have other 0/1
+    columns (a zero weight can make a column 0/1, or empty one); every
+    other fit scans and labels its own rows. The rows are read in place
     when the fit reads every row of a design without ``row_groups``;
     otherwise the other columns alone are gathered.
     """
@@ -576,21 +597,14 @@ def _fit_rows(design, w, pick):
     y = np.asarray(design.response)
     base = None if design.row_groups is None else design.row_groups[0]
     rows = base if pick is None else pick if base is None else base[pick]
+    scan = design.row_patterns
     if pick is not None:
         w = w[pick]
-    n, p = len(w), x.shape[1]
-    scan = blocks = None
-    frozen = not (design.matrix.flags.writeable or design.response.flags.writeable)
-    if frozen and design.row_patterns is None:
-        # the rows every fit of the design starts from, labelled once
-        scan = _scan(x, base, len(x) if base is None else len(base))
-        object.__setattr__(design, "row_patterns", scan[2:])
-        if pick is not None:
-            scan = None
-    if scan is None and design.row_patterns is not None:
-        scan, blocks = _known_scan(x, rows, n, design.row_patterns, pick)
+    n = len(w)
     if scan is None:
         scan = _scan(x, rows, n)
+    elif pick is not None:
+        scan = _scan(x, rows, n, _held(scan[2:], pick))
     hi, lo, cols, ids, patterns = scan
     del scan
 
@@ -598,7 +612,7 @@ def _fit_rows(design, w, pick):
     kept = [k for k, m in enumerate(np.maximum(hi, -lo).tolist()) if m != 0.0]
     ones = set(cols)
     other = [k for k in kept if k not in ones]
-    xs, rest = _other_blocks(x, rows, n, other) if blocks is None else blocks
+    xs, rest = _other_blocks(x, rows, n, other)
     if rows is None:
         ys = _blocks(y.astype(np.float64, copy=False))
     else:
@@ -741,20 +755,19 @@ def _evaluate_rows(rows, theta):
     patterns = rows.patterns
     m, b = patterns.shape
     p = len(theta)
+    k = p - b + 2
     theta_r = theta[b:]
     eta01 = patterns @ theta[:b]
     ll, score, info = 0.0, np.zeros(p), np.zeros((p, p))
     # per pattern: the sums of w * (y - mu), of v and of v times each other column
-    sums = np.zeros((p - b + 2, m))
+    sums = np.zeros((k, m))
     for xb, yb, wb, ib in zip(rows.xs, rows.ys, rows.ws, rows.ids):
-        ib = ib.astype(np.intp)
-        # rows of the transposed block, each copied whole: column-major
-        a = xb.T[rows.rest].T
+        # the other columns, copied row by row (``at`` is their transpose)
+        at = xb.T[rows.rest]
         # the block's vectors, written in place
-        eta, mu, log1pexp, res, v = np.empty((5, len(yb)))
-        np.dot(a, theta_r, out=eta)
-        # ids in range: "clip" takes into ``out`` with no buffer of its own
-        eta += np.take(eta01, ib, out=res, mode="clip")
+        res, v, eta, mu, log1pexp = np.empty((5, len(yb)))
+        np.dot(at.T, theta_r, out=eta)
+        eta += eta01[ib]
         _logistic(eta, out=(mu, log1pexp))
         np.multiply(yb, eta, out=res)
         res -= log1pexp
@@ -764,14 +777,14 @@ def _evaluate_rows(rows, theta):
         np.subtract(1.0, mu, out=v)
         v *= mu
         v *= wb
-        score[b:] += a.T @ res
-        sqrt_v = np.sqrt(v, out=eta)[:, None]
-        a *= sqrt_v
-        info[b:, b:] += a.T @ a
-        a *= sqrt_v  # now v times the other columns
-        sums += [np.bincount(ib, c, m) for c in (res, v, *a.T)]
+        score[b:] += at @ res
+        sqrt_v = np.sqrt(v, out=eta)
+        at *= sqrt_v
+        info[b:, b:] += at @ at.T
+        at *= sqrt_v  # now v times the other columns
+        sums += [np.bincount(ib, c, m) for c in (res, v, *at)]
         # so that no block's vectors live on into the next block
-        del a, eta, mu, log1pexp, res, v, sqrt_v
+        del res, v, eta, mu, log1pexp, at, sqrt_v
     s = patterns * np.sqrt(sums[1], out=sums[1])[:, None]
     info[:b, :b] = s.T @ s
     # the 0/1 columns' score and cross block, from one product
@@ -800,7 +813,7 @@ def _newton(rows, theta, at_theta, tolerance, max_iterations):
     iterations = 0
     # one round past the cap, so that max_score is read at the returned theta
     for it in range(1, max_iterations + 2):
-        max_score = float(np.max(np.abs(score)))
+        max_score = float(np.abs(score).max())
         if max_score < tolerance:
             converged = True
             break
@@ -811,7 +824,7 @@ def _newton(rows, theta, at_theta, tolerance, max_iterations):
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             step = np.linalg.pinv(info) @ score
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         lam = 1.0
         for _ in range(30):
@@ -904,18 +917,20 @@ def fit_logistic(
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     d, p_all = design.matrix.shape
     if weights is None:
-        # a read-only broadcast of 1.0 holds no d-vector of ones
-        w = np.broadcast_to(1.0, (d,))
+        # a read-only broadcast of 1.0 holds no d-vector of ones, and every
+        # row is on
+        w, on = np.ndarray((d,), buffer=_ONE, strides=(0,)), None
+        n_obs = float(d)
     else:
         w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (d,):
-        raise DimensionError(f"weights have shape {w.shape}, design has {d} rows")
-    if not (np.isfinite(w) & (w >= 0.0)).all():
-        raise ValidationError("weights must be finite and non-negative")
-    on = w > 0.0
-    if not on.any():
+        if w.shape != (d,):
+            raise DimensionError(f"weights have shape {w.shape}, design has {d} rows")
+        if not (np.isfinite(w) & (w >= 0.0)).all():
+            raise ValidationError("weights must be finite and non-negative")
+        on = w > 0.0
+        n_obs = float(w.sum())
+    if not (d if on is None else on.any()):
         raise EmptyDesignError("no rows of positive weight to fit")
-    n_obs = float(w.sum())
     # the fit starts from the design's rows, or its distinct rows when it
     # is grouped, and reads those of positive weight
     pick = None
@@ -925,7 +940,7 @@ def fit_logistic(
         w = np.bincount(group, None if weights is None else w, len(first))
         w = w.astype(np.float64, copy=False)
         on = w > 0.0
-    if not on.all():
+    if on is not None and not on.all():
         pick = np.flatnonzero(on)
     rows, hi, lo = _fit_rows(design, w, pick)
     names = design.term_names
@@ -990,7 +1005,7 @@ def fit_logistic(
     )
     # back to design order, once
     back = np.argsort(rows.order)
-    theta, info = theta[back], info[np.ix_(back, back)]
+    theta, info = theta[back], info[back][:, back]
     ll = ll_path[-1]
     # A boundary maximum is not an interior stationary point even when the
     # score happens to dip under the tolerance.
@@ -1018,7 +1033,7 @@ def fit_logistic(
     kept_idx = np.nonzero(keep)[0]
     coef_out[kept_idx] = theta
     se_out[kept_idx] = se
-    cov_out[np.ix_(kept_idx, kept_idx)] = cov
+    cov_out[kept_idx[:, None], kept_idx] = cov
     p_out[kept_idx] = _two_sided_p(theta, se)
     flags[kept_idx] = (np.abs(theta) > SEPARATION_THRESHOLD) | (se > SE_THRESHOLD)
     if flags.any():

@@ -10,9 +10,9 @@ instead, for designs where period resampling is too coarse. The pooled
 design is collapsed once to its distinct rows, each weighted by how many
 pooled rows it stands for; a replicate reweights them by their rows' unit
 draw counts and starts Newton at the point estimate. ``fit_btergm`` keeps
-its own copy of the distinct rows and makes it read-only, so the point fit
-labels the rows' 0/1 patterns once (``DyadDesign.row_patterns``) and every
-replicate reads those labels instead of scanning its rows again. A
+its own copy of the distinct rows, makes it read-only and labels the rows'
+0/1 patterns once (``DyadDesign.row_patterns``), so the point fit and every
+replicate read those labels instead of scanning their rows again. A
 replicate's fit depends on its draw counts alone, so each distinct draw is
 fitted once: three modeled periods allow only C(5, 3) = 10 draws, one of
 them the point fit's own weights, however many replications are asked for.
@@ -42,6 +42,7 @@ from .estimator import (
     DyadDesign,
     FitResult,
     _design,
+    _record_row_patterns,
     _take_rows,
     _unique_rows,
     bayes_criterion,
@@ -149,8 +150,8 @@ def fit_btergm(
     multiplicity, and a replicate starts at the point estimate unless the
     point fit is flagged for separation or did not converge; replicates
     then agree with cold starts to the fit tolerance. The distinct rows are
-    a read-only copy, so the 0/1 pattern ids that the point fit computes
-    on them serve every replicate.
+    a read-only copy whose 0/1 pattern ids, computed once, serve the point
+    fit and every replicate.
 
     Equal draw counts give equal weights and so an equal fit: only the
     first replicate with each draw is refit, and a later one takes its
@@ -180,15 +181,14 @@ def fit_btergm(
 
     # every fit runs on the distinct rows, column-major like the builders'
     # output; the pooled rows are let go before the first fit. The copy is
-    # read-only, so the point fit labels its 0/1 patterns once for every fit
+    # made read-only and its 0/1 patterns are labelled once, for every fit
     first, group = _unique_rows(pooled.matrix, pooled.response)
     distinct = DyadDesign(
         pooled.dyads[first], pooled.response[first],
         _take_rows(pooled.matrix, first), pooled.term_names,
     )
     del pooled
-    distinct.matrix.setflags(write=False)
-    distinct.response.setflags(write=False)
+    _record_row_patterns(distinct)
     point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()

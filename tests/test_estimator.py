@@ -41,6 +41,7 @@ from netergm.estimator import (
     _logistic,
     _rank,
     _record_row_groups,
+    _record_row_patterns,
     _split_runs,
     _two_sided_p,
     _unique_rows,
@@ -1291,8 +1292,26 @@ def whole_rows(rows):
     return rows._replace(**{f: [whole(getattr(rows, f))] for f in ("ids", "xs", "ys", "ws")})
 
 
+def unpatterned_evaluate(rows, theta):
+    """``unblocked_evaluate`` of every kept column of the fitted ``rows``,
+    in Newton's column order: what ``_evaluate_rows`` computes, by a formula
+    that reads no pattern."""
+    x = whole(rows.design_blocks())[:, rows.order]
+    return unblocked_evaluate([x], rows.ys, rows.ws, theta)
+
+
 def fit_unblocked(monkeypatch, design, **options):
-    """Fit with whole-design kernels in place of the row-blocked ones."""
+    """Fit with whole-design kernels in place of the row-blocked ones and
+    no 0/1 patterns."""
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_rank", unblocked_rank)
+        m.setattr(estimator, "_evaluate_rows", unpatterned_evaluate)
+        return fit_logistic(design, **options)
+
+
+def fit_joined(monkeypatch, design, **options):
+    """Fit with the row blocks joined into one, for the QR and for
+    ``_evaluate_rows``."""
     with monkeypatch.context() as m:
         m.setattr(estimator, "_rank", unblocked_rank)
         m.setattr(
@@ -1300,6 +1319,14 @@ def fit_unblocked(monkeypatch, design, **options):
             lambda rows, theta: _evaluate_rows(whole_rows(rows), theta),
         )
         return fit_logistic(design, **options)
+
+
+def assert_blocked_agrees(a, b):
+    """Two fits of one design equal to 1e-10 and in their iterations."""
+    np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-10)
+    np.testing.assert_allclose(a.standard_errors, b.standard_errors, rtol=1e-10)
+    assert a.residual_deviance == pytest.approx(b.residual_deviance, rel=1e-10)
+    assert a.iterations == b.iterations
 
 
 class TestRowBlocks:
@@ -1391,18 +1418,17 @@ class TestRowBlocks:
         design = synthetic_design(rng, rows, [-1.0, 0.8, -0.4, 0.3, 0.1])
         w = rng.integers(0, 3, rows) if weighted else None
         blocked = fit_logistic(design, weights=w)
-        assert_identical_fits(blocked, fit_unblocked(monkeypatch, design, weights=w))
+        assert_identical_fits(blocked, fit_joined(monkeypatch, design, weights=w))
+        # and the fit without 0/1 patterns agrees
+        assert_blocked_agrees(blocked, fit_unblocked(monkeypatch, design, weights=w))
 
     def test_several_block_fits_agree_with_unblocked(self, monkeypatch):
         rows = 2 * _BLOCK_ROWS + 333
         beta = [-1.0, 0.8, -0.4, 0.3, 0.1, 0.05]
         design = synthetic_design(np.random.default_rng(70), rows, beta)
         blocked = fit_logistic(design)
-        whole = fit_unblocked(monkeypatch, design)
-        np.testing.assert_allclose(blocked.coefficients, whole.coefficients, rtol=1e-10)
-        np.testing.assert_allclose(blocked.standard_errors, whole.standard_errors, rtol=1e-10)
-        assert blocked.residual_deviance == pytest.approx(whole.residual_deviance, rel=1e-10)
-        assert blocked.iterations == whole.iterations
+        assert_blocked_agrees(blocked, fit_unblocked(monkeypatch, design))
+        assert_blocked_agrees(blocked, fit_joined(monkeypatch, design))
 
 
 COLUMN_KINDS = ("zero_one", "ones", "integer", "float", "zero_one_on_fitted", "nan")
@@ -1513,19 +1539,20 @@ class TestZeroOnePatterns:
         np.testing.assert_allclose(info, expect[2], rtol=1e-12)
         np.testing.assert_array_equal(info, info.T)
 
-    def test_a_frozen_design_labels_its_rows_once(self):
+    def test_a_recorded_design_labels_its_rows_once(self):
         design = duplicated_design(np.random.default_rng(251), 400)
-        design.matrix.setflags(write=False)
-        design.response.setflags(write=False)
         w = np.random.default_rng(252).integers(0, 3, size=400).astype(np.float64)
         w[:10] = 1.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
+            _record_row_patterns(design)
             first = fit_logistic(design)
             weighted = fit_logistic(design, weights=w)
-        # the first fit labels the rows it starts from; the weighted fit,
-        # whose rows have the same 0/1 columns, reads those labels
-        assert spy.call_count == 1 and design.row_patterns is not None
-        cols, ids, patterns = design.row_patterns
+        # the rows are scanned once and frozen; the fit of every row reads
+        # that scan, and the weighted fit, whose rows have the same 0/1
+        # columns, scans only the others and reads the labels
+        assert not (design.matrix.flags.writeable or design.response.flags.writeable)
+        assert spy.call_count == 2 and spy.call_args_list[1].args[3] is not None
+        cols, ids, patterns = design.row_patterns[2:]
         assert cols == [0, 2, 3] and len(ids) == 400
         # and the fits equal those of a copy that labels its own rows
         copy = dataclasses.replace(design, matrix=design.matrix.copy(),
@@ -1539,8 +1566,26 @@ class TestZeroOnePatterns:
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
             with pytest.warns(UserWarning, match="all-zero"):
                 fit = fit_logistic(design, weights=w)
-        assert spy.call_count == 1 and design.row_patterns[0] == cols
+        assert spy.call_count == 2 and len(spy.call_args_list[1].args) == 3
+        assert design.row_patterns[2] == cols
         assert fit.dropped_terms == ("rare",)
+        with pytest.warns(UserWarning, match="all-zero"):
+            assert_identical_fits(fit, fit_logistic(copy, weights=w))
+
+    def test_arrays_a_caller_froze_are_labelled_at_every_fit(self):
+        # read-only views over buffers the caller still writes: an edit
+        # between two fits must reach the second
+        design = duplicated_design(np.random.default_rng(253), 400)
+        x, y = design.matrix.copy(), design.response.copy()
+        view = dataclasses.replace(design, matrix=x.view(), response=y.view())
+        view.matrix.setflags(write=False)
+        view.response.setflags(write=False)
+        fit_logistic(view)
+        assert view.row_patterns is None
+        x[:200, 2] = 1.0 - x[:200, 2]
+        y[200:] = 1 - y[200:]
+        edited = dataclasses.replace(design, matrix=x.copy(), response=y.copy())
+        assert_identical_fits(fit_logistic(view), fit_logistic(edited))
 
 
 @st.composite
