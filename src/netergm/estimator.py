@@ -29,16 +29,18 @@ copies. Each Newton step walks that list once, for the log-likelihood,
 score and information together (``_evaluate_rows``): the 0/1 columns enter
 through sums per pattern, so their part of a step costs patterns x b**2
 rather than rows x b**2. There is one Newton path for grouped and plain
-designs, and no step copies a whole design. On a design that the library
-builds or copies and freezes itself (``build_design``'s grouped designs,
-``fit_btergm``'s distinct rows) the pattern ids are computed once and kept
-on it (``DyadDesign.row_patterns``). The rank check reads Newton's first
-information: where it proves that the row-blocked QR (``_rank``) would find
-full rank (``_full_rank_certificate``), the QR does not run; where it
-cannot, the QR walks blocks of every kept column and decides, as it always
-did. A cold fit starts at the intercept-only estimate
-(``_intercept_start``), as R's ``glm`` starts from the data, so that a
-sparse network's fit spends no steps walking ``edges`` from a tie
+designs, and no step copies a whole design. A design's rows are chosen by
+one boolean dyad mask (``_design``). On a design that the library builds or
+copies itself, ``_freeze`` makes the arrays read-only and keeps the pattern
+ids on it (``DyadDesign.row_patterns``), computed once: ``build_design``'s
+grouped designs and the distinct-row copy that ``_distinct`` makes for
+``fit_btergm``. The rank check reads Newton's first information: where it
+proves that the row-blocked QR (``_rank``) would find full rank
+(``_full_rank_certificate``), the QR does not run; where it cannot, the QR
+decides, reading the kept columns of the rows Newton reads one block at a
+time (``_Rows.design_blocks``). A cold fit starts at the intercept-only
+estimate (``_intercept_start``), as R's ``glm`` starts from the data, so
+that a sparse network's fit spends no steps walking ``edges`` from a tie
 probability of 1/2 toward its density.
 """
 
@@ -57,7 +59,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     EmptyDesignError,
-    InvalidDyadError,
     NumericalError,
     RankDeficiencyError,
     ValidationError,
@@ -101,9 +102,10 @@ class DyadDesign:
 
     ``row_groups`` records which rows are identical, as the pair
     ``(first, group)`` that ``_unique_rows`` returns: row r equals row
-    ``first[group[r]]``. Only ``build_design`` sets it, right after the
-    columns are written, and only when the distinct (x, y) rows are at most
-    half of the rows; ``fit_logistic`` then fits the distinct rows, each
+    ``first[group[r]]``. Only ``build_design`` sets it (through
+    ``_freeze``), right after the columns are written, and only when the
+    distinct (x, y) rows are at most half of the rows; ``fit_logistic``
+    then fits the distinct rows, each
     weighted by the rows it stands for, a weight counting as that many rows
     in every check. It is no ``__init__`` argument, so a design made or
     changed by hand (``dataclasses.replace`` included) has none and cannot
@@ -116,9 +118,9 @@ class DyadDesign:
     as ``_scan`` returns it: a fit of all those rows reads it whole, and a
     fit of some of them whose 0/1 columns are the same reads its pattern
     ids, so that no fit labels its rows again.
-    Only ``_record_row_patterns`` sets it, on a design that the library
-    itself built or copied (``build_design``'s grouped designs and
-    ``fit_btergm``'s distinct rows), and it makes ``matrix`` and
+    Only ``_freeze`` sets it, on a design that the library itself built or
+    copied (``build_design``'s grouped designs and the copy of distinct
+    rows that ``_distinct`` makes), and it makes ``matrix`` and
     ``response`` read-only, so that no edit can leave the labels stale;
     arrays a caller hands in, read-only or not, are labelled again at every
     fit. Like ``row_groups``, it is no ``__init__`` argument.
@@ -195,41 +197,21 @@ def build_design(
     g: DirectedGraph,
     attrs,
     spec: ModelSpec,
-    free_dyads=None,
 ) -> DyadDesign:
-    """Dyadic design for ``spec`` on ``g``.
-
-    With ``free_dyads`` None every ordered pair i != j contributes a row, in
-    row-major order. Otherwise only the given dyads do, in the given order.
-    """
+    """Dyadic design for ``spec`` on ``g``: every ordered pair i != j
+    contributes a row, in row-major order."""
     n = g.node_count
-    if free_dyads is None:
-        dyads, rows = ~np.eye(n, dtype=bool), n * (n - 1)
-    else:
-        pairs = list(free_dyads)
-        for i, j in pairs:
-            if i == j:
-                raise InvalidDyadError(f"free dyad ({i}, {j}) is a loop")
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidDyadError(f"free dyad ({i}, {j}) outside node range")
-        dyads = (
-            np.array([p[0] for p in pairs], dtype=np.int64),
-            np.array([p[1] for p in pairs], dtype=np.int64),
-        )
-        rows = len(pairs)
-    if rows == 0:
+    if n < 2:
         raise EmptyDesignError("design has no rows")
-    return _record_row_groups(_design(g, g, attrs, spec, dyads))
+    return _record_row_groups(_design(g, g, attrs, spec, ~np.eye(n, dtype=bool)))
 
 
 def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
-    """Design over ``dyads``: change statistics read on ``stats_graph``, tie
-    indicators on ``response_graph``. ``dyads`` selects the rows from an
-    ``(n, n)`` array: a boolean mask, whose dyads come in row-major order,
-    or a pair ``(ii, jj)`` of index arrays."""
-    ii, jj = np.nonzero(dyads) if isinstance(dyads, np.ndarray) else dyads
+    """Design over the dyads of the ``(n, n)`` boolean mask ``dyads``, in
+    row-major order: change statistics read on ``stats_graph``, tie
+    indicators on ``response_graph``."""
     return DyadDesign(
-        dyads=np.column_stack([ii, jj]).astype(np.int64, copy=False),
+        dyads=np.column_stack(np.nonzero(dyads)).astype(np.int64, copy=False),
         response=response_graph.adjacency[dyads].astype(np.int8),
         matrix=_change_stat_columns(stats_graph, attrs, spec, dyads),
         term_names=spec.names,
@@ -238,9 +220,7 @@ def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
 
 def _record_row_groups(design: DyadDesign) -> DyadDesign:
     """Record on a freshly built ``design`` which of its rows are identical,
-    when that at least halves the rows, and then freeze its ``matrix`` and
-    ``response`` and record its row patterns (``_record_row_patterns``);
-    returns ``design``.
+    when that at least halves the rows (``_freeze``); returns ``design``.
 
     Equal rows hash equally, so the distinct rows are at least as many as
     the distinct hashes: when those are over half of the rows, the rows
@@ -248,9 +228,38 @@ def _record_row_groups(design: DyadDesign) -> DyadDesign:
     x, y = design.matrix, design.response
     groups = _unique_rows(x, y, at_most=design.n_rows // 2)
     if groups is not None and 2 * len(groups[0]) <= design.n_rows:
-        object.__setattr__(design, "row_groups", groups)
-        _record_row_patterns(design)
+        _freeze(design, groups)
     return design
+
+
+def _freeze(design: DyadDesign, groups=None) -> DyadDesign:
+    """Freeze ``design``, a design the library built or copied itself and
+    hands to no caller writable: make its ``matrix`` and ``response``
+    read-only, and record on it ``groups`` as its ``row_groups`` and, as its
+    ``row_patterns``, the ``_scan`` of the rows its fits start from (its
+    distinct rows when grouped). Returns ``design``."""
+    x, y = design.matrix, design.response
+    x.setflags(write=False)
+    y.setflags(write=False)
+    object.__setattr__(design, "row_groups", groups)
+    base = None if groups is None else groups[0]
+    n = len(x) if base is None else len(base)
+    scan = _scan(np.asarray(x, dtype=np.float64), base, n)
+    object.__setattr__(design, "row_patterns", scan)
+    return design
+
+
+def _distinct(design: DyadDesign):
+    """``(distinct, group)``: a frozen copy of the distinct rows of
+    ``design`` (``_unique_rows``, first appearances in row order, columns
+    column-major as the builders write them), and the group of each of the
+    design's rows among them."""
+    first, group = _unique_rows(design.matrix, design.response)
+    distinct = DyadDesign(
+        design.dyads[first], design.response[first],
+        _take_rows(design.matrix, first), design.term_names,
+    )
+    return _freeze(distinct), group
 
 
 def _unique_rows(x, y, at_most=None):
@@ -509,36 +518,10 @@ def _held(known, pick):
     return cols, label[ids], np.asfortranarray(patterns[seen])
 
 
-def _record_row_patterns(design: DyadDesign) -> DyadDesign:
-    """Freeze the ``matrix`` and ``response`` of ``design``, a design the
-    library built or copied and hands to no caller writable, and record on
-    it the 0/1 patterns of the rows its fits start from (its distinct rows
-    when it has ``row_groups``), their ``_scan``, as ``row_patterns``;
-    returns ``design``."""
-    x, y = design.matrix, design.response
-    x.setflags(write=False)
-    y.setflags(write=False)
-    base = None if design.row_groups is None else design.row_groups[0]
-    n = len(x) if base is None else len(base)
-    scan = _scan(np.asarray(x, dtype=np.float64), base, n)
-    object.__setattr__(design, "row_patterns", scan)
-    return design
-
-
-def _other_blocks(x, rows, n, cols):
-    """``(xs, rest)``: row blocks of the ``n`` rows ``rows`` of ``x`` (None
-    for all) that hold the columns ``cols``, which are the columns ``rest``
-    of each block. With ``rows`` None the blocks are views of the whole
-    rows; otherwise they hold the columns ``cols`` alone, gathered."""
-    if rows is None:
-        return _blocks(np.asfortranarray(x)), np.array(cols, dtype=np.intp)
-    xs = [_take_rows(x, rows[block], cols) for block in _row_blocks(n)]
-    return xs, np.arange(len(cols))
-
-
 class _Rows(NamedTuple):
     """The rows that one fit reads, as one list of ``_BLOCK_ROWS``-row
-    blocks, with its kept columns split into 0/1 columns and the others.
+    blocks, with its kept columns ``kept`` (design columns, in design
+    order) split into 0/1 columns and the others.
 
     Newton runs in the column order ``order`` (positions among the kept
     columns): the 0/1 columns first, then the others, each in design order.
@@ -547,8 +530,7 @@ class _Rows(NamedTuple):
     the other columns: views of the design, whose columns ``rest`` are the
     others, where the fit reads the design in place, and otherwise copies
     of the others alone gathered into column-major blocks. ``ys`` and ``ws``
-    are the responses (as float64) and weights. ``x``, ``rows`` (None where
-    the design is read in place) and ``kept`` serve the QR alone.
+    are the responses (as float64) and weights.
     """
 
     order: np.ndarray
@@ -558,23 +540,25 @@ class _Rows(NamedTuple):
     rest: np.ndarray
     ys: list
     ws: list
-    x: np.ndarray
-    rows: np.ndarray | None
     kept: list
 
     def design_blocks(self):
-        """Row blocks of the kept columns in design order, for the QR:
-        views of the design where the fit reads it in place (copies where
-        a column is dropped), gathered copies otherwise."""
-        if self.rows is None:
-            full = _blocks(np.asfortranarray(self.x))
-            if len(self.kept) == self.x.shape[1]:
-                return full
-            return [xb[:, self.kept] for xb in full]
-        return [
-            _take_rows(self.x, self.rows[block], self.kept)
-            for block in _row_blocks(len(self.rows))
-        ]
+        """The fitted rows of the kept columns in design order, for the QR:
+        yields one row block at a time. A block of ``xs`` that holds every
+        kept column (the design read in place, or the gathered others when
+        no column is 0/1) is yielded as it is, or its kept columns are;
+        otherwise the block is rebuilt, column-major, from its pattern ids
+        and its others."""
+        p, b = len(self.kept), self.patterns.shape[1]
+        for xb, ib in zip(self.xs, self.ids):
+            if xb.shape[1] >= p:
+                yield xb if xb.shape[1] == p else xb[:, self.kept]
+                continue
+            out = np.empty((p, len(ib))).T
+            for j, c in enumerate(self.order.tolist()):
+                out[:, c] = self.patterns[ib, j] if j < b else xb[:, self.rest[j - b]]
+            yield out
+            del out  # so that no block lives on into the next
 
 
 def _fit_rows(design, w, pick):
@@ -612,14 +596,17 @@ def _fit_rows(design, w, pick):
     kept = [k for k, m in enumerate(np.maximum(hi, -lo).tolist()) if m != 0.0]
     ones = set(cols)
     other = [k for k in kept if k not in ones]
-    xs, rest = _other_blocks(x, rows, n, other)
     if rows is None:
+        # views of the whole rows, whose columns ``rest`` are the others
+        xs, rest = _blocks(np.asfortranarray(x)), np.array(other, dtype=np.intp)
         ys = _blocks(y.astype(np.float64, copy=False))
     else:
+        xs = [_take_rows(x, rows[block], other) for block in _row_blocks(n)]
+        rest = np.arange(len(other))
         ys = [y[rows[block]].astype(np.float64) for block in _row_blocks(n)]
     place = {k: j for j, k in enumerate(kept)}
     order = np.array([place[k] for k in cols + other], dtype=np.intp)
-    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), x, rows, kept)
+    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), kept)
     return fit, hi, lo
 
 
@@ -636,8 +623,9 @@ def _take_rows(x, rows, cols=None):
 
 def _rank(xs, ws, cols=slice(None)):
     """Numerical rank of the columns ``cols`` of the matrix whose row blocks
-    are the list ``xs``, by numpy's ``matrix_rank`` rule, where a row of
-    weight k (from the matching list ``ws``) counts as k copies of the row:
+    the iterable ``xs`` yields, read once, by numpy's ``matrix_rank`` rule,
+    where a row of weight k (from the matching list ``ws``) counts as k
+    copies of the row:
     the rows are scaled by the square roots of their weights and the
     tolerance is ``max(sum(w), p) * eps * s_max``.
 
@@ -652,10 +640,11 @@ def _rank(xs, ws, cols=slice(None)):
     the column selections that name the dependent columns; it alone
     rejects a design, so every rank verdict is this rule's.
     """
-    r = xs[0][:0, cols]  # no rows yet, as many columns as the selection
+    r = None
     for xb, wb in zip(xs, ws):
-        stacked = np.vstack([r, xb[:, cols]])
-        stacked[len(r):] *= np.sqrt(wb)[:, None]
+        # the R so far (no rows before the first block), the block under it
+        stacked = np.vstack([xb[:0, cols] if r is None else r, xb[:, cols]])
+        stacked[len(stacked) - len(wb):] *= np.sqrt(wb)[:, None]
         r = np.linalg.qr(stacked, mode="r")
         del stacked  # so that it is gone before the next block is stacked
         if not np.isfinite(r).all():
@@ -900,8 +889,8 @@ def fit_logistic(
     hold only 0.0 and 1.0 on those rows enter through one pattern id per
     row (``_fit_rows``), and Newton runs with them first, in a column order
     that is undone once at the end. The rank check reads the information of
-    the first of those walks and walks blocks of every kept column itself,
-    by QR, only when that information cannot certify full rank.
+    the first of those walks, and only when that cannot certify full rank
+    does it walk the same rows' kept columns, a block at a time, by QR.
 
     ``max_iterations`` must be an integer >= 0 and ``tolerance`` finite and
     >= 0, or :class:`ConfigError` is raised.
@@ -972,14 +961,13 @@ def fit_logistic(
     if math.isfinite(sum(float(wb.sum()) for wb in ws) * m2):
         at_start = _evaluate_rows(rows, start)
     if at_start is None or not _full_rank_certificate(at_start[2], m2, ws):
-        xs = rows.design_blocks()
-        rank = _rank(xs, ws)
+        rank = _rank(rows.design_blocks(), ws)
         if rank < p:
             # identify a maximal independent prefix; the rest are dependent
             culprits = []
             basis = []
             for k in range(p):
-                if _rank(xs, ws, basis + [k]) > len(basis):
+                if _rank(rows.design_blocks(), ws, basis + [k]) > len(basis):
                     basis.append(k)
                 else:
                     culprits.append(kept_names[k])
@@ -987,7 +975,6 @@ def fit_logistic(
                 f"design is rank deficient ({rank}/{p}); dependent columns: "
                 + ", ".join(culprits)
             )
-        del xs
         if at_start is None:
             at_start = _evaluate_rows(rows, start)
 
@@ -1071,8 +1058,7 @@ def fit_mple(
     g: DirectedGraph,
     attrs,
     spec: ModelSpec,
-    free_dyads=None,
     **options,
 ) -> FitResult:
     """Build the dyadic design for ``g`` and fit it in one call."""
-    return fit_logistic(build_design(g, attrs, spec, free_dyads), **options)
+    return fit_logistic(build_design(g, attrs, spec), **options)

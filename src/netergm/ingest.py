@@ -189,7 +189,6 @@ def _open_rows(path):
 
 def load_events(
     path,
-    mapping: Mapping | None = None,
     horizon: int = DEFAULT_HORIZON,
 ) -> list:
     """Read an interaction log into a list of :class:`InteractionEvent`.
@@ -198,24 +197,18 @@ def load_events(
     ----------
     path : str or Path
         Delimited text file, comma or tab, sniffed from the header, with
-        columns ``sender_id``, ``receiver_id``, ``day`` (renameable through
-        ``mapping``).
-    mapping : dict, optional
-        Overrides for column names, keys ``sender``/``receiver``/``day``.
+        columns ``sender_id``, ``receiver_id``, ``day``.
     horizon : int
         Last valid day; day stamps must fall in ``1..horizon``.
 
     Rows with self-interactions are kept here and handled during assembly.
     """
-    cols = {"sender": "sender_id", "receiver": "receiver_id", "day": "day"}
-    if mapping:
-        cols.update(mapping)
     events = []
     for lineno, row in _open_rows(path):
         try:
-            sender = row[cols["sender"]]
-            receiver = row[cols["receiver"]]
-            raw_day = row[cols["day"]]
+            sender = row["sender_id"]
+            receiver = row["receiver_id"]
+            raw_day = row["day"]
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing column {exc}") from None
         if sender is None or receiver is None or raw_day is None:
@@ -354,20 +347,16 @@ def slice_periods(
     attrs: NodeTable,
     breakpoints: Sequence = QUARTER_BREAKPOINTS,
     horizon: int = DEFAULT_HORIZON,
-    labels: Sequence | None = None,
 ) -> NetworkSeries:
     """Slice events into per-period snapshots over a fixed node set.
 
     ``attrs`` is the node table of the assembled (and already subsampled)
     network: its ids define the node set of every panel, and events touching
     ids outside it are ignored. A dyad with events in several periods
-    contributes an edge to each of them.
+    contributes an edge to each of them. The periods are labelled ``Q1``,
+    ``Q2``, ... in order.
     """
     _validate_breakpoints(breakpoints, horizon)
-    if labels is None:
-        labels = tuple(f"Q{k + 1}" for k in range(len(breakpoints)))
-    elif len(labels) != len(breakpoints):
-        raise ConfigError("labels and breakpoints length mismatch")
     idx = attrs.index_of
     per_period = [set() for _ in breakpoints]
     for ev in events:
@@ -384,4 +373,5 @@ def slice_periods(
     graphs = tuple(
         DirectedGraph(attrs.size, frozenset(pairs)) for pairs in per_period
     )
-    return NetworkSeries(attrs.size, tuple(labels), graphs)
+    labels = tuple(f"Q{k + 1}" for k in range(len(breakpoints)))
+    return NetworkSeries(attrs.size, labels, graphs)

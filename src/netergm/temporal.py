@@ -9,11 +9,11 @@ reported confidence bounds. A node-block variant resamples sender nodes
 instead, for designs where period resampling is too coarse. The pooled
 design is collapsed once to its distinct rows, each weighted by how many
 pooled rows it stands for; a replicate reweights them by their rows' unit
-draw counts and starts Newton at the point estimate. ``fit_btergm`` keeps
-its own copy of the distinct rows, makes it read-only and labels the rows'
-0/1 patterns once (``DyadDesign.row_patterns``), so the point fit and every
-replicate read those labels instead of scanning their rows again. A
-replicate's fit depends on its draw counts alone, so each distinct draw is
+draw counts and starts Newton at the point estimate. ``fit_btergm`` takes
+the distinct rows from ``estimator._distinct``: a read-only copy whose 0/1
+patterns are labelled once (``DyadDesign.row_patterns``), so the point fit
+and every replicate read those labels instead of scanning their rows again.
+A replicate's fit depends on its draw counts alone, so each distinct draw is
 fitted once: three modeled periods allow only C(5, 3) = 10 draws, one of
 them the point fit's own weights, however many replications are asked for.
 
@@ -42,9 +42,7 @@ from .estimator import (
     DyadDesign,
     FitResult,
     _design,
-    _record_row_patterns,
-    _take_rows,
-    _unique_rows,
+    _distinct,
     bayes_criterion,
     fit_logistic,
 )
@@ -179,16 +177,11 @@ def fit_btergm(
         units = series.node_count
         unit_of_row = pooled.dyads[:, 0].copy()
 
-    # every fit runs on the distinct rows, column-major like the builders'
-    # output; the pooled rows are let go before the first fit. The copy is
-    # made read-only and its 0/1 patterns are labelled once, for every fit
-    first, group = _unique_rows(pooled.matrix, pooled.response)
-    distinct = DyadDesign(
-        pooled.dyads[first], pooled.response[first],
-        _take_rows(pooled.matrix, first), pooled.term_names,
-    )
+    # every fit runs on the frozen copy of the distinct rows, whose 0/1
+    # patterns are labelled once; the pooled rows are let go before the
+    # first fit
+    distinct, group = _distinct(pooled)
     del pooled
-    _record_row_patterns(distinct)
     point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()
@@ -212,7 +205,7 @@ def fit_btergm(
         key = draws.tobytes()
         if key not in outcomes:
             weights = np.bincount(
-                group, weights=draws[unit_of_row], minlength=len(first)
+                group, weights=draws[unit_of_row], minlength=distinct.n_rows
             )
             try:
                 with warnings.catch_warnings():

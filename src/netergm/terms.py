@@ -266,16 +266,14 @@ def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
 def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, dyads):
     """Change statistics at the design's dyads, shape ``(rows, n_terms)``.
 
-    ``dyads`` selects the dyads from an ``(n, n)`` array: a boolean mask,
-    whose dyads come in row-major order, or a pair ``(ii, jj)`` of index
-    arrays. Each term's all-dyad form is read through that one selection
-    straight into its column of a column-major matrix, so no
-    ``(n_terms, n, n)`` cube is held.
+    ``dyads`` is an ``(n, n)`` boolean mask, whose dyads come in row-major
+    order. Each term's all-dyad form is read through that one mask straight
+    into its column of a column-major matrix, so no ``(n_terms, n, n)`` cube
+    is held.
     """
     s = _Shared(g, attrs, spec)
     shape = (s.n, s.n)
-    rows = np.count_nonzero(dyads) if isinstance(dyads, np.ndarray) else len(dyads[0])
-    out = np.empty((len(spec.terms), rows)).T
+    out = np.empty((len(spec.terms), np.count_nonzero(dyads))).T
     for k, term in enumerate(spec.terms):
         out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[dyads]
     return out

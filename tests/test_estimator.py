@@ -18,7 +18,6 @@ from netergm import (
     DirectedGraph,
     DyadDesign,
     EmptyDesignError,
-    InvalidDyadError,
     NetworkModelError,
     NumericalError,
     RankDeficiencyError,
@@ -37,11 +36,11 @@ from netergm.estimator import (
     _blocks,
     _evaluate_rows,
     _fit_rows,
+    _freeze,
     _full_rank_certificate,
     _logistic,
     _rank,
     _record_row_groups,
-    _record_row_patterns,
     _split_runs,
     _two_sided_p,
     _unique_rows,
@@ -146,21 +145,9 @@ class TestBuildDesign:
                 row, change_stats(g, table, (int(i), int(j)), spec), atol=1e-10
             )
 
-    def test_free_dyads_subset(self):
-        g = build_graph(4, [(0, 1)])
-        design = build_design(g, None, parse_terms("edges"),
-                              free_dyads=[(0, 1), (2, 3)])
-        assert [tuple(r) for r in design.dyads] == [(0, 1), (2, 3)]
-        np.testing.assert_array_equal(design.response, [1, 0])
-
-    def test_free_dyads_validation(self):
-        g = build_graph(3, [(0, 1)])
-        with pytest.raises(InvalidDyadError):
-            build_design(g, None, parse_terms("edges"), free_dyads=[(1, 1)])
-        with pytest.raises(InvalidDyadError):
-            build_design(g, None, parse_terms("edges"), free_dyads=[(0, 5)])
+    def test_one_node_has_no_design(self):
         with pytest.raises(EmptyDesignError):
-            build_design(g, None, parse_terms("edges"), free_dyads=[])
+            build_design(build_graph(1, []), None, parse_terms("edges"))
 
     def test_design_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -1002,6 +989,25 @@ def fit_or_culprits(design, weights=None):
             return str(exc)
 
 
+def fit_and_rows(design, weights=None):
+    """``fit_or_culprits`` of ``design``, and the ``_Rows`` its fit read."""
+    seen = []
+
+    def spy(*args):
+        out = _fit_rows(*args)
+        seen.append(out[0])
+        return out
+
+    with mock.patch.object(estimator, "_fit_rows", spy):
+        return fit_or_culprits(design, weights), seen[0]
+
+
+def assert_design_blocks(rows, fitted):
+    """The blocks that ``rows`` hands the QR join into the kept columns of
+    the fitted rows ``fitted``, NaN where NaN."""
+    np.testing.assert_array_equal(np.concatenate(list(rows.design_blocks())), fitted[:, rows.kept])
+
+
 def assert_fits_agree(grouped, plain):
     if isinstance(plain, str):
         assert grouped == plain
@@ -1069,9 +1075,9 @@ class TestRecordedRowGroups:
         np.testing.assert_array_equal(first, expect[0])
         np.testing.assert_array_equal(group, expect[1])
         assert len(first) == 3
-        # three rows, all distinct
-        plain = build_design(g, None, spec, free_dyads=[(0, 1), (1, 0), (2, 0)])
-        assert plain.row_groups is None
+        # 30 rows that do not halve
+        plain = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
+        assert plain.n_rows == 30 and plain.row_groups is None
         assert plain.matrix.flags.writeable and plain.response.flags.writeable
 
     def test_a_grouped_design_cannot_be_edited_in_place(self):
@@ -1111,11 +1117,15 @@ class TestRecordedRowGroups:
     def test_grouped_fit_matches_the_row_by_row_fit(self, kind, data):
         design, weights = data.draw(repeated_grid_designs(kind))
         grouped = _record_row_groups(dataclasses.replace(design))
-        assert len(grouped.row_groups[0]) > 2 * 16 and len(grouped.row_groups[0]) % 16
+        first, group = grouped.row_groups
+        assert len(first) > 2 * 16 and len(first) % 16
         # blocks of 16 rows: three to seven blocks of distinct rows, the last ragged
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
-            fit = fit_or_culprits(grouped, weights)
+            fit, rows = fit_and_rows(grouped, weights)
             assert_fits_agree(fit, fit_or_culprits(design, weights))
+        # the QR's blocks are the distinct rows of positive weight
+        on = np.bincount(group, weights, len(first)) > 0.0
+        assert_design_blocks(rows, design.matrix[first][on])
         if kind in ("none", "empty"):
             assert fit.dropped_terms == (("rare",) if kind == "empty" else ())
         if kind == "collinear":
@@ -1137,6 +1147,7 @@ class TestRecordedRowGroups:
             return _full_rank_certificate(info, m2, ws)
 
         def spy_rank(xs, ws, cols=slice(None)):
+            xs = list(xs)
             assert [len(xb) for xb in xs] == [len(wb) for wb in ws]
             spy(ws)
             return _rank(xs, ws, cols)
@@ -1231,6 +1242,27 @@ def test_culprit_search_holds_less_than_half_a_design():
     assert peak < 0.5 * design.matrix.nbytes
 
 
+def test_culprit_search_of_a_picked_fit_holds_less_than_two_designs():
+    # the fit gathers the rows of positive weight, and the QR rebuilds one
+    # block of them at a time
+    rng = np.random.default_rng(214)
+    x, k = planted_design(rng, 40000, 8)
+    x = np.asfortranarray(x)
+    y = (rng.random(40000) < 0.4).astype(float)
+    dyads = np.zeros((40000, 2), dtype=np.int64)
+    design = DyadDesign(dyads, y, x, tuple(f"t{j}" for j in range(8)))
+    w = np.ones(40000)
+    w[::7] = 0.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(RankDeficiencyError, match=f"dependent columns: t{k}"):
+            fit_logistic(design, weights=w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * design.matrix.nbytes
+
+
 def several_blocks(rng):
     """Two to three row blocks, the last of them ragged."""
     return int(rng.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
@@ -1248,7 +1280,7 @@ def rank(x, cols=slice(None)):
 
 def unblocked_rank(x, w, cols=slice(None)):
     # one QR of the whole weighted selection: the reference for the row-blocked R
-    x, w = whole(x), whole(w)
+    x, w = whole(list(x)), whole(w)
     x = np.sqrt(w)[:, None] * x[:, cols]
     r = np.linalg.qr(x, mode="r")
     if not np.isfinite(r).all():
@@ -1296,7 +1328,7 @@ def unpatterned_evaluate(rows, theta):
     """``unblocked_evaluate`` of every kept column of the fitted ``rows``,
     in Newton's column order: what ``_evaluate_rows`` computes, by a formula
     that reads no pattern."""
-    x = whole(rows.design_blocks())[:, rows.order]
+    x = whole(list(rows.design_blocks()))[:, rows.order]
     return unblocked_evaluate([x], rows.ys, rows.ws, theta)
 
 
@@ -1431,7 +1463,7 @@ class TestRowBlocks:
         assert_blocked_agrees(blocked, fit_joined(monkeypatch, design))
 
 
-COLUMN_KINDS = ("zero_one", "ones", "integer", "float", "zero_one_on_fitted", "nan")
+COLUMN_KINDS = ("zero_one", "ones", "integer", "float", "zero_one_on_fitted", "nan", "zero")
 
 
 @st.composite
@@ -1439,8 +1471,9 @@ def mixed_designs(draw):
     """A design of 20 to 60 rows whose columns are of the drawn kinds of
     ``COLUMN_KINDS``, integer weights with zeros or unit weights, a theta,
     and a key of 1 to 4 bits or the full 64. "zero_one_on_fitted" is 0/1
-    on the rows of positive weight and 2.0 on some rows of weight 0, and
-    "nan" a float column with a NaN entry."""
+    on the rows of positive weight and 2.0 on some rows of weight 0, "nan"
+    a float column with a NaN entry, and "zero" a column of zeros, which
+    the fit drops."""
     rows = draw(st.integers(20, 60))
     kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1459,6 +1492,7 @@ def mixed_designs(draw):
             "nan": lambda: np.where(
                 np.arange(rows) == rows // 2, np.nan, rng.normal(size=rows)
             ),
+            "zero": lambda: np.zeros(rows),
         }[kind]()
         columns.append(np.asarray(col, dtype=np.float64))
     x = np.asfortranarray(np.column_stack(columns))
@@ -1519,6 +1553,8 @@ class TestZeroOnePatterns:
         assert_close_to_the_terms(info, expect[2], ax.T @ (v[:, None] * ax))
         # exactly symmetric, NaN where NaN
         np.testing.assert_array_equal(info, info.T)
+        # the QR's blocks are the fitted rows of the kept columns
+        assert_design_blocks(rows, x[on])
 
     def test_more_zero_one_columns_than_the_key_holds(self):
         rng = np.random.default_rng(250)
@@ -1544,7 +1580,7 @@ class TestZeroOnePatterns:
         w = np.random.default_rng(252).integers(0, 3, size=400).astype(np.float64)
         w[:10] = 1.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
-            _record_row_patterns(design)
+            _freeze(design)
             first = fit_logistic(design)
             weighted = fit_logistic(design, weights=w)
         # the rows are scanned once and frozen; the fit of every row reads

@@ -35,13 +35,6 @@ class TestLoadEvents:
                 InteractionEvent("b", "a", 70),
             ]
 
-    def test_column_mapping_override(self, tmp_path):
-        p = write(tmp_path / "m.csv", "src,dst,when\na,b,9\n")
-        events = load_events(
-            p, mapping={"sender": "src", "receiver": "dst", "day": "when"}
-        )
-        assert events == [InteractionEvent("a", "b", 9)]
-
     def test_missing_column(self, tmp_path):
         p = write(tmp_path / "x.csv", "sender_id,day\na,3\n")
         with pytest.raises(ValidationError, match="receiver_id"):
@@ -231,16 +224,6 @@ class TestSlicePeriods:
         events = [InteractionEvent("a", "b", d) for d in (2, 3, 4)]
         series = slice_periods(events, table)
         assert series.graphs[0].edge_count == 1
-
-    def test_custom_labels(self):
-        table = course_table()
-        series = slice_periods(
-            [InteractionEvent("a", "b", 1)],
-            table,
-            breakpoints=((1, 36), (37, 72)),
-            labels=("H1", "H2"),
-        )
-        assert series.labels == ("H1", "H2")
 
     def test_breakpoints_must_tile_horizon(self):
         table = course_table()

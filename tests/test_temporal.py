@@ -687,7 +687,11 @@ class TestFormation:
         free = [(i, j) for i in range(8) for j in range(8)
                 if i != j and not prev.has_edge(i, j)]
         a = fit_formation(prev, curr, None, spec)
-        b = fit_mple(union, None, spec, free_dyads=free)
+        # the rows of the whole union design whose dyads are free
+        full = build_design(union, None, spec)
+        on = ~prev.adjacency[full.dyads[:, 0], full.dyads[:, 1]]
+        b = fit_logistic(DyadDesign(full.dyads[on], full.response[on],
+                                    full.matrix[on], full.term_names))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
         assert a.n_dyads == b.n_dyads == len(free)
 
