@@ -34,6 +34,8 @@ from netergm import config, estimator, ingest
 from netergm.estimator import (
     _BLOCK_ROWS,
     _blocks,
+    _design,
+    _distinct,
     _evaluate_rows,
     _fit_rows,
     _freeze,
@@ -148,6 +150,21 @@ class TestBuildDesign:
     def test_one_node_has_no_design(self):
         with pytest.raises(EmptyDesignError):
             build_design(build_graph(1, []), None, parse_terms("edges"))
+
+    def test_a_mask_picks_its_dyads_in_row_major_order(self):
+        rng = np.random.default_rng(43)
+        stats_g, response_g = random_graph(rng, 6, 0.3), random_graph(rng, 6, 0.3)
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)"))
+        mask = rng.random((6, 6)) < 0.4
+        np.fill_diagonal(mask, False)
+        design = _design(stats_g, response_g, None, spec, mask)
+        np.testing.assert_array_equal(design.dyads, np.argwhere(mask))
+        np.testing.assert_array_equal(design.response, response_g.adjacency[mask])
+        # the statistics are read on stats_g, column-major
+        assert design.matrix.flags.f_contiguous
+        full = build_design(stats_g, None, spec)
+        on = mask[full.dyads[:, 0], full.dyads[:, 1]]
+        np.testing.assert_array_equal(design.matrix, full.matrix[on])
 
     def test_design_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -1110,6 +1127,27 @@ class TestRecordedRowGroups:
             DyadDesign(design.dyads, design.response, other, design.term_names,
                        row_groups=design.row_groups)
         assert "row_groups" not in repr(design)
+
+    def test_distinct_rows_are_a_frozen_copy(self):
+        design = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
+        assert design.row_groups is None
+        distinct, group = _distinct(design)
+        first = _unique_rows(design.matrix, design.response)[0]
+        np.testing.assert_array_equal(distinct.dyads, design.dyads[first])
+        np.testing.assert_array_equal(distinct.matrix[group], design.matrix)
+        np.testing.assert_array_equal(distinct.response[group], design.response)
+        assert distinct.term_names == design.term_names
+        assert distinct.matrix.flags.f_contiguous
+        # the copy is frozen and scanned; the design it came from is not
+        assert not distinct.matrix.flags.writeable and not distinct.response.flags.writeable
+        assert distinct.row_groups is None and distinct.row_patterns is not None
+        assert design.matrix.flags.writeable and design.row_patterns is None
+        # each distinct row weighted by the rows it stands for fits as the design
+        weights = np.bincount(group, minlength=distinct.n_rows).astype(np.float64)
+        np.testing.assert_allclose(
+            fit_logistic(distinct, weights=weights).coefficients,
+            fit_logistic(design).coefficients, rtol=1e-10, atol=1e-10,
+        )
 
     @pytest.mark.parametrize("kind", ["none", "integer", "empty", "collinear"])
     @settings(derandomize=True, max_examples=25, deadline=None)
