@@ -42,6 +42,8 @@ time (``_Rows.design_blocks``). A cold fit starts at the intercept-only
 estimate (``_intercept_start``), as R's ``glm`` starts from the data, so
 that a sparse network's fit spends no steps walking ``edges`` from a tie
 probability of 1/2 toward its density.
+A design keeps only its rows' responses and change statistics, in the
+row-major order of the mask that chose them.
 """
 
 from __future__ import annotations
@@ -94,11 +96,10 @@ def bayes_criterion(residual_deviance: float, n_params: int, n_rows: int) -> flo
 
 @dataclass(frozen=True)
 class DyadDesign:
-    """A stacked dyadic regression problem.
-
-    ``dyads`` holds (sender, receiver) index pairs aligned with ``response``
-    (tie indicators) and ``matrix`` (change statistics, one column per
-    term).
+    """A stacked dyadic regression problem: ``response`` holds each row's
+    tie indicator (0 or 1) and ``matrix`` its change statistics, one column
+    per term, with rows in the row-major order of the builder's dyad mask
+    (``np.argwhere(mask)``; ``pooled_design`` stacks one per period).
 
     ``row_groups`` records which rows are identical, as the pair
     ``(first, group)`` that ``_unique_rows`` returns: row r equals row
@@ -126,7 +127,6 @@ class DyadDesign:
     fit. Like ``row_groups``, it is no ``__init__`` argument.
     """
 
-    dyads: np.ndarray
     response: np.ndarray
     matrix: np.ndarray
     term_names: tuple
@@ -144,8 +144,9 @@ class DyadDesign:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{d} rows x {len(self.term_names)} terms"
             )
-        if self.dyads.shape != (d, 2):
-            raise DimensionError("dyads must be an (n_rows, 2) array")
+        y = np.asarray(self.response)
+        if not ((y == 0) | (y == 1)).all():
+            raise ValidationError("response must hold only 0 and 1")
 
     @property
     def n_rows(self) -> int:
@@ -206,14 +207,13 @@ def build_design(
     return _record_row_groups(_design(g, g, attrs, spec, ~np.eye(n, dtype=bool)))
 
 
-def _design(stats_graph, response_graph, attrs, spec, dyads) -> DyadDesign:
-    """Design over the dyads of the ``(n, n)`` boolean mask ``dyads``, in
+def _design(stats_graph, response_graph, attrs, spec, mask) -> DyadDesign:
+    """Design over the dyads of the ``(n, n)`` boolean mask ``mask``, in
     row-major order: change statistics read on ``stats_graph``, tie
     indicators on ``response_graph``."""
     return DyadDesign(
-        dyads=np.column_stack(np.nonzero(dyads)).astype(np.int64, copy=False),
-        response=response_graph.adjacency[dyads].astype(np.int8),
-        matrix=_change_stat_columns(stats_graph, attrs, spec, dyads),
+        response=response_graph.adjacency[mask].astype(np.int8),
+        matrix=_change_stat_columns(stats_graph, attrs, spec, mask),
         term_names=spec.names,
     )
 
@@ -256,8 +256,7 @@ def _distinct(design: DyadDesign):
     design's rows among them."""
     first, group = _unique_rows(design.matrix, design.response)
     distinct = DyadDesign(
-        design.dyads[first], design.response[first],
-        _take_rows(design.matrix, first), design.term_names,
+        design.response[first], _take_rows(design.matrix, first), design.term_names
     )
     return _freeze(distinct), group
 

@@ -354,12 +354,18 @@ def slice_periods(
     network: its ids define the node set of every panel, and events touching
     ids outside it are ignored. A dyad with events in several periods
     contributes an edge to each of them. The periods are labelled ``Q1``,
-    ``Q2``, ... in order.
+    ``Q2``, ... in order. An event dated outside ``1..horizon`` raises
+    :class:`ValidationError`.
     """
     _validate_breakpoints(breakpoints, horizon)
     idx = attrs.index_of
     per_period = [set() for _ in breakpoints]
     for ev in events:
+        if not 1 <= ev.day <= horizon:
+            raise ValidationError(
+                f"event {ev.sender} -> {ev.receiver} on day {ev.day} lies "
+                f"outside the window 1..{horizon}"
+            )
         if ev.sender == ev.receiver:
             continue
         si = idx.get(ev.sender)

@@ -16,6 +16,9 @@ and every replicate read those labels instead of scanning their rows again.
 A replicate's fit depends on its draw counts alone, so each distinct draw is
 fitted once: three modeled periods allow only C(5, 3) = 10 draws, one of
 them the point fit's own weights, however many replications are asked for.
+Period resampling needs at least two modeled periods. Node resampling reads
+each row's sender from the pooled row order: one period's off-diagonal
+dyads in row-major order after another.
 
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
@@ -103,7 +106,8 @@ def pooled_design(
     spec: ModelSpec,
     include_lagged_tie: bool = False,
 ) -> DyadDesign:
-    """Stack the cross-sectional designs of every panel after the first.
+    """Stack the cross-sectional designs of every panel after the first,
+    each of every off-diagonal dyad in row-major order.
 
     With ``include_lagged_tie`` a final column indicates whether the dyad
     was tied in the previous panel.
@@ -122,7 +126,6 @@ def pooled_design(
         lag = np.concatenate([g.adjacency[off] for g in series.graphs[:-1]])
         x, names = np.column_stack([x, lag]), names + (LAGGED_TIE_NAME,)
     return DyadDesign(
-        dyads=np.concatenate([b.dyads for b in blocks]),
         response=np.concatenate([b.response for b in blocks]),
         matrix=x,
         term_names=names,
@@ -149,7 +152,8 @@ def fit_btergm(
     point fit is flagged for separation or did not converge; replicates
     then agree with cold starts to the fit tolerance. The distinct rows are
     a read-only copy whose 0/1 pattern ids, computed once, serve the point
-    fit and every replicate.
+    fit and every replicate. Temporal mode over two panels, which model one
+    period, raises :class:`InsufficientPeriodsError`.
 
     Equal draw counts give equal weights and so an equal fit: only the
     first replicate with each draw is refit, and a later one takes its
@@ -169,13 +173,19 @@ def fit_btergm(
     replications = _integer("replications", replications, 2)
     seed = _integer("seed", seed, 0)
     _one_of("mode", mode, BOOTSTRAP_MODES)
+    if mode == "temporal" and len(series) == 2:
+        raise InsufficientPeriodsError(
+            "a temporal bootstrap redraws modeled periods, and two panels model "
+            "only one: use mode='node' or more periods"
+        )
     pooled = pooled_design(series, attrs, spec, include_lagged_tie)
     if mode == "temporal":
         units = len(series) - 1
         unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
     else:
+        # a period's rows are its off-diagonal dyads, n - 1 per sender in turn
         units = series.node_count
-        unit_of_row = pooled.dyads[:, 0].copy()
+        unit_of_row = np.resize(np.repeat(np.arange(units), units - 1), pooled.n_rows)
 
     # every fit runs on the frozen copy of the distinct rows, whose 0/1
     # patterns are labelled once; the pooled rows are let go before the

@@ -211,7 +211,6 @@ def replicate_rows(design, counts):
     """
     rows = [r for r, c in enumerate(counts) for _ in range(int(c))]
     return DyadDesign(
-        dyads=design.dyads[rows],
         response=design.response[rows],
         matrix=design.matrix[rows],
         term_names=design.term_names,
@@ -295,10 +294,12 @@ def refit_every_replicate(
         unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
     else:
         units = series.node_count
-        unit_of_row = pooled.dyads[:, 0]
+        # each modeled period's rows are its off-diagonal dyads in
+        # row-major order; a row's unit is the dyad's sender
+        sender = np.argwhere(~np.eye(units, dtype=bool))[:, 0]
+        unit_of_row = np.resize(sender, pooled.n_rows)
     first, group = _unique_rows(pooled.matrix, pooled.response)
     distinct = DyadDesign(
-        pooled.dyads[first],
         pooled.response[first],
         np.asfortranarray(pooled.matrix[first]),
         pooled.term_names,

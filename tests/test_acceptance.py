@@ -192,8 +192,6 @@ def test_criterion_06_logistic_oracle():
         x = np.column_stack([np.ones(rows), rng.normal(size=(rows, p - 1))])
         y = (rng.random(rows) < expit(x @ beta)).astype(float)
         design = DyadDesign(
-            dyads=np.column_stack([np.zeros(rows, dtype=np.int64),
-                                   np.ones(rows, dtype=np.int64)]),
             response=y,
             matrix=x,
             term_names=tuple(f"t{k}" for k in range(p)),

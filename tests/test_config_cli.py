@@ -561,6 +561,24 @@ class TestCliConfigAndErrors:
         assert code == 0
         assert (tmp_path / "out" / "ergm.csv").exists()
 
+    def test_tergm_over_two_panels_needs_node_mode(self, course_files, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"breakpoints": [[1, 36], [37, 72]]}))
+        argv = (
+            "tergm",
+            "--config", str(cfg_path),
+            "--edges", course_files["edges"],
+            "--attrs", course_files["attrs"],
+            "--terms", "edges, mutual",
+            "--replications", "20",
+        )
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "temporal")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "use mode='node' or more periods" in err
+        out = tmp_path / "node"
+        assert run_cli(*argv, "--bootstrap-mode", "node", "--out-dir", str(out)) == 0
+        assert any(out.iterdir())
+
     def test_missing_edges_flag(self, course_files, capsys):
         code = run_cli("describe", "--attrs", course_files["attrs"])
         assert code == 1

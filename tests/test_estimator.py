@@ -65,10 +65,8 @@ def synthetic_design(rng, rows, true_beta):
     p = len(true_beta)
     x = np.column_stack([np.ones(rows), rng.normal(size=(rows, p - 1))])
     y = (rng.random(rows) < expit(x @ np.asarray(true_beta))).astype(float)
-    dyads = np.column_stack([np.zeros(rows, dtype=np.int64),
-                             np.ones(rows, dtype=np.int64)])
     names = tuple(f"t{k}" for k in range(p))
-    return DyadDesign(dyads=dyads, response=y, matrix=x, term_names=names)
+    return DyadDesign(response=y, matrix=x, term_names=names)
 
 
 def information(x, theta):
@@ -129,7 +127,7 @@ class TestBuildDesign:
         g = build_graph(3, [(0, 1), (2, 0)])
         design = build_design(g, None, parse_terms("edges"))
         expect = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        assert [tuple(r) for r in design.dyads] == expect
+        assert [tuple(r) for r in np.argwhere(~np.eye(3, dtype=bool))] == expect
         np.testing.assert_array_equal(design.response, [1, 0, 0, 0, 1, 0])
         np.testing.assert_allclose(design.matrix, 1.0)
 
@@ -142,7 +140,7 @@ class TestBuildDesign:
         )
         spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "nodematch(team)"))
         design = build_design(g, table, spec)
-        for row, (i, j) in zip(design.matrix, design.dyads):
+        for row, (i, j) in zip(design.matrix, np.argwhere(~np.eye(7, dtype=bool))):
             np.testing.assert_allclose(
                 row, change_stats(g, table, (int(i), int(j)), spec), atol=1e-10
             )
@@ -158,22 +156,39 @@ class TestBuildDesign:
         mask = rng.random((6, 6)) < 0.4
         np.fill_diagonal(mask, False)
         design = _design(stats_g, response_g, None, spec, mask)
-        np.testing.assert_array_equal(design.dyads, np.argwhere(mask))
-        np.testing.assert_array_equal(design.response, response_g.adjacency[mask])
+        np.testing.assert_array_equal(
+            design.response, [response_g.has_edge(i, j) for i, j in np.argwhere(mask)]
+        )
         # the statistics are read on stats_g, column-major
         assert design.matrix.flags.f_contiguous
         full = build_design(stats_g, None, spec)
-        on = mask[full.dyads[:, 0], full.dyads[:, 1]]
+        on = mask[~np.eye(6, dtype=bool)]
         np.testing.assert_array_equal(design.matrix, full.matrix[on])
 
     def test_design_shape_validation(self):
         with pytest.raises(DimensionError):
             DyadDesign(
-                dyads=np.zeros((3, 2), dtype=np.int64),
                 response=np.zeros(4),
-                matrix=np.zeros((4, 1)),
+                matrix=np.zeros((3, 1)),
                 term_names=("edges",),
             )
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            np.arange(50) % 3,  # interaction counts 0, 1 and 2
+            np.full(50, 0.5),
+            np.where(np.arange(50) == 7, np.nan, np.arange(50) % 2),
+        ],
+        ids=["counts", "half", "nan"],
+    )
+    def test_a_response_other_than_0_and_1_is_rejected(self, response):
+        x = np.column_stack([np.ones(50), np.random.default_rng(53).normal(size=50)])
+        with pytest.raises(ValidationError, match="response must hold only 0 and 1"):
+            DyadDesign(response, x, ("edges", "z"))
+        # a 0/1 response of either dtype is a design
+        DyadDesign(np.arange(50) % 2, x, ("edges", "z"))
+        DyadDesign((np.arange(50) % 2).astype(float), x, ("edges", "z"))
 
 
 class TestFitAgainstReference:
@@ -277,9 +292,7 @@ class TestFitDiagnostics:
         x = np.column_stack([np.ones(60), rng.normal(size=60)])
         x = np.column_stack([x, x[:, 1]])
         y = (rng.random(60) < 0.4).astype(float)
-        dyads = np.column_stack([np.zeros(60, dtype=np.int64),
-                                 np.ones(60, dtype=np.int64)])
-        design = DyadDesign(dyads, y, x, ("a", "b", "b_copy"))
+        design = DyadDesign(y, x, ("a", "b", "b_copy"))
         with pytest.raises(RankDeficiencyError, match="b_copy"):
             fit_checked(design)
 
@@ -477,9 +490,7 @@ class TestFitDiagnostics:
         x = np.column_stack([np.ones(rows), rng.normal(size=(rows, 2))])
         x[:, 2] = x[:, 1] + noise * x[:, 2]
         y = (rng.random(rows) < expit(x @ [-0.5, 0.8, 0.2])).astype(float)
-        design = DyadDesign(
-            np.zeros((rows, 2), dtype=np.int64), y, x, ("a", "b", "c")
-        )
+        design = DyadDesign(y, x, ("a", "b", "c"))
         with warnings.catch_warnings():
             # the near repeat gives b and c standard errors past SE_THRESHOLD
             warnings.simplefilter("ignore")
@@ -515,8 +526,7 @@ def designs_with_a_ones_column(draw):
     if draw(st.booleans()):
         weights = rng.integers(0, 4, size=rows).astype(np.float64)
     names = tuple(f"t{k}" for k in range(p))
-    dyads = np.zeros((rows, 2), dtype=np.int64)
-    return DyadDesign(dyads, y, np.asfortranarray(x), names), weights
+    return DyadDesign(y, np.asfortranarray(x), names), weights
 
 
 def first_evaluation(design, **options):
@@ -577,13 +587,12 @@ class TestInterceptStart:
         w = np.ones(120)
         w[:10] = 0.0
         logit = math.log(y[10:].sum()) - math.log(110 - y[10:].sum())
-        dyads = np.zeros((120, 2), dtype=np.int64)
-        design = DyadDesign(dyads, y, np.column_stack([b, a]), ("b", "a"))
+        design = DyadDesign(y, np.column_stack([b, a]), ("b", "a"))
         np.testing.assert_array_equal(first_evaluation(design, weights=w), [0.0, logit])
         # two columns of ones: the first starts at the estimate, and the fit
         # then names the second as dependent
         x = np.column_stack([b, a, np.ones(120)])
-        design = DyadDesign(dyads, y, x, ("b", "a", "a_copy"))
+        design = DyadDesign(y, x, ("b", "a", "a_copy"))
         with mock.patch.object(estimator, "_evaluate_rows", wraps=_evaluate_rows) as spy:
             with pytest.raises(RankDeficiencyError, match="dependent columns: a_copy$"):
                 fit_logistic(design, weights=w)
@@ -656,9 +665,7 @@ class TestWeights:
             # singular value: noise for the 200,000 copies, so for the weights
             x = np.column_stack([np.ones(20), np.zeros(20)])
             x[0, 1] = 1e-12 * np.sqrt(20.0)
-            design = DyadDesign(
-                np.zeros((20, 2), dtype=np.int64), np.arange(20) % 2, x, ("a", "b")
-            )
+            design = DyadDesign(np.arange(20) % 2, x, ("a", "b"))
             counts = np.full(20, 10**4)
             messages = []
             for args in ((design, counts), (replicate_rows(design, counts), None)):
@@ -747,9 +754,7 @@ class TestWeights:
         design = synthetic_design(np.random.default_rng(211), 30, [0.1, 0.2])
         with pytest.raises(EmptyDesignError, match="no rows of positive weight"):
             fit_logistic(design, weights=np.zeros(30))
-        empty = DyadDesign(
-            np.zeros((0, 2), dtype=np.int64), np.zeros(0), np.zeros((0, 2)), ("a", "b")
-        )
+        empty = DyadDesign(np.zeros(0), np.zeros((0, 2)), ("a", "b"))
         with pytest.raises(EmptyDesignError, match="no rows of positive weight"):
             fit_logistic(empty)
 
@@ -782,8 +787,7 @@ def duplicated_design(rng, rows):
     y = (rng.random(rows) < expit(-1.0 + 0.4 * b - 0.7 * c)).astype(np.int8)
     # both responses on the rare and twin rows, so neither column separates
     y[:10] = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
-    dyads = np.zeros((rows, 2), dtype=np.int64)
-    return DyadDesign(dyads, y, x, ("a", "b", "c", "rare", "twin"))
+    return DyadDesign(y, x, ("a", "b", "c", "rare", "twin"))
 
 
 class UnitCoefficients:
@@ -808,8 +812,7 @@ def collapsed_fit(design, weights):
     weight of the rows it stands for."""
     first, group = _unique_rows(design.matrix, design.response)
     distinct = DyadDesign(
-        design.dyads[first], design.response[first], design.matrix[first],
-        design.term_names,
+        design.response[first], design.matrix[first], design.term_names
     )
     return fit_checked(
         distinct, weights=np.bincount(group, weights=weights, minlength=len(first))
@@ -1073,8 +1076,7 @@ def repeated_grid_designs(draw, kind):
         weights = (rare == 0).astype(np.float64)
     elif kind == "collinear":
         weights = (c != 0).astype(np.float64)
-    dyads = np.zeros((len(rows), 2), dtype=np.int64)
-    return DyadDesign(dyads, y.astype(np.int8), x, ("a", "b", "c", "rare", "twin")), weights
+    return DyadDesign(y.astype(np.int8), x, ("a", "b", "c", "rare", "twin")), weights
 
 
 class TestRecordedRowGroups:
@@ -1120,11 +1122,11 @@ class TestRecordedRowGroups:
         replaced = dataclasses.replace(design, matrix=other)
         assert replaced.row_groups is None
         assert dataclasses.replace(design).row_groups is None
-        by_hand = DyadDesign(design.dyads, design.response, other, design.term_names)
+        by_hand = DyadDesign(design.response, other, design.term_names)
         assert_identical_fits(fit_logistic(replaced), fit_logistic(by_hand))
         # only a builder sets it, and it takes no part in repr or equality
         with pytest.raises(TypeError):
-            DyadDesign(design.dyads, design.response, other, design.term_names,
+            DyadDesign(design.response, other, design.term_names,
                        row_groups=design.row_groups)
         assert "row_groups" not in repr(design)
 
@@ -1133,7 +1135,8 @@ class TestRecordedRowGroups:
         assert design.row_groups is None
         distinct, group = _distinct(design)
         first = _unique_rows(design.matrix, design.response)[0]
-        np.testing.assert_array_equal(distinct.dyads, design.dyads[first])
+        np.testing.assert_array_equal(distinct.matrix, design.matrix[first])
+        np.testing.assert_array_equal(distinct.response, design.response[first])
         np.testing.assert_array_equal(distinct.matrix[group], design.matrix)
         np.testing.assert_array_equal(distinct.response[group], design.response)
         assert distinct.term_names == design.term_names
@@ -1213,7 +1216,7 @@ class TestRecordedRowGroups:
         base[0, 1] = 1e-12 * np.sqrt(20.0)
         x = np.asfortranarray(np.tile(base, (10**4, 1)))
         y = np.tile(np.arange(20) % 2, 10**4).astype(np.int8)
-        design = DyadDesign(np.zeros((len(y), 2), dtype=np.int64), y, x, ("a", "b"))
+        design = DyadDesign(y, x, ("a", "b"))
         grouped = _record_row_groups(dataclasses.replace(design))
         assert len(grouped.row_groups[0]) == 3
         for d in (design, grouped):
@@ -1239,8 +1242,7 @@ def test_fit_holds_less_than_two_copies_of_the_design():
     # column-major, as the design builders write it
     x = rng.standard_normal((8, 40000)).T
     y = (rng.random(40000) < expit(x @ np.linspace(-0.5, 0.5, 8))).astype(float)
-    dyads = np.zeros((40000, 2), dtype=np.int64)
-    design = DyadDesign(dyads, y, x, tuple(f"t{k}" for k in range(8)))
+    design = DyadDesign(y, x, tuple(f"t{k}" for k in range(8)))
     tracemalloc.start()
     try:
         fit_logistic(design)
@@ -1268,8 +1270,7 @@ def test_culprit_search_holds_less_than_half_a_design():
     x, k = planted_design(rng, 40000, 8)
     x = np.asfortranarray(x)
     y = (rng.random(40000) < 0.4).astype(float)
-    dyads = np.zeros((40000, 2), dtype=np.int64)
-    design = DyadDesign(dyads, y, x, tuple(f"t{j}" for j in range(8)))
+    design = DyadDesign(y, x, tuple(f"t{j}" for j in range(8)))
     tracemalloc.start()
     try:
         with pytest.raises(RankDeficiencyError, match=f"dependent columns: t{k}"):
@@ -1287,8 +1288,7 @@ def test_culprit_search_of_a_picked_fit_holds_less_than_two_designs():
     x, k = planted_design(rng, 40000, 8)
     x = np.asfortranarray(x)
     y = (rng.random(40000) < 0.4).astype(float)
-    dyads = np.zeros((40000, 2), dtype=np.int64)
-    design = DyadDesign(dyads, y, x, tuple(f"t{j}" for j in range(8)))
+    design = DyadDesign(y, x, tuple(f"t{j}" for j in range(8)))
     w = np.ones(40000)
     w[::7] = 0.0
     tracemalloc.start()
@@ -1342,7 +1342,7 @@ def fitted_rows(x, y, w):
     """The ``_Rows`` that a fit reads from the rows of positive weight
     ``w`` of the plain design ``(x, y)``."""
     names = tuple(f"c{k}" for k in range(x.shape[1]))
-    design = DyadDesign(np.zeros((len(y), 2), dtype=np.int64), y, x, names)
+    design = DyadDesign(y, x, names)
     on = w > 0.0
     return _fit_rows(design, w, None if on.all() else np.flatnonzero(on))[0]
 
@@ -1417,9 +1417,9 @@ class TestRowBlocks:
             sparse[:, 1] = 0.0
             sparse[rows_of_block, 1] = 1.0
             assert rank(sparse) == p
-            y, dyads = np.arange(rows) % 2, np.zeros((rows, 2), dtype=np.int64)
+            y = np.arange(rows) % 2
             for full in (broken, sparse):
-                design = DyadDesign(dyads, y, full, tuple("abcde"))
+                design = DyadDesign(y, full, tuple("abcde"))
                 with warnings.catch_warnings():
                     # a column broken in one block only can separate
                     warnings.simplefilter("ignore", UserWarning)
@@ -1439,9 +1439,7 @@ class TestRowBlocks:
         x = np.zeros((10, 2))
         x[:, 0] = 1.0
         x[0, 1] = 1e-13 * np.sqrt(10.0)
-        design = DyadDesign(
-            np.zeros((10, 2), dtype=np.int64), np.arange(10) % 2, x, ("a", "b")
-        )
+        design = DyadDesign(np.arange(10) % 2, x, ("a", "b"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert fit_checked(design).n_params == 2
@@ -1689,7 +1687,7 @@ def level_designs(draw):
     w = w.astype(np.float64)
     w[:broken] = 1.0
     names = tuple(f"c{j}" for j in range(len(columns)))
-    return DyadDesign(np.zeros((rows, 2), dtype=np.int64), y, x, names), w
+    return DyadDesign(y, x, names), w
 
 
 class TestZeroOneRankCertificate:
@@ -1720,8 +1718,7 @@ class TestZeroOneRankCertificate:
         a, b, c = ((level == j).astype(np.float64) for j in range(3))
         x = np.column_stack([np.ones(300), a, b, a + b, c, rng.normal(size=300)])
         y = (rng.random(300) < 0.3).astype(np.int8)
-        design = DyadDesign(np.zeros((300, 2), dtype=np.int64), y, x,
-                            ("edges", "a", "b", "ab", "c", "f"))
+        design = DyadDesign(y, x, ("edges", "a", "b", "ab", "c", "f"))
         with pytest.raises(RankDeficiencyError, match=r"\(5/6\); dependent columns: ab$"):
             fit_checked(design)
         with pytest.raises(RankDeficiencyError, match=r"\(5/6\); dependent columns: ab$"):
@@ -1769,9 +1766,8 @@ class TestNumpyKernelsAgainstScipy:
             p = int(rng.integers(3, 9))
             x, k = planted_design(rng, rows, p)
             y = (rng.random(rows) < 0.4).astype(float)
-            dyads = np.zeros((rows, 2), dtype=np.int64)
             names = tuple(f"c{j}" for j in range(p))
-            design = DyadDesign(dyads, y, x, names)
+            design = DyadDesign(y, x, names)
             with pytest.raises(RankDeficiencyError) as err:
                 fit_checked(design)
             # the planted column is the last of its dependent set
@@ -1787,16 +1783,16 @@ class TestNumpyKernelsAgainstScipy:
             planted, _ = planted_design(rng, rows, p)
             assert rank(full) == np.linalg.matrix_rank(full) == p
             assert rank(planted) == np.linalg.matrix_rank(planted) == p - 1
-            y, dyads = np.arange(rows) % 2, np.zeros((rows, 2), dtype=np.int64)
+            y = np.arange(rows) % 2
             names = tuple(f"c{j}" for j in range(p))
-            assert fit_checked(DyadDesign(dyads, y, full, names)).n_params == p
+            assert fit_checked(DyadDesign(y, full, names)).n_params == p
             with pytest.raises(RankDeficiencyError):
-                fit_checked(DyadDesign(dyads, y, planted, names))
+                fit_checked(DyadDesign(y, planted, names))
 
     def test_non_finite_design_raises(self):
         x = np.column_stack([np.ones(5), [0.0, 1.0, np.nan, 1.0, 0.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        design = DyadDesign(np.zeros((5, 2), dtype=np.int64), y, x, ("a", "b"))
+        design = DyadDesign(y, x, ("a", "b"))
         with pytest.raises(NumericalError, match="non-finite"):
             fit_checked(design)
 
@@ -1825,7 +1821,7 @@ def near_dependent_designs(draw):
         start = rng.normal(size=p)
         start *= 40.0 / np.abs(x @ start).max()
     names = tuple(f"c{j}" for j in range(p))
-    return DyadDesign(np.zeros((rows, 2), dtype=np.int64), y, x, names), w, start, k
+    return DyadDesign(y, x, names), w, start, k
 
 
 class TestRankCertificate:
@@ -1883,7 +1879,7 @@ class TestRankCertificate:
         rng = np.random.default_rng(221)
         x = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
         x[:, 2] = x[:, 1] + 1e-12 * rng.normal(size=40)
-        design = DyadDesign(np.zeros((40, 2), dtype=np.int64), np.arange(40) % 2, x, tuple("abc"))
+        design = DyadDesign(np.arange(40) % 2, x, tuple("abc"))
         with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
             with warnings.catch_warnings():
                 # b and c have standard errors past SE_THRESHOLD
@@ -1901,9 +1897,7 @@ class TestRankCertificate:
         x = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
         if dependent:
             x[:, 2] = 2.0 * x[:, 1]
-        design = DyadDesign(
-            np.zeros((30, 2), dtype=np.int64), np.arange(30) % 2, 1e155 * x, tuple("abc")
-        )
+        design = DyadDesign(np.arange(30) % 2, 1e155 * x, tuple("abc"))
         calls = []
 
         def spy(rows, theta):

@@ -237,6 +237,20 @@ class TestSlicePeriods:
             with pytest.raises(ConfigError):
                 slice_periods(ev, table, breakpoints=bad)
 
+    def test_an_event_outside_the_window_names_its_day(self):
+        table = course_table()
+        for day in (0, 90):
+            events = [InteractionEvent("a", "b", 1), InteractionEvent("b", "c", day)]
+            with pytest.raises(
+                ValidationError, match=rf"b -> c on day {day} lies outside the window 1\.\.72"
+            ):
+                slice_periods(events, table)
+        # the same event lies inside a longer window
+        series = slice_periods(
+            [InteractionEvent("b", "c", 90)], table, ((1, 50), (51, 100)), horizon=100
+        )
+        assert [g.edge_count for g in series.graphs] == [0, 1]
+
     def test_union_of_periods_matches_aggregate(self):
         rng = np.random.default_rng(5)
         ids = tuple(f"n{k}" for k in range(10))

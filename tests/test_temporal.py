@@ -54,12 +54,11 @@ class TestPooledDesign:
         d = 6 * 5
         assert design.matrix.shape == (3 * d, 2)
         # block b, rows b*d to (b+1)*d, is the cross-sectional design of
-        # modeled period b, dyads in the same order: fit_btergm reads a row's
-        # period from its position alone
+        # modeled period b, dyads in the same row-major order: fit_btergm
+        # reads a row's period and sender from its position alone
         for b, g in enumerate(graphs[1:]):
             block = slice(b * d, (b + 1) * d)
             single = build_design(g, None, SPEC)
-            np.testing.assert_array_equal(design.dyads[block], single.dyads)
             np.testing.assert_allclose(design.matrix[block], single.matrix)
             np.testing.assert_array_equal(design.response[block], single.response)
 
@@ -73,7 +72,7 @@ class TestPooledDesign:
         for b in range(2):
             prev = graphs[b].adjacency
             block = design.matrix[b * d:(b + 1) * d, -1]
-            dyads = design.dyads[b * d:(b + 1) * d]
+            dyads = np.argwhere(~np.eye(5, dtype=bool))
             expect = [float(prev[i, j]) for i, j in dyads]
             np.testing.assert_allclose(block, expect)
 
@@ -250,6 +249,21 @@ class TestFitBtergm:
         np.testing.assert_array_equal(a.replicate_coefficients, b.replicate_coefficients)
         assert a.seed == 5
 
+    def test_temporal_mode_needs_two_modeled_periods(self):
+        rng = np.random.default_rng(59)
+        base = random_graph(rng, 8, 0.35)
+        g = DirectedGraph(8, base.edges | {(0, 1), (1, 0), (2, 3), (3, 2)})
+        series = series_of([random_graph(rng, 8, 0.35), g])
+        # one modeled period leaves every replicate the point fit, so its
+        # intervals would have zero width
+        with pytest.raises(
+            InsufficientPeriodsError, match="use mode='node' or more periods"
+        ):
+            fit_btergm(series, None, SPEC, replications=20, mode="temporal")
+        # resampling senders needs only the one period
+        _, boot = fit_btergm(series, None, SPEC, replications=20, mode="node")
+        assert boot.n_valid > 0 and (boot.ci_upper > boot.ci_lower).all()
+
     def test_bad_mode(self):
         rng = np.random.default_rng(58)
         series = series_of([random_graph(rng, 5, 0.4) for _ in range(3)])
@@ -264,14 +278,15 @@ def restacked_replicates(pooled, units, mode, replications, seed):
         size = pooled.n_rows // units
         rows_of = [np.arange(k * size, (k + 1) * size) for k in range(units)]
     else:
-        rows_of = [np.nonzero(pooled.dyads[:, 0] == s)[0] for s in range(units)]
+        # each period's rows are its off-diagonal dyads in row-major order
+        sender = np.resize(np.argwhere(~np.eye(units, dtype=bool))[:, 0], pooled.n_rows)
+        rows_of = [np.nonzero(sender == s)[0] for s in range(units)]
     coefs, reasons = [], {}
     for rep in range(replications):
         pick = np.random.default_rng([seed, rep]).integers(0, units, size=units)
         rows = np.concatenate([rows_of[k] for k in pick])
         design = DyadDesign(
-            pooled.dyads[rows], pooled.response[rows], pooled.matrix[rows],
-            pooled.term_names,
+            pooled.response[rows], pooled.matrix[rows], pooled.term_names
         )
         try:
             with warnings.catch_warnings():
@@ -668,7 +683,7 @@ class TestFormation:
         design = formation_design(prev, curr, None, spec)
         free = [(i, j) for i in range(4) for j in range(4)
                 if i != j and not prev.has_edge(i, j)]
-        assert [tuple(r) for r in design.dyads] == free
+        assert design.n_rows == len(free)
         union = DirectedGraph(4, prev.edges | curr.edges)
         for k, (i, j) in enumerate(free):
             np.testing.assert_allclose(
@@ -689,9 +704,9 @@ class TestFormation:
         a = fit_formation(prev, curr, None, spec)
         # the rows of the whole union design whose dyads are free
         full = build_design(union, None, spec)
-        on = ~prev.adjacency[full.dyads[:, 0], full.dyads[:, 1]]
-        b = fit_logistic(DyadDesign(full.dyads[on], full.response[on],
-                                    full.matrix[on], full.term_names))
+        on = ~prev.adjacency[~np.eye(8, dtype=bool)]
+        b = fit_logistic(DyadDesign(full.response[on], full.matrix[on],
+                                    full.term_names))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
         assert a.n_dyads == b.n_dyads == len(free)
 
