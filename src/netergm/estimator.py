@@ -12,8 +12,12 @@ identical rows right after the columns are written (``_unique_rows``: runs
 of equal row hashes, each proved one group by a gather of the distinct
 rows, with no grouping at all once the distinct hashes pass half of the
 rows) and records the grouping on the design when it at least halves the
-rows, which also makes the design's arrays read-only; ``fit_logistic`` then
-fits the distinct rows, each weighted by the rows it stands for, as ergm's
+rows, which also makes the design's arrays read-only. The columns built
+from bool arrays come with a row key (``terms._change_stat_columns``) that
+packs them into one unsigned integer per row, so the hash, the proof and
+the pattern scan read that key once instead of each of those columns; a
+design made by hand goes the same way with an empty key. ``fit_logistic``
+then fits the distinct rows, each weighted by the rows it stands for, as ergm's
 ``ergmMPLE`` does. Weights count as rows in every check, the rank check
 included, so a design of distinct rows fits and ranks exactly as the rows
 it stands for.
@@ -67,7 +71,7 @@ from .errors import (
     _integer,
 )
 from .graph import DirectedGraph
-from .terms import ModelSpec, _change_stat_columns
+from .terms import _NO_KEY, ModelSpec, _change_stat_columns
 
 __all__ = [
     "DyadDesign",
@@ -204,98 +208,134 @@ def build_design(
     n = g.node_count
     if n < 2:
         raise EmptyDesignError("design has no rows")
-    return _record_row_groups(_design(g, g, attrs, spec, ~np.eye(n, dtype=bool)))
+    design, key = _design(g, g, attrs, spec, ~np.eye(n, dtype=bool))
+    return _record_row_groups(design, key)
 
 
-def _design(stats_graph, response_graph, attrs, spec, mask) -> DyadDesign:
-    """Design over the dyads of the ``(n, n)`` boolean mask ``mask``, in
-    row-major order: change statistics read on ``stats_graph``, tie
-    indicators on ``response_graph``."""
-    return DyadDesign(
+def _design(stats_graph, response_graph, attrs, spec, mask):
+    """``(design, key)``: the design over the dyads of the ``(n, n)`` boolean
+    mask ``mask``, in row-major order, with change statistics read on
+    ``stats_graph`` and tie indicators on ``response_graph``, and the row key
+    of its bool-built columns (``terms._change_stat_columns``)."""
+    matrix, key = _change_stat_columns(stats_graph, attrs, spec, mask)
+    design = DyadDesign(
         response=response_graph.adjacency[mask].astype(np.int8),
-        matrix=_change_stat_columns(stats_graph, attrs, spec, mask),
+        matrix=matrix,
         term_names=spec.names,
     )
+    return design, key
 
 
-def _record_row_groups(design: DyadDesign) -> DyadDesign:
-    """Record on a freshly built ``design`` which of its rows are identical,
-    when that at least halves the rows (``_freeze``); returns ``design``.
+def _record_row_groups(design: DyadDesign, key=_NO_KEY) -> DyadDesign:
+    """Record on a freshly built ``design``, whose row key is ``key``, which
+    of its rows are identical, when that at least halves the rows
+    (``_freeze``); returns ``design``.
 
     Equal rows hash equally, so the distinct rows are at least as many as
     the distinct hashes: when those are over half of the rows, the rows
     cannot halve and no group is checked."""
     x, y = design.matrix, design.response
-    groups = _unique_rows(x, y, at_most=design.n_rows // 2)
+    groups = _unique_rows(x, y, at_most=design.n_rows // 2, key=key)
     if groups is not None and 2 * len(groups[0]) <= design.n_rows:
-        _freeze(design, groups)
+        _freeze(design, groups, key)
     return design
 
 
-def _freeze(design: DyadDesign, groups=None) -> DyadDesign:
+def _freeze(design: DyadDesign, groups=None, key=_NO_KEY) -> DyadDesign:
     """Freeze ``design``, a design the library built or copied itself and
     hands to no caller writable: make its ``matrix`` and ``response``
     read-only, and record on it ``groups`` as its ``row_groups`` and, as its
     ``row_patterns``, the ``_scan`` of the rows its fits start from (its
-    distinct rows when grouped). Returns ``design``."""
+    distinct rows when grouped), whose keyed columns are read from the row
+    key ``key``. Returns ``design``."""
     x, y = design.matrix, design.response
     x.setflags(write=False)
     y.setflags(write=False)
     object.__setattr__(design, "row_groups", groups)
     base = None if groups is None else groups[0]
     n = len(x) if base is None else len(base)
-    scan = _scan(np.asarray(x, dtype=np.float64), base, n)
+    if base is not None:
+        key = _take_key(key, base)
+    scan = _scan(np.asarray(x, dtype=np.float64), base, n, key=key)
     object.__setattr__(design, "row_patterns", scan)
     return design
 
 
-def _distinct(design: DyadDesign):
+def _distinct(design: DyadDesign, key=_NO_KEY):
     """``(distinct, group)``: a frozen copy of the distinct rows of
-    ``design`` (``_unique_rows``, first appearances in row order, columns
-    column-major as the builders write them), and the group of each of the
-    design's rows among them."""
-    first, group = _unique_rows(design.matrix, design.response)
+    ``design``, whose row key is ``key`` (``_unique_rows``, first
+    appearances in row order, columns column-major as the builders write
+    them), and the group of each of the design's rows among them."""
+    first, group = _unique_rows(design.matrix, design.response, key=key)
     distinct = DyadDesign(
         design.response[first], _take_rows(design.matrix, first), design.term_names
     )
-    return _freeze(distinct), group
+    return _freeze(distinct, key=_take_key(key, first)), group
 
 
-def _unique_rows(x, y, at_most=None):
+def _take_key(key, rows):
+    """The row key ``key`` at the rows ``rows`` only."""
+    bits, keyed = key
+    return None if bits is None else bits[rows], keyed
+
+
+def _unique_rows(x, y, at_most=None, key=_NO_KEY):
     """Distinct rows of the design ``(x, y)``, or None when the distinct
     row hashes are more than ``at_most``.
 
     Returns ``(first, group)``: ``first`` holds one representative row index
     per distinct (x, y) row, the row's first appearance, in row order, and
-    row r equals row ``first[group[r]]``. Rows are sorted by a fixed-seed
-    random projection (``_hash_runs``), and each run of equal hashes is
-    taken as one group. Equal rows hash equally, so no two equal rows fall
-    in different runs; each group is then proved exact by comparing every
-    row with its group's first row, ``col[first][group] == col``, for the
-    response and for every column: a gather of the distinct rows in row
-    order, written into buffers allocated once. Only where distinct rows
-    share a hash (a collision), or an entry is NaN, does that check fail, and
-    the runs holding distinct rows are then split by ``np.unique`` of their
-    rows (``_split_runs``). The scratch space does not grow with the columns.
+    row r equals row ``first[group[r]]``.
+
+    ``key`` is the row key of the design's bool-built columns
+    (``terms._change_stat_columns``), which packs them into one unsigned
+    integer per row; a design made by hand has the empty key. The keyed
+    columns are read through the key alone: each row hashes its key, its
+    response and its other columns (``_hash_runs``), the rows are sorted by
+    that hash, and each run of equal hashes is taken as one group. Equal
+    rows hash equally, so no two equal rows fall in different runs; each
+    group is then proved exact by comparing every row with its group's
+    first row, ``col[first][group] == col``, for the response, the key and
+    every other column: a gather of the distinct rows in row order, written
+    into buffers allocated once. Only where distinct rows share a hash (a
+    collision), or an entry is NaN, does that check fail, and the runs
+    holding distinct rows are then split by ``np.unique`` of their rows
+    (``_split_runs``). The scratch space does not grow with the columns.
     """
-    order, run = _hash_runs(x, y)
+    order, run = _hash_runs(x, y, key)
     if at_most is not None and int(np.count_nonzero(run)) > at_most:
         return None
     first, group = _label_groups(order, run)
-    if _groups_hold(x, y, first, group):
+    if _groups_hold(x, y, first, group, key):
         return first, group
     del first, group
     return _label_groups(order, _split_runs(x, y, order, run))
 
 
-def _hash_runs(x, y):
-    """``(order, run)`` for the rows of the design ``(x, y)``: ``order``
-    sorts the rows by a fixed-seed random projection, summed column by column
-    with elementwise ufuncs so that equal rows hash bit-identically, and
-    ``run[r]`` flags sorted row r as the first of a run of equal hashes. The
-    sort need not be stable: a group's first appearance is the least row
-    index in it."""
+# Odd multipliers: the key's, which spreads its bits over the whole word
+# before they meet the float hash's, and 2**64 / phi, the top bits of whose
+# product are the row hash (Fibonacci hashing, Knuth, TAOCP vol. 3, 6.4)
+_KEY_FACTOR = np.uint64(0xBF58476D1CE4E5B9)
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _hash_runs(x, y, key):
+    """``(order, run)`` for the rows of the design ``(x, y)`` with the row
+    key ``key``: ``order`` sorts the rows by a hash of each row, and
+    ``run[r]`` flags sorted row r as the first of a run of equal hashes,
+    whose rows are in row order.
+
+    The hash starts from a fixed-seed random projection of the response
+    and the columns that ``key`` leaves out, summed column by column with
+    elementwise ufuncs so that equal rows hash bit-identically (a zero of
+    either sign adds up to +0.0). Its bits, xor the key times a constant,
+    are multiplied by ``_FIBONACCI``, and the top bits of the product over
+    the row index make one unsigned integer per row: one in-place sort of
+    those gives both the order and the runs. The float hash, the product
+    and the sorted integers share one buffer, and the index is counted out
+    in the other, so the scratch is two row-length vectors."""
     d, p = x.shape
+    bits, keyed = key
     # Python's generator: numpy.random loads lazily, and loading it would
     # add about 6 MiB to the resident size of a process that never samples
     rng = random.Random(0x5EED)
@@ -303,26 +343,47 @@ def _hash_runs(x, y):
     buf = np.empty(d)
     h = np.multiply(y, coef[p], dtype=np.float64)
     for k in range(p):
-        h += np.multiply(x[:, k], coef[k], out=buf)
-    order = np.argsort(h)
-    run = np.ones(d, dtype=bool)
-    np.take(h, order, out=buf)
-    del h
-    np.not_equal(buf[1:], buf[:-1], out=run[1:])
-    return order, run
+        if k not in keyed:
+            h += np.multiply(x[:, k], coef[k], out=buf)
+    h += 0.0  # -0.0 to +0.0, so that equal rows have equal bits
+    z, t = h.view(np.uint64), buf.view(np.uint64)
+    if bits is not None:
+        z ^= np.multiply(bits, _KEY_FACTOR, out=t)
+    z *= _FIBONACCI
+    # the row index in the low bits, written into t: 0, 1, ..., d - 1
+    low = (d - 1).bit_length()
+    mask = np.uint64((1 << low) - 1)
+    t[:1] = 0
+    t[1:] = 1
+    np.cumsum(t, out=t)
+    z &= ~mask
+    z |= t
+    z.sort()
+    run = np.empty(d, dtype=bool)
+    run[:1] = True
+    # the hash bits of neighbours differ where their xor passes the mask
+    np.greater(np.bitwise_xor(z[1:], z[:-1], out=t[1:]), mask, out=run[1:])
+    z &= mask
+    return z.view(np.intp), run
 
 
-def _groups_hold(x, y, first, group):
-    """True when every row of ``(x, y)`` equals row ``first[group[r]]``,
-    column by column; the representatives of each column are gathered in row
+def _groups_hold(x, y, first, group, key):
+    """True when every row of ``(x, y)`` with the row key ``key`` equals row
+    ``first[group[r]]``, in its response, its key and each column that the
+    key leaves out; the representatives of each column are gathered in row
     order into one buffer of distinct rows and one of rows."""
+    bits, keyed = key
     d = len(group)
     same = np.empty(d, dtype=bool)
     if not np.equal(y[first][group], y, out=same).all():
         return False
+    if bits is not None and not np.equal(bits[first][group], bits, out=same).all():
+        return False
     distinct = np.empty(len(first), dtype=x.dtype)
     rows = np.empty(d, dtype=x.dtype)
     for k in range(x.shape[1]):
+        if k in keyed:
+            continue
         col = x[:, k]
         # indices in range: "clip" takes into ``out`` with no buffer of its own
         np.take(col, first, out=distinct, mode="clip")
@@ -339,7 +400,8 @@ def _split_runs(x, y, order, run):
 
     The rows of each run that holds a row unlike its first are sorted, in
     place in ``order``, by ``np.unique`` of their run, response and columns,
-    and a group starts wherever that key changes."""
+    and a group starts wherever that key changes. The sort is stable, so
+    the rows of each group stay in row order."""
     # each sorted row's run, as the position where the run starts
     start = np.maximum.accumulate(np.where(run, np.arange(len(order)), 0))
     lead = order[start]
@@ -361,21 +423,27 @@ def _split_runs(x, y, order, run):
 
 def _label_groups(order, new):
     """``(first, group)`` of the groups that start at the flags ``new`` of
-    the rows in the order ``order``: ``first`` is the least row index of
-    each group, and groups are labelled in the row order of their firsts."""
+    the rows in the order ``order``, whose rows are in row order within
+    each group: ``first`` is the least row index of each group, and groups
+    are labelled in the row order of their firsts."""
     d = len(order)
-    starts = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, starts) if d else order
-    del starts
-    by_row = np.argsort(first)
-    label = np.empty_like(by_row)
-    label[by_row] = np.arange(len(by_row))
-    first = first[by_row]
-    del by_row
-    sorted_label = np.cumsum(new)
-    sorted_label -= 1
+    lead = order[np.flatnonzero(new)]
+    is_first = np.zeros(d, dtype=bool)
+    is_first[lead] = True
+    first = np.flatnonzero(is_first)
+    del is_first
+    # each first's label, written at its row and read at the group starts
     group = np.empty(d, dtype=np.intp)
-    group[order] = label[sorted_label]
+    group[first] = np.arange(len(first))
+    label = group[lead]
+    del lead
+    # each sorted row's group, counted from the group starts and relabelled,
+    # in place: a cumsum that casts the flags would copy them first
+    sorted_label = new.astype(np.intp)
+    np.cumsum(sorted_label, out=sorted_label)
+    sorted_label -= 1
+    np.take(label, sorted_label, out=sorted_label, mode="clip")
+    group[order] = sorted_label
     return first, group
 
 
@@ -440,19 +508,25 @@ def _zero_one(col, hi, lo):
     return hi == 1.0 and lo >= 0.0 and np.count_nonzero(col) == np.count_nonzero(col == 1.0)
 
 
-def _scan(x, rows, n, known=None):
+def _scan(x, rows, n, known=None, key=_NO_KEY):
     """The column scan of the ``n`` rows ``rows`` of ``x`` (None for all):
     ``(hi, lo, cols, ids, patterns)``.
 
     ``hi`` and ``lo`` hold each column's largest and least entry (NaN when
     it holds a NaN). ``cols`` lists the 0/1 columns (``_zero_one``), in
     column order and at most ``_KEY_BITS`` of them. A row's entries in
-    ``cols`` are the bits of its key, and the rows are sorted by key:
-    ``patterns`` holds each distinct key once, as a column-major float64
+    ``cols`` are the bits of its code, and the rows are sorted by code:
+    ``patterns`` holds each distinct code once, as a column-major float64
     row of 0.0 and 1.0, and ``ids[r]``, of the least unsigned type that
     holds them, is the pattern of row r. Each column is read (or gathered)
-    once; beside the keys, the scratch space is two row-length integer
+    once; beside the codes, the scratch space is two row-length integer
     vectors.
+
+    ``key`` may give the row key of these rows (``_change_stat_columns``,
+    its bits taken at ``rows``): the columns it names are then read from
+    its bits alone, which move into the codes a run of bits that keep
+    their distance at a time (``_move_bits``), and only the other columns
+    of ``x`` are read.
 
     ``known`` may give the ``(cols, ids, patterns)`` of these rows from an
     earlier scan of rows that hold them (``_held``). The columns it names
@@ -462,13 +536,21 @@ def _scan(x, rows, n, known=None):
     keyed afresh.
     """
     known_cols = [] if known is None else known[0]
-    key = np.zeros(n, dtype=np.uint64) if known is None else None
-    hi, lo, cols = [], [], []
+    bits, keyed = key
+    if bits is not None:
+        # the bits set on some row, and on every row
+        some, every = (int(f.reduce(bits)) for f in (np.bitwise_or, np.bitwise_and))
+    code = np.zeros(n, dtype=np.uint64) if known is None else None
+    hi, lo, cols, moves = [], [], [], []
     for k in range(x.shape[1]):
         if k in known_cols:
             # a column of the patterns, which hold only 0.0 and 1.0
             col = known[2][:, known_cols.index(k)]
             top, least = float(col.max()), float(col.min())
+            zero_one = top == 1.0
+        elif k in keyed:
+            bit = keyed.index(k)
+            top, least = float(some >> bit & 1), float(every >> bit & 1)
             zero_one = top == 1.0
         else:
             col = x[:, k] if rows is None else x[:, k].take(rows)
@@ -477,31 +559,54 @@ def _scan(x, rows, n, known=None):
         hi.append(top)
         lo.append(least)
         if zero_one and len(cols) < _KEY_BITS:
-            if key is not None:
+            if k in keyed:
+                moves.append((bit, len(cols)))
+            elif code is not None:
                 # the bits are distinct, so adding them sets them
-                key += (col == 1.0) * np.uint64(1 << len(cols))
+                code += (col == 1.0) * np.uint64(1 << len(cols))
             cols.append(k)
-        del col
+        col = None
     if known is not None:
         if cols != known_cols:
             return _scan(x, rows, n)
         return np.array(hi), np.array(lo), cols, known[1], known[2]
-    order = np.argsort(key)
-    key = key[order]
+    _move_bits(bits, moves, code)
+    order = np.argsort(code)
+    code = code[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    key = key[new]
-    ids = np.empty(n, dtype=np.min_scalar_type(len(key) - 1))
-    # each sorted row's pattern, 0 at the first: a count of the key changes
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    code = code[new]
+    ids = np.empty(n, dtype=np.min_scalar_type(len(code) - 1))
+    # each sorted row's pattern, 0 at the first: a count of the code changes
     label = np.zeros(n, dtype=ids.dtype)
     np.cumsum(new[1:], dtype=ids.dtype, out=label[1:])
     ids[order] = label
-    bits = np.arange(len(cols), dtype=np.uint64)
-    patterns = (key[:, None] >> bits) & np.uint64(1)
+    shifts = np.arange(len(cols), dtype=np.uint64)
+    patterns = (code[:, None] >> shifts) & np.uint64(1)
     # column-major, as the information's products read it
     patterns = np.asfortranarray(patterns, dtype=np.float64)
     return np.array(hi), np.array(lo), cols, ids, patterns
+
+
+def _move_bits(bits, moves, out):
+    """Set in the uint64 codes ``out`` the bits of the row key bits
+    ``bits`` that ``moves`` maps, as pairs ``(from, to)`` of bit positions
+    in increasing order: each run of pairs that both step by one is masked
+    and shifted once."""
+    start = 0
+    for end in range(1, len(moves) + 1):
+        src, dst = moves[start]
+        width = end - start
+        if end < len(moves) and moves[end] == (src + width, dst + width):
+            continue
+        part = np.bitwise_and(bits, ((1 << width) - 1) << src, dtype=np.uint64)
+        if dst > src:
+            part <<= np.uint64(dst - src)
+        else:
+            part >>= np.uint64(src - dst)
+        out |= part
+        start = end
 
 
 def _held(known, pick):

@@ -51,7 +51,7 @@ from .estimator import (
 )
 from .graph import DirectedGraph
 from .ingest import NetworkSeries
-from .terms import ModelSpec
+from .terms import ModelSpec, _add_key_bit
 
 __all__ = [
     "BootstrapResult",
@@ -112,6 +112,13 @@ def pooled_design(
     With ``include_lagged_tie`` a final column indicates whether the dyad
     was tied in the previous panel.
     """
+    return _pooled(series, attrs, spec, include_lagged_tie)[0]
+
+
+def _pooled(series, attrs, spec, include_lagged_tie):
+    """``(design, key)``: the ``pooled_design`` and the row key of its
+    bool-built columns (``terms._change_stat_columns``), the lagged tie
+    among them."""
     if len(series) < 2:
         raise InsufficientPeriodsError(
             f"need at least two panels, have {len(series)}"
@@ -120,16 +127,21 @@ def pooled_design(
         raise EmptyDesignError("panels have no dyads")
     off = ~np.eye(series.node_count, dtype=bool)
     blocks = [_design(g, g, attrs, spec, off) for g in series.graphs[1:]]
-    x = np.concatenate([b.matrix for b in blocks])
-    names = spec.names
+    x = np.concatenate([b.matrix for b, _ in blocks])
+    bits, keyed = blocks[0][1]
+    if bits is not None:
+        bits = np.concatenate([key[0] for _, key in blocks])
+    key, names = (bits, keyed), spec.names
     if include_lagged_tie:
         lag = np.concatenate([g.adjacency[off] for g in series.graphs[:-1]])
+        key = _add_key_bit(key, lag, x.shape[1])
         x, names = np.column_stack([x, lag]), names + (LAGGED_TIE_NAME,)
-    return DyadDesign(
-        response=np.concatenate([b.response for b in blocks]),
+    design = DyadDesign(
+        response=np.concatenate([b.response for b, _ in blocks]),
         matrix=x,
         term_names=names,
     )
+    return design, key
 
 
 def fit_btergm(
@@ -178,7 +190,7 @@ def fit_btergm(
             "a temporal bootstrap redraws modeled periods, and two panels model "
             "only one: use mode='node' or more periods"
         )
-    pooled = pooled_design(series, attrs, spec, include_lagged_tie)
+    pooled, key = _pooled(series, attrs, spec, include_lagged_tie)
     if mode == "temporal":
         units = len(series) - 1
         unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
@@ -190,8 +202,8 @@ def fit_btergm(
     # every fit runs on the frozen copy of the distinct rows, whose 0/1
     # patterns are labelled once; the pooled rows are let go before the
     # first fit
-    distinct, group = _distinct(pooled)
-    del pooled
+    distinct, group = _distinct(pooled, key)
+    del pooled, key
     point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()
@@ -287,7 +299,7 @@ def formation_design(
     free = ~prev.adjacency & ~np.eye(n, dtype=bool)
     if not free.any():
         raise EmptyDesignError("no free dyads: the previous panel is complete")
-    return _design(union, curr, attrs, spec, free)
+    return _design(union, curr, attrs, spec, free)[0]
 
 
 def fit_formation(

@@ -27,7 +27,9 @@ Each term is one entry of the table ``_TERMS``: its argument grammar and
 three forms of its statistic. The global form is the statistic of one graph
 (``global_stats``); the all-dyad form is every dyad's change statistic, the
 statistic with the dyad present minus with it absent, in closed form, read
-at a design's dyads by ``_change_stat_columns``; the incremental form is one
+at a design's dyads by ``_change_stat_columns`` (an all-dyad form that is a
+bool array, as ``mutual``'s and ``nodematch``'s are, also gives one bit of
+the design's row key); the incremental form is one
 dyad's change as a short Python source snippet, which the sampler inlines
 into the one step function it compiles for a model. The snippet reads the
 chain's neighbour sets and two-path counts and walks only the endpoints'
@@ -264,19 +266,51 @@ def global_stats(g: DirectedGraph, attrs, spec: ModelSpec) -> np.ndarray:
 
 
 def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, dyads):
-    """Change statistics at the design's dyads, shape ``(rows, n_terms)``.
+    """``(matrix, key)``: the change statistics at the design's dyads, shape
+    ``(rows, n_terms)``, and the row key of its bool-built columns.
 
     ``dyads`` is an ``(n, n)`` boolean mask, whose dyads come in row-major
     order. Each term's all-dyad form is read through that one mask straight
     into its column of a column-major matrix, so no ``(n_terms, n, n)`` cube
-    is held.
+    is held. A column whose all-dyad form is a bool array (``mutual`` and
+    every ``nodematch``) also becomes the next bit of the key
+    (``_add_key_bit``).
     """
     s = _Shared(g, attrs, spec)
     shape = (s.n, s.n)
     out = np.empty((len(spec.terms), np.count_nonzero(dyads))).T
+    key = _NO_KEY
     for k, term in enumerate(spec.terms):
-        out[:, k] = np.broadcast_to(_rule(term).matrix(term, s), shape)[dyads]
-    return out
+        col = np.broadcast_to(_rule(term).matrix(term, s), shape)[dyads]
+        out[:, k] = col
+        if col.dtype == bool:
+            key = _add_key_bit(key, col, k)
+        del col  # so that no column lives on into the next term's matrix
+    return out, key
+
+
+# A row key ``(bits, cols)`` packs 0/1 design columns into one unsigned
+# integer per row: bit b of ``bits[r]`` is row r's entry in column
+# ``cols[b]``. The empty key names no column and holds no bits.
+_NO_KEY = (None, ())
+_KEY_BITS = 64
+
+
+def _add_key_bit(key, col, k):
+    """The row key ``key`` with the bool vector ``col``, design column
+    ``k``, as its next bit, or ``key`` itself when it holds ``_KEY_BITS``
+    bits already. The bits are of the least unsigned type that holds them:
+    they are set in place, and copied only to widen."""
+    bits, cols = key
+    b = len(cols)
+    if b == _KEY_BITS:
+        return key
+    if bits is None:
+        bits = np.zeros(len(col), dtype=np.uint8)
+    elif b == 8 * bits.itemsize:
+        bits = bits.astype(np.min_scalar_type(1 << b))
+    bits |= col.view(np.uint8) * bits.dtype.type(1 << b)
+    return bits, cols + (k,)
 
 
 def _gwdsp_stat(t, s):

@@ -161,7 +161,7 @@ def change_stat_matrices(g, attrs, spec):
     if n < 2:
         return np.zeros((len(spec.terms), n, n), dtype=np.float64)
     every = np.ones((n, n), dtype=bool)
-    out = _change_stat_columns(g, attrs, spec, every).T.reshape(-1, n, n)
+    out = _change_stat_columns(g, attrs, spec, every)[0].T.reshape(-1, n, n)
     out[:, np.arange(n), np.arange(n)] = 0.0
     return out
 
@@ -277,6 +277,18 @@ def sorted_gather_unique_rows(x, y):
     group = np.empty(d, dtype=np.intp)
     group[order] = label[sorted_label]
     return first, group
+
+
+def assert_same_scan(got, expect):
+    """Two ``estimator._scan`` results ``(hi, lo, cols, ids, patterns)``
+    equal field for field: arrays in value, dtype and memory order."""
+    for a, b in zip(got, expect, strict=True):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype
+            assert a.flags.f_contiguous == b.flags.f_contiguous
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b
 
 
 def refit_every_replicate(

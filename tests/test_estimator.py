@@ -43,6 +43,7 @@ from netergm.estimator import (
     _logistic,
     _rank,
     _record_row_groups,
+    _scan,
     _split_runs,
     _two_sided_p,
     _unique_rows,
@@ -50,7 +51,9 @@ from netergm.estimator import (
     bayes_criterion,
     null_pseudo_deviance,
 )
+from netergm.terms import _NO_KEY, _add_key_bit
 from helpers import (
+    assert_same_scan,
     change_stats,
     large_mple_network,
     random_graph,
@@ -155,10 +158,13 @@ class TestBuildDesign:
         spec = parse_terms(("edges", "mutual", "gwesp(0.5)"))
         mask = rng.random((6, 6)) < 0.4
         np.fill_diagonal(mask, False)
-        design = _design(stats_g, response_g, None, spec, mask)
+        design, (bits, keyed) = _design(stats_g, response_g, None, spec, mask)
         np.testing.assert_array_equal(
             design.response, [response_g.has_edge(i, j) for i, j in np.argwhere(mask)]
         )
+        # mutual, built from a bool matrix, is the key's one bit
+        assert keyed == (1,) and bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, design.matrix[:, 1])
         # the statistics are read on stats_g, column-major
         assert design.matrix.flags.f_contiguous
         full = build_design(stats_g, None, spec)
@@ -774,6 +780,46 @@ def designs_with_duplicates(draw):
     return x, y
 
 
+@st.composite
+def keyed_designs(draw):
+    """A design whose 0/1 columns, built from bool vectors as the term
+    table builds ``mutual`` and ``nodematch``, are the bits of its row key,
+    mixed with float columns that hold zeros of either sign and NaN, and at
+    times a float response whose zeros have either sign. Rows are drawn
+    with repeats from a few base rows, 1 and 2 rows included; past 64 bool
+    columns the key is full and the rest are plain columns. Returns
+    ``(x, y, key)``."""
+    rows = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)))
+    n_bool = draw(st.sampled_from([0, 1, 3, 9, 20, 70]))
+    n_float = draw(st.integers(0 if n_bool else 1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = int(rng.integers(1, 7))
+    pick = rng.integers(0, base, size=rows)
+    values = rng.choice([0.0, 1.0, 2.5, -1.0, np.nan], p=[0.4, 0.3, 0.1, 0.1, 0.1],
+                        size=(base, n_float))[pick]
+    # a zero of either sign, entry by entry: the rows stay equal
+    values[values == 0.0] *= rng.choice([1.0, -1.0], size=int((values == 0.0).sum()))
+    flags = (rng.random((base, n_bool)) < 0.5)[pick]
+    y = rng.integers(0, 2, size=base).astype(np.int8)[pick]
+    if draw(st.booleans()):
+        # a float response, its zeros of either sign
+        y = y * rng.choice([1.0, -1.0], size=rows)
+    is_bool = rng.permutation(np.arange(n_bool + n_float) < n_bool)
+    x = np.empty((len(is_bool), rows)).T
+    key, b, f = _NO_KEY, 0, 0
+    for k, keyed in enumerate(is_bool):
+        if keyed:
+            col = np.ascontiguousarray(flags[:, b])
+            x[:, k] = col
+            key = _add_key_bit(key, col, k)
+            b += 1
+        else:
+            x[:, k] = values[:, f]
+            f += 1
+    assert len(key[1]) == min(n_bool, 64)
+    return x, y, key
+
+
 def duplicated_design(rng, rows):
     """Columns a (ones), b (0..3), c (0/1), rare (nonzero on rows 0-5 only)
     and twin (b, except on rows 6-9): few distinct rows, many copies."""
@@ -837,6 +883,41 @@ class TestUniqueRows:
         # with every hash coefficient 1.0, rows of equal sums collide
         with mock.patch.object(estimator.random, "Random", UnitCoefficients):
             assert_same_groups(_unique_rows(x, y), expect)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(keyed_designs())
+    def test_the_key_groups_as_the_float_hash_does(self, case):
+        x, y, key = case
+        expect = sorted_gather_unique_rows(x, y)
+        for coefficients in (random.Random, UnitCoefficients):
+            with mock.patch.object(estimator.random, "Random", coefficients):
+                assert_same_groups(_unique_rows(x, y, key=key), expect)
+                assert_same_groups(_unique_rows(x, y), expect)
+
+    def test_collisions_beside_the_key_take_the_sorted_gather_path(self):
+        rng = np.random.default_rng(245)
+        x = np.empty((6, 500)).T
+        key = _NO_KEY
+        for k in (0, 2, 4):
+            col = rng.random(500) < 0.5
+            x[:, k] = col
+            key = _add_key_bit(key, col, k)
+        # float columns of small integers: under unit hash coefficients,
+        # rows of one key, response and float sum collide
+        x[:, [1, 3, 5]] = rng.integers(0, 3, size=(500, 3))
+        y = rng.integers(0, 2, size=500).astype(np.int8)
+        expect = sorted_gather_unique_rows(x, y)
+        for coefficients, collides in ((random.Random, False), (UnitCoefficients, True)):
+            with mock.patch.object(estimator.random, "Random", coefficients), \
+                    mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
+                assert_same_groups(_unique_rows(x, y, key=key), expect)
+            assert spy.call_count == collides
+        # a key that the hash leaves out: rows of one response and float
+        # columns collide, and the check of the key splits them
+        with mock.patch.object(estimator, "_KEY_FACTOR", np.uint64(0)), \
+                mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
+            assert_same_groups(_unique_rows(x, y, key=key), expect)
+        assert spy.call_count == 1
 
     def test_planted_collisions_take_the_sorted_gather_path(self):
         rng = np.random.default_rng(244)
@@ -933,7 +1014,7 @@ class TestUniqueRows:
     [
         # every row distinct keeps the plain ids, [8] and [22]
         pytest.param(p, case, id=str(p) if case == "distinct" else f"{p}-{case}")
-        for case in ("distinct", "duplicated", "collision")
+        for case in ("distinct", "duplicated", "collision", "keyed")
         for p in (8, 22)
     ],
 )
@@ -943,9 +1024,16 @@ def test_unique_rows_scratch_does_not_grow_with_the_columns(p, case):
     x = np.asfortranarray(rng.integers(0, 3, size=(rows, p)).astype(np.float64))
     y = rng.integers(0, 2, size=rows).astype(np.int8)
     coefficients = random.Random
-    if case == "distinct":
+    key = _NO_KEY
+    if case in ("distinct", "keyed"):
         x[:, 0] = np.arange(rows)  # every row distinct: the most groups
-    elif case == "collision":
+    if case == "keyed":
+        # all but the first column 0/1 and keyed, the key made beforehand
+        for k in range(1, p):
+            col = rng.random(rows) < 0.5
+            x[:, k] = col
+            key = _add_key_bit(key, col, k)
+    if case == "collision":
         # row sums far apart, but for rows 0 and 1, which differ by a swap:
         # under unit hash coefficients they collide and no other rows do
         x[:, 0] = 100.0 * np.arange(rows)
@@ -956,7 +1044,7 @@ def test_unique_rows_scratch_does_not_grow_with_the_columns(p, case):
             mock.patch.object(estimator, "_split_runs", wraps=_split_runs) as spy:
         tracemalloc.start()
         try:
-            first, group = _unique_rows(x, y)
+            first, group = _unique_rows(x, y, key=key)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -976,6 +1064,22 @@ def large_mple_design(request):
     return build_design(g, table, parse_terms(config.CROSS_SECTIONAL_TERMS))
 
 
+def test_build_design_scratch_stays_at_the_unkeyed_build():
+    # large_mple variant 5: the build held 36.09 MiB beyond the design
+    # before its 0/1 columns were keyed, at its peak in the gwdsp column
+    g, table = large_mple_network(5)
+    spec = parse_terms(config.CROSS_SECTIONAL_TERMS)
+    build_design(g, table, spec)  # so that the graph's cached arrays are made
+    tracemalloc.start()
+    try:
+        design = build_design(g, table, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.row_groups is not None
+    assert peak - design.matrix.nbytes - design.response.nbytes <= 36.1 * 2**20
+
+
 class TestLargeMpleDesigns:
     def test_groups_equal_the_sorted_gather_groups(self, large_mple_design):
         design = large_mple_design
@@ -984,6 +1088,15 @@ class TestLargeMpleDesigns:
             assert_same_groups(_unique_rows(design.matrix, design.response), expect)
         assert spy.call_count == 0
         assert_same_groups(design.row_groups, expect)
+
+    def test_the_keyed_scan_equals_the_scan_of_the_distinct_rows(self, large_mple_design):
+        design = large_mple_design
+        first = design.row_groups[0]
+        x = np.asarray(design.matrix, dtype=np.float64)
+        expect = _scan(x, first, len(first))
+        assert_same_scan(design.row_patterns, expect)
+        # edges, then mutual and the 17 nodematch terms, the keyed columns
+        assert expect[2] == [0, 1, *range(5, 22)]
 
     def test_the_intercept_start_saves_passes_and_needs_no_qr(self, large_mple_design):
         design = large_mple_design
@@ -1098,6 +1211,32 @@ class TestRecordedRowGroups:
         plain = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
         assert plain.n_rows == 30 and plain.row_groups is None
         assert plain.matrix.flags.writeable and plain.response.flags.writeable
+
+    def test_keyed_columns_are_scanned_from_the_key(self):
+        # a nodematch of one holder is all zero: its bit is no 0/1 column,
+        # so the key's bits land among edges at shifts of -1 and 0
+        rng = np.random.default_rng(221)
+        n = 40
+        g = random_graph(rng, n, 0.03)
+        table = simple_table(
+            [f"v{i}" for i in range(n)],
+            role=["rare"] + ["common"] * (n - 1),
+            group=rng.choice(["a", "b", "c"], size=n),
+            team=rng.choice(["x", "y"], size=n),
+        )
+        spec = parse_terms(("nodematch(role, rare)", "mutual", "edges",
+                            "nodematch(group)", "gwesp(0.5)", "nodematch(team)"))
+        plain, (bits, keyed) = _design(g, g, table, spec, ~np.eye(n, dtype=bool))
+        assert keyed == (0, 1, 3, 5) and bits.dtype == np.uint8
+        design = build_design(g, table, spec)
+        first, group = design.row_groups
+        assert_same_groups((first, group), _unique_rows(plain.matrix, plain.response))
+        x = np.asarray(design.matrix, dtype=np.float64)
+        expect = _scan(x, first, len(first))
+        assert expect[2] == [1, 2, 3, 5] and expect[0][0] == 0.0
+        assert_same_scan(design.row_patterns, expect)
+        # and on every row, as a design that is not grouped is frozen
+        assert_same_scan(_scan(x, None, len(x), key=(bits, keyed)), _scan(x, None, len(x)))
 
     def test_a_grouped_design_cannot_be_edited_in_place(self):
         design = build_design(random_graph(np.random.default_rng(220), 30, 0.1), None, self.SPEC)

@@ -26,9 +26,10 @@ from netergm import (
     parse_terms,
     pooled_design,
 )
-from netergm.estimator import _unique_rows
+from netergm.estimator import _scan, _unique_rows
 from netergm.temporal import LAGGED_TIE_NAME, formation_bic_all_dyads
 from helpers import (
+    assert_same_scan,
     change_stats,
     random_graph,
     refit_every_replicate,
@@ -407,6 +408,33 @@ class TestDistinctRowsAndWarmStarts:
     def series(seed, n=10, periods=4):
         rng = np.random.default_rng(seed)
         return series_of([random_graph(rng, n, 0.3) for _ in range(periods)])
+
+    @pytest.mark.filterwarnings("ignore:possible separation")
+    @pytest.mark.parametrize("lag", [False, True], ids=["no_lag", "lag"])
+    def test_the_distinct_copy_is_grouped_and_scanned_by_its_key(self, monkeypatch, lag):
+        rng = np.random.default_rng(74)
+        series = self.series(74)
+        table = simple_table([f"v{i}" for i in range(10)], team=rng.choice(["a", "b"], 10))
+        spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "nodematch(team)"))
+        copies = []
+        real = netergm.temporal._distinct
+
+        def spy(design, key):
+            copies.append((design, key, *real(design, key)))
+            return copies[-1][2:]
+
+        monkeypatch.setattr(netergm.temporal, "_distinct", spy)
+        fit_btergm(series, table, spec, replications=2, include_lagged_tie=lag)
+        (pooled, (bits, keyed), distinct, group), = copies
+        # mutual, the nodematch and the lagged tie are the key's bits
+        assert keyed == ((1, 3, 4) if lag else (1, 3))
+        for b, k in enumerate(keyed):
+            np.testing.assert_array_equal((bits >> b) & 1, pooled.matrix[:, k])
+        first, expect = _unique_rows(pooled.matrix, pooled.response)
+        np.testing.assert_array_equal(group, expect)
+        np.testing.assert_array_equal(distinct.matrix, pooled.matrix[first])
+        x = np.asarray(distinct.matrix, dtype=np.float64)
+        assert_same_scan(distinct.row_patterns, _scan(x, None, len(x)))
 
     def test_point_fit_matches_the_pooled_design_fit(self):
         series = self.series(70)
