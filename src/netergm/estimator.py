@@ -7,20 +7,19 @@ regression on the dyadic design; this module owns that regression so its
 conventions (no implicit intercept, observed-information standard errors,
 deviance bookkeeping) stay pinned down in one place.
 
-Most rows of a cross-sectional dyadic design repeat. ``build_design`` groups
-identical rows right after the columns are written (``_unique_rows``: runs
-of equal row hashes, each proved one group by a gather of the distinct
-rows, with no grouping at all once the distinct hashes pass half of the
-rows) and records the grouping on the design when it at least halves the
-rows, which also makes the design's arrays read-only. The columns built
-from bool arrays come with a row key (``terms._change_stat_columns``) that
-packs them into one unsigned integer per row, so the hash, the proof and
-the pattern scan read that key once instead of each of those columns; a
-design made by hand goes the same way with an empty key. ``fit_logistic``
-then fits the distinct rows, each weighted by the rows it stands for, as ergm's
-``ergmMPLE`` does. Weights count as rows in every check, the rank check
-included, so a design of distinct rows fits and ranks exactly as the rows
-it stands for.
+Most rows of a cross-sectional dyadic design repeat. ``build_design`` (and
+``temporal.pooled_design``) groups identical rows right after the columns
+are written (``_unique_rows``: runs of equal row hashes, each proved one
+group by a gather of the distinct rows) and records the grouping on every
+design it returns, which also makes the design's arrays read-only. The
+columns built from bool arrays come with a row key
+(``terms._change_stat_columns``) that packs them into one unsigned integer
+per row, so the hash, the proof and the pattern scan read that key once
+instead of each of those columns; a design made by hand goes the same way
+with an empty key. ``fit_logistic`` then fits the distinct rows, each
+weighted by the rows it stands for, as ergm's ``ergmMPLE`` does. Weights
+count as rows in every check, the rank check included, so a design of
+distinct rows fits and ranks exactly as the rows it stands for.
 
 Most columns of the default batteries hold only 0 and 1 (``edges``,
 ``mutual`` and every ``nodematch``). Each fit splits its kept columns
@@ -36,16 +35,17 @@ rather than rows x b**2. There is one Newton path for grouped and plain
 designs, and no step copies a whole design. A design's rows are chosen by
 one boolean dyad mask (``_design``). On a design that the library builds or
 copies itself, ``_freeze`` makes the arrays read-only and keeps the pattern
-ids on it (``DyadDesign.row_patterns``), computed once: ``build_design``'s
-grouped designs and the distinct-row copy that ``_distinct`` makes for
-``fit_btergm``. The rank check reads Newton's first information: where it
+ids on it (``DyadDesign.row_patterns``), computed once: the grouped designs
+of ``build_design`` and ``pooled_design``, and the distinct-row copy that
+``_distinct`` makes of a pooled design for ``fit_btergm``, which shares
+them. The rank check reads Newton's first information: where it
 proves that the row-blocked QR (``_rank``) would find full rank
 (``_full_rank_certificate``), the QR does not run; where it cannot, the QR
-decides, reading the kept columns of the rows Newton reads one block at a
-time (``_Rows.design_blocks``). A cold fit starts at the intercept-only
-estimate (``_intercept_start``), as R's ``glm`` starts from the data, so
-that a sparse network's fit spends no steps walking ``edges`` from a tie
-probability of 1/2 toward its density.
+decides, reading the kept columns of the rows Newton reads from the design,
+one block at a time (``_Rows.design_blocks``). A cold fit starts at the
+intercept-only estimate (``_intercept_start``), as R's ``glm`` starts from
+the data, so that a sparse network's fit spends no steps walking ``edges``
+from a tie probability of 1/2 toward its density.
 A design keeps only its rows' responses and change statistics, in the
 row-major order of the mask that chose them.
 """
@@ -107,16 +107,15 @@ class DyadDesign:
 
     ``row_groups`` records which rows are identical, as the pair
     ``(first, group)`` that ``_unique_rows`` returns: row r equals row
-    ``first[group[r]]``. Only ``build_design`` sets it (through
-    ``_freeze``), right after the columns are written, and only when the
-    distinct (x, y) rows are at most half of the rows; ``fit_logistic``
-    then fits the distinct rows, each
-    weighted by the rows it stands for, a weight counting as that many rows
-    in every check. It is no ``__init__`` argument, so a design made or
-    changed by hand (``dataclasses.replace`` included) has none and cannot
-    carry the grouping of other rows, and a design that has one holds
-    ``matrix`` and ``response`` read-only, so that no edit in place can
-    leave the grouping stale.
+    ``first[group[r]]``. ``build_design`` and ``pooled_design`` set it on
+    every design they return (through ``_freeze``), right after the columns
+    are written, however few rows repeat; ``fit_logistic`` then fits the
+    distinct rows, each weighted by the rows it stands for, a weight
+    counting as that many rows in every check. It is no ``__init__``
+    argument, so a design made or changed by hand (``dataclasses.replace``
+    included) has none and cannot carry the grouping of other rows, and a
+    design that has one holds ``matrix`` and ``response`` read-only, so that
+    no edit in place can leave the grouping stale.
 
     ``row_patterns`` keeps the column scan of the rows that the fits of
     the design start from (the distinct rows when it has ``row_groups``),
@@ -124,8 +123,9 @@ class DyadDesign:
     fit of some of them whose 0/1 columns are the same reads its pattern
     ids, so that no fit labels its rows again.
     Only ``_freeze`` sets it, on a design that the library itself built or
-    copied (``build_design``'s grouped designs and the copy of distinct
-    rows that ``_distinct`` makes), and it makes ``matrix`` and
+    copied (the grouped designs of ``build_design`` and ``pooled_design``,
+    and the copy of distinct rows that ``_distinct`` makes, which shares
+    them), and it makes ``matrix`` and
     ``response`` read-only, so that no edit can leave the labels stale;
     arrays a caller hands in, read-only or not, are labelled again at every
     fit. Like ``row_groups``, it is no ``__init__`` argument.
@@ -228,60 +228,44 @@ def _design(stats_graph, response_graph, attrs, spec, mask):
 
 def _record_row_groups(design: DyadDesign, key=_NO_KEY) -> DyadDesign:
     """Record on a freshly built ``design``, whose row key is ``key``, which
-    of its rows are identical, when that at least halves the rows
-    (``_freeze``); returns ``design``.
-
-    Equal rows hash equally, so the distinct rows are at least as many as
-    the distinct hashes: when those are over half of the rows, the rows
-    cannot halve and no group is checked."""
+    of its rows are identical (``_unique_rows``) and the ``_scan`` of its
+    distinct rows, whose keyed columns are read from the key, and freeze it
+    (``_freeze``); returns ``design``."""
     x, y = design.matrix, design.response
-    groups = _unique_rows(x, y, at_most=design.n_rows // 2, key=key)
-    if groups is not None and 2 * len(groups[0]) <= design.n_rows:
-        _freeze(design, groups, key)
-    return design
+    first, group = _unique_rows(x, y, key)
+    bits, keyed = key
+    key = None if bits is None else bits[first], keyed
+    scan = _scan(np.asarray(x, dtype=np.float64), first, len(first), key=key)
+    return _freeze(design, (first, group), scan)
 
 
-def _freeze(design: DyadDesign, groups=None, key=_NO_KEY) -> DyadDesign:
+def _freeze(design: DyadDesign, groups, patterns) -> DyadDesign:
     """Freeze ``design``, a design the library built or copied itself and
     hands to no caller writable: make its ``matrix`` and ``response``
-    read-only, and record on it ``groups`` as its ``row_groups`` and, as its
-    ``row_patterns``, the ``_scan`` of the rows its fits start from (its
-    distinct rows when grouped), whose keyed columns are read from the row
-    key ``key``. Returns ``design``."""
-    x, y = design.matrix, design.response
-    x.setflags(write=False)
-    y.setflags(write=False)
+    read-only, and record on it ``groups`` as its ``row_groups`` and
+    ``patterns``, the ``_scan`` of the rows its fits start from, as its
+    ``row_patterns``. Returns ``design``."""
+    design.matrix.setflags(write=False)
+    design.response.setflags(write=False)
     object.__setattr__(design, "row_groups", groups)
-    base = None if groups is None else groups[0]
-    n = len(x) if base is None else len(base)
-    if base is not None:
-        key = _take_key(key, base)
-    scan = _scan(np.asarray(x, dtype=np.float64), base, n, key=key)
-    object.__setattr__(design, "row_patterns", scan)
+    object.__setattr__(design, "row_patterns", patterns)
     return design
 
 
-def _distinct(design: DyadDesign, key=_NO_KEY):
-    """``(distinct, group)``: a frozen copy of the distinct rows of
-    ``design``, whose row key is ``key`` (``_unique_rows``, first
-    appearances in row order, columns column-major as the builders write
-    them), and the group of each of the design's rows among them."""
-    first, group = _unique_rows(design.matrix, design.response, key=key)
+def _distinct(design: DyadDesign):
+    """``(distinct, group)``: a frozen copy of the recorded distinct rows of
+    the grouped ``design`` (columns column-major, as the builders write
+    them), which shares the design's ``row_patterns``, and the group of
+    each of the design's rows among them."""
+    first, group = design.row_groups
     distinct = DyadDesign(
         design.response[first], _take_rows(design.matrix, first), design.term_names
     )
-    return _freeze(distinct, key=_take_key(key, first)), group
+    return _freeze(distinct, None, design.row_patterns), group
 
 
-def _take_key(key, rows):
-    """The row key ``key`` at the rows ``rows`` only."""
-    bits, keyed = key
-    return None if bits is None else bits[rows], keyed
-
-
-def _unique_rows(x, y, at_most=None, key=_NO_KEY):
-    """Distinct rows of the design ``(x, y)``, or None when the distinct
-    row hashes are more than ``at_most``.
+def _unique_rows(x, y, key=_NO_KEY):
+    """Distinct rows of the design ``(x, y)``.
 
     Returns ``(first, group)``: ``first`` holds one representative row index
     per distinct (x, y) row, the row's first appearance, in row order, and
@@ -303,8 +287,6 @@ def _unique_rows(x, y, at_most=None, key=_NO_KEY):
     (``_split_runs``). The scratch space does not grow with the columns.
     """
     order, run = _hash_runs(x, y, key)
-    if at_most is not None and int(np.count_nonzero(run)) > at_most:
-        return None
     first, group = _label_groups(order, run)
     if _groups_hold(x, y, first, group, key):
         return first, group
@@ -634,7 +616,8 @@ class _Rows(NamedTuple):
     the other columns: views of the design, whose columns ``rest`` are the
     others, where the fit reads the design in place, and otherwise copies
     of the others alone gathered into column-major blocks. ``ys`` and ``ws``
-    are the responses (as float64) and weights.
+    are the responses (as float64) and weights. ``x`` is the design matrix
+    and ``rows`` the fitted rows' indices in it, None for all of them.
     """
 
     order: np.ndarray
@@ -645,24 +628,18 @@ class _Rows(NamedTuple):
     ys: list
     ws: list
     kept: list
+    x: np.ndarray
+    rows: np.ndarray | None
 
     def design_blocks(self):
         """The fitted rows of the kept columns in design order, for the QR:
-        yields one row block at a time. A block of ``xs`` that holds every
-        kept column (the design read in place, or the gathered others when
-        no column is 0/1) is yielded as it is, or its kept columns are;
-        otherwise the block is rebuilt, column-major, from its pattern ids
-        and its others."""
-        p, b = len(self.kept), self.patterns.shape[1]
-        for xb, ib in zip(self.xs, self.ids):
-            if xb.shape[1] >= p:
-                yield xb if xb.shape[1] == p else xb[:, self.kept]
-                continue
-            out = np.empty((p, len(ib))).T
-            for j, c in enumerate(self.order.tolist()):
-                out[:, c] = self.patterns[ib, j] if j < b else xb[:, self.rest[j - b]]
-            yield out
-            del out  # so that no block lives on into the next
+        yields one row block at a time, read from the design."""
+        if self.rows is None:
+            for xb in _blocks(self.x):
+                yield xb if xb.shape[1] == len(self.kept) else xb[:, self.kept]
+            return
+        for block in _row_blocks(len(self.rows)):
+            yield _take_rows(self.x, self.rows[block], self.kept)
 
 
 def _fit_rows(design, w, pick):
@@ -710,7 +687,7 @@ def _fit_rows(design, w, pick):
         ys = [y[rows[block]].astype(np.float64) for block in _row_blocks(n)]
     place = {k: j for j, k in enumerate(kept)}
     order = np.array([place[k] for k in cols + other], dtype=np.intp)
-    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), kept)
+    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), kept, x, rows)
     return fit, hi, lo
 
 
@@ -983,8 +960,8 @@ def fit_logistic(
     ``n_dyads``, the null deviance and the BIC use the total weight.
     Zero-weight rows take no part in the column, rank and boundary checks.
 
-    A design on which ``build_design`` recorded ``row_groups`` is fitted on
-    its distinct rows, each weighted by the total weight of the rows it
+    A design on which a builder recorded ``row_groups`` is fitted on its
+    distinct rows, each weighted by the total weight of the rows it
     stands for, so it fits and ranks as its rows do; the estimates agree
     with the row-by-row fit to rounding. The rows that the fit reads (all
     of them, the positive-weight ones, or the distinct ones) are one list

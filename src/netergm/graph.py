@@ -206,8 +206,8 @@ def _walks(first: _Lists, second: _Lists, lo: int, hi: int):
 
 # Walks expanded at once: a block of rows holds at most this many, unless one
 # row alone has more, so the scratch arrays stay a few tens of MiB on dense
-# graphs too
-_WALK_BLOCK = 1 << 20
+# graphs too, and under the design's own size at the paper's scale
+_WALK_BLOCK = 1 << 18
 
 
 def _walk_blocks(n: int, *steps):

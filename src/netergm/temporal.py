@@ -7,12 +7,14 @@ Uncertainty comes from resampling whole modeled periods with replacement
 and refitting; percentile intervals over the replicate coefficients are the
 reported confidence bounds. A node-block variant resamples sender nodes
 instead, for designs where period resampling is too coarse. The pooled
-design is collapsed once to its distinct rows, each weighted by how many
-pooled rows it stands for; a replicate reweights them by their rows' unit
-draw counts and starts Newton at the point estimate. ``fit_btergm`` takes
-the distinct rows from ``estimator._distinct``: a read-only copy whose 0/1
-patterns are labelled once (``DyadDesign.row_patterns``), so the point fit
-and every replicate read those labels instead of scanning their rows again.
+design is grouped as it is built, as ``build_design``'s designs are, with
+the lagged tie as one more bit of its row key, and ``fit_btergm`` fits its
+distinct rows, each weighted by how many pooled rows it stands for; a
+replicate reweights them by their rows' unit draw counts and starts Newton
+at the point estimate. The distinct rows are ``estimator._distinct``'s
+read-only copy, which shares the pooled design's 0/1 pattern labels
+(``DyadDesign.row_patterns``), so the point fit and every replicate read
+those labels instead of scanning their rows again.
 A replicate's fit depends on its draw counts alone, so each distinct draw is
 fitted once: three modeled periods allow only C(5, 3) = 10 draws, one of
 them the point fit's own weights, however many replications are asked for.
@@ -46,6 +48,7 @@ from .estimator import (
     FitResult,
     _design,
     _distinct,
+    _record_row_groups,
     bayes_criterion,
     fit_logistic,
 )
@@ -107,18 +110,13 @@ def pooled_design(
     include_lagged_tie: bool = False,
 ) -> DyadDesign:
     """Stack the cross-sectional designs of every panel after the first,
-    each of every off-diagonal dyad in row-major order.
+    each of every off-diagonal dyad in row-major order, grouped and frozen
+    as ``build_design``'s designs are (``DyadDesign.row_groups``).
 
     With ``include_lagged_tie`` a final column indicates whether the dyad
-    was tied in the previous panel.
+    was tied in the previous panel; it is one more bit of the row key that
+    the grouping reads.
     """
-    return _pooled(series, attrs, spec, include_lagged_tie)[0]
-
-
-def _pooled(series, attrs, spec, include_lagged_tie):
-    """``(design, key)``: the ``pooled_design`` and the row key of its
-    bool-built columns (``terms._change_stat_columns``), the lagged tie
-    among them."""
     if len(series) < 2:
         raise InsufficientPeriodsError(
             f"need at least two panels, have {len(series)}"
@@ -128,20 +126,17 @@ def _pooled(series, attrs, spec, include_lagged_tie):
     off = ~np.eye(series.node_count, dtype=bool)
     blocks = [_design(g, g, attrs, spec, off) for g in series.graphs[1:]]
     x = np.concatenate([b.matrix for b, _ in blocks])
+    y = np.concatenate([b.response for b, _ in blocks])
     bits, keyed = blocks[0][1]
     if bits is not None:
         bits = np.concatenate([key[0] for _, key in blocks])
+    del blocks  # so that the periods' own rows are gone before the grouping
     key, names = (bits, keyed), spec.names
     if include_lagged_tie:
         lag = np.concatenate([g.adjacency[off] for g in series.graphs[:-1]])
         key = _add_key_bit(key, lag, x.shape[1])
         x, names = np.column_stack([x, lag]), names + (LAGGED_TIE_NAME,)
-    design = DyadDesign(
-        response=np.concatenate([b.response for b, _ in blocks]),
-        matrix=x,
-        term_names=names,
-    )
-    return design, key
+    return _record_row_groups(DyadDesign(y, x, names), key)
 
 
 def fit_btergm(
@@ -163,9 +158,10 @@ def fit_btergm(
     multiplicity, and a replicate starts at the point estimate unless the
     point fit is flagged for separation or did not converge; replicates
     then agree with cold starts to the fit tolerance. The distinct rows are
-    a read-only copy whose 0/1 pattern ids, computed once, serve the point
-    fit and every replicate. Temporal mode over two panels, which model one
-    period, raises :class:`InsufficientPeriodsError`.
+    a read-only copy that shares the pooled design's 0/1 pattern ids,
+    computed once, for the point fit and every replicate. Temporal mode
+    over two panels, which model one period, raises
+    :class:`InsufficientPeriodsError`.
 
     Equal draw counts give equal weights and so an equal fit: only the
     first replicate with each draw is refit, and a later one takes its
@@ -190,7 +186,7 @@ def fit_btergm(
             "a temporal bootstrap redraws modeled periods, and two panels model "
             "only one: use mode='node' or more periods"
         )
-    pooled, key = _pooled(series, attrs, spec, include_lagged_tie)
+    pooled = pooled_design(series, attrs, spec, include_lagged_tie)
     if mode == "temporal":
         units = len(series) - 1
         unit_of_row = np.repeat(np.arange(units), pooled.n_rows // units)
@@ -199,11 +195,11 @@ def fit_btergm(
         units = series.node_count
         unit_of_row = np.resize(np.repeat(np.arange(units), units - 1), pooled.n_rows)
 
-    # every fit runs on the frozen copy of the distinct rows, whose 0/1
-    # patterns are labelled once; the pooled rows are let go before the
-    # first fit
-    distinct, group = _distinct(pooled, key)
-    del pooled, key
+    # every fit runs on the frozen copy of the distinct rows, which shares
+    # the pooled design's 0/1 pattern labels; the pooled rows are let go
+    # before the first fit
+    distinct, group = _distinct(pooled)
+    del pooled
     point = fit_logistic(distinct, weights=np.bincount(group), **options)
     # a drifting or unconverged point estimate is no start for a replicate
     warm = point.converged and not point.separation_flags.any()
@@ -288,7 +284,9 @@ def formation_design(
     """Design over dyads untied at ``prev``: did they form a tie by ``curr``?
 
     Change statistics come from the union of the two panels, so ties present
-    in either snapshot contribute to the local configuration counts.
+    in either snapshot contribute to the local configuration counts. Nearly
+    every row is distinct, so the design is not grouped: it is fitted row by
+    row.
     """
     if prev.node_count != curr.node_count:
         raise DimensionError(

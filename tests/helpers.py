@@ -365,17 +365,18 @@ def refit_every_replicate(
     }
 
 
-def large_mple_network(variant):
+def large_mple_network(variant, n=800, mean_degree=6.0):
     """The graph and node table of the benchmark's ``large_mple`` workload
     (800 nodes, mean degree 6) for one input variant, made by the
-    benchmark's own generator, ``bench/gen.py``."""
+    benchmark's own generator, ``bench/gen.py``; ``n`` and ``mean_degree``
+    give another size and density from the same generator."""
     path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    pairs, ids, columns = gen.random_network(variant, 800, 6.0)
+    pairs, ids, columns = gen.random_network(variant, n, mean_degree)
     levels = {name: gen.LEVELS[name] for name in columns}
-    return build_graph(800, pairs), NodeTable(ids, columns, levels)
+    return build_graph(n, pairs), NodeTable(ids, columns, levels)
 
 
 def naive_global_stats(g, attrs, spec):

@@ -1080,6 +1080,23 @@ def test_build_design_scratch_stays_at_the_unkeyed_build():
     assert peak - design.matrix.nbytes - design.response.nbytes <= 36.1 * 2**20
 
 
+def test_build_design_scratch_stays_under_the_design_at_3_percent():
+    # n=363 (the paper's subsample) at density 2.96%: the gwdsp column's
+    # walks held 55.8 MiB beyond the 22.2 MiB design in blocks of 2**20
+    # walks, 36.9 MiB in blocks of 2**19 and 19.9 MiB in blocks of 2**18
+    g, table = large_mple_network(5, 363, 10.86)
+    spec = parse_terms(config.CROSS_SECTIONAL_TERMS)
+    build_design(g, table, spec)  # so that the graph's cached arrays are made
+    tracemalloc.start()
+    try:
+        design = build_design(g, table, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = design.matrix.nbytes + design.response.nbytes
+    assert peak - size <= size
+
+
 class TestLargeMpleDesigns:
     def test_groups_equal_the_sorted_gather_groups(self, large_mple_design):
         design = large_mple_design
@@ -1197,7 +1214,7 @@ class TestRecordedRowGroups:
 
     SPEC = parse_terms(("edges", "mutual", "gwesp(0.5)"))
 
-    def test_build_design_records_the_grouping_only_when_it_halves_the_rows(self):
+    def test_build_design_records_the_grouping_whether_or_not_it_halves_the_rows(self):
         g = build_graph(3, [(0, 1)])
         spec = parse_terms(("edges", "mutual"))
         # six rows, three distinct: (1, 0, tie), (1, 1, no tie), (1, 0, no tie)
@@ -1207,10 +1224,21 @@ class TestRecordedRowGroups:
         np.testing.assert_array_equal(first, expect[0])
         np.testing.assert_array_equal(group, expect[1])
         assert len(first) == 3
-        # 30 rows that do not halve
-        plain = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
-        assert plain.n_rows == 30 and plain.row_groups is None
-        assert plain.matrix.flags.writeable and plain.response.flags.writeable
+        # 30 rows that do not halve are grouped and frozen all the same
+        design = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
+        assert design.n_rows == 30 and 2 * len(design.row_groups[0]) > design.n_rows
+        assert_same_groups(design.row_groups, _unique_rows(design.matrix, design.response))
+        assert not (design.matrix.flags.writeable or design.response.flags.writeable)
+        # and their fit of the distinct rows is the row-by-row fit of a plain copy
+        plain = DyadDesign(design.response.copy(), design.matrix.copy(), design.term_names)
+        assert plain.row_groups is None
+        grouped, by_row = fit_logistic(design), fit_logistic(plain)
+        for field in ("coefficients", "standard_errors"):
+            np.testing.assert_allclose(
+                getattr(grouped, field), getattr(by_row, field),
+                rtol=1e-10, atol=1e-10, err_msg=field,
+            )
+        assert grouped.residual_deviance == pytest.approx(by_row.residual_deviance, rel=1e-10)
 
     def test_keyed_columns_are_scanned_from_the_key(self):
         # a nodematch of one holder is all zero: its bit is no 0/1 column,
@@ -1271,19 +1299,21 @@ class TestRecordedRowGroups:
 
     def test_distinct_rows_are_a_frozen_copy(self):
         design = build_design(random_graph(np.random.default_rng(7), 6, 0.5), None, self.SPEC)
-        assert design.row_groups is None
         distinct, group = _distinct(design)
         first = _unique_rows(design.matrix, design.response)[0]
+        np.testing.assert_array_equal(group, design.row_groups[1])
         np.testing.assert_array_equal(distinct.matrix, design.matrix[first])
         np.testing.assert_array_equal(distinct.response, design.response[first])
         np.testing.assert_array_equal(distinct.matrix[group], design.matrix)
         np.testing.assert_array_equal(distinct.response[group], design.response)
         assert distinct.term_names == design.term_names
         assert distinct.matrix.flags.f_contiguous
-        # the copy is frozen and scanned; the design it came from is not
+        # the copy is frozen, and its scan is the grouped design's, shared
         assert not distinct.matrix.flags.writeable and not distinct.response.flags.writeable
-        assert distinct.row_groups is None and distinct.row_patterns is not None
-        assert design.matrix.flags.writeable and design.row_patterns is None
+        assert distinct.row_groups is None
+        assert distinct.row_patterns is design.row_patterns
+        x = np.asarray(distinct.matrix, dtype=np.float64)
+        assert_same_scan(distinct.row_patterns, _scan(x, None, len(x)))
         # each distinct row weighted by the rows it stands for fits as the design
         weights = np.bincount(group, minlength=distinct.n_rows).astype(np.float64)
         np.testing.assert_allclose(
@@ -1755,7 +1785,8 @@ class TestZeroOnePatterns:
         w = np.random.default_rng(252).integers(0, 3, size=400).astype(np.float64)
         w[:10] = 1.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
-            _freeze(design)
+            x = np.asarray(design.matrix, dtype=np.float64)
+            _freeze(design, None, estimator._scan(x, None, len(x)))
             first = fit_logistic(design)
             weighted = fit_logistic(design, weights=w)
         # the rows are scanned once and frozen; the fit of every row reads

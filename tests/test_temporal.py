@@ -416,25 +416,49 @@ class TestDistinctRowsAndWarmStarts:
         series = self.series(74)
         table = simple_table([f"v{i}" for i in range(10)], team=rng.choice(["a", "b"], 10))
         spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "nodematch(team)"))
-        copies = []
-        real = netergm.temporal._distinct
+        keys, copies = [], []
+        record, real = netergm.temporal._record_row_groups, netergm.temporal._distinct
 
-        def spy(design, key):
-            copies.append((design, key, *real(design, key)))
-            return copies[-1][2:]
+        def spy_record(design, key):
+            keys.append(key)
+            return record(design, key)
 
+        def spy(design):
+            copies.append((design, *real(design)))
+            return copies[-1][1:]
+
+        monkeypatch.setattr(netergm.temporal, "_record_row_groups", spy_record)
         monkeypatch.setattr(netergm.temporal, "_distinct", spy)
         fit_btergm(series, table, spec, replications=2, include_lagged_tie=lag)
-        (pooled, (bits, keyed), distinct, group), = copies
+        ((bits, keyed),), ((pooled, distinct, group),) = keys, copies
         # mutual, the nodematch and the lagged tie are the key's bits
         assert keyed == ((1, 3, 4) if lag else (1, 3))
         for b, k in enumerate(keyed):
             np.testing.assert_array_equal((bits >> b) & 1, pooled.matrix[:, k])
+        # the pooled design records its groups, and the scan of its
+        # distinct rows, read from the key
         first, expect = _unique_rows(pooled.matrix, pooled.response)
+        np.testing.assert_array_equal(pooled.row_groups[0], first)
+        np.testing.assert_array_equal(pooled.row_groups[1], expect)
+        assert not (pooled.matrix.flags.writeable or pooled.response.flags.writeable)
+        x = np.asarray(pooled.matrix, dtype=np.float64)
+        assert_same_scan(pooled.row_patterns, _scan(x, first, len(first)))
+        # the copy holds the distinct rows and shares that scan
         np.testing.assert_array_equal(group, expect)
         np.testing.assert_array_equal(distinct.matrix, pooled.matrix[first])
+        assert distinct.row_patterns is pooled.row_patterns
         x = np.asarray(distinct.matrix, dtype=np.float64)
         assert_same_scan(distinct.row_patterns, _scan(x, None, len(x)))
+
+    @pytest.mark.parametrize("lag", [False, True], ids=["no_lag", "lag"])
+    def test_pooled_design_records_the_groups_of_its_rows(self, lag):
+        series = self.series(75)
+        pooled = pooled_design(series, None, self.SPEC3, include_lagged_tie=lag)
+        assert (LAGGED_TIE_NAME in pooled.term_names) == lag
+        for a, b in zip(pooled.row_groups, _unique_rows(pooled.matrix, pooled.response),
+                        strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert not (pooled.matrix.flags.writeable or pooled.response.flags.writeable)
 
     def test_point_fit_matches_the_pooled_design_fit(self):
         series = self.series(70)
