@@ -12,40 +12,42 @@ Most rows of a cross-sectional dyadic design repeat. ``build_design`` (and
 are written (``_unique_rows``: runs of equal row hashes, each proved one
 group by a gather of the distinct rows) and records the grouping on every
 design it returns, which also makes the design's arrays read-only. The
-columns built from bool arrays come with a row key
-(``terms._change_stat_columns``) that packs them into one unsigned integer
-per row, so the hash, the proof and the pattern scan read that key once
-instead of each of those columns; a design made by hand goes the same way
-with an empty key. ``fit_logistic`` then fits the distinct rows, each
-weighted by the rows it stands for, as ergm's ``ergmMPLE`` does. Weights
-count as rows in every check, the rank check included, so a design of
-distinct rows fits and ranks exactly as the rows it stands for.
+columns built from bools (``edges``, ``mutual`` and every ``nodematch``)
+come with a row key (``terms._change_stat_columns``) that packs them into
+one unsigned integer per row, so the hash, the proof and the pattern scan
+read that key once instead of each of those columns; a design made by hand
+goes the same way with an empty key. ``fit_logistic`` then fits the
+distinct rows, each weighted by the rows it stands for, as ergm's
+``ergmMPLE`` does. Weights count as rows in every check, the rank check
+included, so a design of distinct rows fits and ranks exactly as the rows
+it stands for.
 
-Most columns of the default batteries hold only 0 and 1 (``edges``,
-``mutual`` and every ``nodematch``). Each fit splits its kept columns
-(``_fit_rows``): the 0/1 columns, up to ``_KEY_BITS`` of them, are read as
-the bits of one key per row, and every fitted row gets the id of its key's
-pattern; the other columns are ordinary. The rows a fit reads form one list
-of ``_BLOCK_ROWS``-row blocks: views of the design where it reads every row
-in place, and otherwise the other columns alone, gathered into column-major
-copies. Each Newton step walks that list once, for the log-likelihood,
-score and information together (``_evaluate_rows``): the 0/1 columns enter
-through sums per pattern, so their part of a step costs patterns x b**2
-rather than rows x b**2. There is one Newton path for grouped and plain
-designs, and no step copies a whole design. A design's rows are chosen by
-one boolean dyad mask (``_design``). On a design that the library builds or
-copies itself, ``_freeze`` makes the arrays read-only and keeps the pattern
-ids on it (``DyadDesign.row_patterns``), computed once: the grouped designs
-of ``build_design`` and ``pooled_design``, and the distinct-row copy that
-``_distinct`` makes of a pooled design for ``fit_btergm``, which shares
-them. The rank check reads Newton's first information: where it
-proves that the row-blocked QR (``_rank``) would find full rank
-(``_full_rank_certificate``), the QR does not run; where it cannot, the QR
-decides, reading the kept columns of the rows Newton reads from the design,
-one block at a time (``_Rows.design_blocks``). A cold fit starts at the
-intercept-only estimate (``_intercept_start``), as R's ``glm`` starts from
-the data, so that a sparse network's fit spends no steps walking ``edges``
-from a tie probability of 1/2 toward its density.
+The key is the one code of 0/1 columns. Each fit splits its kept columns
+(``_fit_rows``): the keyed columns that hold a 1 on its rows are read as the
+bits of the key, which a design without one gets by value (``_scan``), and
+every fitted row gets the id of its key's pattern; the other columns are
+ordinary. The rows a fit reads form one list of ``_BLOCK_ROWS``-row blocks:
+views of the design where it reads every row in place, and otherwise the
+other columns alone, gathered into column-major copies. Each Newton step
+walks that list once, for the log-likelihood, score and information together
+(``_evaluate_rows``): the 0/1 columns enter through sums per pattern, so
+their part of a step costs patterns x b**2 rather than rows x b**2. There is
+one Newton path for grouped and plain designs, and no step copies a whole
+design. A design's rows are chosen by one boolean dyad mask (``_design``).
+On a design that the library builds or copies itself, ``_freeze`` makes the
+arrays read-only and keeps the pattern ids on it
+(``DyadDesign.row_patterns``), computed once, in its builder: the grouped
+designs of ``build_design`` and ``pooled_design``, the ungrouped design of
+``temporal.formation_design``, and the distinct-row copy that ``_distinct``
+makes of a pooled design for ``fit_btergm``, which shares them. The rank
+check reads Newton's first information: where it proves that the row-blocked
+QR (``_rank``) would find full rank (``_full_rank_certificate``), the QR
+does not run; where it cannot, the QR decides, reading the kept columns of
+the rows Newton reads from the design, one block at a time
+(``_Rows.design_blocks``). A cold fit starts at the intercept-only estimate
+(``_intercept_start``), as R's ``glm`` starts from the data, so that a
+sparse network's fit spends no steps walking ``edges`` from a tie
+probability of 1/2 toward its density.
 A design keeps only its rows' responses and change statistics, in the
 row-major order of the mask that chose them.
 """
@@ -71,7 +73,7 @@ from .errors import (
     _integer,
 )
 from .graph import DirectedGraph
-from .terms import _NO_KEY, ModelSpec, _change_stat_columns
+from .terms import _NO_KEY, ModelSpec, _add_key_bit, _change_stat_columns
 
 __all__ = [
     "DyadDesign",
@@ -120,15 +122,15 @@ class DyadDesign:
     ``row_patterns`` keeps the column scan of the rows that the fits of
     the design start from (the distinct rows when it has ``row_groups``),
     as ``_scan`` returns it: a fit of all those rows reads it whole, and a
-    fit of some of them whose 0/1 columns are the same reads its pattern
-    ids, so that no fit labels its rows again.
-    Only ``_freeze`` sets it, on a design that the library itself built or
-    copied (the grouped designs of ``build_design`` and ``pooled_design``,
-    and the copy of distinct rows that ``_distinct`` makes, which shares
-    them), and it makes ``matrix`` and
-    ``response`` read-only, so that no edit can leave the labels stale;
-    arrays a caller hands in, read-only or not, are labelled again at every
-    fit. Like ``row_groups``, it is no ``__init__`` argument.
+    fit of some of them reads its pattern ids, so that no fit labels its
+    rows again. Only ``_freeze`` sets it, in the builder of a design that
+    the library itself built or copied (the designs of ``build_design``,
+    ``pooled_design`` and ``formation_design``, and the copy of distinct
+    rows that ``_distinct`` makes, which shares them), and it makes
+    ``matrix`` and ``response`` read-only, so that no edit can leave the
+    labels stale; arrays a caller hands in, read-only or not, are keyed and
+    labelled again at every fit. Like ``row_groups``, it is no ``__init__``
+    argument.
     """
 
     response: np.ndarray
@@ -231,12 +233,10 @@ def _record_row_groups(design: DyadDesign, key=_NO_KEY) -> DyadDesign:
     of its rows are identical (``_unique_rows``) and the ``_scan`` of its
     distinct rows, whose keyed columns are read from the key, and freeze it
     (``_freeze``); returns ``design``."""
-    x, y = design.matrix, design.response
-    first, group = _unique_rows(x, y, key)
+    first, group = _unique_rows(design.matrix, design.response, key)
     bits, keyed = key
     key = None if bits is None else bits[first], keyed
-    scan = _scan(np.asarray(x, dtype=np.float64), first, len(first), key=key)
-    return _freeze(design, (first, group), scan)
+    return _freeze(design, (first, group), _scan(design.matrix, first, key=key))
 
 
 def _freeze(design: DyadDesign, groups, patterns) -> DyadDesign:
@@ -467,10 +467,6 @@ _BLOCK_ROWS = 8192
 _ONE = np.ones(1)
 _ONE.setflags(write=False)
 
-# A fit reads at most this many 0/1 columns as the bits of one unsigned
-# 64-bit key per row; any further 0/1 columns are read as ordinary ones.
-_KEY_BITS = 64
-
 
 def _row_blocks(d):
     """Slices that cover rows ``0..d-1`` in blocks of ``_BLOCK_ROWS``."""
@@ -490,69 +486,58 @@ def _zero_one(col, hi, lo):
     return hi == 1.0 and lo >= 0.0 and np.count_nonzero(col) == np.count_nonzero(col == 1.0)
 
 
-def _scan(x, rows, n, known=None, key=_NO_KEY):
-    """The column scan of the ``n`` rows ``rows`` of ``x`` (None for all):
+def _scan(x, rows, known=None, key=_NO_KEY):
+    """The column scan of the rows ``rows`` of ``x`` (None for all):
     ``(hi, lo, cols, ids, patterns)``.
 
     ``hi`` and ``lo`` hold each column's largest and least entry (NaN when
-    it holds a NaN). ``cols`` lists the 0/1 columns (``_zero_one``), in
-    column order and at most ``_KEY_BITS`` of them. A row's entries in
-    ``cols`` are the bits of its code, and the rows are sorted by code:
-    ``patterns`` holds each distinct code once, as a column-major float64
-    row of 0.0 and 1.0, and ``ids[r]``, of the least unsigned type that
-    holds them, is the pattern of row r. Each column is read (or gathered)
-    once; beside the codes, the scratch space is two row-length integer
-    vectors.
-
-    ``key`` may give the row key of these rows (``_change_stat_columns``,
-    its bits taken at ``rows``): the columns it names are then read from
-    its bits alone, which move into the codes a run of bits that keep
-    their distance at a time (``_move_bits``), and only the other columns
-    of ``x`` are read.
+    it holds a NaN). ``key`` is the row key of these rows (its bits taken
+    at ``rows``), whose columns are read from its bits alone; with the
+    empty key, each 0/1 column (``_zero_one``) becomes the next bit of a
+    key by value as it is read (``terms._add_key_bit``). ``cols`` lists the
+    keyed columns that hold a 1 on these rows. A row's key is its code: the
+    rows are sorted by it, ``patterns`` holds each distinct code once, as a
+    column-major float64 row of its bits at ``cols``, and ``ids[r]``, of
+    the least unsigned type that holds them, is the pattern of row r. A
+    keyed column with no 1 is a zero bit of every code, which moves no row.
 
     ``known`` may give the ``(cols, ids, patterns)`` of these rows from an
-    earlier scan of rows that hold them (``_held``). The columns it names
-    are then read from its patterns alone, and when these rows have the
-    same 0/1 columns, its ids and patterns are returned; otherwise (a zero
-    weight can empty a 0/1 column or make another one 0/1) the rows are
-    keyed afresh.
+    earlier scan of rows that hold them (``_held``). Its columns are then
+    read from its patterns alone, and its ids and patterns are returned
+    when each of them holds a 1 on these rows; otherwise (a zero weight can
+    empty one) the rows are keyed afresh, by value.
     """
     known_cols = [] if known is None else known[0]
     bits, keyed = key
     if bits is not None:
         # the bits set on some row, and on every row
         some, every = (int(f.reduce(bits)) for f in (np.bitwise_or, np.bitwise_and))
-    code = np.zeros(n, dtype=np.uint64) if known is None else None
-    hi, lo, cols, moves = [], [], [], []
+    hi, lo = [], []
     for k in range(x.shape[1]):
         if k in known_cols:
             # a column of the patterns, which hold only 0.0 and 1.0
             col = known[2][:, known_cols.index(k)]
             top, least = float(col.max()), float(col.min())
-            zero_one = top == 1.0
         elif k in keyed:
             bit = keyed.index(k)
             top, least = float(some >> bit & 1), float(every >> bit & 1)
-            zero_one = top == 1.0
         else:
             col = x[:, k] if rows is None else x[:, k].take(rows)
             top, least = float(np.maximum.reduce(col)), float(np.minimum.reduce(col))
-            zero_one = _zero_one(col, top, least)
+            if known is None and bits is None and _zero_one(col, top, least):
+                key = _add_key_bit(key, col == 1.0, k)
         hi.append(top)
         lo.append(least)
-        if zero_one and len(cols) < _KEY_BITS:
-            if k in keyed:
-                moves.append((bit, len(cols)))
-            elif code is not None:
-                # the bits are distinct, so adding them sets them
-                code += (col == 1.0) * np.uint64(1 << len(cols))
-            cols.append(k)
         col = None
     if known is not None:
-        if cols != known_cols:
-            return _scan(x, rows, n)
-        return np.array(hi), np.array(lo), cols, known[1], known[2]
-    _move_bits(bits, moves, code)
+        if [k for k in known_cols if hi[k] == 1.0] != known_cols:
+            return _scan(x, rows)
+        return np.array(hi), np.array(lo), known_cols, known[1], known[2]
+    code, keyed = key
+    cols = [k for k in keyed if hi[k] == 1.0]
+    n = len(x) if rows is None else len(rows)
+    if code is None:  # the empty key's bits: one pattern, of no column
+        code = np.zeros(n, dtype=np.uint8)
     order = np.argsort(code)
     code = code[order]
     new = np.empty(n, dtype=bool)
@@ -564,31 +549,10 @@ def _scan(x, rows, n, known=None, key=_NO_KEY):
     label = np.zeros(n, dtype=ids.dtype)
     np.cumsum(new[1:], dtype=ids.dtype, out=label[1:])
     ids[order] = label
-    shifts = np.arange(len(cols), dtype=np.uint64)
-    patterns = (code[:, None] >> shifts) & np.uint64(1)
+    shifts = np.array([keyed.index(k) for k in cols], dtype=code.dtype)
     # column-major, as the information's products read it
-    patterns = np.asfortranarray(patterns, dtype=np.float64)
+    patterns = np.asfortranarray((code[:, None] >> shifts) & 1, dtype=np.float64)
     return np.array(hi), np.array(lo), cols, ids, patterns
-
-
-def _move_bits(bits, moves, out):
-    """Set in the uint64 codes ``out`` the bits of the row key bits
-    ``bits`` that ``moves`` maps, as pairs ``(from, to)`` of bit positions
-    in increasing order: each run of pairs that both step by one is masked
-    and shifted once."""
-    start = 0
-    for end in range(1, len(moves) + 1):
-        src, dst = moves[start]
-        width = end - start
-        if end < len(moves) and moves[end] == (src + width, dst + width):
-            continue
-        part = np.bitwise_and(bits, ((1 << width) - 1) << src, dtype=np.uint64)
-        if dst > src:
-            part <<= np.uint64(dst - src)
-        else:
-            part >>= np.uint64(src - dst)
-        out |= part
-        start = end
 
 
 def _held(known, pick):
@@ -652,9 +616,9 @@ def _fit_rows(design, w, pick):
 
     On a design with ``row_patterns``, a fit of every row it starts from
     reads their scan from there, and a fit of some of them reads their ids
-    and scans only the other columns, unless its rows have other 0/1
-    columns (a zero weight can make a column 0/1, or empty one); every
-    other fit scans and labels its own rows. The rows are read in place
+    and scans only the other columns, unless a pattern column holds no 1
+    on its rows (a zero weight can empty one); every other fit keys, scans
+    and labels its own rows by value. The rows are read in place
     when the fit reads every row of a design without ``row_groups``;
     otherwise the other columns alone are gathered.
     """
@@ -667,9 +631,9 @@ def _fit_rows(design, w, pick):
         w = w[pick]
     n = len(w)
     if scan is None:
-        scan = _scan(x, rows, n)
+        scan = _scan(x, rows)
     elif pick is not None:
-        scan = _scan(x, rows, n, _held(scan[2:], pick))
+        scan = _scan(x, rows, _held(scan[2:], pick))
     hi, lo, cols, ids, patterns = scan
     del scan
 
@@ -966,9 +930,9 @@ def fit_logistic(
     with the row-by-row fit to rounding. The rows that the fit reads (all
     of them, the positive-weight ones, or the distinct ones) are one list
     of row blocks, views of the design or gathered copies of its columns
-    that are not 0/1, which each Newton step walks once; the columns that
-    hold only 0.0 and 1.0 on those rows enter through one pattern id per
-    row (``_fit_rows``), and Newton runs with them first, in a column order
+    that are not 0/1, which each Newton step walks once; the keyed columns
+    that hold a 1 on those rows enter through one pattern id per row
+    (``_fit_rows``), and Newton runs with them first, in a column order
     that is undone once at the end. The rank check reads the information of
     the first of those walks, and only when that cannot certify full rank
     does it walk the same rows' kept columns, a block at a time, by QR.

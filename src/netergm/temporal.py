@@ -25,6 +25,7 @@ dyads in row-major order after another.
 Formation models ask a narrower question: among dyads with no tie at t-1,
 which form one by t? Change statistics are evaluated on the union of the
 two panels so that dissolving ties still shape the local configurations.
+Its design is keyed, scanned and frozen in its builder, but not grouped.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from .estimator import (
     FitResult,
     _design,
     _distinct,
+    _freeze,
     _record_row_groups,
+    _scan,
     bayes_criterion,
     fit_logistic,
 )
@@ -286,7 +289,7 @@ def formation_design(
     Change statistics come from the union of the two panels, so ties present
     in either snapshot contribute to the local configuration counts. Nearly
     every row is distinct, so the design is not grouped: it is fitted row by
-    row.
+    row, from the scan of its row key taken here (``DyadDesign.row_patterns``).
     """
     if prev.node_count != curr.node_count:
         raise DimensionError(
@@ -297,7 +300,8 @@ def formation_design(
     free = ~prev.adjacency & ~np.eye(n, dtype=bool)
     if not free.any():
         raise EmptyDesignError("no free dyads: the previous panel is complete")
-    return _design(union, curr, attrs, spec, free)[0]
+    design, key = _design(union, curr, attrs, spec, free)
+    return _freeze(design, None, _scan(design.matrix, None, key=key))
 
 
 def fit_formation(

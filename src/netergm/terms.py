@@ -28,8 +28,8 @@ three forms of its statistic. The global form is the statistic of one graph
 (``global_stats``); the all-dyad form is every dyad's change statistic, the
 statistic with the dyad present minus with it absent, in closed form, read
 at a design's dyads by ``_change_stat_columns`` (an all-dyad form that is a
-bool array, as ``mutual``'s and ``nodematch``'s are, also gives one bit of
-the design's row key); the incremental form is one
+bool, as ``edges``', ``mutual``'s and ``nodematch``'s are, also gives one
+bit of the design's row key); the incremental form is one
 dyad's change as a short Python source snippet, which the sampler inlines
 into the one step function it compiles for a model. The snippet reads the
 chain's neighbour sets and two-path counts and walks only the endpoints'
@@ -272,9 +272,9 @@ def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, dyads):
     ``dyads`` is an ``(n, n)`` boolean mask, whose dyads come in row-major
     order. Each term's all-dyad form is read through that one mask straight
     into its column of a column-major matrix, so no ``(n_terms, n, n)`` cube
-    is held. A column whose all-dyad form is a bool array (``mutual`` and
-    every ``nodematch``) also becomes the next bit of the key
-    (``_add_key_bit``).
+    is held. A column whose all-dyad form is a bool (``edges``, ``mutual``
+    and every ``nodematch``) also becomes the next bit of the key
+    (``_add_key_bit``), so ``edges`` is bit 0 when it leads the model.
     """
     s = _Shared(g, attrs, spec)
     shape = (s.n, s.n)
@@ -291,7 +291,8 @@ def _change_stat_columns(g: DirectedGraph, attrs, spec: ModelSpec, dyads):
 
 # A row key ``(bits, cols)`` packs 0/1 design columns into one unsigned
 # integer per row: bit b of ``bits[r]`` is row r's entry in column
-# ``cols[b]``. The empty key names no column and holds no bits.
+# ``cols[b]``. The empty key names no column and holds no bits. It is the
+# one code of 0/1 columns that the estimator groups and fits by.
 _NO_KEY = (None, ())
 _KEY_BITS = 64
 
@@ -442,7 +443,7 @@ _TERMS = {
     "edges": _Term(
         _NO_ARGS,
         lambda t, s: s.g.edge_count,
-        lambda t, s: 1.0,
+        lambda t, s: True,
         "1.0",
     ),
     "mutual": _Term(

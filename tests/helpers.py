@@ -34,10 +34,15 @@ from netergm import (
     NetworkModelError,
     NodeTable,
     NumericalError,
+    assemble_network,
     build_graph,
     fit_logistic,
     global_stats,
+    largest_component,
+    load_attributes,
+    load_events,
     pooled_design,
+    slice_periods,
 )
 from netergm.estimator import _unique_rows
 from netergm.ingest import DEFAULT_LEVELS
@@ -365,18 +370,38 @@ def refit_every_replicate(
     }
 
 
+def _bench_gen():
+    """The benchmark's input generator, ``bench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 def large_mple_network(variant, n=800, mean_degree=6.0):
     """The graph and node table of the benchmark's ``large_mple`` workload
     (800 nodes, mean degree 6) for one input variant, made by the
     benchmark's own generator, ``bench/gen.py``; ``n`` and ``mean_degree``
     give another size and density from the same generator."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _bench_gen()
     pairs, ids, columns = gen.random_network(variant, n, mean_degree)
     levels = {name: gen.LEVELS[name] for name in columns}
     return build_graph(n, pairs), NodeTable(ids, columns, levels)
+
+
+def panel_bootstrap_inputs(variant, root):
+    """The panel series and node table of the benchmark's
+    ``panel_bootstrap`` workload for one input variant: the synthetic
+    course that ``bench/gen.py`` writes under ``root``, cut to its largest
+    component and sliced into quarterly panels."""
+    events_path, attrs_path = _bench_gen().write_course_files(str(root), variant)
+    events = load_events(events_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, table = assemble_network(events, load_attributes(attrs_path))
+    table = table.restrict([table.ids[m] for m in largest_component(g).members])
+    return slice_periods(events, table), table
 
 
 def naive_global_stats(g, attrs, spec):

@@ -30,7 +30,7 @@ from netergm import (
     largest_component,
     parse_terms,
 )
-from netergm import config, estimator, ingest
+from netergm import config, estimator, ingest, terms
 from netergm.estimator import (
     _BLOCK_ROWS,
     _blocks,
@@ -162,9 +162,9 @@ class TestBuildDesign:
         np.testing.assert_array_equal(
             design.response, [response_g.has_edge(i, j) for i, j in np.argwhere(mask)]
         )
-        # mutual, built from a bool matrix, is the key's one bit
-        assert keyed == (1,) and bits.dtype == np.uint8
-        np.testing.assert_array_equal(bits, design.matrix[:, 1])
+        # edges and mutual, built from bools, are the key's two bits
+        assert keyed == (0, 1) and bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, design.matrix[:, 0] + 2 * design.matrix[:, 1])
         # the statistics are read on stats_g, column-major
         assert design.matrix.flags.f_contiguous
         full = build_design(stats_g, None, spec)
@@ -1110,7 +1110,7 @@ class TestLargeMpleDesigns:
         design = large_mple_design
         first = design.row_groups[0]
         x = np.asarray(design.matrix, dtype=np.float64)
-        expect = _scan(x, first, len(first))
+        expect = _scan(x, first)
         assert_same_scan(design.row_patterns, expect)
         # edges, then mutual and the 17 nodematch terms, the keyed columns
         assert expect[2] == [0, 1, *range(5, 22)]
@@ -1241,8 +1241,8 @@ class TestRecordedRowGroups:
         assert grouped.residual_deviance == pytest.approx(by_row.residual_deviance, rel=1e-10)
 
     def test_keyed_columns_are_scanned_from_the_key(self):
-        # a nodematch of one holder is all zero: its bit is no 0/1 column,
-        # so the key's bits land among edges at shifts of -1 and 0
+        # a nodematch of one holder is all zero: its bit is set on no row,
+        # so it is no pattern column, and the others are read at their bits
         rng = np.random.default_rng(221)
         n = 40
         g = random_graph(rng, n, 0.03)
@@ -1255,16 +1255,44 @@ class TestRecordedRowGroups:
         spec = parse_terms(("nodematch(role, rare)", "mutual", "edges",
                             "nodematch(group)", "gwesp(0.5)", "nodematch(team)"))
         plain, (bits, keyed) = _design(g, g, table, spec, ~np.eye(n, dtype=bool))
-        assert keyed == (0, 1, 3, 5) and bits.dtype == np.uint8
+        assert keyed == (0, 1, 2, 3, 5) and bits.dtype == np.uint8
+        assert not (bits & 1).any()
         design = build_design(g, table, spec)
         first, group = design.row_groups
         assert_same_groups((first, group), _unique_rows(plain.matrix, plain.response))
+        hi, lo, cols, ids, patterns = design.row_patterns
+        assert cols == [1, 2, 3, 5] and hi[0] == lo[0] == 0.0
+        # each pattern is the bits of its rows' key at the columns' places,
+        # and the ids order the keys
+        key = bits[first]
+        np.testing.assert_array_equal(patterns[ids], design.matrix[first][:, cols])
+        np.testing.assert_array_equal(patterns[ids], (key[:, None] >> [1, 2, 3, 4]) & 1)
+        assert (np.diff(key[np.argsort(ids, kind="stable")].astype(np.int64)) >= 0).all()
+        # the scan of a hand-made copy, keyed by value, is the same
         x = np.asarray(design.matrix, dtype=np.float64)
-        expect = _scan(x, first, len(first))
-        assert expect[2] == [1, 2, 3, 5] and expect[0][0] == 0.0
-        assert_same_scan(design.row_patterns, expect)
+        assert_same_scan(design.row_patterns, _scan(x, first))
         # and on every row, as a design that is not grouped is frozen
-        assert_same_scan(_scan(x, None, len(x), key=(bits, keyed)), _scan(x, None, len(x)))
+        assert_same_scan(_scan(x, None, key=(bits, keyed)), _scan(x, None))
+
+    @pytest.mark.filterwarnings("ignore:possible separation")
+    def test_an_unkeyed_0_1_column_is_read_as_an_ordinary_one(self):
+        # with one tie a -> b, gwdsp is 1 where the sender is b or the
+        # receiver a, save b -> a: a 0/1 column, though not built as a bool
+        g = DirectedGraph(8, frozenset({(2, 5)}))
+        spec = parse_terms(("edges", "gwdsp(0.5)", "mutual"))
+        design = build_design(g, None, spec)
+        assert set(np.unique(design.matrix[:, 1])) == {0.0, 1.0}
+        assert design.row_patterns[2] == [0, 2]
+        # a hand-made copy keys it by value, and fits as the design does
+        copy = DyadDesign(design.response.copy(), design.matrix.copy(), design.term_names)
+        assert _scan(np.asarray(copy.matrix), None)[2] == [0, 1, 2]
+        built, by_value = fit_logistic(design), fit_logistic(copy)
+        for field in ("coefficients", "standard_errors"):
+            np.testing.assert_allclose(
+                getattr(built, field), getattr(by_value, field), rtol=1e-12, atol=1e-12,
+                err_msg=field,
+            )
+        assert built.residual_deviance == pytest.approx(by_value.residual_deviance, rel=1e-12)
 
     def test_a_grouped_design_cannot_be_edited_in_place(self):
         design = build_design(random_graph(np.random.default_rng(220), 30, 0.1), None, self.SPEC)
@@ -1313,7 +1341,7 @@ class TestRecordedRowGroups:
         assert distinct.row_groups is None
         assert distinct.row_patterns is design.row_patterns
         x = np.asarray(distinct.matrix, dtype=np.float64)
-        assert_same_scan(distinct.row_patterns, _scan(x, None, len(x)))
+        assert_same_scan(distinct.row_patterns, _scan(x, None))
         # each distinct row weighted by the rows it stands for fits as the design
         weights = np.bincount(group, minlength=distinct.n_rows).astype(np.float64)
         np.testing.assert_allclose(
@@ -1736,7 +1764,7 @@ class TestZeroOnePatterns:
     def test_evaluation_matches_the_whole_design(self, case):
         x, y, w, theta, bits = case
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16), \
-                mock.patch.object(estimator, "_KEY_BITS", bits):
+                mock.patch.object(terms, "_KEY_BITS", bits):
             rows = fitted_rows(x, y, w)
             ll, score, info = evaluate(x, y, w, theta)
         on = w > 0.0
@@ -1786,14 +1814,14 @@ class TestZeroOnePatterns:
         w[:10] = 1.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
             x = np.asarray(design.matrix, dtype=np.float64)
-            _freeze(design, None, estimator._scan(x, None, len(x)))
+            _freeze(design, None, estimator._scan(x, None))
             first = fit_logistic(design)
             weighted = fit_logistic(design, weights=w)
         # the rows are scanned once and frozen; the fit of every row reads
         # that scan, and the weighted fit, whose rows have the same 0/1
         # columns, scans only the others and reads the labels
         assert not (design.matrix.flags.writeable or design.response.flags.writeable)
-        assert spy.call_count == 2 and spy.call_args_list[1].args[3] is not None
+        assert spy.call_count == 2 and spy.call_args_list[1].args[2] is not None
         cols, ids, patterns = design.row_patterns[2:]
         assert cols == [0, 2, 3] and len(ids) == 400
         # and the fits equal those of a copy that labels its own rows
@@ -1808,7 +1836,7 @@ class TestZeroOnePatterns:
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
             with pytest.warns(UserWarning, match="all-zero"):
                 fit = fit_logistic(design, weights=w)
-        assert spy.call_count == 2 and len(spy.call_args_list[1].args) == 3
+        assert spy.call_count == 2 and len(spy.call_args_list[1].args) == 2
         assert design.row_patterns[2] == cols
         assert fit.dropped_terms == ("rare",)
         with pytest.warns(UserWarning, match="all-zero"):

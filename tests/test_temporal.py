@@ -1,9 +1,11 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import netergm.estimator
 import netergm.temporal
 from netergm import (
     ConfigError,
@@ -16,6 +18,7 @@ from netergm import (
     NetworkSeries,
     NumericalError,
     RankDeficiencyError,
+    TEMPORAL_TERMS,
     build_design,
     build_graph,
     fit_btergm,
@@ -26,11 +29,13 @@ from netergm import (
     parse_terms,
     pooled_design,
 )
-from netergm.estimator import _scan, _unique_rows
+from netergm.estimator import _distinct, _scan, _unique_rows
 from netergm.temporal import LAGGED_TIE_NAME, formation_bic_all_dyads
+from netergm.terms import _change_stat_columns
 from helpers import (
     assert_same_scan,
     change_stats,
+    panel_bootstrap_inputs,
     random_graph,
     refit_every_replicate,
     simple_table,
@@ -431,8 +436,8 @@ class TestDistinctRowsAndWarmStarts:
         monkeypatch.setattr(netergm.temporal, "_distinct", spy)
         fit_btergm(series, table, spec, replications=2, include_lagged_tie=lag)
         ((bits, keyed),), ((pooled, distinct, group),) = keys, copies
-        # mutual, the nodematch and the lagged tie are the key's bits
-        assert keyed == ((1, 3, 4) if lag else (1, 3))
+        # edges, mutual, the nodematch and the lagged tie are the key's bits
+        assert keyed == ((0, 1, 3, 4) if lag else (0, 1, 3))
         for b, k in enumerate(keyed):
             np.testing.assert_array_equal((bits >> b) & 1, pooled.matrix[:, k])
         # the pooled design records its groups, and the scan of its
@@ -442,13 +447,13 @@ class TestDistinctRowsAndWarmStarts:
         np.testing.assert_array_equal(pooled.row_groups[1], expect)
         assert not (pooled.matrix.flags.writeable or pooled.response.flags.writeable)
         x = np.asarray(pooled.matrix, dtype=np.float64)
-        assert_same_scan(pooled.row_patterns, _scan(x, first, len(first)))
+        assert_same_scan(pooled.row_patterns, _scan(x, first))
         # the copy holds the distinct rows and shares that scan
         np.testing.assert_array_equal(group, expect)
         np.testing.assert_array_equal(distinct.matrix, pooled.matrix[first])
         assert distinct.row_patterns is pooled.row_patterns
         x = np.asarray(distinct.matrix, dtype=np.float64)
-        assert_same_scan(distinct.row_patterns, _scan(x, None, len(x)))
+        assert_same_scan(distinct.row_patterns, _scan(x, None))
 
     @pytest.mark.parametrize("lag", [False, True], ids=["no_lag", "lag"])
     def test_pooled_design_records_the_groups_of_its_rows(self, lag):
@@ -641,6 +646,87 @@ TEAM = simple_table(
     team=tuple("r" if k < 2 else "b" for k in range(9)),
 )
 TEAM_SPEC = parse_terms(("edges", "mutual", "nodematch(team, r)"))
+
+
+class TestEveryLibraryDesignIsScannedInItsBuilder:
+    """Each design the library builds is keyed, scanned and frozen once, in
+    its builder: its pattern columns are its keyed columns that hold a 1 on
+    the rows its fits start from, and no fit of it scans afresh."""
+
+    # a level that one node holds matches no dyad: its column is keyed
+    # but holds no 1
+    SPEC = parse_terms(("edges", "mutual", "gwesp(0.5)", "nodematch(team)",
+                        "nodematch(team, c)"))
+
+    @pytest.mark.filterwarnings("ignore:dropping all-zero", "ignore:possible separation")
+    def test_pattern_columns_are_the_keyed_columns_that_hold_a_1(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        n = 10
+        graphs = [random_graph(rng, n, 0.3) for _ in range(4)]
+        series = series_of(graphs)
+        table = simple_table([f"v{i}" for i in range(n)],
+                             team=["c", *rng.choice(["a", "b"], n - 1)])
+        off = ~np.eye(n, dtype=bool)
+        keyed = _change_stat_columns(graphs[0], table, self.SPEC, off)[1][1]
+        assert keyed == (0, 1, 3, 4)
+        spy = mock.Mock(wraps=_scan)
+        monkeypatch.setattr(netergm.estimator, "_scan", spy)
+        monkeypatch.setattr(netergm.temporal, "_scan", spy)
+        builders = {
+            "build_design": lambda: build_design(graphs[1], table, self.SPEC),
+            "pooled_design": lambda: pooled_design(series, table, self.SPEC),
+            "lagged": lambda: pooled_design(series, table, self.SPEC, True),
+            "formation_design": lambda: formation_design(graphs[0], graphs[1], table,
+                                                         self.SPEC),
+            "_distinct": lambda: _distinct(pooled_design(series, table, self.SPEC))[0],
+        }
+        for name, build in builders.items():
+            spy.reset_mock()
+            design = build()
+            # one scan, in the builder (the pooled design's, for its copy)
+            assert spy.call_count == 1, name
+            assert not (design.matrix.flags.writeable or design.response.flags.writeable)
+            assert (design.row_groups is None) == (name in ("formation_design", "_distinct"))
+            rows = design.matrix
+            if design.row_groups is not None:
+                rows = rows[design.row_groups[0]]
+            cols = [k for k in keyed + ((5,) if name == "lagged" else ())
+                    if (rows[:, k] == 1.0).any()]
+            assert design.row_patterns[2] == cols and cols[0] == 0 and 4 not in cols, name
+            spy.reset_mock()
+            fit_logistic(design)
+            fit_logistic(design, weights=np.full(design.n_rows, 2.0))
+            assert spy.call_count == 0, name
+        # a bootstrap pick reads the labels of the pooled design's scan
+        design, group = _distinct(pooled_design(series, table, self.SPEC))
+        draws = np.array([2, 0, 1])
+        unit_of_row = np.repeat(np.arange(3), n * (n - 1))
+        spy.reset_mock()
+        fit_logistic(design, weights=np.bincount(group, draws[unit_of_row]))
+        assert spy.call_count == 1 and spy.call_args.args[2] is not None
+
+
+@pytest.fixture(scope="module", params=[3, 5])
+def panel_bootstrap_designs(request, tmp_path_factory):
+    """The pooled design and the formation designs of the benchmark's
+    ``panel_bootstrap`` workload for one input variant."""
+    series, table = panel_bootstrap_inputs(request.param, tmp_path_factory.mktemp("course"))
+    spec = parse_terms(TEMPORAL_TERMS)
+    graphs = series.graphs
+    formation = [formation_design(graphs[t - 1], graphs[t], table, spec)
+                 for t in range(1, len(graphs))]
+    return [pooled_design(series, table, spec), *formation]
+
+
+class TestPanelBootstrapDesigns:
+    def test_the_keyed_scan_equals_the_scan_of_the_distinct_rows(self, panel_bootstrap_designs):
+        for design in panel_bootstrap_designs:
+            first = None if design.row_groups is None else design.row_groups[0]
+            x = np.asarray(design.matrix, dtype=np.float64)
+            expect = _scan(x, first)
+            assert_same_scan(design.row_patterns, expect)
+            # edges, then mutual and the 17 nodematch terms, the keyed columns
+            assert expect[2] == [0, 1, *range(6, 23)]
 
 
 def team_series(warm):
