@@ -177,7 +177,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:

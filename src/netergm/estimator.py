@@ -41,10 +41,10 @@ designs of ``build_design`` and ``pooled_design``, the ungrouped design of
 ``temporal.formation_design``, and the distinct-row copy that ``_distinct``
 makes of a pooled design for ``fit_btergm``, which shares them. The rank
 check reads Newton's first information: where it proves that the row-blocked
-QR (``_rank``) would find full rank (``_full_rank_certificate``), the QR
-does not run; where it cannot, the QR decides, reading the kept columns of
-the rows Newton reads from the design, one block at a time
-(``_Rows.design_blocks``). A cold fit starts at the intercept-only estimate
+QR would find full rank (``_full_rank_certificate``), the QR does not run;
+where it cannot, the QR decides: one walk of the rows Newton reads makes one
+R factor (``_r_factor``), whose columns give the rank and any dependent
+columns (``_rank``). A cold fit starts at the intercept-only estimate
 (``_intercept_start``), as R's ``glm`` starts from the data, so that a
 sparse network's fit spends no steps walking ``edges`` from a tie
 probability of 1/2 toward its density.
@@ -570,18 +570,16 @@ def _held(known, pick):
 
 class _Rows(NamedTuple):
     """The rows that one fit reads, as one list of ``_BLOCK_ROWS``-row
-    blocks, with its kept columns ``kept`` (design columns, in design
-    order) split into 0/1 columns and the others.
+    blocks, with its kept columns split into 0/1 columns and the others.
 
     Newton runs in the column order ``order`` (positions among the kept
-    columns): the 0/1 columns first, then the others, each in design order.
-    ``patterns`` holds each distinct row of the 0/1 columns once, and
-    ``ids`` the pattern of every fitted row, block by block. ``xs`` holds
-    the other columns: views of the design, whose columns ``rest`` are the
-    others, where the fit reads the design in place, and otherwise copies
-    of the others alone gathered into column-major blocks. ``ys`` and ``ws``
-    are the responses (as float64) and weights. ``x`` is the design matrix
-    and ``rows`` the fitted rows' indices in it, None for all of them.
+    columns, in design order): the 0/1 columns first, then the others, each
+    in design order. ``patterns`` holds each distinct row of the 0/1 columns
+    once, and ``ids`` the pattern of every fitted row, block by block. ``xs``
+    holds the other columns: views of the design, whose columns ``rest`` are
+    the others, where the fit reads the design in place, and otherwise
+    copies of the others alone gathered into column-major blocks. ``ys`` and
+    ``ws`` are the responses (as float64) and weights.
     """
 
     order: np.ndarray
@@ -591,19 +589,6 @@ class _Rows(NamedTuple):
     rest: np.ndarray
     ys: list
     ws: list
-    kept: list
-    x: np.ndarray
-    rows: np.ndarray | None
-
-    def design_blocks(self):
-        """The fitted rows of the kept columns in design order, for the QR:
-        yields one row block at a time, read from the design."""
-        if self.rows is None:
-            for xb in _blocks(self.x):
-                yield xb if xb.shape[1] == len(self.kept) else xb[:, self.kept]
-            return
-        for block in _row_blocks(len(self.rows)):
-            yield _take_rows(self.x, self.rows[block], self.kept)
 
 
 def _fit_rows(design, w, pick):
@@ -651,7 +636,7 @@ def _fit_rows(design, w, pick):
         ys = [y[rows[block]].astype(np.float64) for block in _row_blocks(n)]
     place = {k: j for j, k in enumerate(kept)}
     order = np.array([place[k] for k in cols + other], dtype=np.intp)
-    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w), kept, x, rows)
+    fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w))
     return fit, hi, lo
 
 
@@ -666,48 +651,62 @@ def _take_rows(x, rows, cols=None):
     return out
 
 
-def _rank(xs, ws, cols=slice(None)):
-    """Numerical rank of the columns ``cols`` of the matrix whose row blocks
-    the iterable ``xs`` yields, read once, by numpy's ``matrix_rank`` rule,
-    where a row of weight k (from the matching list ``ws``) counts as k
-    copies of the row:
-    the rows are scaled by the square roots of their weights and the
-    tolerance is ``max(sum(w), p) * eps * s_max``.
+def _r_factor(rows):
+    """The R factor of the fitted ``rows`` (a ``_Rows``): of their kept
+    columns in design order, each row scaled by the square root of its
+    weight, built in one pass over the row blocks (a row-blocked "TSQR").
+    Each block is written straight into the buffer that stacks it under the
+    running R (its 0/1 columns from ``patterns`` at its ids, the others from
+    its ``xs`` columns ``rest``), scaled and factorised again, so no copy of
+    the design is made and Q is never formed. Raises
+    :class:`NumericalError` where an entry is not finite.
 
-    The R factor is built block by block (a row-blocked "TSQR"): each block
-    of scaled rows is stacked under the running R and factorised again, so
-    R has the singular values of the scaled ``x[:, cols]`` while no copy of
-    the design is made and Q is never formed. A design of one block gives
-    the R of a single QR.
+    For the scaled rows S = QR, S[:, J] = Q R[:, J]; Householder QR's
+    backward error is bounded column by column (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, 19.3), so R's columns J stand for
+    S[:, J] in ``_rank``.
+    """
+    b, p = rows.patterns.shape[1], len(rows.order)
+    ones, other = rows.order[:b], rows.order[b:]
+    r = np.empty((0, p))
+    for xb, wb, ib in zip(rows.xs, rows.ws, rows.ids):
+        stacked = np.empty((len(r) + len(wb), p))
+        stacked[:len(r)] = r
+        block = stacked[len(r):]
+        block[:, ones] = rows.patterns[ib]
+        block[:, other] = xb[:, rows.rest]
+        block *= np.sqrt(wb)[:, None]
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked, block  # so that they are gone before the next block
+        if not np.isfinite(r).all():
+            raise NumericalError("design matrix has non-finite entries")
+    return r
+
+
+def _rank(r, n_w):
+    """Numerical rank of the scaled rows whose ``_r_factor``, or a selection
+    of its columns, is ``r``, by numpy's ``matrix_rank`` rule with a row of
+    weight k counted as k rows: for the total weight ``n_w``, the tolerance
+    is ``max(n_w, p) * eps * s_max``.
 
     ``fit_logistic`` runs it only where ``_full_rank_certificate`` cannot
     show from Newton's first information that it would return p, and on
     the column selections that name the dependent columns; it alone
     rejects a design, so every rank verdict is this rule's.
     """
-    r = None
-    for xb, wb in zip(xs, ws):
-        # the R so far (no rows before the first block), the block under it
-        stacked = np.vstack([xb[:0, cols] if r is None else r, xb[:, cols]])
-        stacked[len(stacked) - len(wb):] *= np.sqrt(wb)[:, None]
-        r = np.linalg.qr(stacked, mode="r")
-        del stacked  # so that it is gone before the next block is stacked
-        if not np.isfinite(r).all():
-            raise NumericalError("design matrix has non-finite entries")
     s = np.linalg.svd(r, compute_uv=False)
-    d = sum(float(wb.sum()) for wb in ws)
-    tol = max(d, r.shape[1]) * np.finfo(np.float64).eps * s[0]
+    tol = max(n_w, r.shape[1]) * np.finfo(np.float64).eps * s[0]
     return int((s > tol).sum())
 
 
 def _full_rank_certificate(info, m2, ws):
-    """True only if ``_rank(xs, ws)`` would return ``p``: a proof from the
-    information ``info`` (p x p, in any column order) of some
-    ``_evaluate_rows`` of the rows whose blocks are ``xs``, the sum ``m2``
-    of the squared largest |entries| of their p columns, and the weights
+    """True only if ``_rank`` of the ``_r_factor`` of some fitted rows would
+    return ``p``: a proof from the information ``info`` (p x p, in any
+    column order) of an ``_evaluate_rows`` of those rows, the sum ``m2`` of
+    the squared largest |entries| of their p columns, and their weights
     ``ws``. False means only that it cannot tell.
 
-    Write S for the rows of ``xs`` scaled by the square roots of their
+    Write S for the fitted rows scaled by the square roots of their
     weights, whose singular values ``_rank`` compares, and d for its rows.
 
     * ``info`` is the rounded form of ``G = x.T @ (v * x)`` with
@@ -935,7 +934,8 @@ def fit_logistic(
     (``_fit_rows``), and Newton runs with them first, in a column order
     that is undone once at the end. The rank check reads the information of
     the first of those walks, and only when that cannot certify full rank
-    does it walk the same rows' kept columns, a block at a time, by QR.
+    does it walk the same rows once more, into one R factor that gives both
+    the rank and the dependent columns.
 
     ``max_iterations`` must be an integer >= 0 and ``tolerance`` finite and
     >= 0, or :class:`ConfigError` is raised.
@@ -1002,17 +1002,19 @@ def fit_logistic(
     # checks first, so that it raises before any evaluation warns.
     m2 = math.fsum(m * m for m in colmax[keep].tolist())
     ws = rows.ws
+    n_w = sum(float(wb.sum()) for wb in ws)
     at_start = None
-    if math.isfinite(sum(float(wb.sum()) for wb in ws) * m2):
+    if math.isfinite(n_w * m2):
         at_start = _evaluate_rows(rows, start)
     if at_start is None or not _full_rank_certificate(at_start[2], m2, ws):
-        rank = _rank(rows.design_blocks(), ws)
+        r = _r_factor(rows)
+        rank = _rank(r, n_w)
         if rank < p:
             # identify a maximal independent prefix; the rest are dependent
             culprits = []
             basis = []
             for k in range(p):
-                if _rank(rows.design_blocks(), ws, basis + [k]) > len(basis):
+                if _rank(r[:, basis + [k]], n_w) > len(basis):
                     basis.append(k)
                 else:
                     culprits.append(kept_names[k])

@@ -111,7 +111,7 @@ def read_json_edgelist(path) -> tuple:
 
     A file that is not such an export raises a ValidationError naming it.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -178,7 +178,7 @@ class NetworkSeries:
 
 
 def _open_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValidationError(f"{path}: empty file")

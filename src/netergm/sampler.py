@@ -164,8 +164,9 @@ class _Chain:
 
     def step(self):
         """The compiled step: ``run(view_i, view_j, view_logu)`` makes one
-        proposal per draw and returns how many of them needed the exact
-        ratio, not its interval (all of them when no term gives one)."""
+        proposal per draw and returns how many of them reached the exact
+        sum because the interval did not decide: with no interval term,
+        only a non-finite ratio does, and it raises."""
         names = dict(self.names, isfinite=math.isfinite, inf=math.inf,
                      NumericalError=NumericalError)
         return _function(names, "view_i, view_j, view_logu", _step_body(self))
@@ -213,8 +214,9 @@ def _step_body(chain) -> list:
     interval (gwesp, gwdsp), the sum from the first of them on is taken
     twice, once with each term at the end of its interval that gives the
     lower ratio (the low end for a positive coefficient, the high end for a
-    negative one) and once at the other. When both sums are finite and logu
-    falls outside them, that decides; otherwise the exact deltas are summed.
+    negative one) and once at the other; with no such term, both sums are
+    the exact ratio. When both sums are finite and logu falls outside them,
+    that decides; otherwise the exact deltas are summed.
     """
     terms = chain.snippets
     first = next((n for n, term in enumerate(terms) if term[2]), len(terms))
@@ -225,13 +227,6 @@ def _step_body(chain) -> list:
         loop += block
         ratio.append(f"th{k} * ({value})")
     loop.append("ratio = " + " + ".join(ratio))
-    check = ["if not isfinite(ratio):", "    " + _RAISE]
-    toggle = chain.toggle_source.splitlines()
-    if first == len(terms):
-        loop += check + ["if logu < (-ratio if aij else ratio):"] + _indent(toggle)
-        return ["for i, j, logu in zip(view_i, view_j, view_logu):"] + _indent(loop) + [
-            "return len(view_i)"
-        ]
     low, high, exact, rest = ["ratio"], ["ratio"], ["exact += 1"], ["ratio"]
     for k, delta, bound, positive in terms[first:]:
         if bound:
@@ -245,7 +240,7 @@ def _step_body(chain) -> list:
         low.append(f"th{k} * {ends[0]}")
         high.append(f"th{k} * {ends[1]}")
         rest.append(f"th{k} * d{k}")
-    exact += ["ratio = " + " + ".join(rest)] + check
+    exact += ["ratio = " + " + ".join(rest), "if not isfinite(ratio):", "    " + _RAISE]
     loop += [
         "lo = " + " + ".join(low),
         "hi = " + " + ".join(high),
@@ -259,7 +254,7 @@ def _step_body(chain) -> list:
     ] + _indent(exact + [
         "if not logu < (-ratio if aij else ratio):",
         "    continue",
-    ]) + toggle
+    ]) + chain.toggle_source.splitlines()
     return ["exact = 0", "for i, j, logu in zip(view_i, view_j, view_logu):"] + _indent(loop) + [
         "return exact"
     ]

@@ -370,6 +370,19 @@ def refit_every_replicate(
     }
 
 
+# The demo inputs and outputs committed under ``demos/output``
+DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
+
+
+def with_bom(source, dest):
+    """Write ``source``'s bytes to ``dest`` after a UTF-8 byte-order mark,
+    as Excel's "CSV UTF-8" export and Windows Notepad write it; returns
+    ``dest``."""
+    dest = Path(dest)
+    dest.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+    return dest
+
+
 def _bench_gen():
     """The benchmark's input generator, ``bench/gen.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"

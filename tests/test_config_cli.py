@@ -26,7 +26,7 @@ from netergm.report import TABLE_FORMATS, Table, emit
 from netergm.temporal import BOOTSTRAP_MODES, fit_btergm
 from netergm.terms import parse_terms
 
-from helpers import random_graph
+from helpers import DEMO_OUTPUT, random_graph, with_bom
 
 
 def read_csv(path):
@@ -58,6 +58,11 @@ class TestRunConfig:
         assert cfg.seed == 11
         assert cfg.subsample == "active:2"
         assert cfg.out_dir == "out"
+
+    def test_from_file_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 11, "subsample": "active:2"}))
+        assert RunConfig.from_file(with_bom(path, tmp_path / "bom.json")) == RunConfig.from_file(path)
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "run.json"
@@ -291,6 +296,43 @@ class TestCliCommands:
         assert len(headers) == 14
         assert [r[0] for r in rows] == ["All", "Q1", "Q2", "Q3", "Q4"]
         assert (out / "descriptives.txt").exists()
+
+    def test_describe_of_inputs_with_a_byte_order_mark_writes_the_same_files(self, tmp_path):
+        source = DEMO_OUTPUT / "cli"
+        for name, folder in (("plain", source), ("bom", tmp_path)):
+            if name == "bom":
+                for f in ("events.csv", "attributes.csv"):
+                    with_bom(source / f, folder / f)
+            code = run_cli(
+                "describe",
+                "--edges", str(folder / "events.csv"),
+                "--attrs", str(folder / "attributes.csv"),
+                "--out-dir", str(tmp_path / name),
+                "--format", "csv",
+            )
+            assert code == 0
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert names == ["descriptives.csv", "descriptives.txt"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "plain", tmp_path / "bom", names, shallow=False
+        )
+        assert (match, mismatch, errors) == (names, [], [])
+
+    def test_fit_of_the_battery_and_uniform_region_names_it(self, tmp_path, capsys):
+        # the five regional level terms sum to nodematch(region)
+        source = DEMO_OUTPUT / "cli"
+        code = run_cli(
+            "fit",
+            "--edges", str(source / "events.csv"),
+            "--attrs", str(source / "attributes.csv"),
+            "--terms", ", ".join(CROSS_SECTIONAL_TERMS + ("nodematch(region)",)),
+            "--out-dir", str(tmp_path / "f"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: design is rank deficient")
+        assert err.rstrip().endswith("dependent columns: nodematch(region)")
+        assert not (tmp_path / "f").exists()
 
     def test_fit_with_explicit_terms(self, course_files, tmp_path):
         out = tmp_path / "f"

@@ -41,6 +41,7 @@ from netergm.estimator import (
     _freeze,
     _full_rank_certificate,
     _logistic,
+    _r_factor,
     _rank,
     _record_row_groups,
     _scan,
@@ -1117,7 +1118,7 @@ class TestLargeMpleDesigns:
 
     def test_the_intercept_start_saves_passes_and_needs_no_qr(self, large_mple_design):
         design = large_mple_design
-        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+        with mock.patch.object(estimator, "_r_factor", wraps=_r_factor) as spy:
             cold = fit_logistic(design)
         assert spy.call_count == 0
         zero = fit_logistic(design, _start=np.zeros(design.matrix.shape[1]))
@@ -1152,10 +1153,26 @@ def fit_and_rows(design, weights=None):
         return fit_or_culprits(design, weights), seen[0]
 
 
-def assert_design_blocks(rows, fitted):
-    """The blocks that ``rows`` hands the QR join into the kept columns of
-    the fitted rows ``fitted``, NaN where NaN."""
-    np.testing.assert_array_equal(np.concatenate(list(rows.design_blocks())), fitted[:, rows.kept])
+def blocked_r(x, w):
+    """The R of the row-blocked QR of the rows of ``x`` scaled by the square
+    roots of their weights ``w``, read in blocks of ``_BLOCK_ROWS`` rows,
+    each stacked under the R so far: the reference for ``_r_factor``."""
+    r = x[:0]
+    for xb, wb in zip(_blocks(x), _blocks(w)):
+        r = np.linalg.qr(np.vstack([r, np.sqrt(wb)[:, None] * xb]), mode="r")
+    return r
+
+
+def assert_r_factor(rows, fitted, w):
+    """The R factor of ``rows`` is, bit for bit, ``blocked_r`` of the kept
+    columns of the fitted rows ``fitted`` of weights ``w``, in design order;
+    a NaN among them raises."""
+    kept = [k for k in range(fitted.shape[1]) if (fitted[:, k] != 0.0).any()]
+    if np.isnan(fitted[:, kept]).any():
+        with pytest.raises(NumericalError, match="non-finite"):
+            _r_factor(rows)
+        return
+    np.testing.assert_array_equal(_r_factor(rows), blocked_r(fitted[:, kept], w))
 
 
 def assert_fits_agree(grouped, plain):
@@ -1358,12 +1375,13 @@ class TestRecordedRowGroups:
         first, group = grouped.row_groups
         assert len(first) > 2 * 16 and len(first) % 16
         # blocks of 16 rows: three to seven blocks of distinct rows, the last ragged
+        counts = np.bincount(group, weights, len(first))
+        on = counts > 0.0
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
             fit, rows = fit_and_rows(grouped, weights)
             assert_fits_agree(fit, fit_or_culprits(design, weights))
-        # the QR's blocks are the distinct rows of positive weight
-        on = np.bincount(group, weights, len(first)) > 0.0
-        assert_design_blocks(rows, design.matrix[first][on])
+            # the QR reads the distinct rows of positive weight
+            assert_r_factor(rows, design.matrix[first][on], counts[on])
         if kind in ("none", "empty"):
             assert fit.dropped_terms == (("rare",) if kind == "empty" else ())
         if kind == "collinear":
@@ -1384,22 +1402,21 @@ class TestRecordedRowGroups:
             spy(ws)
             return _full_rank_certificate(info, m2, ws)
 
-        def spy_rank(xs, ws, cols=slice(None)):
-            xs = list(xs)
-            assert [len(xb) for xb in xs] == [len(wb) for wb in ws]
-            spy(ws)
-            return _rank(xs, ws, cols)
+        def spy_r_factor(rows):
+            assert [len(xb) for xb in rows.xs] == [len(wb) for wb in rows.ws]
+            spy(rows.ws)
+            return _r_factor(rows)
 
         # the distinct rows are read, weighted up to the rows of the whole
         # design: by the certificate, which decides, and by the QR in its place
         distinct = (len(design.row_groups[0]), design.n_rows)
         with mock.patch.object(estimator, "_full_rank_certificate", spy_certificate), \
-                mock.patch.object(estimator, "_rank", spy_rank):
+                mock.patch.object(estimator, "_r_factor", spy_r_factor):
             grouped = fit_logistic(design)
         assert reads == [distinct]
         reads.clear()
         with mock.patch.object(estimator, "_full_rank_certificate", qr_only), \
-                mock.patch.object(estimator, "_rank", spy_rank):
+                mock.patch.object(estimator, "_r_factor", spy_r_factor):
             assert_identical_fits(fit_logistic(design), grouped)
         assert reads == [distinct]
         plain = fit_logistic(dataclasses.replace(design))
@@ -1508,20 +1525,35 @@ def whole(blocks):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
+def total_weight(rows):
+    """The weight of the fitted ``rows``, summed as ``fit_logistic`` sums it."""
+    return sum(float(wb.sum()) for wb in rows.ws)
+
+
 def rank(x, cols=slice(None)):
-    """``_rank`` of the array ``x``, every row of weight 1."""
-    return _rank(_blocks(x), _blocks(np.ones(len(x))), cols)
+    """``_rank`` of the columns ``cols`` of the ``_r_factor`` of the array
+    ``x``, none of whose columns is zero, every row of weight 1."""
+    rows, kept = fitted_rows(x, np.arange(len(x)) % 2, np.ones(len(x)))
+    assert kept == list(range(x.shape[1]))
+    return _rank(_r_factor(rows)[:, cols], total_weight(rows))
 
 
-def unblocked_rank(x, w, cols=slice(None)):
-    # one QR of the whole weighted selection: the reference for the row-blocked R
-    x, w = whole(list(x)), whole(w)
-    x = np.sqrt(w)[:, None] * x[:, cols]
-    r = np.linalg.qr(x, mode="r")
+def newton_columns(rows):
+    """The kept columns of every fitted row of ``rows``, in Newton's column
+    order (``rows.order``), read back from its patterns and other columns."""
+    return whole([
+        np.column_stack([rows.patterns[ib], xb[:, rows.rest]])
+        for ib, xb in zip(rows.ids, rows.xs)
+    ])
+
+
+def unblocked_r_factor(rows):
+    # one QR of every weighted fitted row: the reference for the row-blocked R
+    x = newton_columns(rows)[:, np.argsort(rows.order)]
+    r = np.linalg.qr(np.sqrt(whole(rows.ws))[:, None] * x, mode="r")
     if not np.isfinite(r).all():
         raise NumericalError("design matrix has non-finite entries")
-    s = np.linalg.svd(r, compute_uv=False)
-    return int((s > max(w.sum(), x.shape[1]) * np.finfo(np.float64).eps * s[0]).sum())
+    return r
 
 
 def unblocked_evaluate(x, y, w, theta):
@@ -1536,21 +1568,23 @@ def unblocked_evaluate(x, y, w, theta):
 
 
 def fitted_rows(x, y, w):
-    """The ``_Rows`` that a fit reads from the rows of positive weight
-    ``w`` of the plain design ``(x, y)``."""
+    """``(rows, kept)``: the ``_Rows`` that a fit reads from the rows of
+    positive weight ``w`` of the plain design ``(x, y)``, and the columns it
+    keeps, as ``fit_logistic`` keeps them."""
     names = tuple(f"c{k}" for k in range(x.shape[1]))
     design = DyadDesign(y, x, names)
     on = w > 0.0
-    return _fit_rows(design, w, None if on.all() else np.flatnonzero(on))[0]
+    rows, hi, lo = _fit_rows(design, w, None if on.all() else np.flatnonzero(on))
+    return rows, np.flatnonzero(np.maximum(hi, -lo) != 0.0).tolist()
 
 
 def evaluate(x, y, w, theta):
     """``_evaluate_rows`` at ``theta`` (aligned with the columns of ``x``)
     on the rows of ``(x, y)`` of positive weight ``w``: the log-likelihood,
     and the score and information of the kept columns in design order."""
-    rows = fitted_rows(x, y, w)
+    rows, kept = fitted_rows(x, y, w)
     back = np.argsort(rows.order)
-    ll, score, info = _evaluate_rows(rows, np.asarray(theta)[rows.kept][rows.order])
+    ll, score, info = _evaluate_rows(rows, np.asarray(theta)[kept][rows.order])
     return ll, score[back], info[np.ix_(back, back)]
 
 
@@ -1562,16 +1596,15 @@ def whole_rows(rows):
 def unpatterned_evaluate(rows, theta):
     """``unblocked_evaluate`` of every kept column of the fitted ``rows``,
     in Newton's column order: what ``_evaluate_rows`` computes, by a formula
-    that reads no pattern."""
-    x = whole(list(rows.design_blocks()))[:, rows.order]
-    return unblocked_evaluate([x], rows.ys, rows.ws, theta)
+    that sums nothing per pattern."""
+    return unblocked_evaluate([newton_columns(rows)], rows.ys, rows.ws, theta)
 
 
 def fit_unblocked(monkeypatch, design, **options):
     """Fit with whole-design kernels in place of the row-blocked ones and
     no 0/1 patterns."""
     with monkeypatch.context() as m:
-        m.setattr(estimator, "_rank", unblocked_rank)
+        m.setattr(estimator, "_r_factor", unblocked_r_factor)
         m.setattr(estimator, "_evaluate_rows", unpatterned_evaluate)
         return fit_logistic(design, **options)
 
@@ -1580,7 +1613,7 @@ def fit_joined(monkeypatch, design, **options):
     """Fit with the row blocks joined into one, for the QR and for
     ``_evaluate_rows``."""
     with monkeypatch.context() as m:
-        m.setattr(estimator, "_rank", unblocked_rank)
+        m.setattr(estimator, "_r_factor", unblocked_r_factor)
         m.setattr(
             estimator, "_evaluate_rows",
             lambda rows, theta: _evaluate_rows(whole_rows(rows), theta),
@@ -1622,15 +1655,16 @@ class TestRowBlocks:
                     warnings.simplefilter("ignore", UserWarning)
                     assert fit_checked(design).n_params == p
 
-    @pytest.mark.parametrize("rank_of", [_rank, unblocked_rank])
-    def test_rank_tolerance_counts_the_given_rows(self, rank_of):
+    @pytest.mark.parametrize("r_factor", [_r_factor, unblocked_r_factor])
+    def test_rank_tolerance_counts_the_given_rows(self, r_factor):
         # a singular value at 1e-13 of the largest is noise for a design of
         # a million rows but not for one of ten
         x = np.zeros((10, 2))
         x[:, 0] = 1.0
         x[0, 1] = 1e-13 * np.sqrt(10.0)
-        assert rank_of(_blocks(x), _blocks(np.ones(10))) == 2
-        assert rank_of(_blocks(x), _blocks(np.full(10, 10**5))) == 1
+        for weight, expect in ((1.0, 2), (10**5, 1)):
+            rows, _ = fitted_rows(x, np.arange(10) % 2, np.full(10, weight))
+            assert _rank(r_factor(rows), total_weight(rows)) == expect
 
     def test_fit_checks_rank_at_the_given_row_count(self):
         x = np.zeros((10, 2))
@@ -1765,10 +1799,11 @@ class TestZeroOnePatterns:
         x, y, w, theta, bits = case
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16), \
                 mock.patch.object(terms, "_KEY_BITS", bits):
-            rows = fitted_rows(x, y, w)
+            rows, kept = fitted_rows(x, y, w)
             ll, score, info = evaluate(x, y, w, theta)
-        on = w > 0.0
-        kept = rows.kept
+            # the QR reads the fitted rows of the kept columns
+            on = w > 0.0
+            assert_r_factor(rows, x[on], w[on])
         assert kept == [k for k in range(x.shape[1]) if (x[on, k] != 0.0).any()]
         # the split: the first 0/1 columns on the fitted rows, as many as
         # the key holds, in design order
@@ -1786,8 +1821,6 @@ class TestZeroOnePatterns:
         assert_close_to_the_terms(info, expect[2], ax.T @ (v[:, None] * ax))
         # exactly symmetric, NaN where NaN
         np.testing.assert_array_equal(info, info.T)
-        # the QR's blocks are the fitted rows of the kept columns
-        assert_design_blocks(rows, x[on])
 
     def test_more_zero_one_columns_than_the_key_holds(self):
         rng = np.random.default_rng(250)
@@ -1796,7 +1829,7 @@ class TestZeroOnePatterns:
         y = (rng.random(400) < 0.4).astype(np.int8)
         w = np.ones(400)
         theta = rng.normal(size=71) * 0.1
-        rows = fitted_rows(x, y, w)
+        rows, _ = fitted_rows(x, y, w)
         # 64 columns are bits of the key, the last six 0/1 columns are read
         # as ordinary ones, after them the float column
         assert rows.patterns.shape[1] == 64 and rows.patterns[:, 63].any()
@@ -1895,12 +1928,12 @@ class TestZeroOneRankCertificate:
         design, w = case
         x = design.matrix
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
-            rows = fitted_rows(x, design.response, w)
+            rows, kept = fitted_rows(x, design.response, w)
             info = evaluate(x, design.response.astype(float), w, np.zeros(x.shape[1]))[2]
             # a level that no row holds is dropped
-            m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in rows.kept)
+            m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in kept)
             if _full_rank_certificate(info, m2, rows.ws):
-                assert _rank(rows.design_blocks(), rows.ws) == len(rows.kept)
+                assert _rank(_r_factor(rows), total_weight(rows)) == len(kept)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 try:
@@ -2032,12 +2065,12 @@ class TestRankCertificate:
         design, w, start, k = case
         x, p = design.matrix, design.matrix.shape[1]
         with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
-            xs, ws = _blocks(x), _blocks(w)
+            rows, _ = fitted_rows(x, design.response, w)
             info = evaluate(x, design.response.astype(float), w, start)[2]
             m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(p))
-            certified = _full_rank_certificate(info, m2, ws)
+            certified = _full_rank_certificate(info, m2, rows.ws)
             if certified:
-                assert _rank(xs, ws) == p
+                assert _rank(_r_factor(rows), total_weight(rows)) == p
             # at zero start it decides while the near-dependency stands
             # far above the rounding
             if not start.any() and k <= 4:
@@ -2059,16 +2092,16 @@ class TestRankCertificate:
         scaled = (u * [1.0, 1e-6]) @ v.T
         for weight, full in ((1.0, True), (1e9, False)):
             x = np.asfortranarray(scaled / math.sqrt(weight))
-            xs, ws = _blocks(x), _blocks(np.full(10, weight))
+            rows, _ = fitted_rows(x, np.arange(10) % 2, np.full(10, weight))
             info = evaluate(x, np.arange(10) % 2.0, np.full(10, weight), np.zeros(2))[2]
             m2 = math.fsum(float(np.abs(x[:, j]).max()) ** 2 for j in range(2))
-            assert _full_rank_certificate(info, m2, ws) == full
-            assert _rank(xs, ws) == (2 if full else 1)
+            assert _full_rank_certificate(info, m2, rows.ws) == full
+            assert _rank(_r_factor(rows), total_weight(rows)) == (2 if full else 1)
 
     def test_the_qr_runs_only_where_the_certificate_cannot_decide(self):
         g = random_graph(np.random.default_rng(218), 60, 0.05)
         spec = parse_terms(("edges", "mutual", "gwesp(0.5)", "odegpop"))
-        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+        with mock.patch.object(estimator, "_r_factor", wraps=_r_factor) as spy:
             fit_logistic(build_design(g, None, spec))
         assert spy.call_count == 0
         # c is b moved by 1e-12: full rank to the QR, whose tolerance is
@@ -2078,7 +2111,7 @@ class TestRankCertificate:
         x = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
         x[:, 2] = x[:, 1] + 1e-12 * rng.normal(size=40)
         design = DyadDesign(np.arange(40) % 2, x, tuple("abc"))
-        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+        with mock.patch.object(estimator, "_r_factor", wraps=_r_factor) as spy:
             with warnings.catch_warnings():
                 # b and c have standard errors past SE_THRESHOLD
                 warnings.simplefilter("ignore", UserWarning)
@@ -2099,10 +2132,10 @@ class TestRankCertificate:
         calls = []
 
         def spy(rows, theta):
-            calls.append(estimator._rank.call_count)
+            calls.append(estimator._r_factor.call_count)
             return _evaluate_rows(rows, theta)
 
-        with mock.patch.object(estimator, "_rank", wraps=_rank), \
+        with mock.patch.object(estimator, "_r_factor", wraps=_r_factor), \
                 mock.patch.object(estimator, "_evaluate_rows", spy):
             if dependent:
                 with pytest.raises(RankDeficiencyError, match="dependent columns: c$"):
@@ -2127,9 +2160,127 @@ class TestRankCertificate:
         table = table.restrict([table.ids[m] for m in largest_component(g).members])
         series = ingest.slice_periods(events, table)
         spec = parse_terms(config.TEMPORAL_TERMS)
-        with mock.patch.object(estimator, "_rank", wraps=_rank) as spy:
+        with mock.patch.object(estimator, "_r_factor", wraps=_r_factor) as spy:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 point, boot = fit_btergm(series, table, spec, replications=4, seed=3)
         assert spy.call_count == 0
         assert point.converged and len(boot.replicate_coefficients) > 0
+
+
+def assert_one_walk(design, culprit, weights=None):
+    """A fit of ``design`` raises RankDeficiencyError naming ``culprit``
+    alone, after one ``_r_factor`` call that walks its rows once: one QR
+    per row block of 64 rows, and more than one block."""
+    with mock.patch.object(estimator, "_BLOCK_ROWS", 64), \
+            mock.patch.object(estimator, "_r_factor", wraps=_r_factor) as spy, \
+            mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(RankDeficiencyError) as exc:
+                fit_logistic(design, weights=weights)
+    assert str(exc.value).endswith(f"dependent columns: {culprit}")
+    assert spy.call_count == 1
+    blocks = len(spy.call_args.args[0].ws)
+    assert qr.call_count == blocks > 1
+
+
+@st.composite
+def planted_weighted_designs(draw):
+    """A design of 24 to 80 rows drawn from a pool of 6 to 30 distinct
+    rows, so that rows repeat, whose columns are ones, 0/1 columns, small
+    integers and integer combinations of one or two earlier columns (the
+    planted dependencies), with integer weights from 0 to 3, of which the
+    first 20 are positive. Returns (design, weights)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.integers(6, 30))
+    kinds = draw(st.lists(
+        st.sampled_from(("ones", "zero_one", "integer", "combination")),
+        min_size=2, max_size=7,
+    ))
+    columns = []
+    for kind in kinds:
+        if kind == "combination" and columns:
+            picks = rng.choice(len(columns), size=min(2, len(columns)), replace=False)
+            col = sum(float(rng.choice([-2, -1, 1, 2])) * columns[j] for j in picks)
+        elif kind == "ones":
+            col = np.ones(pool)
+        elif kind == "zero_one":
+            col = (rng.random(pool) < 0.5).astype(np.float64)
+        else:
+            col = rng.integers(-3, 4, size=pool).astype(np.float64)
+        columns.append(col)
+    rows = draw(st.integers(24, 80))
+    x = np.asfortranarray(np.column_stack(columns)[rng.integers(pool, size=rows)])
+    y = (rng.random(rows) < 0.4).astype(np.int8)
+    w = rng.integers(0, 4, size=rows).astype(np.float64)
+    w[:20] = rng.integers(1, 4, size=20)
+    names = tuple(f"c{j}" for j in range(len(columns)))
+    return DyadDesign(y, x, names), w
+
+
+def matrix_rank_culprits(design, w):
+    """``(rank, p, culprits)`` of the kept columns of ``design`` by
+    ``np.linalg.matrix_rank`` of each prefix of the independent columns
+    and the next, over the rows of positive weight ``w`` scaled by the
+    square roots of their weights."""
+    on = w > 0.0
+    x = design.matrix[on]
+    kept = [k for k in range(x.shape[1]) if (x[:, k] != 0.0).any()]
+    s = np.sqrt(w[on])[:, None] * x[:, kept]
+    basis, culprits = [], []
+    for j, k in enumerate(kept):
+        if np.linalg.matrix_rank(s[:, basis + [j]]) > len(basis):
+            basis.append(j)
+        else:
+            culprits.append(design.term_names[k])
+    return len(basis), len(kept), culprits
+
+
+class TestOneRFactor:
+    """A rank-deficient fit walks its rows once, into one R factor whose
+    column selections name the dependent columns."""
+
+    def test_the_default_battery_with_uniform_region_walks_once(self):
+        g, table = large_mple_network(0, n=60)
+        spec = parse_terms(config.CROSS_SECTIONAL_TERMS + ("nodematch(region)",))
+        design = build_design(g, table, spec)
+        assert design.row_groups is not None
+        assert_one_walk(design, "nodematch(region)")
+
+    def test_a_hand_made_design_walks_once(self):
+        rng = np.random.default_rng(260)
+        x, k = planted_design(rng, 500, 6)
+        y = (rng.random(500) < 0.4).astype(np.int8)
+        assert_one_walk(DyadDesign(y, x, tuple(f"c{j}" for j in range(6))), f"c{k}")
+
+    def test_zero_weights_that_make_a_column_collinear_walk_once(self):
+        rng = np.random.default_rng(207)
+        design = synthetic_design(rng, 400, [0.2, -0.5])
+        twin = design.matrix[:, 1].copy()
+        twin[:4] += 1.0
+        x = np.column_stack([design.matrix, twin])
+        design = dataclasses.replace(design, matrix=x, term_names=("a", "b", "twin"))
+        counts = rng.integers(1, 3, size=400)
+        counts[:4] = 0
+        assert_one_walk(design, "twin", weights=counts)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=planted_weighted_designs())
+    def test_culprits_match_matrix_rank(self, grouped, case):
+        design, w = case
+        if grouped:
+            design = _record_row_groups(dataclasses.replace(design))
+        rank_of, p, culprits = matrix_rank_culprits(design, w)
+        assume(p > 0)
+        with mock.patch.object(estimator, "_BLOCK_ROWS", 16):
+            fit = fit_or_culprits(design, w)
+        if culprits:
+            assert fit == (
+                f"design is rank deficient ({rank_of}/{p}); dependent columns: "
+                + ", ".join(culprits)
+            )
+        else:
+            assert not isinstance(fit, str), fit
+            assert fit.n_params == p

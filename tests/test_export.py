@@ -5,7 +5,7 @@ import pytest
 
 from netergm import build_graph, export_graph, read_json_edgelist
 from netergm.errors import ConfigError, DimensionError, ValidationError
-from helpers import simple_table
+from helpers import DEMO_OUTPUT, simple_table, with_bom
 
 NS = {"g": "http://graphml.graphdrawing.org/xmlns"}
 
@@ -101,6 +101,11 @@ class TestJsonEdgelist:
         assert table2.ids == table.ids
         assert table2.levels == table.levels
         assert table2.columns == table.columns
+
+    def test_a_byte_order_mark_reads_like_the_original(self, tmp_path):
+        source = DEMO_OUTPUT / "cli" / "network.json"
+        g, table = read_json_edgelist(with_bom(source, tmp_path / "network.json"))
+        assert (g, table) == read_json_edgelist(source)
 
     def test_payload_shape(self, tmp_path):
         g, table, path = *fixture_graph(), tmp_path / "net.json"

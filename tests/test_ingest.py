@@ -13,7 +13,7 @@ from netergm import (
     slice_periods,
 )
 from netergm.ingest import DEFAULT_LEVELS
-from helpers import simple_table
+from helpers import DEMO_OUTPUT, simple_table, with_bom
 
 
 TEAM_LEVELS = {"team": ("blue", "red"), "facilitator": ("No", "Yes")}
@@ -280,3 +280,20 @@ class TestSlicePeriods:
         ]
         series = slice_periods(events, table)
         assert series.graphs[0].edge_count == 1
+
+
+@pytest.mark.parametrize("demo", ["cli", "descriptives"])
+def test_inputs_with_a_byte_order_mark_load_like_the_originals(demo, tmp_path):
+    source = DEMO_OUTPUT / demo
+    events = with_bom(source / "events.csv", tmp_path / "events.csv")
+    attrs = with_bom(source / "attributes.csv", tmp_path / "attributes.csv")
+    assert events.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_events(events) == load_events(source / "events.csv")
+    assert load_attributes(attrs) == load_attributes(source / "attributes.csv")
+
+
+def test_a_byte_order_mark_alone_is_an_empty_file(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"\xef\xbb\xbf\n")
+    with pytest.raises(ValidationError, match="empty file"):
+        load_events(path)
