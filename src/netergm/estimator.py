@@ -22,24 +22,28 @@ distinct rows, each weighted by the rows it stands for, as ergm's
 included, so a design of distinct rows fits and ranks exactly as the rows
 it stands for.
 
-The key is the one code of 0/1 columns. Each fit splits its kept columns
+The key is the one code of 0/1 columns. Each fit splits its columns
 (``_fit_rows``): the keyed columns that hold a 1 on its rows are read as the
 bits of the key, which a design without one gets by value (``_scan``), and
 every fitted row gets the id of its key's pattern; the other columns are
 ordinary. The rows a fit reads form one list of ``_BLOCK_ROWS``-row blocks:
 views of the design where it reads every row in place, and otherwise the
-other columns alone, gathered into column-major copies. Each Newton step
+other columns alone, gathered once into column-major copies. A fit reads
+its column extremes there and nowhere else: a 0/1 column's from its
+patterns, the others' from those blocks. Each Newton step
 walks that list once, for the log-likelihood, score and information together
 (``_evaluate_rows``): the 0/1 columns enter through sums per pattern, so
 their part of a step costs patterns x b**2 rather than rows x b**2. There is
 one Newton path for grouped and plain designs, and no step copies a whole
 design. A design's rows are chosen by one boolean dyad mask (``_design``).
 On a design that the library builds or copies itself, ``_freeze`` makes the
-arrays read-only and keeps the pattern ids on it
+arrays read-only and keeps the pattern labels on it
 (``DyadDesign.row_patterns``), computed once, in its builder: the grouped
 designs of ``build_design`` and ``pooled_design``, the ungrouped design of
 ``temporal.formation_design``, and the distinct-row copy that ``_distinct``
-makes of a pooled design for ``fit_btergm``, which shares them. The rank
+makes of a pooled design for ``fit_btergm``, which shares them. A fit of
+some of those rows (a bootstrap replicate's) reads their labels
+(``_held``) and scans nothing. The rank
 check reads Newton's first information: where it proves that the row-blocked
 QR would find full rank (``_full_rank_certificate``), the QR does not run;
 where it cannot, the QR decides: one walk of the rows Newton reads makes one
@@ -54,6 +58,7 @@ row-major order of the mask that chose them.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import random
@@ -119,11 +124,13 @@ class DyadDesign:
     design that has one holds ``matrix`` and ``response`` read-only, so that
     no edit in place can leave the grouping stale.
 
-    ``row_patterns`` keeps the column scan of the rows that the fits of
+    ``row_patterns`` keeps the pattern scan of the rows that the fits of
     the design start from (the distinct rows when it has ``row_groups``),
-    as ``_scan`` returns it: a fit of all those rows reads it whole, and a
-    fit of some of them reads its pattern ids, so that no fit labels its
-    rows again. Only ``_freeze`` sets it, in the builder of a design that
+    as ``_scan`` returns it, ``(cols, ids, patterns)``: a fit of all those
+    rows reads it whole, and a fit of some of them reads its pattern ids,
+    so that no fit labels its rows again. It holds no column extremes;
+    each fit reads those from its own rows (``_fit_rows``). Only
+    ``_freeze`` sets it, in the builder of a design that
     the library itself built or copied (the designs of ``build_design``,
     ``pooled_design`` and ``formation_design``, and the copy of distinct
     rows that ``_distinct`` makes, which shares them), and it makes
@@ -230,21 +237,22 @@ def _design(stats_graph, response_graph, attrs, spec, mask):
 
 def _record_row_groups(design: DyadDesign, key=_NO_KEY) -> DyadDesign:
     """Record on a freshly built ``design``, whose row key is ``key``, which
-    of its rows are identical (``_unique_rows``) and the ``_scan`` of its
-    distinct rows, whose keyed columns are read from the key, and freeze it
-    (``_freeze``); returns ``design``."""
+    of its rows are identical (``_unique_rows``) and the pattern ``_scan``
+    of its distinct rows, read from the key, and freeze it (``_freeze``);
+    returns ``design``."""
     first, group = _unique_rows(design.matrix, design.response, key)
     bits, keyed = key
     key = None if bits is None else bits[first], keyed
-    return _freeze(design, (first, group), _scan(design.matrix, first, key=key))
+    return _freeze(design, (first, group), _scan(design.matrix, first, key))
 
 
 def _freeze(design: DyadDesign, groups, patterns) -> DyadDesign:
     """Freeze ``design``, a design the library built or copied itself and
     hands to no caller writable: make its ``matrix`` and ``response``
     read-only, and record on it ``groups`` as its ``row_groups`` and
-    ``patterns``, the ``_scan`` of the rows its fits start from, as its
-    ``row_patterns``. Returns ``design``."""
+    ``patterns``, the ``(cols, ids, patterns)`` that ``_scan`` labels the
+    rows its fits start from with, as its ``row_patterns``. Returns
+    ``design``."""
     design.matrix.setflags(write=False)
     design.response.setflags(write=False)
     object.__setattr__(design, "row_groups", groups)
@@ -255,8 +263,8 @@ def _freeze(design: DyadDesign, groups, patterns) -> DyadDesign:
 def _distinct(design: DyadDesign):
     """``(distinct, group)``: a frozen copy of the recorded distinct rows of
     the grouped ``design`` (columns column-major, as the builders write
-    them), which shares the design's ``row_patterns``, and the group of
-    each of the design's rows among them."""
+    them), which shares the design's ``row_patterns`` (the labels of those
+    same rows), and the group of each of the design's rows among them."""
     first, group = design.row_groups
     distinct = DyadDesign(
         design.response[first], _take_rows(design.matrix, first), design.term_names
@@ -478,81 +486,47 @@ def _blocks(a):
     return [a[rows] for rows in _row_blocks(len(a))]
 
 
-def _zero_one(col, hi, lo):
-    """Whether the column ``col``, whose largest and least entries are
-    ``hi`` and ``lo``, is a 0/1 column: every entry exactly 0.0 or 1.0 and
-    some of them 1.0."""
+def _zero_one(col):
+    """Whether the column ``col`` is a 0/1 column: every entry exactly 0.0
+    or 1.0 and some of them 1.0."""
+    hi, lo = np.maximum.reduce(col), np.minimum.reduce(col)
     # between 0 and 1, a column is 0/1 when its nonzero entries are its ones
     return hi == 1.0 and lo >= 0.0 and np.count_nonzero(col) == np.count_nonzero(col == 1.0)
 
 
-def _scan(x, rows, known=None, key=_NO_KEY):
-    """The column scan of the rows ``rows`` of ``x`` (None for all):
-    ``(hi, lo, cols, ids, patterns)``.
+def _scan(x, rows, key):
+    """The pattern scan of the rows ``rows`` of ``x`` (None for all):
+    ``(cols, ids, patterns)``.
 
-    ``hi`` and ``lo`` hold each column's largest and least entry (NaN when
-    it holds a NaN). ``key`` is the row key of these rows (its bits taken
-    at ``rows``), whose columns are read from its bits alone; with the
-    empty key, each 0/1 column (``_zero_one``) becomes the next bit of a
-    key by value as it is read (``terms._add_key_bit``). ``cols`` lists the
-    keyed columns that hold a 1 on these rows. A row's key is its code: the
-    rows are sorted by it, ``patterns`` holds each distinct code once, as a
-    column-major float64 row of its bits at ``cols``, and ``ids[r]``, of
-    the least unsigned type that holds them, is the pattern of row r. A
-    keyed column with no 1 is a zero bit of every code, which moves no row.
-
-    ``known`` may give the ``(cols, ids, patterns)`` of these rows from an
-    earlier scan of rows that hold them (``_held``). Its columns are then
-    read from its patterns alone, and its ids and patterns are returned
-    when each of them holds a 1 on these rows; otherwise (a zero weight can
-    empty one) the rows are keyed afresh, by value.
+    ``key`` is the row key of these rows (its bits taken at ``rows``),
+    whose columns are read from its bits alone; with the empty key, each
+    0/1 column (``_zero_one``) becomes the next bit of a key by value as it
+    is read (``terms._add_key_bit``). ``cols`` lists the keyed columns that
+    hold a 1 on these rows. A row's key is its code: ``patterns`` holds each
+    distinct code once, in ascending order, as a column-major float64 row
+    of its bits at ``cols``, and ``ids[r]``, of the least unsigned type
+    that holds them, is the pattern of row r. A keyed column with no 1 is a
+    zero bit of every code, which moves no row. The scan returns no
+    extremes: ``_fit_rows`` takes them from the rows a fit reads.
     """
-    known_cols = [] if known is None else known[0]
-    bits, keyed = key
-    if bits is not None:
-        # the bits set on some row, and on every row
-        some, every = (int(f.reduce(bits)) for f in (np.bitwise_or, np.bitwise_and))
-    hi, lo = [], []
-    for k in range(x.shape[1]):
-        if k in known_cols:
-            # a column of the patterns, which hold only 0.0 and 1.0
-            col = known[2][:, known_cols.index(k)]
-            top, least = float(col.max()), float(col.min())
-        elif k in keyed:
-            bit = keyed.index(k)
-            top, least = float(some >> bit & 1), float(every >> bit & 1)
-        else:
+    if key[0] is None:
+        for k in range(x.shape[1]):
             col = x[:, k] if rows is None else x[:, k].take(rows)
-            top, least = float(np.maximum.reduce(col)), float(np.minimum.reduce(col))
-            if known is None and bits is None and _zero_one(col, top, least):
+            if _zero_one(col):
                 key = _add_key_bit(key, col == 1.0, k)
-        hi.append(top)
-        lo.append(least)
-        col = None
-    if known is not None:
-        if [k for k in known_cols if hi[k] == 1.0] != known_cols:
-            return _scan(x, rows)
-        return np.array(hi), np.array(lo), known_cols, known[1], known[2]
+            col = None
     code, keyed = key
-    cols = [k for k in keyed if hi[k] == 1.0]
-    n = len(x) if rows is None else len(rows)
     if code is None:  # the empty key's bits: one pattern, of no column
-        code = np.zeros(n, dtype=np.uint8)
-    order = np.argsort(code)
-    code = code[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    code = code[new]
-    ids = np.empty(n, dtype=np.min_scalar_type(len(code) - 1))
-    # each sorted row's pattern, 0 at the first: a count of the code changes
-    label = np.zeros(n, dtype=ids.dtype)
-    np.cumsum(new[1:], dtype=ids.dtype, out=label[1:])
-    ids[order] = label
+        code = np.zeros(len(x) if rows is None else len(rows), dtype=np.uint8)
+    # the bits set on some row
+    some = int(np.bitwise_or.reduce(code))
+    cols = [k for bit, k in enumerate(keyed) if some >> bit & 1]
+    code, ids = np.unique(code, return_inverse=True)
+    ids = ids.astype(np.min_scalar_type(len(code) - 1))
     shifts = np.array([keyed.index(k) for k in cols], dtype=code.dtype)
     # column-major, as the information's products read it
     patterns = np.asfortranarray((code[:, None] >> shifts) & 1, dtype=np.float64)
-    return np.array(hi), np.array(lo), cols, ids, patterns
+    return cols, ids, patterns
 
 
 def _held(known, pick):
@@ -576,10 +550,11 @@ class _Rows(NamedTuple):
     columns, in design order): the 0/1 columns first, then the others, each
     in design order. ``patterns`` holds each distinct row of the 0/1 columns
     once, and ``ids`` the pattern of every fitted row, block by block. ``xs``
-    holds the other columns: views of the design, whose columns ``rest`` are
-    the others, where the fit reads the design in place, and otherwise
-    copies of the others alone gathered into column-major blocks. ``ys`` and
-    ``ws`` are the responses (as float64) and weights.
+    holds the other columns: views of the design where the fit reads it in
+    place, and otherwise copies of the columns that are not 0/1 gathered
+    into column-major blocks; ``rest`` names the kept ones among the
+    block's columns. ``ys`` and ``ws`` are the responses (as float64) and
+    weights.
     """
 
     order: np.ndarray
@@ -593,7 +568,8 @@ class _Rows(NamedTuple):
 
 def _fit_rows(design, w, pick):
     """``(rows, hi, lo)``: the ``_Rows`` that a fit of ``design`` reads and
-    the largest and least entry of each design column on them.
+    the largest and least entry of each design column on them (NaN where a
+    column holds a NaN), the one place a fit's column extremes are read.
 
     A fit starts from the design's rows, or from its distinct rows when it
     has ``row_groups``; ``w`` holds their weights, and ``pick`` the
@@ -601,11 +577,14 @@ def _fit_rows(design, w, pick):
 
     On a design with ``row_patterns``, a fit of every row it starts from
     reads their scan from there, and a fit of some of them reads their ids
-    and scans only the other columns, unless a pattern column holds no 1
-    on its rows (a zero weight can empty one); every other fit keys, scans
-    and labels its own rows by value. The rows are read in place
-    when the fit reads every row of a design without ``row_groups``;
-    otherwise the other columns alone are gathered.
+    (``_held``); every other fit keys and labels its own rows by value
+    (``_scan``). A 0/1 column's extremes are its patterns'; a pattern column
+    that holds no 1 on the fitted rows (a zero weight can empty one) is
+    dropped with the other all-zero columns, and as it is 0 in every
+    pattern, the patterns stay distinct. The other columns are read where
+    the fit reads them, once: in place when the fit reads every row of a
+    design without ``row_groups``, and otherwise gathered into column-major
+    blocks, and their extremes are those of the blocks.
     """
     x = np.asarray(design.matrix, dtype=np.float64)
     y = np.asarray(design.response)
@@ -616,25 +595,39 @@ def _fit_rows(design, w, pick):
         w = w[pick]
     n = len(w)
     if scan is None:
-        scan = _scan(x, rows)
+        scan = _scan(x, rows, _NO_KEY)
     elif pick is not None:
-        scan = _scan(x, rows, _held(scan[2:], pick))
-    hi, lo, cols, ids, patterns = scan
-    del scan
+        scan = _held(scan, pick)
+    cols, ids, patterns = scan
 
-    # a column of NaN or nonzero extremes is kept
-    kept = [k for k, m in enumerate(np.maximum(hi, -lo).tolist()) if m != 0.0]
+    p = x.shape[1]
+    hi, lo = np.zeros(p), np.zeros(p)
+    hi[cols], lo[cols] = patterns.max(axis=0), patterns.min(axis=0)
     ones = set(cols)
-    other = [k for k in kept if k not in ones]
+    other = [k for k in range(p) if k not in ones]
     if rows is None:
-        # views of the whole rows, whose columns ``rest`` are the others
-        xs, rest = _blocks(np.asfortranarray(x)), np.array(other, dtype=np.intp)
+        # views of the whole rows, whose columns ``other`` are the others
+        xs, at = _blocks(np.asfortranarray(x)), other
         ys = _blocks(y.astype(np.float64, copy=False))
     else:
         xs = [_take_rows(x, rows[block], other) for block in _row_blocks(n)]
-        rest = np.arange(len(other))
+        at = list(range(len(other)))
         ys = [y[rows[block]].astype(np.float64) for block in _row_blocks(n)]
+    for f, ext in ((np.maximum, hi), (np.minimum, lo)):
+        # each block's, then the blocks' together; NaN wins both
+        ext[other] = functools.reduce(f, [f.reduce(xb[:, at], axis=0) for xb in xs])
+    if not hi[cols].all():
+        # a pattern column with no 1 here is all zero: it leaves the
+        # patterns, which stay distinct as it is 0 in each of them
+        live = hi[cols] == 1.0
+        cols = [k for k, on in zip(cols, live) if on]
+        patterns = np.asfortranarray(patterns[:, live])
+
+    # a column of NaN or nonzero extremes is kept
+    kept = [k for k, m in enumerate(np.maximum(hi, -lo).tolist()) if m != 0.0]
     place = {k: j for j, k in enumerate(kept)}
+    rest = np.array([j for k, j in zip(other, at) if k in place], dtype=np.intp)
+    other = [k for k in other if k in place]
     order = np.array([place[k] for k in cols + other], dtype=np.intp)
     fit = _Rows(order, patterns, _blocks(ids), xs, rest, ys, _blocks(w))
     return fit, hi, lo

@@ -301,7 +301,7 @@ def formation_design(
     if not free.any():
         raise EmptyDesignError("no free dyads: the previous panel is complete")
     design, key = _design(union, curr, attrs, spec, free)
-    return _freeze(design, None, _scan(design.matrix, None, key=key))
+    return _freeze(design, None, _scan(design.matrix, None, key))
 
 
 def fit_formation(

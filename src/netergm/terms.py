@@ -319,6 +319,14 @@ def _gwdsp_stat(t, s):
     return wtab[s.P].sum() - wtab[s.P.diagonal()].sum()
 
 
+def _key_width(n):
+    """The integer type of the ``(k, dyad)`` sort keys of ``_partner_sums``
+    on n nodes, and of the counts and dyad codes they are made of: a key is
+    below n**3, as a two-path count k is below n and a dyad code below
+    n**2, so int32 holds it while n**3 < 2**31 (n <= 1290), int64 beyond."""
+    return np.int32 if n**3 < 2**31 else np.int64
+
+
 def _partner_sums(s, out, sources, table):
     """Add to the float matrix ``out``, at every dyad i -> j, the partner sum
     of one shared-partner term; returns ``out``. The diagonal takes sums too
@@ -338,12 +346,15 @@ def _partner_sums(s, out, sources, table):
     """
     n, inn = s.n, s.g._in_lists
     flat, tied = out.reshape(-1), s.A.reshape(-1)
-    level = s.P[sources.rows, sources.cols]
+    width = _key_width(n)
+    level = s.P[sources.rows, sources.cols].astype(width)
     for lo, hi in _walk_blocks(n, (sources, inn), (inn, sources)):
         i1, j1, p, _ = _walks(sources, inn, lo, hi)
         i2, j2, _, q = _walks(inn, sources, lo, hi)
-        dyad = np.concatenate([i1 * n + j1, i2 * n + j2])
+        dyad = np.concatenate([i1 * n + j1, i2 * n + j2], dtype=width)
+        del i1, j1, i2, j2
         ks = np.concatenate([level[p], level[q]]) - tied[dyad]
+        del p, q  # so that a walk's arrays are gone once its keys exist
         # sorted by (k, dyad); np.add.at adds repeated indices in the order
         # given, so each dyad's terms go in ascending k
         ks, dyad = np.divmod(np.sort(ks * (n * n) + dyad), n * n)

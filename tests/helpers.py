@@ -285,7 +285,7 @@ def sorted_gather_unique_rows(x, y):
 
 
 def assert_same_scan(got, expect):
-    """Two ``estimator._scan`` results ``(hi, lo, cols, ids, patterns)``
+    """Two ``estimator._scan`` results ``(cols, ids, patterns)``
     equal field for field: arrays in value, dtype and memory order."""
     for a, b in zip(got, expect, strict=True):
         if isinstance(b, np.ndarray):

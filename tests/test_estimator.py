@@ -1111,10 +1111,10 @@ class TestLargeMpleDesigns:
         design = large_mple_design
         first = design.row_groups[0]
         x = np.asarray(design.matrix, dtype=np.float64)
-        expect = _scan(x, first)
+        expect = _scan(x, first, _NO_KEY)
         assert_same_scan(design.row_patterns, expect)
         # edges, then mutual and the 17 nodematch terms, the keyed columns
-        assert expect[2] == [0, 1, *range(5, 22)]
+        assert expect[0] == [0, 1, *range(5, 22)]
 
     def test_the_intercept_start_saves_passes_and_needs_no_qr(self, large_mple_design):
         design = large_mple_design
@@ -1277,7 +1277,8 @@ class TestRecordedRowGroups:
         design = build_design(g, table, spec)
         first, group = design.row_groups
         assert_same_groups((first, group), _unique_rows(plain.matrix, plain.response))
-        hi, lo, cols, ids, patterns = design.row_patterns
+        cols, ids, patterns = design.row_patterns
+        hi, lo = _fit_rows(design, np.ones(len(first)), None)[1:]
         assert cols == [1, 2, 3, 5] and hi[0] == lo[0] == 0.0
         # each pattern is the bits of its rows' key at the columns' places,
         # and the ids order the keys
@@ -1287,9 +1288,9 @@ class TestRecordedRowGroups:
         assert (np.diff(key[np.argsort(ids, kind="stable")].astype(np.int64)) >= 0).all()
         # the scan of a hand-made copy, keyed by value, is the same
         x = np.asarray(design.matrix, dtype=np.float64)
-        assert_same_scan(design.row_patterns, _scan(x, first))
+        assert_same_scan(design.row_patterns, _scan(x, first, _NO_KEY))
         # and on every row, as a design that is not grouped is frozen
-        assert_same_scan(_scan(x, None, key=(bits, keyed)), _scan(x, None))
+        assert_same_scan(_scan(x, None, (bits, keyed)), _scan(x, None, _NO_KEY))
 
     @pytest.mark.filterwarnings("ignore:possible separation")
     def test_an_unkeyed_0_1_column_is_read_as_an_ordinary_one(self):
@@ -1299,10 +1300,10 @@ class TestRecordedRowGroups:
         spec = parse_terms(("edges", "gwdsp(0.5)", "mutual"))
         design = build_design(g, None, spec)
         assert set(np.unique(design.matrix[:, 1])) == {0.0, 1.0}
-        assert design.row_patterns[2] == [0, 2]
+        assert design.row_patterns[0] == [0, 2]
         # a hand-made copy keys it by value, and fits as the design does
         copy = DyadDesign(design.response.copy(), design.matrix.copy(), design.term_names)
-        assert _scan(np.asarray(copy.matrix), None)[2] == [0, 1, 2]
+        assert _scan(np.asarray(copy.matrix), None, _NO_KEY)[0] == [0, 1, 2]
         built, by_value = fit_logistic(design), fit_logistic(copy)
         for field in ("coefficients", "standard_errors"):
             np.testing.assert_allclose(
@@ -1310,6 +1311,40 @@ class TestRecordedRowGroups:
                 err_msg=field,
             )
         assert built.residual_deviance == pytest.approx(by_value.residual_deviance, rel=1e-12)
+
+    def test_weights_that_empty_a_keyed_column_drop_it_with_no_scan(self):
+        # two holders of the rare role: the nodematch is 1 on their two
+        # dyads only, and zero weight on those leaves its key bit unset on
+        # every row the fit reads
+        rng = np.random.default_rng(222)
+        n = 30
+        table = simple_table(
+            [f"v{i}" for i in range(n)],
+            role=["rare"] * 2 + ["common"] * (n - 2),
+            team=rng.choice(["x", "y"], size=n),
+        )
+        spec = parse_terms(("edges", "mutual", "nodematch(role, rare)", "gwesp(0.5)",
+                            "nodematch(team)"))
+        design = build_design(random_graph(rng, n, 0.1), table, spec)
+        assert design.row_patterns[0] == [0, 1, 2, 4]
+        w = np.where(design.matrix[:, 2] == 1.0, 0.0, 1.0)
+        assert np.count_nonzero(w == 0.0) == 2
+        with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
+            with pytest.warns(UserWarning, match="all-zero column.*nodematch"):
+                fit = fit_logistic(design, weights=w)
+        assert spy.call_count == 0
+        assert fit.dropped_terms == (spec.names[2],)
+        # a hand-made copy, keyed by value on its own rows, fits the same
+        copy = DyadDesign(design.response.copy(), design.matrix.copy(), design.term_names)
+        with pytest.warns(UserWarning, match="all-zero"):
+            by_value = fit_logistic(copy, weights=w)
+        assert by_value.dropped_terms == fit.dropped_terms
+        for field in ("coefficients", "standard_errors"):
+            np.testing.assert_allclose(
+                getattr(fit, field), getattr(by_value, field), rtol=1e-12, atol=1e-12,
+                err_msg=field,
+            )
+        assert fit.residual_deviance == pytest.approx(by_value.residual_deviance, rel=1e-12)
 
     def test_a_grouped_design_cannot_be_edited_in_place(self):
         design = build_design(random_graph(np.random.default_rng(220), 30, 0.1), None, self.SPEC)
@@ -1358,7 +1393,7 @@ class TestRecordedRowGroups:
         assert distinct.row_groups is None
         assert distinct.row_patterns is design.row_patterns
         x = np.asarray(distinct.matrix, dtype=np.float64)
-        assert_same_scan(distinct.row_patterns, _scan(x, None))
+        assert_same_scan(distinct.row_patterns, _scan(x, None, _NO_KEY))
         # each distinct row weighted by the rows it stands for fits as the design
         weights = np.bincount(group, minlength=distinct.n_rows).astype(np.float64)
         np.testing.assert_allclose(
@@ -1847,30 +1882,34 @@ class TestZeroOnePatterns:
         w[:10] = 1.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
             x = np.asarray(design.matrix, dtype=np.float64)
-            _freeze(design, None, estimator._scan(x, None))
+            _freeze(design, None, estimator._scan(x, None, _NO_KEY))
             first = fit_logistic(design)
-            weighted = fit_logistic(design, weights=w)
+            with mock.patch.object(estimator, "_take_rows",
+                                   wraps=estimator._take_rows) as gather:
+                weighted = fit_logistic(design, weights=w)
         # the rows are scanned once and frozen; the fit of every row reads
         # that scan, and the weighted fit, whose rows have the same 0/1
-        # columns, scans only the others and reads the labels
+        # columns, reads the labels and gathers the other columns once
         assert not (design.matrix.flags.writeable or design.response.flags.writeable)
-        assert spy.call_count == 2 and spy.call_args_list[1].args[2] is not None
-        cols, ids, patterns = design.row_patterns[2:]
+        assert spy.call_count == 1
+        cols, ids, patterns = design.row_patterns
         assert cols == [0, 2, 3] and len(ids) == 400
+        assert gather.call_count == 1 and gather.call_args.args[2] == [1, 4]
         # and the fits equal those of a copy that labels its own rows
         copy = dataclasses.replace(design, matrix=design.matrix.copy(),
                                    response=design.response.copy())
         assert_identical_fits(first, fit_logistic(copy))
         assert_identical_fits(weighted, fit_logistic(copy, weights=w))
         assert copy.row_patterns is None
-        # zero weights on the rare rows empty a 0/1 column: the fit labels
-        # its own rows, and the design keeps its labels
+        # zero weights on the rare rows empty a 0/1 column: the fit drops
+        # it as an all-zero column, scans nothing, and the design keeps its
+        # labels
         w[:6] = 0.0
         with mock.patch.object(estimator, "_scan", wraps=estimator._scan) as spy:
             with pytest.warns(UserWarning, match="all-zero"):
                 fit = fit_logistic(design, weights=w)
-        assert spy.call_count == 2 and len(spy.call_args_list[1].args) == 2
-        assert design.row_patterns[2] == cols
+        assert spy.call_count == 0
+        assert design.row_patterns[0] == cols
         assert fit.dropped_terms == ("rare",)
         with pytest.warns(UserWarning, match="all-zero"):
             assert_identical_fits(fit, fit_logistic(copy, weights=w))

@@ -19,6 +19,7 @@ from netergm import (
     parse_terms,
 )
 from netergm import graph as graph_module
+from netergm import terms as terms_module
 from netergm.graph import two_path_counts
 from netergm.sampler import _Chain
 from netergm.terms import _TERMS, _Shared, split_term_list
@@ -333,6 +334,35 @@ class TestEdgeListForms:
         blocked = [two_path_counts(g)] + [all_dyad_form(g, t) for t in terms]
         for a, b in zip(whole, blocked):
             np.testing.assert_array_equal(a, b)
+
+    def test_the_key_width_is_the_least_that_holds_n_cubed(self):
+        # a (k, dyad) key is below n**3: 1290**3 fits in int32, 1291**3 not
+        assert 1290**3 < 2**31 <= 1291**3
+        assert terms_module._key_width(1290) is np.int32
+        assert terms_module._key_width(1291) is np.int64
+
+    @pytest.mark.parametrize("decay", [0.5, 1.7])
+    def test_both_key_widths_sum_bit_for_bit(self, monkeypatch, decay):
+        rng = np.random.default_rng(42)
+        g = random_graph(rng, 30, 0.3)
+        a = g.adjacency
+        off = ~np.eye(30, dtype=bool)
+        assert (a & off).any() and (~a & off).any()
+        forms = {}
+        for width in (np.int32, np.int64):
+            seen = []
+
+            def forced(n, width=width):
+                seen.append(n)
+                return width
+
+            monkeypatch.setattr(terms_module, "_key_width", forced)
+            forms[width] = [all_dyad_form(g, TermSpec(kind, decay=decay))
+                            for kind in ("gwesp", "gwdsp")]
+            assert seen == [30, 30]
+        # on tied and on untied dyads alike
+        for narrow, wide in zip(forms[np.int32], forms[np.int64]):
+            np.testing.assert_array_equal(narrow, wide)
 
     @pytest.mark.parametrize("kind", ["gwesp", "gwdsp"])
     @pytest.mark.parametrize("n", [30, 60])
